@@ -63,16 +63,12 @@ from .greens import (
     vanishing_density,
 )
 from .kw import (
-    AprioriRow,
     Classification,
     ContinuationSchedule,
-    ContinuationStage,
     KWProblem,
     KWSolution,
     LimitProfile,
     SolverConfig,
-    apriori_probe,
-    continuation_sweep,
     core_resolving_grid,
     kw_energy,
     kw_limit,
@@ -96,12 +92,9 @@ from .vortex import (
     integral_identities,
     mixed_limit_phi_sq,
     reconstruct,
-    reduce_classical,
-    reduce_generalized,
-    reduce_mixed,
+    reduce_any,
     solve_and_report,
     vanishing_order_fit,
-    worker_count,
 )
 from .config import RunConfig, echo_config, parse_config
 from .runner import emit_csv, emit_heatmap, emit_line_plot, run

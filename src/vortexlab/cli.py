@@ -66,7 +66,6 @@ def _summarize(manifest: dict) -> str:
         f"kind:     {manifest.get('kind')}",
         f"status:   {manifest.get('status')}",
         f"version:  {manifest.get('artifact_version')}",
-        f"threads:  {manifest.get('threads')}",
         f"wall:     {manifest.get('wall_seconds', 0.0):.2f} s",
     ]
     stages = manifest.get("stages", [])

@@ -11,7 +11,6 @@ YAML text with ``parse_config(echo_config(c)) == c``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,7 +234,7 @@ class RunConfig:
         def coeff(term: KWTermSection):
             if term.divisor:
                 _, density, _ = _density_data(
-                    geometry, g, _divisor(term.divisor), term.amplitude, True
+                    geometry, g, _divisor(term.divisor), term.amplitude, False
                 )
                 return density
             return constant_field(geometry, g, term.amplitude)
@@ -612,7 +611,7 @@ def parse_config(text: str) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     """Run every module-level invariant reachable from the config."""
     try:
-        geometry = config.build_geometry()
+        config.build_geometry()
         config.build_grid()
     except (VortexLabError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
@@ -628,13 +627,13 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError("sweep runs take epsilons from the sweep section")
         # Early stages may be infeasible (the sweep skips them); only the
         # final epsilon must admit a solution.
-        probe_epsilons = (sw.epsilons[-1],)
+        probe_epsilon = sw.epsilons[-1]
     else:
         if config.epsilon is None:
             raise ValidationError(f"kind '{config.kind}' requires epsilon")
         if not config.epsilon > 0:
             raise ValidationError("epsilon: must be positive")
-        probe_epsilons = (config.epsilon,)
+        probe_epsilon = config.epsilon
 
     m = config.model
     try:
@@ -647,16 +646,9 @@ def _validate(config: RunConfig) -> None:
                     if not t.exponent > 0:
                         raise ValidationError("kw exponents must be positive")
         else:
-            for eps in probe_epsilons:
-                spec = config.build_spec(epsilon=eps)
-                if isinstance(spec, ClassicalVortexSpec):
-                    # Bradlow admissibility, checked without running a solve.
-                    if 2 * math.pi * spec.degree * eps**2 >= geometry.volume:
-                        raise ValidationError(
-                            f"Bradlow: 2 pi d eps^2 >= Vol at epsilon={eps}"
-                        )
-    except ValidationError:
-        raise
+            # Spec construction checks every model invariant, Bradlow
+            # admissibility included, without running a solve.
+            config.build_spec(epsilon=probe_epsilon)
     except (VortexLabError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
 

@@ -23,6 +23,7 @@ finite sentinel of the appropriate sign in place of ``-inf``/``+inf``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,6 +133,15 @@ def green_gradient(point, geometry: TorusGeometry, n_terms: int = 32):
     return gx, gy
 
 
+def _point_distance(geometry: TorusGeometry, p, q) -> float:
+    """Torus distance between two points (minimal image)."""
+    dx = abs(p[0] - q[0]) % geometry.length_x
+    dy = abs(p[1] - q[1]) % geometry.length_y
+    dx = min(dx, geometry.length_x - dx)
+    dy = min(dy, geometry.length_y - dy)
+    return math.hypot(dx, dy)
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Formal sum of torus points with nonzero integer multiplicities."""
@@ -181,21 +191,12 @@ class Divisor:
             self.multiplicities,
         )
 
-    def reduced_points(self, geometry: TorusGeometry) -> tuple[tuple[float, float], ...]:
-        lx, ly = geometry.length_x, geometry.length_y
-        return tuple((float(np.mod(x, lx)), float(np.mod(y, ly))) for x, y in self.points)
-
     def check_separated(self, geometry: TorusGeometry, min_dist: float = 1e-9) -> None:
         """Require points pairwise distinct modulo the periods."""
-        pts = self.reduced_points(geometry)
-        lx, ly = geometry.length_x, geometry.length_y
+        pts = self.points
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                dx = abs(pts[i][0] - pts[j][0])
-                dy = abs(pts[i][1] - pts[j][1])
-                dx = min(dx, lx - dx)
-                dy = min(dy, ly - dy)
-                if np.hypot(dx, dy) < min_dist:
+                if _point_distance(geometry, pts[i], pts[j]) < min_dist:
                     raise ValueError(
                         f"divisor points {i} and {j} coincide modulo periods"
                     )

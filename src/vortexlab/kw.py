@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .fields import (
     integrate,
     laplacian,
     lp_norm,
-    resample,
     solve_linearized,
     sup_norm,
 )
@@ -65,15 +64,12 @@ __all__ = [
     "KWSolution",
     "SolverConfig",
     "ContinuationSchedule",
-    "ContinuationStage",
     "LimitProfile",
-    "AprioriRow",
     "kw_residual",
     "kw_energy",
     "kw_solve",
     "kw_limit",
-    "continuation_sweep",
-    "apriori_probe",
+    "interior_bounds",
     "young_bound",
     "core_resolving_grid",
 ]
@@ -584,16 +580,6 @@ class ContinuationSchedule:
             raise ValueError("epsilons must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
 
-    def check_resolves(self, geometry: TorusGeometry) -> None:
-        for e in self.epsilons:
-            grid = self.refine_rule(e)
-            hx, hy = grid.spacing(geometry)
-            if hx > e / 4 + 1e-12 or hy > e / 4 + 1e-12:
-                raise ValueError(
-                    f"grid {grid} does not resolve epsilon {e}: "
-                    f"need spacing <= {e / 4}"
-                )
-
 
 def core_resolving_grid(
     geometry: TorusGeometry,
@@ -614,44 +600,6 @@ def core_resolving_grid(
     return GridSpec(pick(geometry.length_x), pick(geometry.length_y))
 
 
-@dataclass
-class ContinuationStage:
-    epsilon: float
-    grid: GridSpec
-    solution: KWSolution
-    warm_started: bool
-
-
-def continuation_sweep(
-    problem_template: Callable[[float, GridSpec], KWProblem],
-    schedule: ContinuationSchedule,
-    config: SolverConfig = SolverConfig(),
-) -> list[ContinuationStage]:
-    """Solve along decreasing epsilon, warm-starting from the previous stage.
-
-    ``problem_template(epsilon, grid)`` builds the stage problem on the
-    grid chosen by the schedule's refinement rule; the previous solution
-    is transplanted by spectral resampling.
-    """
-    stages: list[ContinuationStage] = []
-    prev: ScalarField | None = None
-    for eps in schedule.epsilons:
-        grid = schedule.refine_rule(eps)
-        problem = problem_template(eps, grid)
-        if problem.grid != grid:
-            raise ValueError("problem_template ignored the requested grid")
-        schedule_check_grid(problem.geometry, grid, eps)
-        init = resample(prev, grid) if prev is not None else None
-        solution = kw_solve(problem, config, init=init)
-        stages.append(
-            ContinuationStage(
-                epsilon=eps, grid=grid, solution=solution, warm_started=prev is not None
-            )
-        )
-        prev = solution.f
-    return stages
-
-
 def schedule_check_grid(geometry: TorusGeometry, grid: GridSpec, epsilon: float) -> None:
     hx, hy = grid.spacing(geometry)
     if hx > epsilon / 4 + 1e-12 or hy > epsilon / 4 + 1e-12:
@@ -665,45 +613,19 @@ def schedule_check_grid(geometry: TorusGeometry, grid: GridSpec, epsilon: float)
 # Diagnostics
 
 
-@dataclass
-class AprioriRow:
-    epsilon: float
-    sup_f: float
-    sup_grad_f: float
-    l2_exp_plus: float
-    l2_exp_minus: float
+def interior_bounds(f: ScalarField, mask: RegionMask | None = None) -> dict[str, float]:
+    """Uniform-bound probes of ``f`` on a region away from singular points.
 
-
-def apriori_probe(
-    solutions: Sequence[KWSolution],
-    mask: RegionMask | Callable[[TorusGeometry, GridSpec], RegionMask] | None = None,
-) -> list[AprioriRow]:
-    """Uniform-bound diagnostics on a region away from singular points.
-
-    For each solution reports sup |f|, sup |grad f| and the L2 norms of
-    e^{f} and e^{-f} over the masked region. ``mask`` may be a single
-    RegionMask (all solutions on one grid) or a builder called with each
-    solution's geometry and grid.
+    Returns sup |f|, sup |grad f| and the L2 norms of e^{f} and e^{-f} over
+    ``mask`` (the whole torus when omitted), keyed like the matching
+    fields of :class:`vortexlab.vortex.DiagnosticsReport`.
     """
-    rows = []
-    for sol in solutions:
-        f = sol.f
-        if callable(mask):
-            m = mask(f.geometry, f.grid)
-        else:
-            m = mask
-        expf = ScalarField(f.geometry, f.grid, np.exp(f.values))
-        expmf = ScalarField(f.geometry, f.grid, np.exp(-f.values))
-        rows.append(
-            AprioriRow(
-                epsilon=sol.epsilon,
-                sup_f=sup_norm(f, m),
-                sup_grad_f=sup_norm(gradient_magnitude(f), m),
-                l2_exp_plus=lp_norm(expf, 2, m),
-                l2_exp_minus=lp_norm(expmf, 2, m),
-            )
-        )
-    return rows
+    return {
+        "sup_f": sup_norm(f, mask),
+        "sup_grad_f": sup_norm(gradient_magnitude(f), mask),
+        "l2_exp_plus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(f.values)), 2, mask),
+        "l2_exp_minus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(-f.values)), 2, mask),
+    }
 
 
 def young_bound(a: float, b: float, x: float, y: float) -> tuple[float, float]:

@@ -30,7 +30,6 @@ from .vortex import (
     SweepReport,
     adiabatic_sweep,
     solve_and_report,
-    worker_count,
 )
 
 __all__ = [
@@ -335,7 +334,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
     The manifest is also written to ``<out>/manifest.json`` atomically,
     on success and on failure alike; a solver failure mid-sweep keeps the
     rows of the completed stages. ``manifest['status']`` is ``"ok"`` or
-    ``"failed"``.
+    ``"failed"``. An exception that is not a :class:`VortexLabError` is
+    recorded in the manifest the same way and then re-raised.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -349,7 +349,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
         "kind": config.kind,
         "status": "ok",
         "error": None,
-        "threads": worker_count(),
         "config_echo": echo_config(config),
         "points": [],
         "stages": [],
@@ -444,10 +443,12 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     f"failed at epsilon={report.error.get('epsilon')}: "
                     f"{report.error['type']}: {report.error['message']}"
                 )
-    except VortexLabError as exc:
+    except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
         log(f"failed: {type(exc).__name__}: {exc}")
+        if not isinstance(exc, VortexLabError):
+            raise
     finally:
         manifest["wall_seconds"] = time.perf_counter() - t0
         payload = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")

@@ -1,27 +1,34 @@
 """Divisor-prescribed vortices on flat tori and their adiabatic limits.
 
 Three gauge-theoretic models are reduced to the scalar equation solved by
-:mod:`vortexlab.kw`. Writing ``u_D`` for the divisor potential and ``d``
-for the relevant degree, a unitary connection with curvature function
-``iLF`` (the contraction of the curvature with the area form) satisfies
+:mod:`vortexlab.kw`. Writing ``u_j`` for the divisor potential of the
+zeros of component ``j`` and ``d`` for the relevant degree, a unitary
+connection with curvature function ``iLF`` (the contraction of the
+curvature with the area form) satisfies
 
     iLF = -1/2 laplacian(f) + 2 pi d / volume
 
 whenever the gauge degrees of freedom are absorbed into a real field ``f``
-relative to the divisor background. The three reductions:
+relative to the divisor background. Every model is a preset over one term
+list ``(divisor, weight k_j, scale, mean-normalized or raw)`` plus ``tau``
+and the degree: component ``j`` has ``|phi^j|^2 = c_j e^{u_j + k_j f}``,
+and ``eps^2 iLF + sum_j k_j |phi^j|^2 + tau = 0`` becomes
 
-* classical:  ``eps^2 iLF = 1 - |phi|^2`` with ``|phi|^2 = e^{u_D} e^{v}``
-  becomes ``-eps^2 lap(v) + 2 e^{u_D} e^{v} + (4 pi d eps^2 / vol - 2) = 0``,
-  i.e. a one-sided problem with epsilon = eps^2; solvable iff
-  ``2 pi d eps^2 < volume``.
-* mixed pair: ``eps^2 iLF + |phi1|^2 - |phi2|^2 + tau = 0`` with
-  ``|phi1|^2 = P e^{f}``, ``|phi2|^2 = Q e^{-f}`` becomes
+    -(eps^2/2) lap(f) + sum_{k_j > 0} k_j P_j e^{k_j f}
+                      - sum_{k_j < 0} |k_j| P_j e^{-|k_j| f}
+                      + (2 pi d eps^2 / vol + tau) = 0
+
+with ``P_j = c_j e^{u_j}``. The presets:
+
+* classical: one raw weight-1 term (``|phi|^2 = e^{u_D} e^{f}``) with
+  ``tau = -1``, i.e. ``eps^2 iLF = 1 - |phi|^2``. The equation is kept at
+  twice the scale above, ``-eps^2 lap(f) + 2 e^{u_D} e^{f} + (4 pi d eps^2
+  / vol - 2) = 0``; solvable iff ``2 pi d eps^2 < volume``.
+* mixed pair: mean-normalized terms with weights (1, -1), giving
   ``-(eps^2/2) lap(f) + P e^{f} - Q e^{-f} + (2 pi d eps^2 / vol + tau) = 0``.
-* generalized: ``eps^2 iLF + sum_j k_j |phi^j|^2 + tau = 0`` with
-  ``|phi^j|^2 = P_j e^{k_j f}`` becomes the multi-exponent problem with
-  plus terms ``(k_j P_j, k_j)`` for positive weights and minus terms
-  ``(|k_j| P_j, |k_j|)`` for negative ones. Solutions exist only when the
-  weights have mixed signs, or are all positive with ``tau < 0``.
+* generalized: mean-normalized terms with arbitrary nonzero integer
+  weights. Solutions exist only when the weights have mixed signs, or are
+  all positive with ``tau < 0``.
 
 Integrating each curvature equation over the torus gives the identities
 checked by :func:`integral_identities`; as epsilon decreases the curvature
@@ -33,14 +40,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,20 +63,25 @@ from .fields import (
     TorusGeometry,
     bump_cutoff,
     constant_field,
-    gradient_magnitude,
     integrate,
     laplacian,
-    lp_norm,
     resample,
     sample_at,
     sup_norm,
 )
-from .greens import Divisor, divisor_potential, vanishing_density, _green_from_xy
+from .greens import (
+    Divisor,
+    divisor_potential,
+    vanishing_density,
+    _green_from_xy,
+    _point_distance,
+)
 from .kw import (
     ContinuationSchedule,
     KWProblem,
     KWSolution,
     SolverConfig,
+    interior_bounds,
     kw_limit,
     kw_solve,
     schedule_check_grid,
@@ -87,9 +97,6 @@ __all__ = [
     "PointInfo",
     "SweepReport",
     "SweepOptions",
-    "reduce_classical",
-    "reduce_mixed",
-    "reduce_generalized",
     "reduce_any",
     "reconstruct",
     "solve_and_report",
@@ -100,22 +107,145 @@ __all__ = [
     "default_bump_radii",
     "mixed_limit_phi_sq",
     "diagnostics_report",
-    "worker_count",
 ]
 
 
-def worker_count() -> int:
-    """Thread cap for per-point diagnostics, from VORTEXLAB_THREADS."""
-    raw = os.environ.get("VORTEXLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+# ---------------------------------------------------------------------------
+# The shared model core
+
+
+class _Term(NamedTuple):
+    """One component: ``|phi|^2 = c e^{u_D + weight f}``.
+
+    ``c`` is ``scale`` for a raw density and ``scale / mean(e^{u_D})``
+    for a mean-normalized one.
+    """
+
+    divisor: Divisor
+    weight: int
+    scale: float
+    normalized: bool
+
+
+@lru_cache(maxsize=16)
+def _density_data(geometry, grid, divisor, scale, normalized):
+    """Potential u_D, density rho = c * exp(u_D), and log c.
+
+    With ``normalized`` the density has mean ``scale``; otherwise the raw
+    multiple ``scale * exp(u_D)`` is used.
+    """
+    pot = divisor_potential(divisor, geometry, grid)
+    e = np.exp(pot.u.values)
+    c = scale / float(e.mean()) if normalized else scale
+    density = vanishing_density(pot, c)
+    return pot, density, math.log(c)
+
+
+def _term_data(spec, t: _Term):
+    """Cached (u_D, S c e^{u_D}, log(S c)) of a term, S the equation scale.
+
+    Folding S into the cached density lets the reduction reuse it as the
+    coefficient of every weight +-1 term without a copy.
+    """
+    scale = spec.equation_scale * t.scale
+    return _density_data(spec.geometry, spec.grid, t.divisor, scale, t.normalized)
+
+
+class _VortexModel:
+    """Behaviour shared by the presets, written once over ``_terms``.
+
+    A preset supplies ``geometry``, ``grid``, ``epsilon``, ``tau``,
+    ``degree`` and the term list ``_terms``. The hooks below hold the
+    mixed/generalized behaviour; a preset overrides the ones where its
+    model differs.
+    """
+
+    kind: ClassVar[str]
+    # Factor multiplying the whole reduced equation.
+    equation_scale: ClassVar[float] = 1.0
+
+    def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
+        log_scale = math.log(self.equation_scale)
+        comps = []
+        for t in self._terms:
+            pot, _, logc = _term_data(self, t)
+            # Divisor-point sentinels in u flush exp() to exactly 0.
+            vals = np.exp((logc - log_scale) + pot.u.values + t.weight * f.values)
+            comps.append(ScalarField(self.geometry, self.grid, vals))
+        return comps
+
+    def _curvature(self, phi_sq, geometric):
+        """(curvature, cross-check) given the geometric curvature."""
+        return geometric, None
+
+    def _identities(self, phi_sq) -> dict[str, float]:
+        total = sum(t.weight * integrate(p) for t, p in zip(self._terms, phi_sq))
+        return {
+            "identity": total
+            + self.tau * self.geometry.volume
+            + 2.0 * math.pi * float(self.degree) * self.epsilon**2
+        }
+
+    def _expected(self, m_plus: int, m_minus: int):
+        """(expected curvature mass, expected vanishing order) of a point."""
+        return None, None
+
+    def _mass_window(self, point, others, h: float, options) -> tuple[float, float]:
+        """Largest admissible stationary window around ``point``.
+
+        These cores spread on the slow scale eps^(2/3) (the coefficient
+        fields vanish at the point, weakening the reaction term), so the
+        window does not shrink with epsilon: r_outer sits just inside the
+        distance to the nearest other point or the injectivity radius,
+        r_inner at half of it.
+        """
+        reach = self.geometry.injectivity_radius
+        for q in others:
+            reach = min(reach, _point_distance(self.geometry, point, q))
+        r_outer = 0.95 * reach
+        return 0.5 * r_outer, r_outer
+
+    def _deviation(self, f: ScalarField, recon) -> ScalarField:
+        """Distance to the epsilon = 0 limit profile on the spec's grid."""
+        zero_spec = dataclasses.replace(self, epsilon=0.0)
+        return f - kw_limit(reduce_any(zero_spec)).f
+
+    def _order_fits(self, points, options) -> list[float | None]:
+        return [None] * len(points)
+
+
+def reduce_any(spec) -> KWProblem:
+    """Reduce any model spec to its scalar Kazdan-Warner problem.
+
+    Weight ``k_j`` appears in both the coefficient (``|k_j| P_j``) and the
+    exponent, so integrating the equation reproduces the weighted-mass
+    identity exactly. Raises :class:`TypeError` for anything but a spec.
+    """
+    if not isinstance(spec, _VortexModel):
+        raise TypeError(f"not a vortex spec: {type(spec)!r}")
+    scale = spec.equation_scale
+    plus, minus = [], []
+    for t in spec._terms:
+        _, density, _ = _term_data(spec, t)
+        k = abs(t.weight)
+        coeff = density if k == 1 else density * float(k)
+        (plus if t.weight > 0 else minus).append((coeff, float(k)))
+    vol = spec.geometry.volume
+    w = constant_field(
+        spec.geometry,
+        spec.grid,
+        scale * (2.0 * math.pi * float(spec.degree) * spec.epsilon**2 / vol + spec.tau),
+    )
+    return KWProblem(
+        epsilon=0.5 * scale * spec.epsilon**2,
+        plus_terms=tuple(plus),
+        minus_terms=tuple(minus),
+        w=w,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Specs
+# Presets
 
 
 def _require_effective(divisor: Divisor, name: str) -> None:
@@ -124,7 +254,7 @@ def _require_effective(divisor: Divisor, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class ClassicalVortexSpec:
+class ClassicalVortexSpec(_VortexModel):
     """Abelian vortex data: effective divisor, scale epsilon > 0.
 
     Construction enforces the volume (Bradlow) admissibility
@@ -137,6 +267,10 @@ class ClassicalVortexSpec:
     grid: GridSpec
     divisor: Divisor
     epsilon: float
+
+    kind: ClassVar[str] = "classical"
+    equation_scale: ClassVar[float] = 2.0
+    tau: ClassVar[float] = -1.0
 
     def __post_init__(self):
         _require_effective(self.divisor, "classical divisor")
@@ -155,15 +289,42 @@ class ClassicalVortexSpec:
     def degree(self) -> int:
         return self.divisor.degree
 
+    @property
+    def _terms(self) -> tuple[_Term, ...]:
+        return (_Term(self.divisor, 1, 1.0, False),)
+
+    def _curvature(self, phi_sq, geometric):
+        # The algebraic form; the geometric one is kept as a cross-check.
+        return (1.0 - phi_sq[0]) * (1.0 / self.epsilon**2), geometric
+
+    def _identities(self, phi_sq) -> dict[str, float]:
+        deficit = (
+            integrate(1.0 - phi_sq[0])
+            - 2.0 * math.pi * self.degree * self.epsilon**2
+        )
+        return {"bradlow": deficit, "identity": deficit}
+
+    def _expected(self, m_plus: int, m_minus: int):
+        return float(m_plus), float(m_plus)
+
+    def _mass_window(self, point, others, h: float, options) -> tuple[float, float]:
+        # Cores decay exponentially on scale epsilon, so the window
+        # shrinks with it: (a eps + ga h, b eps + gb h).
+        a, b = options.bump_core_factors
+        ga, gb = options.bump_grid_factors
+        return a * self.epsilon + ga * h, b * self.epsilon + gb * h
+
+    def _deviation(self, f: ScalarField, recon) -> ScalarField:
+        return 1.0 - recon.phi_sq[0]
+
 
 @dataclass(frozen=True)
-class MixedVortexSpec:
+class MixedVortexSpec(_VortexModel):
     """Two-component data with opposite charges.
 
     ``divisor_plus`` and ``divisor_minus`` prescribe the zeros of the two
     components (both effective; they may share points). ``scale_plus`` and
-    ``scale_minus`` fix the size of the vanishing densities P and Q:
-    their means by default, their L2 norms with ``normalization="l2"``.
+    ``scale_minus`` fix the means of the vanishing densities P and Q.
     ``degree`` is the line-bundle degree entering the background
     curvature; it defaults to (deg_plus - deg_minus)/2 and a mismatch with
     that bookkeeping only warns, since twisted models can shift it.
@@ -178,7 +339,8 @@ class MixedVortexSpec:
     scale_minus: float = 1.0
     epsilon: float = 0.0
     degree: Fraction | None = None
-    normalization: str = "mean"
+
+    kind: ClassVar[str] = "mixed"
 
     def __post_init__(self):
         _require_effective(self.divisor_plus, "divisor_plus")
@@ -189,19 +351,53 @@ class MixedVortexSpec:
             raise ValueError("epsilon must be nonnegative")
         if not (self.scale_plus > 0 and self.scale_minus > 0):
             raise ValueError("scales must be positive")
-        if self.normalization not in ("mean", "l2"):
-            raise ValueError("normalization must be 'mean' or 'l2'")
         default = Fraction(self.divisor_plus.degree - self.divisor_minus.degree, 2)
         if self.degree is None:
             object.__setattr__(self, "degree", default)
-        elif Fraction(self.degree) != default:
+            return
+        if Fraction(self.degree) != default:
             warnings.warn(
                 f"degree {self.degree} differs from (deg+ - deg-)/2 = {default}",
                 stacklevel=2,
             )
-            object.__setattr__(self, "degree", Fraction(self.degree))
-        else:
-            object.__setattr__(self, "degree", Fraction(self.degree))
+        object.__setattr__(self, "degree", Fraction(self.degree))
+
+    @property
+    def _terms(self) -> tuple[_Term, ...]:
+        return (
+            _Term(self.divisor_plus, 1, self.scale_plus, True),
+            _Term(self.divisor_minus, -1, self.scale_minus, True),
+        )
+
+    def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
+        if self.epsilon != 0:
+            return super()._phi_sq(f)
+        # Limit profiles: both components collapse onto sqrt(P Q),
+        # evaluated stably in log space (sentinels flush to zero).
+        (potp, _, logcp), (potm, _, logcm) = (_term_data(self, t) for t in self._terms)
+        half = 0.5 * (potp.u.values + potm.u.values)
+        vals = np.exp(0.5 * (logcp + logcm) + half)
+        phi = ScalarField(self.geometry, self.grid, vals)
+        return [phi, phi._like(vals.copy())]
+
+    def _expected(self, m_plus: int, m_minus: int):
+        return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
+
+    def _order_fits(self, points, options) -> list[float | None]:
+        r_min, r_max = options.order_fit_radii
+        n_radii, n_angles = options.order_fit_samples
+        evaluator = mixed_limit_phi_sq(dataclasses.replace(self, epsilon=0.0))
+        fits: list[float | None] = []
+        for info in points:
+            try:
+                fits.append(
+                    vanishing_order_fit(
+                        evaluator, info.point, r_min, r_max, n_radii, n_angles
+                    )
+                )
+            except (VortexLabError, ValueError):
+                fits.append(None)
+        return fits
 
 
 @dataclass(frozen=True)
@@ -220,7 +416,7 @@ class GeneralizedTerm:
 
 
 @dataclass(frozen=True)
-class GeneralizedSpec:
+class GeneralizedSpec(_VortexModel):
     """Multi-component data with integer weights.
 
     Solvability dichotomy: the weights must have mixed signs, or all be
@@ -236,6 +432,8 @@ class GeneralizedSpec:
     tau: float = 0.0
     epsilon: float = 0.0
     degree: Fraction | None = None
+
+    kind: ClassVar[str] = "generalized"
 
     def __post_init__(self):
         if not self.terms:
@@ -258,119 +456,9 @@ class GeneralizedSpec:
         else:
             object.__setattr__(self, "degree", Fraction(self.degree))
 
-
-# ---------------------------------------------------------------------------
-# Reductions to KW problems (coefficient fields cached per geometry/grid)
-
-
-@lru_cache(maxsize=16)
-def _density_data(geometry, grid, divisor, scale, normalize):
-    """Potential u_D, density rho = c * exp(u_D), and log c.
-
-    ``normalize`` fixes the meaning of ``scale``: with "mean" the density
-    has mean ``scale``, with "l2" it has L2 norm ``scale``, and with
-    ``False`` the raw multiple ``scale * exp(u_D)`` is used.
-    """
-    pot = divisor_potential(divisor, geometry, grid)
-    e = np.exp(pot.u.values)
-    if normalize == "mean":
-        c = scale / float(e.mean())
-    elif normalize == "l2":
-        c = scale / math.sqrt(float(np.mean(e * e)) * geometry.volume)
-    else:
-        c = scale
-    density = vanishing_density(pot, c)
-    return pot, density, math.log(c)
-
-
-def reduce_classical(spec: ClassicalVortexSpec) -> KWProblem:
-    """One-sided problem for the gauge-fixed log-density relative to u_D.
-
-    Raises :class:`BradlowViolation` when ``2 pi d eps^2 >= volume``: the
-    balance condition of the reduced problem fails exactly there.
-    """
-    vol = spec.geometry.volume
-    d = spec.degree
-    if 2.0 * math.pi * d * spec.epsilon**2 >= vol:
-        raise BradlowViolation(
-            f"Bradlow: 2 pi d eps^2 = {2 * math.pi * d * spec.epsilon ** 2:.6g} "
-            f">= volume = {vol:.6g}"
-        )
-    _, density, _ = _density_data(
-        spec.geometry, spec.grid, spec.divisor, 2.0, False
-    )
-    w = constant_field(
-        spec.geometry,
-        spec.grid,
-        4.0 * math.pi * spec.epsilon**2 * d / vol - 2.0,
-    )
-    return KWProblem(
-        epsilon=spec.epsilon**2,
-        plus_terms=((density, 1.0),),
-        minus_terms=(),
-        w=w,
-    )
-
-
-def reduce_mixed(spec: MixedVortexSpec) -> KWProblem:
-    """Two-sided problem with coefficients P, Q of prescribed mean."""
-    vol = spec.geometry.volume
-    _, P, _ = _density_data(
-        spec.geometry, spec.grid, spec.divisor_plus, spec.scale_plus, spec.normalization
-    )
-    _, Q, _ = _density_data(
-        spec.geometry, spec.grid, spec.divisor_minus, spec.scale_minus, spec.normalization
-    )
-    w = constant_field(
-        spec.geometry,
-        spec.grid,
-        2.0 * math.pi * float(spec.degree) * spec.epsilon**2 / vol + spec.tau,
-    )
-    return KWProblem(
-        epsilon=0.5 * spec.epsilon**2,
-        plus_terms=((P, 1.0),),
-        minus_terms=((Q, 1.0),),
-        w=w,
-    )
-
-
-def reduce_generalized(spec: GeneralizedSpec) -> KWProblem:
-    """Multi-exponent problem; weight k_j appears in both the coefficient
-    (k_j P_j) and the exponent, so integrating the equation reproduces the
-    weighted-mass identity exactly."""
-    vol = spec.geometry.volume
-    plus = []
-    minus = []
-    for t in spec.terms:
-        _, P, _ = _density_data(spec.geometry, spec.grid, t.divisor, t.scale, "mean")
-        k = t.weight
-        if k > 0:
-            plus.append((P * float(k), float(k)))
-        else:
-            minus.append((P * float(-k), float(-k)))
-    if not minus and not spec.tau < 0:
-        raise Unsolvable("all-positive weights need tau < 0")
-    w = constant_field(
-        spec.geometry,
-        spec.grid,
-        2.0 * math.pi * float(spec.degree) * spec.epsilon**2 / vol + spec.tau,
-    )
-    return KWProblem(
-        epsilon=0.5 * spec.epsilon**2,
-        plus_terms=tuple(plus),
-        minus_terms=tuple(minus),
-        w=w,
-    )
-
-
-def reduce_any(spec) -> KWProblem:
-    if isinstance(spec, ClassicalVortexSpec):
-        return reduce_classical(spec)
-    if isinstance(spec, MixedVortexSpec):
-        return reduce_mixed(spec)
-    if isinstance(spec, GeneralizedSpec):
-        return reduce_generalized(spec)
-    raise TypeError(f"not a vortex spec: {type(spec)!r}")
+    @property
+    def _terms(self) -> tuple[_Term, ...]:
+        return tuple(_Term(t.divisor, t.weight, t.scale, True) for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -393,77 +481,18 @@ class Reconstruction:
     curvature_crosscheck: ScalarField | None = None
 
 
-def _exp_log_product(logc: float, u: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    # exp(logc + u + shift) with divisor-point sentinels flushing to 0.
-    return np.exp(logc + u + shift)
-
-
 def reconstruct(spec, f: ScalarField) -> Reconstruction:
     """Recover |phi|^2 fields and the curvature function from ``f``.
 
     ``f`` should solve the reduced problem of ``spec`` (at epsilon = 0,
     the limit profile from :func:`vortexlab.kw.kw_limit`).
     """
-    geometry, grid = spec.geometry, spec.grid
-    vol = geometry.volume
-    if isinstance(spec, ClassicalVortexSpec):
-        pot, _, _ = _density_data(geometry, grid, spec.divisor, 2.0, False)
-        phi_sq = ScalarField(
-            geometry, grid, _exp_log_product(0.0, pot.u.values, f.values)
-        )
-        curv_alg = (1.0 - phi_sq) * (1.0 / spec.epsilon**2)
-        curv_geom = (
-            constant_field(geometry, grid, 2.0 * math.pi * spec.degree / vol)
-            - 0.5 * laplacian(f)
-        )
-        return Reconstruction([phi_sq], curv_alg, curv_geom)
-
-    if isinstance(spec, MixedVortexSpec):
-        potp, _, logcp = _density_data(
-            geometry, grid, spec.divisor_plus, spec.scale_plus, spec.normalization
-        )
-        potm, _, logcm = _density_data(
-            geometry, grid, spec.divisor_minus, spec.scale_minus, spec.normalization
-        )
-        if spec.epsilon == 0:
-            # Limit profiles: both components collapse onto sqrt(P Q),
-            # evaluated stably in log space (sentinels flush to zero).
-            half = 0.5 * (potp.u.values + potm.u.values)
-            vals = _exp_log_product(0.5 * (logcp + logcm), half, np.zeros_like(half))
-            phi1 = ScalarField(geometry, grid, vals)
-            return Reconstruction([phi1, phi1._like(vals.copy())], None)
-        phi1 = ScalarField(
-            geometry, grid, _exp_log_product(logcp, potp.u.values, f.values)
-        )
-        phi2 = ScalarField(
-            geometry, grid, _exp_log_product(logcm, potm.u.values, -f.values)
-        )
-        curv = (
-            constant_field(geometry, grid, 2.0 * math.pi * float(spec.degree) / vol)
-            - 0.5 * laplacian(f)
-        )
-        return Reconstruction([phi1, phi2], curv)
-
-    if isinstance(spec, GeneralizedSpec):
-        comps = []
-        for t in spec.terms:
-            pot, _, logc = _density_data(geometry, grid, t.divisor, t.scale, "mean")
-            comps.append(
-                ScalarField(
-                    geometry,
-                    grid,
-                    _exp_log_product(logc, pot.u.values, t.weight * f.values),
-                )
-            )
-        if spec.epsilon == 0:
-            return Reconstruction(comps, None)
-        curv = (
-            constant_field(geometry, grid, 2.0 * math.pi * float(spec.degree) / vol)
-            - 0.5 * laplacian(f)
-        )
-        return Reconstruction(comps, curv)
-
-    raise TypeError(f"not a vortex spec: {type(spec)!r}")
+    phi_sq = spec._phi_sq(f)
+    if spec.epsilon == 0:
+        return Reconstruction(phi_sq, None)
+    background = 2.0 * math.pi * float(spec.degree) / spec.geometry.volume
+    geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * laplacian(f)
+    return Reconstruction(phi_sq, *spec._curvature(phi_sq, geometric))
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +502,6 @@ def reconstruct(spec, f: ScalarField) -> Reconstruction:
 def default_bump_radii(epsilon: float, spacing: float) -> tuple[float, float]:
     """Mass-window radii tied to the core scale and the grid."""
     return 3.0 * epsilon + 4.0 * spacing, 6.0 * epsilon + 8.0 * spacing
-
-
-def _torus_point_distance(geometry: TorusGeometry, p, q) -> float:
-    dx = abs(p[0] - q[0]) % geometry.length_x
-    dy = abs(p[1] - q[1]) % geometry.length_y
-    dx = min(dx, geometry.length_x - dx)
-    dy = min(dy, geometry.length_y - dy)
-    return math.hypot(dx, dy)
 
 
 def curvature_mass(
@@ -496,7 +517,7 @@ def curvature_mass(
     ``other_points``; otherwise the measured mass would mix cores.
     """
     for q in other_points:
-        dist = _torus_point_distance(curvature.geometry, center, q)
+        dist = _point_distance(curvature.geometry, center, q)
         if dist <= r_outer:
             raise OverlappingBump(
                 f"point {q} lies within r_outer={r_outer:.4g} of {center}"
@@ -556,40 +577,21 @@ def vanishing_order_fit(
     return float(slope)
 
 
+
+
 def integral_identities(spec, f: ScalarField) -> dict[str, float]:
     """Residuals of the integrated curvature equations.
 
-    classical:    integral(1 - |phi|^2) - 2 pi d eps^2
-    mixed:        (|phi1|_2^2 - |phi2|_2^2) + tau vol + 2 pi d eps^2
-    generalized:  sum_j k_j |phi^j|_2^2 + tau vol + 2 pi d eps^2
-    plus the total-curvature residual integral(iLF)/2pi - d when the
-    curvature function is defined.
+    identity:  sum_j k_j |phi^j|_2^2 + tau vol + 2 pi d eps^2, which for
+               the classical model is reported as the Bradlow deficit
+               integral(1 - |phi|^2) - 2 pi d eps^2 (key ``bradlow`` too)
+    chern:     integral(iLF)/2pi - d, when the curvature function is
+               defined.
     """
     recon = reconstruct(spec, f)
-    vol = spec.geometry.volume
-    eps2 = spec.epsilon**2
-    out: dict[str, float] = {}
-    if isinstance(spec, ClassicalVortexSpec):
-        deficit = integrate(1.0 - recon.phi_sq[0]) - 2.0 * math.pi * spec.degree * eps2
-        out["bradlow"] = deficit
-        out["identity"] = deficit
-    elif isinstance(spec, MixedVortexSpec):
-        out["identity"] = (
-            integrate(recon.phi_sq[0])
-            - integrate(recon.phi_sq[1])
-            + spec.tau * vol
-            + 2.0 * math.pi * float(spec.degree) * eps2
-        )
-    elif isinstance(spec, GeneralizedSpec):
-        total = sum(
-            t.weight * integrate(phi) for t, phi in zip(spec.terms, recon.phi_sq)
-        )
-        out["identity"] = total + spec.tau * vol + 2.0 * math.pi * float(spec.degree) * eps2
-    else:
-        raise TypeError(f"not a vortex spec: {type(spec)!r}")
+    out = spec._identities(recon.phi_sq)
     if recon.curvature is not None:
-        deg = spec.degree if isinstance(spec, ClassicalVortexSpec) else float(spec.degree)
-        out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - deg
+        out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - float(spec.degree)
     return out
 
 
@@ -599,12 +601,7 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
     Works at arbitrary points through the Green's function sum, so order
     fits can probe radii below the grid scale without interpolation error.
     """
-    _, _, logcp = _density_data(
-        spec.geometry, spec.grid, spec.divisor_plus, spec.scale_plus, spec.normalization
-    )
-    _, _, logcm = _density_data(
-        spec.geometry, spec.grid, spec.divisor_minus, spec.scale_minus, spec.normalization
-    )
+    logcp, logcm = (_term_data(spec, t)[2] for t in spec._terms)
     geometry = spec.geometry
     lx, ly = geometry.length_x, geometry.length_y
     items = list(spec.divisor_plus) + list(spec.divisor_minus)
@@ -694,96 +691,38 @@ class SweepReport:
 
 
 def _spec_points(spec) -> list[PointInfo]:
-    """Merged divisor points with per-sign multiplicities."""
+    """Divisor points of all terms merged, with per-sign multiplicities."""
     merged: list[list] = []  # [point, m_plus, m_minus]
-
-    def add(pt, m, sign):
-        for entry in merged:
-            if _torus_point_distance(spec.geometry, entry[0], pt) < 1e-9:
-                entry[1 if sign > 0 else 2] += m
-                return
-        if sign > 0:
-            merged.append([pt, m, 0])
-        else:
-            merged.append([pt, 0, m])
-
-    if isinstance(spec, ClassicalVortexSpec):
-        for pt, m in spec.divisor:
-            add(pt, m, +1)
-    elif isinstance(spec, MixedVortexSpec):
-        for pt, m in spec.divisor_plus:
-            add(pt, m, +1)
-        for pt, m in spec.divisor_minus:
-            add(pt, m, -1)
-    else:
-        for t in spec.terms:
-            for pt, m in t.divisor:
-                add(pt, m, +1 if t.weight > 0 else -1)
-
-    infos = []
-    for i, (pt, mp, mm) in enumerate(merged):
-        if isinstance(spec, ClassicalVortexSpec):
-            expected_mass: float | None = float(mp)
-            expected_order: float | None = float(mp)
-        elif isinstance(spec, MixedVortexSpec):
-            expected_mass = 0.5 * (mp - mm)
-            expected_order = 0.5 * (mp + mm)
-        else:
-            expected_mass = None
-            expected_order = None
-        infos.append(PointInfo(i, pt, mp, mm, expected_mass, expected_order))
-    return infos
+    for t in spec._terms:
+        for pt, m in t.divisor:
+            for entry in merged:
+                if _point_distance(spec.geometry, entry[0], pt) < 1e-9:
+                    entry[1 if t.weight > 0 else 2] += m
+                    break
+            else:
+                merged.append([pt, m, 0] if t.weight > 0 else [pt, 0, m])
+    return [
+        PointInfo(i, pt, mp, mm, *spec._expected(mp, mm))
+        for i, (pt, mp, mm) in enumerate(merged)
+    ]
 
 
-def _stage_masses(recon, points, epsilon, options, classical):
-    """Per-point curvature masses; None where no valid window fits.
-
-    Classical cores decay exponentially on scale epsilon, so the window
-    shrinks with it: (a eps + ga h, b eps + gb h). Mixed/generalized
-    cores spread on the slower scale eps^(2/3) (the coefficient fields
-    vanish at the point, weakening the reaction term), so there the
-    largest admissible stationary window is used instead: r_outer just
-    inside the distance to the nearest other point or the injectivity
-    radius, r_inner at half of it.
-    """
+def _stage_masses(spec, recon, points, options) -> list[float | None]:
+    """Per-point curvature masses; None where no valid window fits."""
     if recon.curvature is None:
         return [None] * len(points)
-    geometry = recon.curvature.geometry
-    hx, hy = recon.curvature.grid.spacing(geometry)
-    h = max(hx, hy)
-    a, b = options.bump_core_factors
-    ga, gb = options.bump_grid_factors
-
-    def one(info: PointInfo):
+    h = max(recon.curvature.grid.spacing(spec.geometry))
+    masses: list[float | None] = []
+    for info in points:
         others = [p.point for p in points if p.index != info.index]
-        if classical:
-            r_inner = a * epsilon + ga * h
-            r_outer = b * epsilon + gb * h
-        else:
-            reach = geometry.injectivity_radius
-            for q in others:
-                reach = min(reach, _torus_point_distance(geometry, info.point, q))
-            r_outer = 0.95 * reach
-            r_inner = 0.5 * r_outer
+        r_inner, r_outer = spec._mass_window(info.point, others, h, options)
         try:
-            return curvature_mass(recon.curvature, info.point, r_inner, r_outer, others)
+            masses.append(
+                curvature_mass(recon.curvature, info.point, r_inner, r_outer, others)
+            )
         except (VortexLabError, ValueError):
-            return None
-
-    n_workers = min(worker_count(), max(1, len(points)))
-    if n_workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(one, points))
-    return [one(p) for p in points]
-
-
-def _limit_field(spec) -> ScalarField | None:
-    """Limit profile of the reduced problem on the spec's grid."""
-    if isinstance(spec, ClassicalVortexSpec):
-        return None
-    zero_spec = dataclasses.replace(spec, epsilon=0.0)
-    problem = reduce_any(zero_spec)
-    return kw_limit(problem).f
+            masses.append(None)
+    return masses
 
 
 def diagnostics_report(spec, solution: KWSolution, options: SweepOptions = SweepOptions()):
@@ -793,56 +732,37 @@ def diagnostics_report(spec, solution: KWSolution, options: SweepOptions = Sweep
     mask = RegionMask.excluding_discs(
         spec.geometry, spec.grid, [p.point for p in points], options.mask_radius
     ) if points else RegionMask.full(spec.geometry, spec.grid)
-
-    if isinstance(spec, ClassicalVortexSpec):
-        deviation_field = 1.0 - recon.phi_sq[0]
-    else:
-        limit = _limit_field(spec)
-        deviation_field = solution.f - limit
-    sup_dev = sup_norm(deviation_field, mask)
-
-    identities = integral_identities(spec, solution.f)
-    masses = _stage_masses(
-        recon, points, spec.epsilon, options, isinstance(spec, ClassicalVortexSpec)
-    )
-    f = solution.f
-    expf = ScalarField(f.geometry, f.grid, np.exp(f.values))
-    expmf = ScalarField(f.geometry, f.grid, np.exp(-f.values))
+    sup_dev = sup_norm(spec._deviation(solution.f, recon), mask)
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,
-        curvature_masses=masses,
+        curvature_masses=_stage_masses(spec, recon, points, options),
         sup_deviation=sup_dev,
-        identity_residuals=identities,
+        identity_residuals=integral_identities(spec, solution.f),
         order_fits=[None] * len(points),
-        sup_f=sup_norm(f, mask),
-        sup_grad_f=sup_norm(gradient_magnitude(f), mask),
-        l2_exp_plus=lp_norm(expf, 2, mask),
-        l2_exp_minus=lp_norm(expmf, 2, mask),
         iterations=solution.iterations,
         energy_history=list(solution.energy_history),
+        **interior_bounds(solution.f, mask),
     )
     return stage, points, recon
 
 
-def _final_order_fits(spec, recon, points, options) -> list[float | None]:
-    r_min, r_max = options.order_fit_radii
-    n_radii, n_angles = options.order_fit_samples
-    fits: list[float | None] = []
-    if isinstance(spec, MixedVortexSpec):
-        evaluator = mixed_limit_phi_sq(dataclasses.replace(spec, epsilon=0.0))
-        for info in points:
-            try:
-                fits.append(
-                    vanishing_order_fit(
-                        evaluator, info.point, r_min, r_max, n_radii, n_angles
-                    )
-                )
-            except (VortexLabError, ValueError):
-                fits.append(None)
-    else:
-        fits = [None] * len(points)
-    return fits
+def _run_stage(report, spec, config, options, init, t0) -> DiagnosticsReport:
+    """Reduce, solve and diagnose ``spec``; record it as the last stage."""
+    solution = kw_solve(reduce_any(spec), config, init=init)
+    stage, points, recon = diagnostics_report(spec, solution, options)
+    stage.seconds = time.perf_counter() - t0
+    report.points = points
+    report.stages.append(stage)
+    report.final_solution = solution
+    report.final_reconstruction = recon
+    report.final_spec = spec
+    return stage
+
+
+def _fit_final_orders(report: SweepReport, options: SweepOptions) -> None:
+    report.order_fits = report.final_spec._order_fits(report.points, options)
+    report.stages[-1].order_fits = list(report.order_fits)
 
 
 def solve_and_report(
@@ -853,20 +773,9 @@ def solve_and_report(
 ) -> SweepReport:
     """Solve one spec and wrap the diagnostics as a one-stage report."""
     t0 = time.perf_counter()
-    problem = reduce_any(spec)
-    solution = kw_solve(problem, config, init=init)
-    stage, points, recon = diagnostics_report(spec, solution, options)
-    stage.seconds = time.perf_counter() - t0
-    report = SweepReport(
-        kind=_kind_name(spec),
-        points=points,
-        stages=[stage],
-        final_solution=solution,
-        final_reconstruction=recon,
-        final_spec=spec,
-    )
-    report.order_fits = _final_order_fits(spec, recon, points, options)
-    stage.order_fits = list(report.order_fits)
+    report = SweepReport(kind=spec.kind, points=[], stages=[])
+    _run_stage(report, spec, config, options, init, t0)
+    _fit_final_orders(report, options)
     return report
 
 
@@ -880,12 +789,13 @@ def adiabatic_sweep(
     """Decreasing-epsilon study with warm starts and limit comparisons.
 
     ``spec_family(epsilon, grid)`` builds the stage spec on the grid the
-    schedule's refinement rule picks. Per stage the report records the
-    curvature masses at the divisor points, the sup-distance to the
-    epsilon = 0 profile away from them (for the classical model, the
-    deficit ``sup|1 - |phi|^2|``), the integral-identity residuals, and
-    uniform-bound probes; vanishing orders are fitted once at the final
-    stage.
+    schedule's refinement rule picks; each stage after the first starts
+    from the previous solution, transplanted by spectral resampling. Per
+    stage the report records the curvature masses at the divisor points,
+    the sup-distance to the epsilon = 0 profile away from them (for the
+    classical model, the deficit ``sup|1 - |phi|^2|``), the
+    integral-identity residuals, and uniform-bound probes; vanishing
+    orders are fitted once at the final stage.
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
@@ -893,7 +803,6 @@ def adiabatic_sweep(
     ``report.error`` with the completed stages kept.
     """
     report = SweepReport(kind="", points=[], stages=[])
-    prev_f: ScalarField | None = None
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
@@ -902,18 +811,10 @@ def adiabatic_sweep(
             if spec.grid != grid:
                 raise ValueError("spec_family ignored the requested grid")
             schedule_check_grid(spec.geometry, grid, eps)
-            report.kind = _kind_name(spec)
-            problem = reduce_any(spec)
-            init = resample(prev_f, grid) if prev_f is not None else None
-            solution = kw_solve(problem, config, init=init)
-            stage, points, recon = diagnostics_report(spec, solution, options)
-            stage.seconds = time.perf_counter() - t0
-            report.points = points
-            report.stages.append(stage)
-            prev_f = solution.f
-            report.final_solution = solution
-            report.final_reconstruction = recon
-            report.final_spec = spec
+            report.kind = spec.kind
+            prev = report.final_solution
+            init = resample(prev.f, grid) if prev is not None else None
+            stage = _run_stage(report, spec, config, options, init, t0)
             if progress is not None:
                 progress(stage)
         except Unsolvable as exc:
@@ -928,16 +829,5 @@ def adiabatic_sweep(
             }
             return report
     if report.final_spec is not None:
-        report.order_fits = _final_order_fits(
-            report.final_spec, report.final_reconstruction, report.points, options
-        )
-        report.stages[-1].order_fits = list(report.order_fits)
+        _fit_final_orders(report, options)
     return report
-
-
-def _kind_name(spec) -> str:
-    if isinstance(spec, ClassicalVortexSpec):
-        return "classical"
-    if isinstance(spec, MixedVortexSpec):
-        return "mixed"
-    return "generalized"

@@ -10,6 +10,7 @@ import pytest
 from vortexlab.cli import main
 from vortexlab.config import echo_config, parse_config
 from vortexlab.errors import ParseError, ValidationError
+from vortexlab.greens import Divisor, divisor_potential, vanishing_density
 from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
 
 CLASSICAL_YAML = """
@@ -305,6 +306,25 @@ sweep:
     assert all(float(r["epsilon"]) == 0.2 for r in rows)
 
 
+def test_unexpected_error_writes_failed_manifest(tmp_path, monkeypatch):
+    import vortexlab.runner as runner
+
+    def crash(*args, **kwargs):
+        raise ValueError("field values must be finite")
+
+    monkeypatch.setattr(runner, "solve_and_report", crash)
+    config = parse_config(classical_yaml(points=(), epsilon=0.3, n=32))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="must be finite"):
+        runner.run(config, out, quiet=True)
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == {
+        "type": "ValueError",
+        "message": "field values must be finite",
+    }
+
+
 def test_report_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, classical_yaml(points=(), epsilon=0.3, n=32))
     out = tmp_path / "out"
@@ -397,6 +417,25 @@ kw:
     assert manifest["stages"][0]["classification"] == "ONE_SIDED_PLUS"
     assert manifest["stages"][0]["residual_sup"] <= 1e-10
     assert (out / "f.pgm").exists() and (out / "results.csv").exists()
+
+
+def test_kw_divisor_term_uses_raw_density():
+    config = parse_config(
+        """
+kind: kw
+epsilon: 0.5
+grid: {nx: 32, ny: 32}
+kw:
+  w: -1.0
+  plus:
+    - {amplitude: 0.5, exponent: 2.0, divisor: [{x: 0.3, y: 0.6, m: 2}]}
+"""
+    )
+    problem = config.build_kw_problem()
+    divisor = Divisor(((0.3, 0.6),), (2,))
+    pot = divisor_potential(divisor, config.build_geometry(), config.build_grid())
+    expected = vanishing_density(pot, 0.5)
+    assert np.array_equal(problem.plus_terms[0][0].values, expected.values)
 
 
 def test_sweep_svg_output(tmp_path):

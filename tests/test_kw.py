@@ -1,4 +1,4 @@
-"""Generalized scalar equation: residual, energy, Newton solver, limits."""
+"""Generalized scalar equation: residual, energy, Newton solver, limits, continuation."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from helpers import random_trig
 from vortexlab import (
+    Divisor,
     GridSpec,
+    MixedVortexSpec,
     RegionMask,
     ScalarField,
     TorusGeometry,
+    adiabatic_sweep,
     constant_field,
     field_from_function,
     integrate,
     laplacian,
     lp_norm,
+    reduce_any,
     resample,
+    solve_and_report,
     sup_norm,
 )
 from vortexlab.errors import (
@@ -31,9 +36,8 @@ from vortexlab.kw import (
     ContinuationSchedule,
     KWProblem,
     SolverConfig,
-    apriori_probe,
-    continuation_sweep,
     core_resolving_grid,
+    interior_bounds,
     kw_energy,
     kw_limit,
     kw_residual,
@@ -413,7 +417,8 @@ def test_schedule_validation():
     sched = ContinuationSchedule((0.4, 0.2), lambda eps: GridSpec(16, 16))
     with pytest.raises(ValueError):
         # 16 points on the unit torus cannot resolve eps = 0.2 cores
-        sched.check_resolves(UNIT)
+        for eps in sched.epsilons:
+            schedule_check_grid(UNIT, sched.refine_rule(eps), eps)
 
 
 def test_core_resolving_grid():
@@ -429,40 +434,47 @@ def test_core_resolving_grid():
         schedule_check_grid(UNIT, GridSpec(16, 16), 0.1)
 
 
+def _fixed_grid_mixed(eps, grid):
+    return MixedVortexSpec(
+        UNIT,
+        grid,
+        Divisor(((0.25, 0.25),), (1,)),
+        Divisor(((0.75, 0.75),), (1,)),
+        epsilon=eps,
+    )
+
+
 def test_continuation_single_entry_matches_direct_solve():
     grid = GridSpec(64, 64)
     sched = ContinuationSchedule((0.2,), lambda eps: grid)
-    template = lambda eps, g: manufactured_problem(g, eps)[0]
-    stages = continuation_sweep(template, sched)
-    direct = kw_solve(manufactured_problem(grid, 0.2)[0])
-    assert len(stages) == 1
-    assert not stages[0].warm_started
-    assert sup_norm(stages[0].solution.f - direct.f) == 0.0
-    assert stages[0].solution.iterations == direct.iterations
-
-
-def test_continuation_manufactured_family():
-    grid = GridSpec(64, 64)
-    sched = ContinuationSchedule((0.4, 0.2, 0.1), lambda eps: grid)
-    template = lambda eps, g: manufactured_problem(g, eps)[0]
-    stages = continuation_sweep(template, sched)
-    fs = star_field(grid)
-    for stage in stages:
-        assert sup_norm(stage.solution.f - fs) <= 1e-8
-    assert stages[1].warm_started and stages[2].warm_started
+    report = adiabatic_sweep(_fixed_grid_mixed, sched)
+    direct = solve_and_report(_fixed_grid_mixed(0.2, grid))
+    assert len(report.stages) == 1
+    assert np.array_equal(report.final_solution.f.values, direct.final_solution.f.values)
+    swept, single = report.stages[0], direct.stages[0]
+    swept.seconds = single.seconds = 0.0
+    assert swept == single
+    assert report.order_fits == direct.order_fits
+    assert report.points == direct.points
 
 
 def test_continuation_warm_start_saves_iterations():
     grid = GridSpec(64, 64)
     sched = ContinuationSchedule((0.4, 0.2, 0.1), lambda eps: grid)
-    template = lambda eps, g: manufactured_problem(g, eps)[0]
-    stages = continuation_sweep(template, sched)
-    cold = {eps: kw_solve(manufactured_problem(grid, eps)[0]) for eps in (0.4, 0.2, 0.1)}
-    assert sup_norm(stages[-1].solution.f - cold[0.1].f) <= 1e-8
-    saved = sum(
-        1 for st in stages if st.solution.iterations <= cold[st.epsilon].iterations
-    )
-    assert saved >= 2
+    report = adiabatic_sweep(_fixed_grid_mixed, sched)
+    report.raise_if_failed()
+    for stage in report.stages[1:]:
+        cold = kw_solve(reduce_any(_fixed_grid_mixed(stage.epsilon, grid)))
+        assert stage.iterations <= cold.iterations
+
+
+def test_continuation_warm_and_cold_agree():
+    grid = GridSpec(64, 64)
+    sched = ContinuationSchedule((0.4, 0.2, 0.1), lambda eps: grid)
+    report = adiabatic_sweep(_fixed_grid_mixed, sched)
+    report.raise_if_failed()
+    cold = kw_solve(reduce_any(_fixed_grid_mixed(0.1, grid)))
+    assert sup_norm(report.final_solution.f - cold.f) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +483,30 @@ def test_continuation_warm_start_saves_iterations():
 
 def test_apriori_constant_family_flat():
     grid = GridSpec(16, 16)
-    sols = [kw_solve(symmetric_problem(grid, epsilon=e, w=0.6)) for e in (0.4, 0.2)]
-    rows = apriori_probe(sols)
-    for row in rows:
-        assert row.sup_grad_f <= 1e-10
-        assert abs(row.sup_f - np.arcsinh(0.3)) <= 1e-10
+    for e in (0.4, 0.2):
+        row = interior_bounds(kw_solve(symmetric_problem(grid, epsilon=e, w=0.6)).f)
+        assert row["sup_grad_f"] <= 1e-10
+        assert abs(row["sup_f"] - np.arcsinh(0.3)) <= 1e-10
 
 
 def test_apriori_manufactured_family_epsilon_independent():
     grid = GridSpec(64, 64)
     sols = [kw_solve(manufactured_problem(grid, e)[0]) for e in (0.4, 0.2, 0.1)]
     mask = RegionMask.excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.1)
-    rows = apriori_probe(sols, mask)
+    rows = [interior_bounds(sol.f, mask) for sol in sols]
     base = rows[0]
+    assert set(base) == {"sup_f", "sup_grad_f", "l2_exp_plus", "l2_exp_minus"}
     for row in rows[1:]:
-        assert abs(row.sup_f - base.sup_f) <= 1e-8
-        assert abs(row.sup_grad_f - base.sup_grad_f) <= 1e-8
-        assert abs(row.l2_exp_plus - base.l2_exp_plus) <= 1e-8
-        assert abs(row.l2_exp_minus - base.l2_exp_minus) <= 1e-8
+        for key, value in base.items():
+            assert abs(row[key] - value) <= 1e-8
 
 
-def test_apriori_probe_mask_builder():
+def test_interior_bounds_default_to_whole_torus():
     grid = GridSpec(16, 16)
-    sol = kw_solve(symmetric_problem(grid, epsilon=0.3, w=0.2))
-    rows = apriori_probe([sol], lambda geo, g: RegionMask.full(geo, g))
-    assert len(rows) == 1 and np.isfinite(rows[0].l2_exp_minus)
+    f = kw_solve(symmetric_problem(grid, epsilon=0.3, w=0.2)).f
+    row = interior_bounds(f)
+    assert row == interior_bounds(f, RegionMask.full(UNIT, grid))
+    assert np.isfinite(row["l2_exp_minus"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,12 @@ from vortexlab import (
     curvature_mass,
     integral_identities,
     integrate,
-    lp_norm,
     mixed_limit_phi_sq,
     reconstruct,
-    reduce_classical,
-    reduce_generalized,
-    reduce_mixed,
+    reduce_any,
     solve_and_report,
     sup_norm,
     vanishing_order_fit,
-    worker_count,
 )
 from vortexlab.errors import (
     BradlowViolation,
@@ -40,7 +36,8 @@ from vortexlab.errors import (
     VortexLabError,
 )
 from vortexlab.kw import ContinuationSchedule, core_resolving_grid, kw_limit, kw_solve
-from vortexlab.vortex import default_bump_radii, reduce_any
+from vortexlab.greens import divisor_potential, vanishing_density
+from vortexlab.vortex import default_bump_radii
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -65,19 +62,19 @@ def mixed_pair_spec(epsilon, n=128, **kw):
 @pytest.fixture(scope="module")
 def classical_d1():
     spec = classical([(0.5, 0.5)], [1], 0.3)
-    return spec, kw_solve(reduce_classical(spec))
+    return spec, kw_solve(reduce_any(spec))
 
 
 @pytest.fixture(scope="module")
 def classical_d2_small():
     spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 1], 0.05, n=256)
-    return spec, kw_solve(reduce_classical(spec))
+    return spec, kw_solve(reduce_any(spec))
 
 
 @pytest.fixture(scope="module")
 def mixed_pair():
     spec = mixed_pair_spec(0.2)
-    return spec, kw_solve(reduce_mixed(spec))
+    return spec, kw_solve(reduce_any(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +98,6 @@ def test_specs_require_effective_divisors_and_positive_scales():
         mixed_pair_spec(0.2, scale_plus=0.0)
     with pytest.raises(ValueError):
         mixed_pair_spec(-0.1)
-    with pytest.raises(ValueError):
-        mixed_pair_spec(0.2, normalization="sup")
 
 
 def test_mixed_degree_bookkeeping():
@@ -135,12 +130,9 @@ def test_generalized_degree_default():
     assert spec.degree == Fraction(1, 3)
 
 
-def test_l2_normalization_flag():
-    spec = mixed_pair_spec(0.2, normalization="l2", scale_plus=0.7)
-    P = reduce_mixed(spec).plus_terms[0][0]
-    assert abs(lp_norm(P, 2) - 0.7) <= 1e-12
+def test_mean_normalization():
     spec_mean = mixed_pair_spec(0.2, scale_plus=0.7)
-    Pm = reduce_mixed(spec_mean).plus_terms[0][0]
+    Pm = reduce_any(spec_mean).plus_terms[0][0]
     assert abs(float(Pm.values.mean()) - 0.7) <= 1e-12
 
 
@@ -150,7 +142,7 @@ def test_l2_normalization_flag():
 
 def test_classical_vacuum_is_flat():
     spec = ClassicalVortexSpec(UNIT, GridSpec(32, 32), Divisor((), ()), 0.3)
-    sol = kw_solve(reduce_classical(spec))
+    sol = kw_solve(reduce_any(spec))
     recon = reconstruct(spec, sol.f)
     assert sup_norm(recon.phi_sq[0] - 1.0) <= 1e-12
     assert sup_norm(recon.curvature) <= 1e-10
@@ -189,7 +181,7 @@ def test_classical_max_principle(classical_d1, classical_d2_small):
 
 def test_classical_identity_degree_two():
     spec = classical([(0.3, 0.3), (0.7, 0.6)], [1, 1], 0.2)
-    sol = kw_solve(reduce_classical(spec))
+    sol = kw_solve(reduce_any(spec))
     ids = integral_identities(spec, sol.f)
     assert abs(ids["identity"]) <= 1e-6 * UNIT.volume
     assert abs(ids["chern"]) <= 1e-8
@@ -198,8 +190,8 @@ def test_classical_identity_degree_two():
 def test_classical_translation_symmetry():
     base = classical([(0.5, 0.5)], [1], 0.3, n=128)
     moved = classical([(0.25, 0.25)], [1], 0.3, n=128)
-    phi_a = reconstruct(base, kw_solve(reduce_classical(base)).f).phi_sq[0]
-    phi_b = reconstruct(moved, kw_solve(reduce_classical(moved)).f).phi_sq[0]
+    phi_a = reconstruct(base, kw_solve(reduce_any(base)).f).phi_sq[0]
+    phi_b = reconstruct(moved, kw_solve(reduce_any(moved)).f).phi_sq[0]
     shifted = np.roll(phi_a.values, (-32, -32), axis=(0, 1))
     assert np.abs(shifted - phi_b.values).max() <= 1e-8
 
@@ -267,13 +259,13 @@ def test_mixed_empty_divisors_balanced_vacuum():
     spec = MixedVortexSpec(
         UNIT, GridSpec(32, 32), Divisor((), ()), Divisor((), ()), epsilon=0.2
     )
-    sol = kw_solve(reduce_mixed(spec))
+    sol = kw_solve(reduce_any(spec))
     assert sup_norm(sol.f) <= 1e-12
 
 
 def test_mixed_limit_profile_is_half_log_ratio():
     spec = mixed_pair_spec(0.0, n=64)
-    problem = reduce_mixed(spec)
+    problem = reduce_any(spec)
     prof = kw_limit(problem)
     P = problem.plus_terms[0][0].values
     Q = problem.minus_terms[0][0].values
@@ -295,7 +287,7 @@ def test_mixed_component_masses_balance(mixed_pair):
 
 def test_mixed_limit_reconstruction_identity():
     spec = mixed_pair_spec(0.0, n=64)
-    problem = reduce_mixed(spec)
+    problem = reduce_any(spec)
     prof = kw_limit(problem)
     recon = reconstruct(spec, prof.f)
     P = problem.plus_terms[0][0].values
@@ -317,7 +309,7 @@ def test_mixed_colocated_mass_is_half_difference():
         Divisor(((0.5, 0.5),), (1,)),
         epsilon=0.05,
     )
-    sol = kw_solve(reduce_mixed(spec))
+    sol = kw_solve(reduce_any(spec))
     recon = reconstruct(spec, sol.f)
     mass = curvature_mass(recon.curvature, (0.5, 0.5), 0.2375, 0.475)
     assert abs(mass - 0.5) <= 0.02
@@ -330,7 +322,7 @@ def test_mixed_colocated_mass_is_half_difference():
 def test_generalized_single_positive_term_vacuum():
     term = GeneralizedTerm(Divisor((), ()), 1)
     spec = GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=-1.0, epsilon=0.3)
-    sol = kw_solve(reduce_generalized(spec))
+    sol = kw_solve(reduce_any(spec))
     recon = reconstruct(spec, sol.f)
     assert sup_norm(recon.phi_sq[0] - 1.0) <= 1e-10
     assert sup_norm(recon.curvature) <= 1e-10
@@ -343,8 +335,8 @@ def test_generalized_weights_one_minus_one_match_mixed(mixed_pair):
         GeneralizedTerm(spec.divisor_minus, -1),
     )
     gen = GeneralizedSpec(UNIT, spec.grid, terms, tau=spec.tau, epsilon=spec.epsilon)
-    gp = reduce_generalized(gen)
-    mp = reduce_mixed(spec)
+    gp = reduce_any(gen)
+    mp = reduce_any(spec)
     assert gen.degree == spec.degree
     assert gp.epsilon == mp.epsilon
     assert np.array_equal(gp.plus_terms[0][0].values, mp.plus_terms[0][0].values)
@@ -359,7 +351,7 @@ def test_generalized_weighted_identity():
         GeneralizedTerm(Divisor(((0.52, 0.18),), (1,)), -1),
     )
     spec = GeneralizedSpec(UNIT, GridSpec(128, 128), terms, tau=0.0, epsilon=0.2)
-    sol = kw_solve(reduce_generalized(spec))
+    sol = kw_solve(reduce_any(spec))
     ids = integral_identities(spec, sol.f)
     assert abs(ids["identity"]) <= 1e-6 * UNIT.volume
     assert abs(ids["chern"]) <= 1e-8
@@ -369,9 +361,64 @@ def test_generalized_weighted_identity():
     assert abs(total + 2 * math.pi * float(spec.degree) * spec.epsilon**2) <= 1e-6
 
 
-def test_reduce_any_dispatch(mixed_pair):
-    spec, _ = mixed_pair
-    assert reduce_any(spec).epsilon == 0.5 * spec.epsilon**2
+def _density(divisor, grid, scale, normalized):
+    pot = divisor_potential(divisor, UNIT, grid)
+    c = scale / float(np.exp(pot.u.values).mean()) if normalized else scale
+    return vanishing_density(pot, c)
+
+
+def test_reduce_any_dispatch():
+    grid = GridSpec(32, 32)
+
+    # classical: twice the weight-1, tau = -1 reduction on the raw density
+    spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.1, n=32)
+    p = reduce_any(spec)
+    assert p.epsilon == spec.epsilon**2
+    assert [e for _, e in p.plus_terms] == [1.0] and p.minus_terms == ()
+    raw = np.exp(divisor_potential(spec.divisor, UNIT, grid).u.values)
+    assert np.array_equal(p.plus_terms[0][0].values, 2.0 * raw)
+    assert np.all(p.w.values == p.w.values[0, 0])
+    assert p.w.values[0, 0] == pytest.approx(4 * math.pi * 0.01 * 3 - 2.0, abs=1e-15)
+
+    # mixed: mean-normalized P, Q with weights (1, -1)
+    spec = MixedVortexSpec(
+        UNIT,
+        grid,
+        Divisor(((0.25, 0.25),), (2,)),
+        Divisor(((0.75, 0.75),), (1,)),
+        tau=0.25,
+        scale_plus=0.7,
+        epsilon=0.2,
+    )
+    p = reduce_any(spec)
+    assert p.epsilon == 0.5 * spec.epsilon**2
+    assert [e for _, e in p.plus_terms] == [1.0]
+    assert [e for _, e in p.minus_terms] == [1.0]
+    P = _density(spec.divisor_plus, grid, 0.7, True)
+    Q = _density(spec.divisor_minus, grid, 1.0, True)
+    assert np.array_equal(p.plus_terms[0][0].values, P.values)
+    assert np.array_equal(p.minus_terms[0][0].values, Q.values)
+    assert np.all(p.w.values == p.w.values[0, 0])
+    assert p.w.values[0, 0] == pytest.approx(2 * math.pi * 0.5 * 0.04 + 0.25, abs=1e-15)
+
+    # generalized: weight k_j in both the coefficient and the exponent
+    terms = (
+        GeneralizedTerm(Divisor(((0.3, 0.3),), (1,)), 2, scale=1.5),
+        GeneralizedTerm(Divisor(((0.7, 0.6),), (1,)), -1),
+    )
+    spec = GeneralizedSpec(UNIT, grid, terms, tau=-0.5, epsilon=0.2)
+    p = reduce_any(spec)
+    assert p.epsilon == 0.5 * spec.epsilon**2
+    assert [e for _, e in p.plus_terms] == [2.0]
+    assert [e for _, e in p.minus_terms] == [1.0]
+    P1 = _density(terms[0].divisor, grid, 1.5, True)
+    P2 = _density(terms[1].divisor, grid, 1.0, True)
+    assert np.array_equal(p.plus_terms[0][0].values, 2.0 * P1.values)
+    assert np.array_equal(p.minus_terms[0][0].values, P2.values)
+    assert spec.degree == Fraction(1, 5)
+    assert np.all(p.w.values == p.w.values[0, 0])
+    assert p.w.values[0, 0] == pytest.approx(2 * math.pi * 0.2 * 0.04 - 0.5, abs=1e-15)
+
     with pytest.raises(TypeError):
         reduce_any(object())
 
@@ -515,14 +562,3 @@ def test_solve_and_report_single_stage(mixed_pair):
     assert [p.expected_mass for p in report.points] == [0.5, -0.5]
     assert all(abs(v - 0.5) <= 0.02 for v in report.order_fits)
     assert report.final_solution is not None
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("VORTEXLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("VORTEXLAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("VORTEXLAB_THREADS", "zero")
-    assert worker_count() == 1
-    monkeypatch.setenv("VORTEXLAB_THREADS", "0")
-    assert worker_count() == 1
