@@ -199,6 +199,8 @@ class SolverConfig:
             raise ValueError("armijo_shrink must lie in (0, 1)")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be at least 1")
 
 
 @dataclass

@@ -358,13 +358,11 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
         "wall_seconds": 0.0,
     }
     t0 = time.perf_counter()
-    solver_config = config.solver.to_solver_config()
-    options = config.diagnostics.to_options()
     try:
         if isinstance(config.model, KWSection):
             problem = config.build_kw_problem()
             log(f"kw solve epsilon={problem.epsilon} grid={problem.grid.nx}x{problem.grid.ny}")
-            solution = kw_solve(problem, solver_config)
+            solution = kw_solve(problem, config.solver)
             log(
                 f"done in {solution.iterations} iterations, "
                 f"residual {solution.residual_sup:.3e}"
@@ -403,8 +401,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 report = adiabatic_sweep(
                     config.spec_family(),
                     schedule,
-                    solver_config,
-                    options,
+                    config.solver,
+                    config.diagnostics,
                     progress=progress,
                 )
             else:
@@ -413,7 +411,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     f"{config.kind} solve epsilon={spec.epsilon:g} "
                     f"grid={spec.grid.nx}x{spec.grid.ny}"
                 )
-                report = solve_and_report(spec, solver_config, options)
+                report = solve_and_report(spec, config.solver, config.diagnostics)
             manifest["points"] = [
                 _jsonable(
                     {

@@ -632,6 +632,14 @@ class SweepOptions:
     order_fit_radii: tuple[float, float] = (0.01, 0.05)
     order_fit_samples: tuple[int, int] = (12, 32)
 
+    def __post_init__(self):
+        r_min, r_max = self.order_fit_radii
+        if not 0.0 < r_min < r_max:
+            raise ValueError("order_fit_radii must satisfy 0 < r_min < r_max")
+        n_radii, n_angles = self.order_fit_samples
+        if n_radii < 2 or n_angles < 1:
+            raise ValueError("order_fit_samples needs at least 2 radii and 1 angle")
+
 
 @dataclass
 class PointInfo:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,11 @@ from vortexlab.cli import main
 from vortexlab.config import echo_config, parse_config
 from vortexlab.errors import ParseError, ValidationError
 from vortexlab.greens import Divisor, divisor_potential, vanishing_density
+from vortexlab.kw import SolverConfig
 from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
+from vortexlab.vortex import SweepOptions
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 CLASSICAL_YAML = """
 kind: classical
@@ -61,7 +67,8 @@ def read_pgm(path):
 
 
 def test_parse_minimal_classical_materializes_defaults():
-    cfg = parse_config("kind: classical\nepsilon: 0.2\nclassical:\n  divisor:\n    - {x: 0.5, y: 0.5, m: 1}\n")
+    text = "kind: classical\nepsilon: 0.2\nclassical:\n  divisor:\n    - {x: 0.5, y: 0.5, m: 1}\n"
+    cfg = parse_config(text)
     assert cfg.kind == "classical"
     assert (cfg.grid.nx, cfg.grid.ny) == (128, 128)
     assert cfg.solver.newton_tol == 1e-10
@@ -71,6 +78,10 @@ def test_parse_minimal_classical_materializes_defaults():
     for key in ("newton_tol", "mask_radius", "order_fit_radii", "length_x"):
         assert key in echoed
     assert parse_config(echoed) == cfg
+    # an empty section reads as all defaults
+    empty = parse_config(text + "solver:\ndiagnostics:\n")
+    assert empty == cfg
+    assert (empty.solver, empty.diagnostics) == (SolverConfig(), SweepOptions())
 
 
 def test_roundtrip_every_kind():
@@ -112,6 +123,9 @@ sweep:
   epsilons: [0.2, 0.1]
 """,
     ]
+    shipped = sorted(CONFIG_DIR.glob("*.yaml"))
+    assert len(shipped) == 6
+    texts += [path.read_text(encoding="utf-8") for path in shipped]
     for text in texts:
         cfg = parse_config(text)
         assert parse_config(echo_config(cfg)) == cfg
@@ -143,6 +157,102 @@ def test_unknown_keys_rejected():
             "kind: classical\nepsilon: 0.2\n"
             "classical:\n  divisor:\n    - {x: 0.5, y: 0.5, m: 1, color: red}\n"
         )
+
+
+MIXED_YAML = """
+kind: mixed
+epsilon: 0.1
+mixed:
+  divisor_plus: [{x: 0.3, y: 0.3, m: 1}]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            classical_yaml() + "solver: {newton_tol: abc}\n",
+            "solver.newton_tol: expected a number, got 'abc'",
+        ),
+        (
+            classical_yaml(points=((0.5, 0.5, "true"),)),
+            "classical.divisor[0].m: expected an integer, got True",
+        ),
+        (classical_yaml() + "outputs: {csv: 1}\n", "outputs.csv: expected a boolean, got 1"),
+        (
+            classical_yaml() + "grid: {nx: 1.5}\n",
+            "grid.nx: expected an integer, got 1.5",
+        ),
+        (
+            classical_yaml() + "diagnostics: {bump_core_factors: [1.0, 2.0, 3.0]}\n",
+            "diagnostics.bump_core_factors: expected a pair [a, b]",
+        ),
+        (
+            classical_yaml() + "diagnostics: {order_fit_samples: [12.5, 32]}\n",
+            "diagnostics.order_fit_samples: expected an integer, got 12.5",
+        ),
+        (
+            "kind: classical\nepsilon: 0.2\nclassical: {divisor: [{x: 0.5, m: 1}]}\n",
+            "classical.divisor[0]: missing key 'y'",
+        ),
+        (
+            "kind: generalized\nepsilon: 0.2\n"
+            "generalized: {terms: [{divisor: [{x: 0.5, y: 0.5, m: 1}]}]}\n",
+            "generalized.terms[0]: missing key 'weight'",
+        ),
+        (
+            "kind: kw\nepsilon: 0.5\nkw: {w: -1.0, plus: [{exponent: 1.0}]}\n",
+            "kw.plus[0]: missing key 'amplitude'",
+        ),
+        (
+            "kind: sweep\nclassical: {divisor: []}\nsweep: {points_per_core: 4.0}\n",
+            "sweep: missing key 'epsilons'",
+        ),
+        (
+            "kind: sweep\nclassical: {divisor: []}\nsweep: {epsilons: ['a']}\n",
+            "sweep.epsilons: expected a number, got 'a'",
+        ),
+        (
+            "kind: classical\nepsilon: 0.2\nclassical: {divisor: {x: 0.5}}\n",
+            "classical.divisor: expected a list, got dict",
+        ),
+        (classical_yaml() + "solver: [1, 2]\n", "solver: expected a mapping, got list"),
+        (
+            "kind: classical\nepsilon: 0.2\nclassical: {divisor: [5]}\n",
+            "classical.divisor[0]: expected a mapping, got int",
+        ),
+        ("- 1\n- 2\n", "config: expected a mapping, got list"),
+        (
+            MIXED_YAML + "  degree: 0.5\n",
+            "mixed.degree: non-integer degree must be a 'p/q' string",
+        ),
+        (MIXED_YAML + "  degree: 'a/b'\n", "mixed.degree: cannot read rational from 'a/b'"),
+        (MIXED_YAML + "  degree: true\n", "mixed.degree: expected a rational, got True"),
+        (MIXED_YAML + "  tau: null\n", "mixed.tau: expected a number, got None"),
+        (
+            "knd: classical\nepsilon: 0.2\nclassical: {divisor: []}\n",
+            "config: unknown key 'knd'",
+        ),
+        (classical_yaml() + "model: {}\n", "config: unknown key 'model'"),
+    ],
+)
+def test_reader_error_messages(text, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "diagnostics, message",
+    [
+        ("{order_fit_radii: [0.05, 0.01]}", "order_fit_radii must satisfy 0 < r_min < r_max"),
+        ("{order_fit_samples: [1, 32]}", "order_fit_samples needs at least 2 radii"),
+        ("{order_fit_samples: [12, 0]}", "order_fit_samples needs at least 2 radii"),
+    ],
+)
+def test_impossible_order_fit_settings_rejected(diagnostics, message):
+    text = MIXED_YAML + f"diagnostics: {diagnostics}\n"
+    with pytest.raises(ValidationError, match="^diagnostics: " + re.escape(message)):
+        parse_config(text)
 
 
 def test_kind_and_model_section_consistency():
@@ -391,6 +501,22 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, classical_yaml(points=((0.5, 0.5, 0),)))
     assert main(["classical", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert "multiplicity must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        ("{max_newton: 0}", "max_newton must be at least 1"),
+        ("{cg_max_iter: 0}", "cg_max_iter must be at least 1"),
+        ("{newton_tol: -1.0}", "newton_tol must be positive"),
+    ],
+)
+def test_cli_bad_solver_settings_exit_code(tmp_path, capsys, solver, message):
+    cfg_path = write_config(tmp_path, classical_yaml() + f"solver: {solver}\n")
+    out = tmp_path / "o"
+    assert main(["classical", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"error: solver: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_config(tmp_path, capsys):
