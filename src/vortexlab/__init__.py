@@ -56,9 +56,7 @@ from .greens import (
     Divisor,
     DivisorPotential,
     divisor_potential,
-    green_gradient,
     theta1,
-    theta1_prime,
     torus_green,
     vanishing_density,
 )

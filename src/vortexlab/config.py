@@ -16,6 +16,7 @@ writes one back.
 
 from __future__ import annotations
 
+import re
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -239,6 +240,10 @@ def _divisor(items: tuple[DivisorItem, ...]) -> Divisor:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# A YAML 1.2 float with an exponent; PyYAML's YAML 1.1 resolver reads
+# ``1e-8`` (no dot) as a string.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
 
 def _fail(path: str, message: str) -> ValidationError:
     where = path if path else "config"
@@ -305,6 +310,8 @@ def _read(tp, node, path: str, **given):
     if tp is Fraction:
         return _degree(node, path)
     if tp is str:
+        if node is None or isinstance(node, (list, dict)):
+            raise _fail(path, f"expected a string, got {node!r}")
         return str(node)
     if tp is bool:
         if isinstance(node, bool):
@@ -314,6 +321,8 @@ def _read(tp, node, path: str, **given):
         if tp is int and isinstance(node, int):
             return node
         if tp is float and isinstance(node, (int, float)):
+            return float(node)
+        if tp is float and isinstance(node, str) and _EXPONENT_FLOAT.fullmatch(node):
             return float(node)
     wanted = "an integer" if tp is int else "a number"
     raise _fail(path, f"expected {wanted}, got {node!r}")

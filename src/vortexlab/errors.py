@@ -31,8 +31,9 @@ class BadRadii(VortexLabError):
 
 
 class BadTau(VortexLabError):
-    """Theta function evaluated at a modulus outside the upper half plane
-    or too close to its boundary for the truncated series."""
+    """Theta function evaluated at a modulus outside the upper half plane,
+    so close to its real axis that the sine series cancels, or so far from
+    it that the nome underflows."""
 
 
 class MixedSignDivisor(VortexLabError):

@@ -10,6 +10,9 @@ doubly periodic, even, behaves like ``log(r)/(2pi)`` at the origin, and
 satisfies ``laplacian G = delta_0 - 1/volume`` distributionally (the
 quadratic correction compensates the quasi-periodicity of ``theta1`` in
 the imaginary direction and carries the uniform background charge).
+The formula is used with ``l2 >= l1``, so ``Im tau >= 1`` and four
+terms of the sine series reach machine precision; a wider torus is
+evaluated through its reflection (see :func:`torus_green`).
 
 A divisor ``sum_k m_k x_k`` induces the potential
 
@@ -30,19 +33,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadTau, MixedSignDivisor
-from .fields import (
-    GridSpec,
-    ScalarField,
-    TorusGeometry,
-    torus_displacement,
-)
+from .fields import GridSpec, ScalarField, TorusGeometry, grid_points
 
 __all__ = [
     "NEGATIVE_SENTINEL",
     "theta1",
-    "theta1_prime",
     "torus_green",
-    "green_gradient",
     "Divisor",
     "DivisorPotential",
     "divisor_potential",
@@ -53,7 +49,16 @@ __all__ = [
 # exp() of it underflows to exactly 0.0.
 NEGATIVE_SENTINEL = -1e300
 
+# Below this the sine series cancels: relative error 5e-11 at 0.05i and
+# 3e-4 at 0.025i. Green's-function evaluations never get here, since
+# they orient the torus so that Im tau >= 1.
 _MIN_IM_TAU = 0.1
+# Above this the nome exp(-pi Im tau) is subnormal and the series decays
+# to zero: a torus more than 200 times longer than wide is rejected.
+_MAX_IM_TAU = 200.0
+
+# The truncated tail must fall below the double-precision unit roundoff.
+_TAIL_EXPONENT = 53.0 * math.log(2.0)
 
 
 def _check_tau(tau: complex) -> complex:
@@ -62,75 +67,64 @@ def _check_tau(tau: complex) -> complex:
         raise BadTau(f"tau must lie in the upper half plane, got {tau}")
     if tau.imag < _MIN_IM_TAU:
         raise BadTau(
-            f"Im tau = {tau.imag} < {_MIN_IM_TAU}: truncated series unreliable"
+            f"Im tau = {tau.imag} < {_MIN_IM_TAU}: the sine series cancels"
         )
+    if tau.imag > _MAX_IM_TAU:
+        raise BadTau(f"Im tau = {tau.imag} > {_MAX_IM_TAU}: the nome underflows")
     return tau
 
 
-def theta1(z, tau, n_terms: int = 32):
+def _term_count(im_tau: float) -> int:
+    """Fewest terms N whose omitted tail is below the unit roundoff.
+
+    For ``|Im z| <= Im tau / 2`` the first omitted term is at most
+    ``exp(-pi Im tau [(N+1/2)^2 - (N+1/2)])``, both in absolute value and,
+    up to a factor ``2N + 1``, relative to the leading term. This gives 4
+    terms at ``tau = i`` and fewer above it.
+    """
+    return math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * im_tau) + 0.25))
+
+
+def theta1(z, tau):
     """Odd Jacobi theta function, sine series with nome q = exp(i pi tau).
 
-    ``z`` may be a complex scalar or array. Intended for arguments reduced
-    to the fundamental cell; far outside it the sine factors overflow.
+    ``z`` may be a complex scalar or array in the fundamental cell,
+    ``|Re z| <= 1/2`` and ``|Im z| <= Im tau / 2``: the term count is
+    derived for it, and far outside it the sine factors overflow.
     """
     tau = _check_tau(tau)
     z = np.asarray(z, dtype=complex)
     q = np.exp(1j * np.pi * tau)
     acc = np.zeros_like(z)
-    for n in range(n_terms):
+    for n in range(_term_count(tau.imag)):
         coeff = (-1) ** n * q ** ((n + 0.5) ** 2)
         acc = acc + coeff * np.sin((2 * n + 1) * np.pi * z)
     return 2.0 * acc
 
 
-def theta1_prime(z, tau, n_terms: int = 32):
-    """Derivative of ``theta1`` with respect to ``z``."""
-    tau = _check_tau(tau)
-    z = np.asarray(z, dtype=complex)
-    q = np.exp(1j * np.pi * tau)
-    acc = np.zeros_like(z)
-    for n in range(n_terms):
-        k = 2 * n + 1
-        coeff = (-1) ** n * q ** ((n + 0.5) ** 2) * k * np.pi
-        acc = acc + coeff * np.cos(k * np.pi * z)
-    return 2.0 * acc
-
-
-def _green_from_xy(dx, dy, geometry: TorusGeometry, n_terms: int):
-    """Green's function at displacement (dx, dy); -inf at lattice points."""
-    lx, ly = geometry.length_x, geometry.length_y
-    z = (np.asarray(dx, dtype=float) + 1j * np.asarray(dy, dtype=float)) / lx
-    mag = np.abs(theta1(z, 1j * ly / lx, n_terms))
-    with np.errstate(divide="ignore"):
-        logmag = np.log(mag)
-    return (logmag - np.pi * np.asarray(dy) ** 2 / (lx * ly)) / (2.0 * np.pi)
-
-
-def torus_green(point, geometry: TorusGeometry, n_terms: int = 32):
+def torus_green(point, geometry: TorusGeometry):
     """Green's function (up to its fixed additive normalization) at ``point``.
 
-    ``point`` is an (x, y) pair of scalars or of equal-shape arrays. The
-    value at a lattice point is ``-inf``.
+    ``point`` is an (x, y) displacement, a pair of scalars or of
+    equal-shape arrays, in any period cell. The value at a lattice point
+    is ``-inf``.
+
+    The displacement is reduced to its minimal image, and a torus with
+    ``length_y < length_x`` is evaluated through its reflection (the
+    Jacobi imaginary transform), ``G(x, y; lx, ly) = G(y, x; ly, lx) +
+    log(lx / ly) / 4 pi``, so the modulus always has ``Im tau >= 1``.
     """
-    x, y = point
-    out = _green_from_xy(x, y, geometry, n_terms)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def green_gradient(point, geometry: TorusGeometry, n_terms: int = 32):
-    """Closed-form gradient (dG/dx, dG/dy); undefined at lattice points."""
-    x, y = point
     lx, ly = geometry.length_x, geometry.length_y
-    z = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / lx
-    tau = 1j * ly / lx
-    w = theta1_prime(z, tau, n_terms) / theta1(z, tau, n_terms)
-    gx = w.real / (2.0 * np.pi * lx)
-    gy = -w.imag / (2.0 * np.pi * lx) - np.asarray(y) / (lx * ly)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(gx), float(gy)
-    return gx, gy
+    if ly < lx:
+        reflected = torus_green((point[1], point[0]), TorusGeometry(ly, lx))
+        return reflected + math.log(lx / ly) / (4.0 * math.pi)
+    x = np.mod(np.asarray(point[0], dtype=float) + 0.5 * lx, lx) - 0.5 * lx
+    y = np.mod(np.asarray(point[1], dtype=float) + 0.5 * ly, ly) - 0.5 * ly
+    mag = np.abs(theta1((x + 1j * y) / lx, 1j * ly / lx))
+    with np.errstate(divide="ignore"):
+        logmag = np.log(mag)
+    out = (logmag - np.pi * y**2 / (lx * ly)) / (2.0 * np.pi)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _point_distance(geometry: TorusGeometry, p, q) -> float:
@@ -185,12 +179,6 @@ class Divisor:
         items = [(p, m) for p, m in self if m < 0]
         return Divisor(tuple(p for p, _ in items), tuple(m for _, m in items))
 
-    def translate(self, shift: tuple[float, float]) -> "Divisor":
-        return Divisor(
-            tuple((x + shift[0], y + shift[1]) for x, y in self.points),
-            self.multiplicities,
-        )
-
     def check_separated(self, geometry: TorusGeometry, min_dist: float = 1e-9) -> None:
         """Require points pairwise distinct modulo the periods."""
         pts = self.points
@@ -210,7 +198,6 @@ class DivisorPotential:
     geometry: TorusGeometry
     grid: GridSpec
     u: ScalarField
-    n_terms: int = 32
 
     @property
     def degree(self) -> int:
@@ -218,30 +205,21 @@ class DivisorPotential:
 
 
 def divisor_potential(
-    divisor: Divisor,
-    geometry: TorusGeometry,
-    grid: GridSpec,
-    n_terms: int = 32,
-    recenter: bool = False,
+    divisor: Divisor, geometry: TorusGeometry, grid: GridSpec
 ) -> DivisorPotential:
     """Sum of ``4 pi m_k G(. - x_k)`` sampled on the grid.
 
     Exact coincidences between samples and divisor points are stored as
-    large finite sentinels (negative for positive multiplicity). With
-    ``recenter`` the mean over non-sentinel samples is subtracted.
+    large finite sentinels (negative for positive multiplicity).
     """
     divisor.check_separated(geometry)
+    X, Y = grid_points(geometry, grid)
     u = np.zeros((grid.nx, grid.ny))
-    for (pt, m) in divisor:
-        dx, dy = torus_displacement(geometry, grid, pt)
-        u = u + (4.0 * np.pi * m) * _green_from_xy(dx, dy, geometry, n_terms)
-    finite = np.isfinite(u)
-    if recenter and finite.any():
-        u = u - u[finite].mean()
+    for (px, py), m in divisor:
+        u = u + (4.0 * np.pi * m) * torus_green((X - px, Y - py), geometry)
     u = np.where(np.isneginf(u), NEGATIVE_SENTINEL, u)
     u = np.where(np.isposinf(u), -NEGATIVE_SENTINEL, u)
-    field = ScalarField(geometry, grid, u)
-    return DivisorPotential(divisor, geometry, grid, field, n_terms)
+    return DivisorPotential(divisor, geometry, grid, ScalarField(geometry, grid, u))
 
 
 def vanishing_density(potential: DivisorPotential, scale: float = 1.0) -> ScalarField:

@@ -71,10 +71,10 @@ from .fields import (
 )
 from .greens import (
     Divisor,
-    divisor_potential,
-    vanishing_density,
-    _green_from_xy,
     _point_distance,
+    divisor_potential,
+    torus_green,
+    vanishing_density,
 )
 from .kw import (
     ContinuationSchedule,
@@ -135,10 +135,9 @@ def _density_data(geometry, grid, divisor, scale, normalized):
     multiple ``scale * exp(u_D)`` is used.
     """
     pot = divisor_potential(divisor, geometry, grid)
-    e = np.exp(pot.u.values)
-    c = scale / float(e.mean()) if normalized else scale
-    density = vanishing_density(pot, c)
-    return pot, density, math.log(c)
+    e = vanishing_density(pot)
+    c = scale / float(e.values.mean()) if normalized else scale
+    return pot, c * e, math.log(c)
 
 
 def _term_data(spec, t: _Term):
@@ -602,17 +601,14 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
     fits can probe radii below the grid scale without interpolation error.
     """
     logcp, logcm = (_term_data(spec, t)[2] for t in spec._terms)
-    geometry = spec.geometry
-    lx, ly = geometry.length_x, geometry.length_y
     items = list(spec.divisor_plus) + list(spec.divisor_minus)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         acc = np.full(pts.shape[0], 0.5 * (logcp + logcm))
         for (px, py), m in items:
-            dx = np.mod(pts[:, 0] - px + 0.5 * lx, lx) - 0.5 * lx
-            dy = np.mod(pts[:, 1] - py + 0.5 * ly, ly) - 0.5 * ly
-            acc += (2.0 * math.pi * m) * _green_from_xy(dx, dy, geometry, 32)
+            dx, dy = pts[:, 0] - px, pts[:, 1] - py
+            acc += (2.0 * math.pi * m) * torus_green((dx, dy), spec.geometry)
         return np.exp(acc)
 
     return evaluate

@@ -175,6 +175,17 @@ mixed:
             "solver.newton_tol: expected a number, got 'abc'",
         ),
         (
+            classical_yaml() + "solver: {newton_tol: nan}\n",
+            "solver.newton_tol: expected a number, got 'nan'",
+        ),
+        (
+            classical_yaml() + "solver: {newton_tol: '1_0'}\n",
+            "solver.newton_tol: expected a number, got '1_0'",
+        ),
+        (classical_yaml(out=""), "output_dir: expected a string, got None"),
+        (classical_yaml(out="[a, b]"), "output_dir: expected a string, got ['a', 'b']"),
+        (classical_yaml(out="{a: 1}"), "output_dir: expected a string, got {'a': 1}"),
+        (
             classical_yaml(points=((0.5, 0.5, "true"),)),
             "classical.divisor[0].m: expected an integer, got True",
         ),
@@ -239,6 +250,15 @@ mixed:
 def test_reader_error_messages(text, message):
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         parse_config(text)
+
+
+def test_exponent_floats_without_a_dot():
+    # YAML 1.1 reads these as strings; float fields take the YAML 1.2
+    # exponent form.
+    for literal, value in (("1e-8", 1e-8), ("1E+3", 1e3), ("+2.5e-3", 2.5e-3), (".5e1", 5.0)):
+        cfg = parse_config(classical_yaml() + f"solver: {{newton_tol: {literal}}}\n")
+        assert cfg.solver.newton_tol == value
+        assert parse_config(echo_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -517,6 +537,14 @@ def test_cli_bad_solver_settings_exit_code(tmp_path, capsys, solver, message):
     assert main(["classical", "--config", cfg_path, "--out", str(out)]) == 2
     assert f"error: solver: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_null_output_dir_exit_code(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, classical_yaml(out=""))
+    monkeypatch.chdir(tmp_path)
+    assert main(["classical", "--config", cfg_path]) == 2
+    assert "error: output_dir: expected a string, got None" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
 
 
 def test_cli_missing_config(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vortexlab import (
@@ -10,10 +10,8 @@ from vortexlab import (
     GridSpec,
     TorusGeometry,
     divisor_potential,
-    green_gradient,
     sample_at,
     theta1,
-    theta1_prime,
     torus_green,
     vanishing_density,
 )
@@ -52,17 +50,19 @@ def test_theta1_is_odd():
     assert np.abs(theta1(-z, 1j) + theta1(z, 1j)).max() <= 1e-14
 
 
-def test_theta1_truncation_tail():
-    a = theta1(0.3 + 0.1j, 1j, n_terms=8)
-    b = theta1(0.3 + 0.1j, 1j, n_terms=64)
-    assert abs(a - b) <= 1e-14
-
-
-def test_theta1_prime_matches_finite_difference():
-    z = 0.23 + 0.05j
-    h = 1e-6
-    num = (theta1(z + h, 1j) - theta1(z - h, 1j)) / (2 * h)
-    assert abs(theta1_prime(z, 1j) - num) <= 1e-7
+@pytest.mark.parametrize("tau", [0.1j, 1j, 8j])
+def test_theta1_truncation_tail(tau):
+    # The derived term count matches an explicit 64-term sum over the
+    # fundamental cell |Re z| <= 1/2, |Im z| <= Im tau / 2. Terms whose
+    # coefficient underflows to zero are skipped: their sine overflows.
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-0.5, 0.5, 200) * tau.imag
+    q = np.exp(1j * np.pi * tau)
+    coeffs = [(-1) ** n * q ** ((n + 0.5) ** 2) for n in range(64)]
+    ref = 2.0 * sum(
+        c * np.sin((2 * n + 1) * np.pi * z) for n, c in enumerate(coeffs) if c != 0
+    )
+    assert (np.abs(theta1(z, tau) - ref) <= 1e-14 * np.abs(ref)).all()
 
 
 @pytest.mark.parametrize("tau", [0.0, -1j, 1.0, 0.05j])
@@ -102,21 +102,29 @@ def test_green_lattice_sentinel():
 def test_green_flux_quadrature():
     # Line integral of dG/dn around a radius-0.1 circle at the origin:
     # the enclosed delta minus the uniform background, 1 - pi r^2 / Vol.
+    # dG/dn is a central difference of G along the normal.
     n = 4096
     theta = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    r = 0.1
-    gx, gy = green_gradient((r * np.cos(theta), r * np.sin(theta)), UNIT)
-    flux = float(np.sum(gx * np.cos(theta) + gy * np.sin(theta))) * (2 * np.pi * r / n)
+    r, h = 0.1, 1e-6
+    c, s = np.cos(theta), np.sin(theta)
+    dgdn = (
+        torus_green(((r + h) * c, (r + h) * s), UNIT)
+        - torus_green(((r - h) * c, (r - h) * s), UNIT)
+    ) / (2 * h)
+    flux = float(np.sum(dgdn)) * (2 * np.pi * r / n)
     assert abs(flux - (1.0 - np.pi * r**2)) <= 1e-6
 
 
-def test_green_gradient_matches_finite_difference():
-    p = (0.31, 0.17)
-    h = 1e-6
-    gx, gy = green_gradient(p, UNIT)
-    nx = (torus_green((p[0] + h, p[1]), UNIT) - torus_green((p[0] - h, p[1]), UNIT)) / (2 * h)
-    ny = (torus_green((p[0], p[1] + h), UNIT) - torus_green((p[0], p[1] - h), UNIT)) / (2 * h)
-    assert abs(gx - nx) <= 1e-6 and abs(gy - ny) <= 1e-6
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (2.0, 0.5)])
+def test_green_normalization_either_orientation(lengths):
+    # G(z) - log|z| / 2pi -> log(2 pi |eta(tau)|^3 / lx) / 2pi, tau = i ly/lx,
+    # whichever way the torus is evaluated; eta by its product formula.
+    lx, ly = lengths
+    q = np.exp(-np.pi * ly / lx)
+    eta = q ** (1 / 12) * np.prod(1.0 - q ** (2.0 * np.arange(1, 200)))
+    r = 1e-6
+    regular = torus_green((r, 0.0), TorusGeometry(lx, ly)) - np.log(r) / (2 * np.pi)
+    assert abs(regular - np.log(2 * np.pi * eta**3 / lx) / (2 * np.pi)) <= 1e-9
 
 
 def test_green_mean_laplacian_far_from_origin():
@@ -246,10 +254,45 @@ def test_potential_sentinel_at_exact_sample():
     assert (dens.values >= 0.0).all()
 
 
-def test_potential_recenter_flag():
-    pot = divisor_potential(Divisor(((0.3, 0.3),), (1,)), UNIT, GridSpec(32, 32), recenter=True)
-    finite = pot.u.values > NEGATIVE_SENTINEL / 2
-    assert abs(pot.u.values[finite].mean()) <= 1e-12
+@settings(max_examples=25, deadline=None)
+@given(
+    log_aspect=st.floats(-np.log(40.0), np.log(40.0)),
+    pts=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 2)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_potential_non_square_torus(log_aspect, pts):
+    # Aspect ratios 1:40 to 40:1, the short side of length 1: the sampled
+    # potential is finite and the closed form has the far-field Laplacian
+    # -4 pi d / V (h = 1e-4 keeps lap4 roundoff below 1e-4 at |u| ~ 250).
+    aspect = float(np.exp(log_aspect))
+    geo = TorusGeometry(max(1.0, 1.0 / aspect), max(1.0, aspect))
+    lx, ly = geo.length_x, geo.length_y
+    div = Divisor(tuple((x * lx, y * ly) for x, y, _ in pts), tuple(m for *_, m in pts))
+    try:
+        div.check_separated(geo, 0.05)
+    except ValueError:
+        assume(False)
+    pot = divisor_potential(div, geo, GridSpec(32, 32))
+    assert np.isfinite(pot.u.values).all()
+    rng = np.random.default_rng(7)
+    X, Y = rng.uniform(0.0, lx, 400), rng.uniform(0.0, ly, 400)
+    dist = np.full(400, np.inf)
+    for (px, py), _ in div:
+        ddx = np.mod(X - px + 0.5 * lx, lx) - 0.5 * lx
+        ddy = np.mod(Y - py + 0.5 * ly, ly) - 0.5 * ly
+        dist = np.minimum(dist, np.hypot(ddx, ddy))
+    sel = dist > 0.1
+    vals = lap4(u_closed_form(div, geo), X[sel], Y[sel], h=1e-4)
+    assert np.abs(vals - (-4.0 * np.pi * div.degree / geo.volume)).max() <= 1e-3
+
+
+def test_extreme_aspect_torus_is_rejected():
+    # Past Im tau = 200 the nome is subnormal; fail loudly, not with zeros.
+    with pytest.raises(BadTau, match="nome underflows"):
+        divisor_potential(Divisor(((0.5, 0.5),), (1,)), TorusGeometry(1.0, 300.0), GRID)
 
 
 # ---------------------------------------------------------------------------

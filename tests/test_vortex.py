@@ -550,6 +550,17 @@ def test_sweep_records_stage_errors():
         report.raise_if_failed()
 
 
+@pytest.mark.parametrize("lengths, n", [((1.0, 8.0), (32, 256)), ((20.0, 1.0), (640, 32))])
+def test_classical_solves_on_long_tori(lengths, n):
+    # A long torus is evaluated through its reflection, Im tau >= 1.
+    geo = TorusGeometry(*lengths)
+    spec = ClassicalVortexSpec(
+        geo, GridSpec(*n), Divisor(((0.3, 0.4), (0.7, 0.6)), (1, 1)), 0.2
+    )
+    stage = solve_and_report(spec).stages[0]
+    assert abs(stage.identity_residuals["identity"]) <= 1e-6 * geo.volume
+
+
 def test_solve_and_report_single_stage(mixed_pair):
     spec, _ = mixed_pair
     report = solve_and_report(spec)
