@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -244,41 +245,40 @@ def field_from_values(template: ScalarField, values: np.ndarray) -> ScalarField:
 # Spectral machinery
 
 
-_symbol_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
-    """Cached angular wavenumber arrays (kx, ky) and -|k|^2 symbol."""
-    key = (grid.nx, grid.ny, geometry.length_x, geometry.length_y)
-    hit = _symbol_cache.get(key)
-    if hit is None:
-        kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=1.0 / grid.nx) / geometry.length_x
-        ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=1.0 / grid.ny) / geometry.length_y
-        minus_k2 = -(kx[:, None] ** 2 + ky[None, :] ** 2)
-        # Odd derivatives cannot represent the Nyquist mode consistently;
-        # zero it in the first-derivative multipliers.
-        dx_mult = 1j * kx.copy()
-        dy_mult = 1j * ky.copy()
-        dx_mult[grid.nx // 2] = 0.0
-        dy_mult[grid.ny // 2] = 0.0
-        hit = (kx, ky, minus_k2, dx_mult, dy_mult)
-        _symbol_cache[key] = hit
-    return hit
+    """Half-spectrum symbols: -|k|^2 and the d/dx, d/dy multipliers.
+
+    Real transforms keep columns ``0 .. ny/2`` of the y axis (``rfftfreq``),
+    so ``-|k|^2`` has shape ``(nx, ny/2 + 1)``, the last column being the
+    y-Nyquist mode; ``dx_mult`` has ``nx`` entries and ``dy_mult``
+    ``ny/2 + 1``. The cache holds the few grids a run works on at once.
+    """
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=1.0 / grid.nx) / geometry.length_x
+    ky = 2.0 * np.pi * np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny) / geometry.length_y
+    minus_k2 = -(kx[:, None] ** 2 + ky[None, :] ** 2)
+    # Odd derivatives cannot represent the Nyquist mode consistently;
+    # zero it in the first-derivative multipliers.
+    dx_mult = 1j * kx
+    dy_mult = 1j * ky
+    dx_mult[grid.nx // 2] = 0.0
+    dy_mult[grid.ny // 2] = 0.0
+    return minus_k2, dx_mult, dy_mult
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Flat Laplacian by Fourier multiplier; the output has zero mean."""
-    _, _, minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
-    out = np.fft.ifft2(np.fft.fft2(f.values) * minus_k2).real
+    minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
+    out = np.fft.irfft2(np.fft.rfft2(f.values) * minus_k2, s=f.values.shape)
     return f._like(out)
 
 
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spectral partial derivatives (df/dx, df/dy)."""
-    _, _, _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
-    spec = np.fft.fft2(f.values)
-    fx = np.fft.ifft2(spec * dx_mult[:, None]).real
-    fy = np.fft.ifft2(spec * dy_mult[None, :]).real
+    _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
+    spec = np.fft.rfft2(f.values)
+    fx = np.fft.irfft2(spec * dx_mult[:, None], s=f.values.shape)
+    fy = np.fft.irfft2(spec * dy_mult[None, :], s=f.values.shape)
     return f._like(fx), f._like(fy)
 
 
@@ -288,11 +288,17 @@ def gradient_magnitude(f: ScalarField) -> ScalarField:
 
 
 def dirichlet_energy(f: ScalarField) -> float:
-    """integral of |grad f|^2, evaluated exactly by Parseval."""
-    _, _, minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
-    spec = np.fft.fft2(f.values)
+    """integral of |grad f|^2, evaluated exactly by Parseval.
+
+    The half spectrum stands for each interior y column and its conjugate
+    mirror, so those columns count twice; column 0 and the y-Nyquist
+    column ``ny/2`` are their own mirrors and count once.
+    """
+    minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
+    spec = np.fft.rfft2(f.values)
     n = f.grid.nx * f.grid.ny
-    power = float(np.sum((spec.real**2 + spec.imag**2) * (-minus_k2)))
+    dens = (spec.real**2 + spec.imag**2) * (-minus_k2)
+    power = float(2.0 * dens.sum() - dens[:, 0].sum() - dens[:, -1].sum())
     return power / n**2 * f.geometry.volume
 
 
@@ -330,15 +336,22 @@ def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:
     return float(np.abs(f.values[sel]).max())
 
 
-def _phase_matrix(coords: np.ndarray, n: int, length: float) -> np.ndarray:
+def _phase_matrix(
+    coords: np.ndarray, n: int, length: float, half: bool = False
+) -> np.ndarray:
     """Evaluation phases for the trigonometric interpolant along one axis.
 
     The Nyquist slot uses a cosine so the interpolant is real and agrees
-    with the inverse DFT at grid points.
+    with the inverse DFT at grid points. With ``half`` the columns follow
+    the real-transform layout ``0 .. n/2``; each interior column stands for
+    a conjugate pair and carries weight 2, so the real part of the sum is
+    the interpolant.
     """
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    freqs = (np.fft.rfftfreq if half else np.fft.fftfreq)(n, d=1.0 / n)
     theta = np.multiply.outer(coords / length, freqs) * 2.0 * np.pi
     phases = np.exp(1j * theta)
+    if half:
+        phases[:, 1 : n // 2] *= 2.0
     phases[:, n // 2] = np.cos(theta[:, n // 2])
     return phases
 
@@ -352,9 +365,9 @@ def sample_at(f: ScalarField, points) -> np.ndarray | float:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (x, y) or an (M, 2) array")
-    spec = np.fft.fft2(f.values)
+    spec = np.fft.rfft2(f.values)
     px = _phase_matrix(pts[:, 0], f.grid.nx, f.geometry.length_x)
-    py = _phase_matrix(pts[:, 1], f.grid.ny, f.geometry.length_y)
+    py = _phase_matrix(pts[:, 1], f.grid.ny, f.geometry.length_y, half=True)
     vals = np.einsum("mj,jk,mk->m", px, spec, py).real / (f.grid.nx * f.grid.ny)
     if np.ndim(points) == 1:
         return float(vals[0])
@@ -391,37 +404,41 @@ def solve_linearized(
 
     grid = rhs.grid
     cap = max_iter if max_iter is not None else 10 * (grid.nx + grid.ny)
-    _, _, minus_k2, _, _ = _wavenumbers(rhs.geometry, grid)
+    minus_k2, _, _ = _wavenumbers(rhs.geometry, grid)
     V = potential.values
     b = rhs.values
+    shape = b.shape
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return rhs._like(np.zeros_like(b))
 
     inv_symbol = 1.0 / (epsilon * (-minus_k2) + float(V.mean()))
+    lap_inv_symbol = minus_k2 * inv_symbol
     lam_max = epsilon * float((-minus_k2).max()) + float(V.max())
 
     def target(x_norm: float) -> float:
         floor = 32.0 * np.finfo(float).eps * (lam_max * x_norm + b_norm)
         return max(tol * b_norm, floor)
 
-    def apply_op(x: np.ndarray) -> np.ndarray:
-        return -epsilon * np.fft.ifft2(np.fft.fft2(x) * minus_k2).real + V * x
-
-    def apply_prec(r: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft2(r) * inv_symbol).real
+    def precondition(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # z = M^-1 r and its Laplacian from one forward transform.
+        spec = np.fft.rfft2(r)
+        z = np.fft.irfft2(spec * inv_symbol, s=shape)
+        lap_z = np.fft.irfft2(spec * lap_inv_symbol, s=shape)
+        return z, lap_z
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    p, lap_p = precondition(r)
+    rz = float(np.vdot(r, p))
     iterations = 0
     while iterations < cap:
-        # Recursive-residual PCG with a true-residual check at candidate
-        # convergence; restart direction if the recursion has drifted.
-        Ap = apply_op(p)
-        denom = float(np.vdot(p, Ap).real)
+        # Recursive-residual PCG carrying the search direction's Laplacian
+        # alongside it, so A p needs no transform; the true residual is
+        # checked at candidate convergence and the direction restarted if
+        # the recursion has drifted.
+        Ap = V * p - epsilon * lap_p
+        denom = float(np.vdot(p, Ap))
         if denom <= 0.0:
             raise NonPositivePotential("operator lost positive definiteness")
         alpha = rz / denom
@@ -429,17 +446,19 @@ def solve_linearized(
         r = r - alpha * Ap
         iterations += 1
         if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
-            true_r = b - apply_op(x)
+            lap_x = np.fft.irfft2(np.fft.rfft2(x) * minus_k2, s=shape)
+            true_r = b - (V * x - epsilon * lap_x)
             if float(np.linalg.norm(true_r)) <= target(float(np.linalg.norm(x))):
                 return rhs._like(x)
             r = true_r
-            z = apply_prec(r)
-            p = z.copy()
-            rz = float(np.vdot(r, z).real)
+            p, lap_p = precondition(r)
+            rz = float(np.vdot(r, p))
             continue
-        z = apply_prec(r)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        z, lap_z = precondition(r)
+        rz_new = float(np.vdot(r, z))
+        beta = rz_new / rz
+        p = z + beta * p
+        lap_p = lap_z + beta * lap_p
         rz = rz_new
     raise NoConvergence(f"CG failed to reach tol={tol} within {cap} iterations")
 
@@ -555,40 +574,50 @@ def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> flo
 # Spectral resampling between grids
 
 
-def _resample_axis(vals: np.ndarray, axis: int, n_new: int) -> np.ndarray:
-    n = vals.shape[axis]
+def _resample_half_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
+    """Carry a 2-D half spectrum from n to n_new samples along its last axis."""
     if n_new == n:
-        return vals
-    spec = np.fft.fft(vals, axis=axis)
-    sl = [slice(None)] * vals.ndim
-
-    def take(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
-
-    out = np.zeros(
-        tuple(n_new if a == axis else m for a, m in enumerate(vals.shape)),
-        dtype=complex,
-    )
+        return spec
     half = min(n, n_new) // 2
-    out[take(slice(0, half))] = spec[take(slice(0, half))]
-    out[take(slice(-half + 1 if half > 1 else n_new, None))] = spec[
-        take(slice(-half + 1 if half > 1 else n, None))
-    ]
+    out = np.zeros(spec.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
+    out[:, :half] = spec[:, :half]
+    if n_new > n:
+        # The old Nyquist mode splits between +/- half; the -half share is
+        # the conjugate mirror that the half spectrum leaves implicit.
+        out[:, half] = 0.5 * spec[:, half]
+    else:
+        # Fold the -half band, the conjugate mirror of +half at -kx, onto
+        # the new Nyquist column.
+        mirror = (-np.arange(spec.shape[0])) % spec.shape[0]
+        out[:, half] = spec[:, half] + np.conj(spec[mirror, half])
+    return out
+
+
+def _resample_full_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
+    """Carry a spectrum from n to n_new samples along its first (full) axis."""
+    if n_new == n:
+        return spec
+    half = min(n, n_new) // 2
+    out = np.zeros((n_new,) + spec.shape[1:], dtype=complex)
+    out[:half] = spec[:half]
+    out[-half + 1 :] = spec[-half + 1 :]
     if n_new > n:
         # Split the old Nyquist mode between +/- half frequencies.
-        out[take(half)] += 0.5 * spec[take(half)]
-        out[take(-half)] += 0.5 * spec[take(half)]
+        out[half] += 0.5 * spec[half]
+        out[-half] += 0.5 * spec[half]
     else:
         # Fold both source bands onto the new Nyquist mode.
-        out[take(half)] = spec[take(half)] + spec[take(-half)]
-    return np.fft.ifft(out, axis=axis) * (n_new / n)
+        out[half] = spec[half] + spec[-half]
+    return out
 
 
 def resample(f: ScalarField, new_grid: GridSpec) -> ScalarField:
     """Trigonometric interpolation of ``f`` onto another grid."""
-    vals = f.values.astype(complex)
-    vals = _resample_axis(vals, 0, new_grid.nx)
-    vals = _resample_axis(vals, 1, new_grid.ny)
-    return ScalarField(f.geometry, new_grid, vals.real)
+    if new_grid == f.grid:
+        return ScalarField(f.geometry, new_grid, f.values)
+    nx, ny = f.grid.nx, f.grid.ny
+    spec = _resample_half_axis(np.fft.rfft2(f.values), ny, new_grid.ny)
+    spec = _resample_full_axis(spec, nx, new_grid.nx)
+    vals = np.fft.irfft2(spec, s=(new_grid.nx, new_grid.ny))
+    vals *= new_grid.nx * new_grid.ny / (nx * ny)
+    return ScalarField(f.geometry, new_grid, vals)

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadTau, MixedSignDivisor
+from .errors import BadTau, MixedSignDivisor, VortexLabError
 from .fields import GridSpec, ScalarField, TorusGeometry, grid_points
 
 __all__ = [
@@ -59,6 +59,8 @@ _MAX_IM_TAU = 200.0
 
 # The truncated tail must fall below the double-precision unit roundoff.
 _TAIL_EXPONENT = 53.0 * math.log(2.0)
+# Relative slack on the fundamental cell, for rounding in the reduction.
+_CELL_SLACK = 1e-9
 
 
 def _check_tau(tau: complex) -> complex:
@@ -90,10 +92,17 @@ def theta1(z, tau):
 
     ``z`` may be a complex scalar or array in the fundamental cell,
     ``|Re z| <= 1/2`` and ``|Im z| <= Im tau / 2``: the term count is
-    derived for it, and far outside it the sine factors overflow.
+    derived for it, and far outside it the sine factors overflow. Any
+    other ``z`` raises :class:`VortexLabError`.
     """
     tau = _check_tau(tau)
     z = np.asarray(z, dtype=complex)
+    half = 0.5 + _CELL_SLACK
+    if not (np.all(np.abs(z.real) <= half) and np.all(np.abs(z.imag) <= half * tau.imag)):
+        raise VortexLabError(
+            f"theta1 argument outside the fundamental cell |Re z| <= 1/2, "
+            f"|Im z| <= {0.5 * tau.imag:g}"
+        )
     q = np.exp(1j * np.pi * tau)
     acc = np.zeros_like(z)
     for n in range(_term_count(tau.imag)):

@@ -26,12 +26,15 @@ def _load_layers():
 
 def test_layer_tracer_installs_and_uninstalls():
     layers = _load_layers()
-    reduce_any, fft2 = vortexlab.vortex.reduce_any, np.fft.fft2
+    reduce_any = vortexlab.vortex.reduce_any
+    transforms = {name: getattr(np.fft, name) for name in ("fft2", "rfft2", "irfft2")}
     tracer = layers.install()
     try:
         assert vortexlab.vortex.reduce_any is not reduce_any
-        assert np.fft.fft2 is not fft2
+        for name, fn in transforms.items():
+            assert getattr(np.fft, name) is not fn, name
     finally:
         tracer.uninstall()
     assert vortexlab.vortex.reduce_any is reduce_any
-    assert np.fft.fft2 is fft2
+    for name, fn in transforms.items():
+        assert getattr(np.fft, name) is fn, name

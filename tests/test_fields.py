@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import fd_laplacian, random_trig
 from vortexlab import (
+    ClassicalVortexSpec,
+    Divisor,
     GridSpec,
     RegionMask,
     ScalarField,
@@ -25,6 +27,7 @@ from vortexlab import (
     lp_norm,
     resample,
     sample_at,
+    solve_and_report,
     solve_linearized,
     sup_norm,
 )
@@ -35,7 +38,7 @@ from vortexlab.errors import (
     NoConvergence,
     NonPositivePotential,
 )
-from vortexlab.fields import grid_points, torus_distance
+from vortexlab.fields import _wavenumbers, grid_points, torus_distance
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -188,6 +191,12 @@ def test_laplacian_self_adjoint(seed):
     assert abs(lhs - rhs) <= 1e-10 * lp_norm(f, 2) * lp_norm(g, 2)
 
 
+def test_symbol_cache_is_bounded():
+    for n in range(8, 28, 2):
+        laplacian(constant_field(UNIT, GridSpec(n, n + 2), 1.0))
+    assert _wavenumbers.cache_info().currsize <= 4
+
+
 # ---------------------------------------------------------------------------
 # Gradient and energy
 
@@ -209,6 +218,45 @@ def test_dirichlet_energy_of_sine():
     f = unit_field(32, lambda X, Y: np.sin(2 * np.pi * X))
     # integral of (2 pi cos(2 pi x))^2 over the unit torus
     assert dirichlet_energy(f) == pytest.approx(2.0 * np.pi**2, abs=1e-10)
+
+
+def test_gradient_non_square_grid():
+    geo = TorusGeometry(2.0, 0.5)
+    poly = random_trig(seed=13, n_modes=6, kmax=4, length_x=2.0, length_y=0.5)
+    for grid in (GridSpec(48, 16), GridSpec(16, 40)):
+        f = poly.field(geo, grid)
+        X, Y = grid_points(geo, grid)
+        gx, gy = poly.gradient(X, Y)
+        fx, fy = gradient(f)
+        assert np.abs(fx.values - gx).max() <= 1e-10
+        assert np.abs(fy.values - gy).max() <= 1e-10
+
+
+def test_dirichlet_energy_of_y_mode():
+    f = field_from_function(
+        TorusGeometry(1.0, 2.0), GridSpec(16, 24), lambda X, Y: np.cos(np.pi * Y)
+    )
+    # integral of (pi sin(pi y))^2 over [0, 1) x [0, 2)
+    assert dirichlet_energy(f) == pytest.approx(np.pi**2, rel=1e-12)
+
+
+def test_dirichlet_energy_of_y_nyquist_mode():
+    # cos(pi ny y) samples as (-1)^j, so its grid mean square is 1 and the
+    # y-Nyquist column, its own conjugate mirror, counts once.
+    ny = 24
+    f = field_from_function(
+        UNIT, GridSpec(16, ny), lambda X, Y: np.cos(np.pi * ny * Y) + np.sin(2 * np.pi * X)
+    )
+    expected = (np.pi * ny) ** 2 + 2.0 * np.pi**2
+    assert dirichlet_energy(f) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_dirichlet_energy_matches_laplacian_pairing(seed):
+    f = random_field(TorusGeometry(1.0, 1.5), GridSpec(16, 24), seed)
+    expected = -integrate(f * laplacian(f))
+    assert abs(dirichlet_energy(f) - expected) <= 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +353,20 @@ def test_sample_at_matches_direct_summation_oracle():
     vals = sample_at(f, pts)
     exact = poly(pts[:, 0], pts[:, 1])
     assert np.abs(vals - exact).max() <= 1e-10
+
+
+@pytest.mark.parametrize("nx,ny", [(16, 40), (40, 16)])
+def test_sample_at_non_square_grid(nx, ny):
+    # The y-Nyquist mode is real on the grid and interpolates as a cosine.
+    ly = 2.5
+    poly = random_trig(seed=29, n_modes=8, kmax=5, length_x=1.0, length_y=ly)
+
+    def fn(X, Y):
+        return poly(X, Y) + np.cos(np.pi * ny * Y / ly)
+
+    f = field_from_function(TorusGeometry(1.0, ly), GridSpec(nx, ny), fn)
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(50, 2)) * [1.0, ly]
+    assert np.abs(sample_at(f, pts) - fn(pts[:, 0], pts[:, 1])).max() <= 1e-10
 
 
 def test_sample_at_rejects_bad_shapes():
@@ -474,3 +536,45 @@ def test_field_from_values_uses_template():
     g = field_from_values(f, np.full((8, 8), 2.5))
     assert g.geometry == f.geometry and g.grid == f.grid
     assert (g.values == 2.5).all()
+
+
+def test_resample_non_square_round_trip():
+    # Up along x, down along y and back; the polynomial is band-limited
+    # to the coarser axis of every grid.
+    poly = random_trig(seed=43, n_modes=8, kmax=5)
+    a = poly.field(UNIT, GridSpec(16, 32))
+    b = resample(a, GridSpec(32, 16))
+    assert np.abs(b.values - poly.field(UNIT, GridSpec(32, 16)).values).max() <= 1e-11
+    back = resample(b, GridSpec(16, 32))
+    assert np.abs(back.values - a.values).max() <= 1e-11
+
+
+def test_resample_non_square_nyquist_split_and_fold():
+    # Both Nyquist modes of a 16 x 24 grid: upsampling splits each into a
+    # cosine, and downsampling folds the y pair (at kx = +-1) back.
+    geo = TorusGeometry(1.0, 2.0)
+
+    def fn(X, Y):
+        return np.cos(16 * np.pi * X) + np.cos(12 * np.pi * Y) * np.sin(2 * np.pi * X)
+
+    f = field_from_function(geo, GridSpec(16, 24), fn)
+    up = resample(f, GridSpec(24, 40))
+    exact = field_from_function(geo, GridSpec(24, 40), fn)
+    assert np.abs(up.values - exact.values).max() <= 1e-11
+    assert np.abs(resample(up, GridSpec(16, 24)).values - f.values).max() <= 1e-11
+
+
+def test_no_complex_full_spectrum_transform(monkeypatch):
+    # Every transform is real-to-complex; a full complex one must not
+    # come back unnoticed.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("complex full-spectrum transform called")
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    spec = ClassicalVortexSpec(UNIT, GridSpec(32, 32), Divisor(((0.5, 0.5),), (1,)), 0.25)
+    stage = solve_and_report(spec).stages[0]
+    assert stage.iterations >= 1
+    f = random_field(UNIT, GridSpec(16, 24), seed=3)
+    assert resample(f, GridSpec(24, 16)).grid == GridSpec(24, 16)
+    assert abs(sample_at(f, (0.25, 0.75)) - f.values[4, 18]) <= 1e-12

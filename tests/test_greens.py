@@ -15,7 +15,7 @@ from vortexlab import (
     torus_green,
     vanishing_density,
 )
-from vortexlab.errors import BadTau, MixedSignDivisor
+from vortexlab.errors import BadTau, MixedSignDivisor, VortexLabError
 from vortexlab.greens import NEGATIVE_SENTINEL
 
 UNIT = TorusGeometry(1.0, 1.0)
@@ -69,6 +69,21 @@ def test_theta1_truncation_tail(tau):
 def test_theta1_rejects_bad_tau(tau):
     with pytest.raises(BadTau):
         theta1(0.1, tau)
+
+
+@pytest.mark.parametrize(
+    "z", [0.3 + 100j, 0.3 + 300j, 0.75, -0.6 + 0.1j, 0.1 - 0.6j, complex("nan")]
+)
+def test_theta1_rejects_argument_outside_fundamental_cell(z):
+    with pytest.raises(VortexLabError):
+        theta1(z, 1j)
+    with pytest.raises(VortexLabError):
+        theta1(np.array([0.1, z]), 1j)
+
+
+def test_theta1_accepts_fundamental_cell_corners():
+    corners = np.array([0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j, -0.5 + 0.5j])
+    assert np.isfinite(theta1(corners, 1j)).all()
 
 
 # ---------------------------------------------------------------------------
