@@ -62,12 +62,10 @@ from .greens import (
 )
 from .kw import (
     Classification,
-    ContinuationSchedule,
     KWProblem,
     KWSolution,
     LimitProfile,
     SolverConfig,
-    core_resolving_grid,
     kw_energy,
     kw_limit,
     kw_residual,
@@ -76,6 +74,7 @@ from .kw import (
 )
 from .vortex import (
     ClassicalVortexSpec,
+    ContinuationSchedule,
     DiagnosticsReport,
     GeneralizedSpec,
     GeneralizedTerm,

@@ -9,7 +9,8 @@ any solve, and rejects unknown keys; ``echo_config`` emits a canonical
 YAML text with ``parse_config(echo_config(c)) == c``.
 
 The frozen section dataclasses below, with :class:`SolverConfig` for
-``solver`` and :class:`SweepOptions` for ``diagnostics``, are the schema:
+``solver``, :class:`SweepOptions` for ``diagnostics`` and
+:class:`ContinuationSchedule` for ``sweep``, are the schema:
 ``_read`` builds a config from their fields and type hints, and ``_dump``
 writes one back.
 """
@@ -27,9 +28,10 @@ import yaml
 from .errors import ParseError, ValidationError, VortexLabError
 from .fields import GridSpec, TorusGeometry, constant_field
 from .greens import Divisor
-from .kw import ContinuationSchedule, KWProblem, SolverConfig, core_resolving_grid
+from .kw import KWProblem, SolverConfig
 from .vortex import (
     ClassicalVortexSpec,
+    ContinuationSchedule,
     GeneralizedSpec,
     GeneralizedTerm,
     MixedVortexSpec,
@@ -68,14 +70,6 @@ class OutputSection:
     csv: bool = True
     heatmaps: bool = True
     svg: bool = False
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    epsilons: tuple[float, ...]
-    points_per_core: float = 4.0
-    min_grid: int = 16
-    max_grid: int = 4096
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ class RunConfig:
     solver: SolverConfig = SolverConfig()
     diagnostics: SweepOptions = SweepOptions()
     outputs: OutputSection = OutputSection()
-    sweep: SweepSection | None = None
+    sweep: ContinuationSchedule | None = None
 
     # -- builders ----------------------------------------------------------
 
@@ -163,13 +157,17 @@ class RunConfig:
     def model_key(self) -> str:
         return next(k for k, t in MODEL_SECTIONS.items() if type(self.model) is t)
 
-    def build_spec(self, epsilon: float | None = None, grid: GridSpec | None = None):
-        """Vortex spec for the model section (not for kind 'kw')."""
-        eps = self.epsilon if epsilon is None else epsilon
+    def build_spec(self):
+        """Vortex spec for the model section (not for kind 'kw').
+
+        A sweep's spec is built at its final epsilon; each stage replaces
+        the epsilon and the grid.
+        """
+        eps = self.epsilon if self.sweep is None else self.sweep.epsilons[-1]
         if eps is None:
             raise ValidationError("epsilon is required to build a spec")
         geometry = self.build_geometry()
-        g = grid if grid is not None else self.build_grid()
+        g = self.build_grid()
         m = self.model
         if isinstance(m, ClassicalSection):
             return ClassicalVortexSpec(geometry, g, _divisor(m.divisor), eps)
@@ -195,16 +193,13 @@ class RunConfig:
             )
         raise ValidationError("kind 'kw' has no vortex spec; use build_kw_problem")
 
-    def build_kw_problem(
-        self, epsilon: float | None = None, grid: GridSpec | None = None
-    ) -> KWProblem:
+    def build_kw_problem(self) -> KWProblem:
         if not isinstance(self.model, KWSection):
             raise ValidationError("build_kw_problem requires the 'kw' model section")
-        eps = self.epsilon if epsilon is None else epsilon
-        if eps is None:
+        if self.epsilon is None:
             raise ValidationError("epsilon is required for a kw run")
         geometry = self.build_geometry()
-        g = grid if grid is not None else self.build_grid()
+        g = self.build_grid()
 
         def coeff(term: KWTermSection):
             if term.divisor:
@@ -217,20 +212,7 @@ class RunConfig:
         plus = tuple((coeff(t), t.exponent) for t in self.model.plus)
         minus = tuple((coeff(t), t.exponent) for t in self.model.minus)
         w = constant_field(geometry, g, self.model.w)
-        return KWProblem(epsilon=eps, plus_terms=plus, minus_terms=minus, w=w)
-
-    def spec_family(self):
-        """(epsilon, grid) -> spec builder for sweeps."""
-        return lambda eps, grid: self.build_spec(epsilon=eps, grid=grid)
-
-    def sweep_refine_rule(self):
-        if self.sweep is None:
-            raise ValidationError("no sweep section in this config")
-        geometry = self.build_geometry()
-        sw = self.sweep
-        return lambda eps: core_resolving_grid(
-            geometry, eps, sw.points_per_core, sw.min_grid, sw.max_grid
-        )
+        return KWProblem(epsilon=self.epsilon, plus_terms=plus, minus_terms=minus, w=w)
 
 
 def _divisor(items: tuple[DivisorItem, ...]) -> Divisor:
@@ -405,23 +387,13 @@ def _validate(config: RunConfig) -> None:
     except (VortexLabError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
     if config.kind == "sweep":
-        try:
-            schedule = ContinuationSchedule(
-                config.sweep.epsilons, config.sweep_refine_rule()
-            )
-        except ValueError as exc:
-            raise ValidationError(f"sweep.epsilons: {exc}") from None
         if config.epsilon is not None:
             raise ValidationError("sweep runs take epsilons from the sweep section")
-        # Early stages may be infeasible (the sweep skips them); only the
-        # final epsilon must admit a solution.
-        probe_epsilon = schedule.epsilons[-1]
     else:
         if config.epsilon is None:
             raise ValidationError(f"kind '{config.kind}' requires epsilon")
         if not config.epsilon > 0:
             raise ValidationError("epsilon: must be positive")
-        probe_epsilon = config.epsilon
 
     m = config.model
     try:
@@ -435,8 +407,10 @@ def _validate(config: RunConfig) -> None:
                         raise ValidationError("kw exponents must be positive")
         else:
             # Spec construction checks every model invariant, Bradlow
-            # admissibility included, without running a solve.
-            config.build_spec(epsilon=probe_epsilon)
+            # admissibility included, without running a solve. A sweep's
+            # spec is at its final epsilon: early stages may be infeasible
+            # (the sweep skips them), the final one must admit a solution.
+            config.build_spec()
     except (VortexLabError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -63,7 +62,6 @@ __all__ = [
     "KWProblem",
     "KWSolution",
     "SolverConfig",
-    "ContinuationSchedule",
     "LimitProfile",
     "kw_residual",
     "kw_energy",
@@ -71,7 +69,6 @@ __all__ = [
     "kw_limit",
     "interior_bounds",
     "young_bound",
-    "core_resolving_grid",
 ]
 
 # Exponents above this threshold would push exp() toward the float64
@@ -554,61 +551,6 @@ def _limit_newton(problem, active, splus, sminus, w):
         if float(np.max(hi - lo)) < 1e-15 * (1.0 + float(np.max(np.abs(f)))):
             break
     return f
-
-
-# ---------------------------------------------------------------------------
-# Continuation in epsilon
-
-
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """Strictly decreasing positive epsilons with a grid-refinement rule.
-
-    ``refine_rule`` maps epsilon to the grid used at that stage; the rule
-    must keep the grid spacing at or below epsilon/4 in both directions
-    (checked against the geometry when the sweep runs).
-    """
-
-    epsilons: tuple[float, ...]
-    refine_rule: Callable[[float], GridSpec]
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
-            raise ValueError("schedule needs at least one epsilon")
-        if any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
-        object.__setattr__(self, "epsilons", eps)
-
-
-def core_resolving_grid(
-    geometry: TorusGeometry,
-    epsilon: float,
-    points_per_core: float = 4.0,
-    min_n: int = 16,
-    max_n: int = 4096,
-) -> GridSpec:
-    """Power-of-two grid with spacing <= epsilon / points_per_core."""
-
-    def pick(length: float) -> int:
-        need = points_per_core * length / epsilon
-        n = max(min_n, 2 ** math.ceil(math.log2(max(need, 1.0))))
-        if n > max_n:
-            raise ValueError(f"epsilon {epsilon} needs grid beyond max_n={max_n}")
-        return n
-
-    return GridSpec(pick(geometry.length_x), pick(geometry.length_y))
-
-
-def schedule_check_grid(geometry: TorusGeometry, grid: GridSpec, epsilon: float) -> None:
-    hx, hy = grid.spacing(geometry)
-    if hx > epsilon / 4 + 1e-12 or hy > epsilon / 4 + 1e-12:
-        raise ValueError(
-            f"grid {grid} does not resolve epsilon {epsilon}: spacing "
-            f"({hx:.4g}, {hy:.4g}) exceeds {epsilon / 4:.4g}"
-        )
 
 
 # ---------------------------------------------------------------------------

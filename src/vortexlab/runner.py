@@ -24,7 +24,7 @@ from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
 from .fields import RegionMask, ScalarField, gradient_magnitude, sup_norm
-from .kw import ContinuationSchedule, KWProblem, KWSolution, kw_solve
+from .kw import KWProblem, KWSolution, kw_solve
 from .vortex import (
     DiagnosticsReport,
     SweepReport,
@@ -353,7 +353,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
         "points": [],
         "stages": [],
         "order_fits": [],
-        "timings": [],
         "outputs": [],
         "wall_seconds": 0.0,
     }
@@ -388,10 +387,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 manifest["outputs"].extend(["f.pgm", "f.pgm.json"])
         else:
             if config.kind == "sweep":
-                schedule = ContinuationSchedule(
-                    config.sweep.epsilons, config.sweep_refine_rule()
-                )
-
                 def progress(stage: DiagnosticsReport) -> None:
                     log(
                         f"epsilon={stage.epsilon:g} grid={stage.grid.nx}x{stage.grid.ny} "
@@ -399,8 +394,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     )
 
                 report = adiabatic_sweep(
-                    config.spec_family(),
-                    schedule,
+                    config.build_spec(),
+                    config.sweep,
                     config.solver,
                     config.diagnostics,
                     progress=progress,
@@ -429,10 +424,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
             manifest["stages"] = [_stage_dict(s) for s in report.stages]
             manifest["skipped"] = _jsonable(report.skipped)
             manifest["order_fits"] = _jsonable(report.order_fits)
-            manifest["timings"] = [
-                {"epsilon": _jsonable(s.epsilon), "seconds": _jsonable(s.seconds)}
-                for s in report.stages
-            ]
             manifest["outputs"].extend(_emit_report_artifacts(report, out, config))
             if report.error is not None:
                 manifest["status"] = "failed"

@@ -77,14 +77,12 @@ from .greens import (
     vanishing_density,
 )
 from .kw import (
-    ContinuationSchedule,
     KWProblem,
     KWSolution,
     SolverConfig,
     interior_bounds,
     kw_limit,
     kw_solve,
-    schedule_check_grid,
 )
 
 __all__ = [
@@ -97,6 +95,7 @@ __all__ = [
     "PointInfo",
     "SweepReport",
     "SweepOptions",
+    "ContinuationSchedule",
     "reduce_any",
     "reconstruct",
     "solve_and_report",
@@ -619,6 +618,54 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
 
 
 @dataclass(frozen=True)
+class ContinuationSchedule:
+    """Strictly decreasing positive epsilons and the bounds of their grids.
+
+    :meth:`grid` is the one grid rule of a sweep. ``min_grid`` and
+    ``max_grid`` are powers of two, at least 8, with
+    ``min_grid <= max_grid``.
+    """
+
+    epsilons: tuple[float, ...]
+    min_grid: int = 16
+    max_grid: int = 4096
+
+    def __post_init__(self):
+        eps = tuple(float(e) for e in self.epsilons)
+        if not eps:
+            raise ValueError("schedule needs at least one epsilon")
+        if any(e <= 0 for e in eps):
+            raise ValueError("epsilons must be positive")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError("epsilons must be strictly decreasing")
+        for name in ("min_grid", "max_grid"):
+            n = getattr(self, name)
+            if n < 8 or n & (n - 1):
+                raise ValueError(f"{name} must be a power of two, at least 8; got {n}")
+        if self.max_grid < self.min_grid:
+            raise ValueError("max_grid must be at least min_grid")
+        object.__setattr__(self, "epsilons", eps)
+
+    def grid(self, geometry: TorusGeometry, epsilon: float) -> GridSpec:
+        """Per axis, the smallest power of two >= ``min_grid`` with h <= eps/4.
+
+        Raises ValueError when that exceeds ``max_grid``.
+        """
+
+        def pick(length: float) -> int:
+            n = self.min_grid
+            while length / n > epsilon / 4:
+                if n == self.max_grid:
+                    raise ValueError(
+                        f"epsilon {epsilon} needs grid beyond max_grid={self.max_grid}"
+                    )
+                n *= 2
+            return n
+
+        return GridSpec(pick(geometry.length_x), pick(geometry.length_y))
+
+
+@dataclass(frozen=True)
 class SweepOptions:
     """Diagnostic knobs for adiabatic sweeps."""
 
@@ -784,7 +831,7 @@ def solve_and_report(
 
 
 def adiabatic_sweep(
-    spec_family: Callable[[float, GridSpec], object],
+    spec,
     schedule: ContinuationSchedule,
     config: SolverConfig = SolverConfig(),
     options: SweepOptions = SweepOptions(),
@@ -792,33 +839,30 @@ def adiabatic_sweep(
 ) -> SweepReport:
     """Decreasing-epsilon study with warm starts and limit comparisons.
 
-    ``spec_family(epsilon, grid)`` builds the stage spec on the grid the
-    schedule's refinement rule picks; each stage after the first starts
-    from the previous solution, transplanted by spectral resampling. Per
-    stage the report records the curvature masses at the divisor points,
-    the sup-distance to the epsilon = 0 profile away from them (for the
+    Each stage is ``spec`` at the stage's epsilon on the grid
+    ``schedule.grid`` picks; each stage after the first starts from the
+    previous solution, transplanted by spectral resampling. Per stage the
+    report records the curvature masses at the divisor points, the
+    sup-distance to the epsilon = 0 profile away from them (for the
     classical model, the deficit ``sup|1 - |phi|^2|``), the
     integral-identity residuals, and uniform-bound probes; vanishing
     orders are fitted once at the final stage.
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
-    on; a solver failure stops the sweep and is recorded in
+    on; a solver failure, or a stage that needs a grid beyond
+    ``schedule.max_grid``, stops the sweep and is recorded in
     ``report.error`` with the completed stages kept.
     """
-    report = SweepReport(kind="", points=[], stages=[])
+    report = SweepReport(kind=spec.kind, points=[], stages=[])
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
-            grid = schedule.refine_rule(eps)
-            spec = spec_family(eps, grid)
-            if spec.grid != grid:
-                raise ValueError("spec_family ignored the requested grid")
-            schedule_check_grid(spec.geometry, grid, eps)
-            report.kind = spec.kind
+            grid = schedule.grid(spec.geometry, eps)
+            stage_spec = dataclasses.replace(spec, epsilon=eps, grid=grid)
             prev = report.final_solution
             init = resample(prev.f, grid) if prev is not None else None
-            stage = _run_stage(report, spec, config, options, init, t0)
+            stage = _run_stage(report, stage_spec, config, options, init, t0)
             if progress is not None:
                 progress(stage)
         except Unsolvable as exc:

@@ -14,6 +14,7 @@ import pytest
 
 from vortexlab import (
     ClassicalVortexSpec,
+    ContinuationSchedule,
     Divisor,
     GeneralizedSpec,
     GeneralizedTerm,
@@ -34,9 +35,7 @@ from vortexlab import (
     vanishing_order_fit,
 )
 from vortexlab.kw import (
-    ContinuationSchedule,
     KWProblem,
-    core_resolving_grid,
     kw_limit,
     kw_solve,
     young_bound,
@@ -76,34 +75,29 @@ def _manufactured(grid: GridSpec, epsilon: float):
 @pytest.fixture(scope="module")
 def classical_sweep():
     """Criterion 3 configuration: D = 1*x0 + 2*x1, separation 0.707."""
-    rule = lambda eps: core_resolving_grid(UNIT, eps)
     divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
-    family = lambda eps, grid: ClassicalVortexSpec(UNIT, grid, divisor, eps)
+    spec = ClassicalVortexSpec(UNIT, GridSpec(16, 16), divisor, SCHEDULE[-1])
     t0 = time.perf_counter()
-    report = adiabatic_sweep(family, ContinuationSchedule(SCHEDULE, rule))
+    report = adiabatic_sweep(spec, ContinuationSchedule(SCHEDULE))
     report.seconds = time.perf_counter() - t0
     return report
 
 
-def _mixed_family(divisor_plus, divisor_minus):
-    def family(eps, grid):
-        return MixedVortexSpec(
-            UNIT, grid, divisor_plus, divisor_minus, tau=0.0, epsilon=eps
-        )
-
-    return family
+def _mixed_spec(divisor_plus, divisor_minus):
+    return MixedVortexSpec(
+        UNIT, GridSpec(16, 16), divisor_plus, divisor_minus, tau=0.0, epsilon=SCHEDULE[-1]
+    )
 
 
 @pytest.fixture(scope="module")
 def mixed_sweep():
     """Criterion 4 configuration: D+ = p + q, D- = r, distinct points."""
-    rule = lambda eps: core_resolving_grid(UNIT, eps)
-    family = _mixed_family(
+    spec = _mixed_spec(
         Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 1)),
         Divisor(((0.75, 0.25),), (1,)),
     )
     t0 = time.perf_counter()
-    report = adiabatic_sweep(family, ContinuationSchedule(SCHEDULE, rule))
+    report = adiabatic_sweep(spec, ContinuationSchedule(SCHEDULE))
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -111,11 +105,8 @@ def mixed_sweep():
 @pytest.fixture(scope="module")
 def colocated_sweep():
     """Criterion 4, co-located test: D+ = 2p, D- = 1p."""
-    rule = lambda eps: core_resolving_grid(UNIT, eps)
-    family = _mixed_family(
-        Divisor(((0.5, 0.5),), (2,)), Divisor(((0.5, 0.5),), (1,))
-    )
-    return adiabatic_sweep(family, ContinuationSchedule(SCHEDULE, rule))
+    spec = _mixed_spec(Divisor(((0.5, 0.5),), (2,)), Divisor(((0.5, 0.5),), (1,)))
+    return adiabatic_sweep(spec, ContinuationSchedule(SCHEDULE))
 
 
 def test_acceptance_01_manufactured_recovery():

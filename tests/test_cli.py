@@ -216,8 +216,23 @@ mixed:
             "kw.plus[0]: missing key 'amplitude'",
         ),
         (
-            "kind: sweep\nclassical: {divisor: []}\nsweep: {points_per_core: 4.0}\n",
+            "kind: sweep\nclassical: {divisor: []}\nsweep: {min_grid: 16}\n",
             "sweep: missing key 'epsilons'",
+        ),
+        (
+            "kind: sweep\nclassical: {divisor: []}\n"
+            "sweep: {epsilons: [0.4, 0.2], min_grid: 17}\n",
+            "sweep: min_grid must be a power of two, at least 8; got 17",
+        ),
+        (
+            "kind: sweep\nclassical: {divisor: []}\n"
+            "sweep: {epsilons: [0.4, 0.2], min_grid: 64, max_grid: 32}\n",
+            "sweep: max_grid must be at least min_grid",
+        ),
+        (
+            "kind: sweep\nclassical: {divisor: []}\n"
+            "sweep: {epsilons: [0.4, 0.2], max_grid: 6}\n",
+            "sweep: max_grid must be a power of two, at least 8; got 6",
         ),
         (
             "kind: sweep\nclassical: {divisor: []}\nsweep: {epsilons: ['a']}\n",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_trig
 from vortexlab import (
+    ContinuationSchedule,
     Divisor,
     GridSpec,
     MixedVortexSpec,
@@ -33,16 +34,13 @@ from vortexlab.errors import (
 )
 from vortexlab.kw import (
     Classification,
-    ContinuationSchedule,
     KWProblem,
     SolverConfig,
-    core_resolving_grid,
     interior_bounds,
     kw_energy,
     kw_limit,
     kw_residual,
     kw_solve,
-    schedule_check_grid,
     young_bound,
 )
 
@@ -405,50 +403,62 @@ def test_limit_distance_nonincreasing_in_epsilon():
 
 
 def test_schedule_validation():
-    rule = lambda eps: GridSpec(16, 16)
     with pytest.raises(ValueError):
-        ContinuationSchedule((), rule)
+        ContinuationSchedule(())
     with pytest.raises(ValueError):
-        ContinuationSchedule((0.2, 0.2), rule)
+        ContinuationSchedule((0.2, 0.2))
     with pytest.raises(ValueError):
-        ContinuationSchedule((0.1, 0.2), rule)
+        ContinuationSchedule((0.1, 0.2))
     with pytest.raises(ValueError):
-        ContinuationSchedule((0.2, -0.1), rule)
-    sched = ContinuationSchedule((0.4, 0.2), lambda eps: GridSpec(16, 16))
+        ContinuationSchedule((0.2, -0.1))
+    for min_grid, max_grid in ((17, 4096), (24, 4096), (16, 6), (64, 32)):
+        with pytest.raises(ValueError):
+            ContinuationSchedule((0.2,), min_grid, max_grid)
+    sched = ContinuationSchedule((0.4, 0.2), max_grid=16)
     with pytest.raises(ValueError):
         # 16 points on the unit torus cannot resolve eps = 0.2 cores
         for eps in sched.epsilons:
-            schedule_check_grid(UNIT, sched.refine_rule(eps), eps)
+            sched.grid(UNIT, eps)
 
 
-def test_core_resolving_grid():
-    grid = core_resolving_grid(UNIT, 0.1, points_per_core=4.0)
-    hx, hy = grid.spacing(UNIT)
-    assert hx <= 0.1 / 4.0 and hy <= 0.1 / 4.0
-    assert grid.nx & (grid.nx - 1) == 0  # power of two
-    assert core_resolving_grid(UNIT, 10.0).nx == 16
+def test_schedule_grid():
+    sched = ContinuationSchedule((0.1,))
+    assert sched.grid(UNIT, 0.1) == GridSpec(64, 64)
+    assert sched.grid(UNIT, 10.0) == GridSpec(16, 16)
+    assert ContinuationSchedule((0.1,), min_grid=512).grid(UNIT, 0.1) == GridSpec(512, 512)
     with pytest.raises(ValueError):
-        core_resolving_grid(UNIT, 1e-5, max_n=1024)
-    schedule_check_grid(UNIT, GridSpec(64, 64), 0.1)
-    with pytest.raises(ValueError):
-        schedule_check_grid(UNIT, GridSpec(16, 16), 0.1)
+        ContinuationSchedule((1e-5,), max_grid=1024).grid(UNIT, 1e-5)
 
 
-def _fixed_grid_mixed(eps, grid):
+def test_schedule_grids_resolve_every_stage():
+    geo = TorusGeometry(1.0, 2.0)
+    sched = ContinuationSchedule((0.5, 0.3, 0.2, 0.125, 0.1, 0.05, 0.03, 0.0125), 32)
+    for eps in sched.epsilons:
+        grid = sched.grid(geo, eps)
+        hx, hy = grid.spacing(geo)
+        for n in (grid.nx, grid.ny):
+            assert n >= sched.min_grid and n & (n - 1) == 0
+        assert hx <= eps / 4 and hy <= eps / 4
+
+
+def _fixed_grid_mixed(eps):
     return MixedVortexSpec(
         UNIT,
-        grid,
+        GridSpec(64, 64),
         Divisor(((0.25, 0.25),), (1,)),
         Divisor(((0.75, 0.75),), (1,)),
         epsilon=eps,
     )
 
 
+def _fixed_grid_schedule(epsilons):
+    # Every stage on the 64^2 grid, which resolves eps >= 0.0625.
+    return ContinuationSchedule(epsilons, min_grid=64, max_grid=64)
+
+
 def test_continuation_single_entry_matches_direct_solve():
-    grid = GridSpec(64, 64)
-    sched = ContinuationSchedule((0.2,), lambda eps: grid)
-    report = adiabatic_sweep(_fixed_grid_mixed, sched)
-    direct = solve_and_report(_fixed_grid_mixed(0.2, grid))
+    report = adiabatic_sweep(_fixed_grid_mixed(0.2), _fixed_grid_schedule((0.2,)))
+    direct = solve_and_report(_fixed_grid_mixed(0.2))
     assert len(report.stages) == 1
     assert np.array_equal(report.final_solution.f.values, direct.final_solution.f.values)
     swept, single = report.stages[0], direct.stages[0]
@@ -459,21 +469,19 @@ def test_continuation_single_entry_matches_direct_solve():
 
 
 def test_continuation_warm_start_saves_iterations():
-    grid = GridSpec(64, 64)
-    sched = ContinuationSchedule((0.4, 0.2, 0.1), lambda eps: grid)
-    report = adiabatic_sweep(_fixed_grid_mixed, sched)
+    sched = _fixed_grid_schedule((0.4, 0.2, 0.1))
+    report = adiabatic_sweep(_fixed_grid_mixed(0.1), sched)
     report.raise_if_failed()
     for stage in report.stages[1:]:
-        cold = kw_solve(reduce_any(_fixed_grid_mixed(stage.epsilon, grid)))
+        cold = kw_solve(reduce_any(_fixed_grid_mixed(stage.epsilon)))
         assert stage.iterations <= cold.iterations
 
 
 def test_continuation_warm_and_cold_agree():
-    grid = GridSpec(64, 64)
-    sched = ContinuationSchedule((0.4, 0.2, 0.1), lambda eps: grid)
-    report = adiabatic_sweep(_fixed_grid_mixed, sched)
+    sched = _fixed_grid_schedule((0.4, 0.2, 0.1))
+    report = adiabatic_sweep(_fixed_grid_mixed(0.1), sched)
     report.raise_if_failed()
-    cold = kw_solve(reduce_any(_fixed_grid_mixed(0.1, grid)))
+    cold = kw_solve(reduce_any(_fixed_grid_mixed(0.1)))
     assert sup_norm(report.final_solution.f - cold.f) <= 1e-8
 
 

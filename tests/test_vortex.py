@@ -35,9 +35,9 @@ from vortexlab.errors import (
     Unsolvable,
     VortexLabError,
 )
-from vortexlab.kw import ContinuationSchedule, core_resolving_grid, kw_limit, kw_solve
+from vortexlab.kw import kw_limit, kw_solve
 from vortexlab.greens import divisor_potential, vanishing_density
-from vortexlab.vortex import default_bump_radii
+from vortexlab.vortex import ContinuationSchedule, default_bump_radii
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -477,9 +477,8 @@ def test_order_fit_validation_and_degenerate_cases():
 
 
 def test_sweep_vacuum_family_has_zero_deviation():
-    rule = lambda eps: GridSpec(32, 32)
-    family = lambda eps, grid: ClassicalVortexSpec(UNIT, grid, Divisor((), ()), eps)
-    report = adiabatic_sweep(family, ContinuationSchedule((0.4, 0.2), rule))
+    spec = ClassicalVortexSpec(UNIT, GridSpec(32, 32), Divisor((), ()), 0.2)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2), 32, 32))
     report.raise_if_failed()
     assert [s.sup_deviation for s in report.stages] == [0.0, 0.0]
     assert report.kind == "classical"
@@ -487,12 +486,8 @@ def test_sweep_vacuum_family_has_zero_deviation():
 
 def test_sweep_classical_deviation_strictly_decreasing():
     geo = TorusGeometry(1.5, 1.5)
-    rule = lambda eps: core_resolving_grid(geo, eps)
-    family = lambda eps, grid: ClassicalVortexSpec(
-        geo, grid, Divisor(((0.75, 0.75),), (1,)), eps
-    )
-    sched = ContinuationSchedule((0.4, 0.2, 0.1, 0.05), rule)
-    report = adiabatic_sweep(family, sched)
+    spec = ClassicalVortexSpec(geo, GridSpec(16, 16), Divisor(((0.75, 0.75),), (1,)), 0.05)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2, 0.1, 0.05)))
     report.raise_if_failed()
     assert not report.skipped
     devs = [s.sup_deviation for s in report.stages]
@@ -503,16 +498,14 @@ def test_sweep_classical_deviation_strictly_decreasing():
 
 
 def test_sweep_mixed_converges_to_limit_profile():
-    rule = lambda eps: core_resolving_grid(UNIT, eps)
-    family = lambda eps, grid: MixedVortexSpec(
+    spec = MixedVortexSpec(
         UNIT,
-        grid,
+        GridSpec(16, 16),
         Divisor(((0.25, 0.25),), (1,)),
         Divisor(((0.75, 0.75),), (1,)),
-        epsilon=eps,
+        epsilon=0.05,
     )
-    sched = ContinuationSchedule((0.4, 0.2, 0.1, 0.05), rule)
-    report = adiabatic_sweep(family, sched)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2, 0.1, 0.05)))
     report.raise_if_failed()
     devs = [s.sup_deviation for s in report.stages]
     assert all(b < a for a, b in zip(devs, devs[1:]))
@@ -526,11 +519,8 @@ def test_sweep_mixed_converges_to_limit_profile():
 
 
 def test_sweep_skips_infeasible_epsilons():
-    rule = lambda eps: GridSpec(64, 64)
-    family = lambda eps, grid: ClassicalVortexSpec(
-        UNIT, grid, Divisor(((0.5, 0.5),), (1,)), eps
-    )
-    report = adiabatic_sweep(family, ContinuationSchedule((0.41, 0.2), rule))
+    spec = ClassicalVortexSpec(UNIT, GridSpec(64, 64), Divisor(((0.5, 0.5),), (1,)), 0.2)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.41, 0.2), 64, 64))
     report.raise_if_failed()
     assert len(report.stages) == 1
     assert report.stages[0].epsilon == 0.2
@@ -539,11 +529,9 @@ def test_sweep_skips_infeasible_epsilons():
 
 
 def test_sweep_records_stage_errors():
-    rule = lambda eps: GridSpec(64, 64)
-    family = lambda eps, grid: ClassicalVortexSpec(
-        UNIT, GridSpec(32, 32), Divisor(((0.5, 0.5),), (1,)), eps
-    )
-    report = adiabatic_sweep(family, ContinuationSchedule((0.2,), rule))
+    # eps = 0.2 needs a 32^2 grid, beyond max_grid: the stage errors.
+    spec = ClassicalVortexSpec(UNIT, GridSpec(16, 16), Divisor(((0.5, 0.5),), (1,)), 0.2)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.2,), max_grid=16))
     assert report.error is not None
     assert report.error["epsilon"] == 0.2
     with pytest.raises(VortexLabError):
