@@ -81,11 +81,9 @@ from .vortex import (
     MixedVortexSpec,
     PointInfo,
     Reconstruction,
-    SweepOptions,
     SweepReport,
     adiabatic_sweep,
     curvature_mass,
-    default_bump_radii,
     integral_identities,
     mixed_limit_phi_sq,
     reconstruct,

@@ -9,8 +9,7 @@ any solve, and rejects unknown keys; ``echo_config`` emits a canonical
 YAML text with ``parse_config(echo_config(c)) == c``.
 
 The frozen section dataclasses below, with :class:`SolverConfig` for
-``solver``, :class:`SweepOptions` for ``diagnostics`` and
-:class:`ContinuationSchedule` for ``sweep``, are the schema:
+``solver`` and :class:`ContinuationSchedule` for ``sweep``, are the schema:
 ``_read`` builds a config from their fields and type hints, and ``_dump``
 writes one back.
 """
@@ -35,7 +34,6 @@ from .vortex import (
     GeneralizedSpec,
     GeneralizedTerm,
     MixedVortexSpec,
-    SweepOptions,
     _density_data,
 )
 
@@ -142,7 +140,6 @@ class RunConfig:
     # Read and echoed under its kind's key (``classical:``, ``kw:``, ...).
     model: ClassicalSection | MixedSection | GeneralizedSection | KWSection
     solver: SolverConfig = SolverConfig()
-    diagnostics: SweepOptions = SweepOptions()
     outputs: OutputSection = OutputSection()
     sweep: ContinuationSchedule | None = None
 
@@ -241,8 +238,8 @@ def _check_keys(node: dict, allowed, path: str) -> None:
 def _read(tp, node, path: str, **given):
     """Read the YAML ``node`` as type ``tp``; ``path`` names it in errors.
 
-    A dataclass reads from a mapping and a tuple from a list, YAML null
-    being an empty one; fields absent from the mapping take their
+    A dataclass reads from a mapping and a ``tuple[X, ...]`` from a list,
+    YAML null being an empty one; fields absent from the mapping take their
     defaults, and ``given`` supplies fields that are already read. A
     section constructor's ValueError or VortexLabError names the section.
     """
@@ -278,16 +275,13 @@ def _read(tp, node, path: str, **given):
             node = []
         if not isinstance(node, list):
             raise _fail(path, f"expected a list, got {type(node).__name__}")
-        if args[-1] is Ellipsis:
-            item = args[0]
-            # Sections in a list are named by index, scalars by the list.
-            return tuple(
-                _read(item, v, f"{path}[{i}]" if is_dataclass(item) else path)
-                for i, v in enumerate(node)
-            )
-        if len(node) != len(args):
-            raise _fail(path, "expected a pair [a, b]")
-        return tuple(_read(a, v, path) for a, v in zip(args, node))
+        item, dots = args
+        assert dots is Ellipsis, "schema tuples are tuple[X, ...]"
+        # Sections in a list are named by index, scalars by the list.
+        return tuple(
+            _read(item, v, f"{path}[{i}]" if is_dataclass(item) else path)
+            for i, v in enumerate(node)
+        )
 
     if tp is Fraction:
         return _degree(node, path)
@@ -375,6 +369,8 @@ def parse_config(text: str) -> RunConfig:
         raise _fail("", "kind 'sweep' requires a sweep section")
     if kind != "sweep" and config.sweep is not None:
         raise _fail("sweep", "sweep section requires kind: sweep")
+    if kind == "sweep" and "grid" in root:
+        raise _fail("grid", "sweep runs take grids from the sweep section")
     _validate(config)
     return config
 
@@ -438,6 +434,6 @@ def echo_config(config: RunConfig) -> str:
         config.model_key() if key == "model" else key: value
         for key, value in _dump(config).items()
     }
-    if config.sweep is None:
-        del tree["sweep"]
+    # A sweep's stage grids come from its sweep section.
+    del tree["sweep" if config.sweep is None else "grid"]
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)

@@ -11,6 +11,7 @@ the same config produce byte-identical tables.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -273,23 +274,7 @@ def emit_line_plot(
 
 
 def _stage_dict(stage: DiagnosticsReport) -> dict:
-    return _jsonable(
-        {
-            "epsilon": stage.epsilon,
-            "grid": stage.grid,
-            "curvature_masses": stage.curvature_masses,
-            "sup_deviation": stage.sup_deviation,
-            "identity_residuals": stage.identity_residuals,
-            "order_fits": stage.order_fits,
-            "sup_f": stage.sup_f,
-            "sup_grad_f": stage.sup_grad_f,
-            "l2_exp_plus": stage.l2_exp_plus,
-            "l2_exp_minus": stage.l2_exp_minus,
-            "iterations": stage.iterations,
-            "seconds": stage.seconds,
-            "energy_history": stage.energy_history,
-        }
-    )
+    return _jsonable({f.name: getattr(stage, f.name) for f in dataclasses.fields(stage)})
 
 
 def _emit_report_artifacts(report: SweepReport, out: Path, config: RunConfig) -> list[str]:
@@ -394,11 +379,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     )
 
                 report = adiabatic_sweep(
-                    config.build_spec(),
-                    config.sweep,
-                    config.solver,
-                    config.diagnostics,
-                    progress=progress,
+                    config.build_spec(), config.sweep, config.solver, progress=progress
                 )
             else:
                 spec = config.build_spec()
@@ -406,7 +387,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     f"{config.kind} solve epsilon={spec.epsilon:g} "
                     f"grid={spec.grid.nx}x{spec.grid.ny}"
                 )
-                report = solve_and_report(spec, config.solver, config.diagnostics)
+                report = solve_and_report(spec, config.solver)
             manifest["points"] = [
                 _jsonable(
                     {

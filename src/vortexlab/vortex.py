@@ -94,7 +94,6 @@ __all__ = [
     "DiagnosticsReport",
     "PointInfo",
     "SweepReport",
-    "SweepOptions",
     "ContinuationSchedule",
     "reduce_any",
     "reconstruct",
@@ -103,7 +102,6 @@ __all__ = [
     "vanishing_order_fit",
     "integral_identities",
     "adiabatic_sweep",
-    "default_bump_radii",
     "mixed_limit_phi_sq",
     "diagnostics_report",
 ]
@@ -153,9 +151,10 @@ class _VortexModel:
     """Behaviour shared by the presets, written once over ``_terms``.
 
     A preset supplies ``geometry``, ``grid``, ``epsilon``, ``tau``,
-    ``degree`` and the term list ``_terms``. The hooks below hold the
-    mixed/generalized behaviour; a preset overrides the ones where its
-    model differs.
+    ``degree`` and the term list ``_terms``. The hooks below (``_phi_sq``,
+    ``_curvature``, ``_identities``, ``_expected``, ``_deviation`` and
+    ``_order_fits``) hold the mixed/generalized behaviour; a preset
+    overrides the ones where its model differs.
     """
 
     kind: ClassVar[str]
@@ -188,27 +187,12 @@ class _VortexModel:
         """(expected curvature mass, expected vanishing order) of a point."""
         return None, None
 
-    def _mass_window(self, point, others, h: float, options) -> tuple[float, float]:
-        """Largest admissible stationary window around ``point``.
-
-        These cores spread on the slow scale eps^(2/3) (the coefficient
-        fields vanish at the point, weakening the reaction term), so the
-        window does not shrink with epsilon: r_outer sits just inside the
-        distance to the nearest other point or the injectivity radius,
-        r_inner at half of it.
-        """
-        reach = self.geometry.injectivity_radius
-        for q in others:
-            reach = min(reach, _point_distance(self.geometry, point, q))
-        r_outer = 0.95 * reach
-        return 0.5 * r_outer, r_outer
-
     def _deviation(self, f: ScalarField, recon) -> ScalarField:
         """Distance to the epsilon = 0 limit profile on the spec's grid."""
         zero_spec = dataclasses.replace(self, epsilon=0.0)
         return f - kw_limit(reduce_any(zero_spec)).f
 
-    def _order_fits(self, points, options) -> list[float | None]:
+    def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
 
 
@@ -305,13 +289,6 @@ class ClassicalVortexSpec(_VortexModel):
     def _expected(self, m_plus: int, m_minus: int):
         return float(m_plus), float(m_plus)
 
-    def _mass_window(self, point, others, h: float, options) -> tuple[float, float]:
-        # Cores decay exponentially on scale epsilon, so the window
-        # shrinks with it: (a eps + ga h, b eps + gb h).
-        a, b = options.bump_core_factors
-        ga, gb = options.bump_grid_factors
-        return a * self.epsilon + ga * h, b * self.epsilon + gb * h
-
     def _deviation(self, f: ScalarField, recon) -> ScalarField:
         return 1.0 - recon.phi_sq[0]
 
@@ -381,18 +358,12 @@ class MixedVortexSpec(_VortexModel):
     def _expected(self, m_plus: int, m_minus: int):
         return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
 
-    def _order_fits(self, points, options) -> list[float | None]:
-        r_min, r_max = options.order_fit_radii
-        n_radii, n_angles = options.order_fit_samples
+    def _order_fits(self, points) -> list[float | None]:
         evaluator = mixed_limit_phi_sq(dataclasses.replace(self, epsilon=0.0))
         fits: list[float | None] = []
         for info in points:
             try:
-                fits.append(
-                    vanishing_order_fit(
-                        evaluator, info.point, r_min, r_max, n_radii, n_angles
-                    )
-                )
+                fits.append(vanishing_order_fit(evaluator, info.point, *ORDER_FIT_RADII))
             except (VortexLabError, ValueError):
                 fits.append(None)
         return fits
@@ -497,9 +468,26 @@ def reconstruct(spec, f: ScalarField) -> Reconstruction:
 # Diagnostics
 
 
-def default_bump_radii(epsilon: float, spacing: float) -> tuple[float, float]:
-    """Mass-window radii tied to the core scale and the grid."""
-    return 3.0 * epsilon + 4.0 * spacing, 6.0 * epsilon + 8.0 * spacing
+# Radius of the discs around the divisor points that the sup-distance and
+# interior-bound probes exclude, and the radial range of the order fits.
+MASK_RADIUS = 0.15
+ORDER_FIT_RADII = (0.01, 0.05)
+
+
+def _mass_window(geometry, point, others) -> tuple[float, float]:
+    """(r_inner, r_outer) of the stationary window around ``point``.
+
+    ``r_outer`` sits just inside the distance to the nearest other point
+    or the injectivity radius, ``r_inner`` at half of it. Every preset's
+    core shrinks with epsilon (classical cores on the scale eps, mixed and
+    generalized ones on the slower eps^(2/(s+2)); derivations §4), so a
+    window that does not shrink captures the whole mass as eps -> 0.
+    """
+    reach = geometry.injectivity_radius
+    for q in others:
+        reach = min(reach, _point_distance(geometry, point, q))
+    r_outer = 0.95 * reach
+    return 0.5 * r_outer, r_outer
 
 
 def curvature_mass(
@@ -665,25 +653,6 @@ class ContinuationSchedule:
         return GridSpec(pick(geometry.length_x), pick(geometry.length_y))
 
 
-@dataclass(frozen=True)
-class SweepOptions:
-    """Diagnostic knobs for adiabatic sweeps."""
-
-    mask_radius: float = 0.15
-    bump_core_factors: tuple[float, float] = (3.0, 6.0)
-    bump_grid_factors: tuple[float, float] = (4.0, 8.0)
-    order_fit_radii: tuple[float, float] = (0.01, 0.05)
-    order_fit_samples: tuple[int, int] = (12, 32)
-
-    def __post_init__(self):
-        r_min, r_max = self.order_fit_radii
-        if not 0.0 < r_min < r_max:
-            raise ValueError("order_fit_radii must satisfy 0 < r_min < r_max")
-        n_radii, n_angles = self.order_fit_samples
-        if n_radii < 2 or n_angles < 1:
-            raise ValueError("order_fit_samples needs at least 2 radii and 1 angle")
-
-
 @dataclass
 class PointInfo:
     index: int
@@ -698,8 +667,9 @@ class PointInfo:
 class DiagnosticsReport:
     """Per-epsilon measurements against the adiabatic-limit predictions.
 
-    ``curvature_masses`` holds one entry per divisor point (None when no
-    valid bump window fits at this epsilon/grid); ``identity_residuals``
+    ``curvature_masses`` holds one entry per divisor point, measured in
+    the point's stationary bump window (None at epsilon = 0, where the
+    curvature is a measure); ``identity_residuals``
     the integrated-equation residuals; ``order_fits`` the fitted vanishing
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
@@ -758,36 +728,30 @@ def _spec_points(spec) -> list[PointInfo]:
     ]
 
 
-def _stage_masses(spec, recon, points, options) -> list[float | None]:
-    """Per-point curvature masses; None where no valid window fits."""
+def _stage_masses(spec, recon, points) -> list[float | None]:
+    """Per-point curvature masses in the stationary windows."""
     if recon.curvature is None:
         return [None] * len(points)
-    h = max(recon.curvature.grid.spacing(spec.geometry))
     masses: list[float | None] = []
     for info in points:
         others = [p.point for p in points if p.index != info.index]
-        r_inner, r_outer = spec._mass_window(info.point, others, h, options)
-        try:
-            masses.append(
-                curvature_mass(recon.curvature, info.point, r_inner, r_outer, others)
-            )
-        except (VortexLabError, ValueError):
-            masses.append(None)
+        window = _mass_window(spec.geometry, info.point, others)
+        masses.append(curvature_mass(recon.curvature, info.point, *window, others))
     return masses
 
 
-def diagnostics_report(spec, solution: KWSolution, options: SweepOptions = SweepOptions()):
+def diagnostics_report(spec, solution: KWSolution):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`."""
     points = _spec_points(spec)
     recon = reconstruct(spec, solution.f)
     mask = RegionMask.excluding_discs(
-        spec.geometry, spec.grid, [p.point for p in points], options.mask_radius
+        spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
     ) if points else RegionMask.full(spec.geometry, spec.grid)
     sup_dev = sup_norm(spec._deviation(solution.f, recon), mask)
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,
-        curvature_masses=_stage_masses(spec, recon, points, options),
+        curvature_masses=_stage_masses(spec, recon, points),
         sup_deviation=sup_dev,
         identity_residuals=integral_identities(spec, solution.f),
         order_fits=[None] * len(points),
@@ -798,10 +762,10 @@ def diagnostics_report(spec, solution: KWSolution, options: SweepOptions = Sweep
     return stage, points, recon
 
 
-def _run_stage(report, spec, config, options, init, t0) -> DiagnosticsReport:
+def _run_stage(report, spec, config, init, t0) -> DiagnosticsReport:
     """Reduce, solve and diagnose ``spec``; record it as the last stage."""
     solution = kw_solve(reduce_any(spec), config, init=init)
-    stage, points, recon = diagnostics_report(spec, solution, options)
+    stage, points, recon = diagnostics_report(spec, solution)
     stage.seconds = time.perf_counter() - t0
     report.points = points
     report.stages.append(stage)
@@ -811,22 +775,21 @@ def _run_stage(report, spec, config, options, init, t0) -> DiagnosticsReport:
     return stage
 
 
-def _fit_final_orders(report: SweepReport, options: SweepOptions) -> None:
-    report.order_fits = report.final_spec._order_fits(report.points, options)
+def _fit_final_orders(report: SweepReport) -> None:
+    report.order_fits = report.final_spec._order_fits(report.points)
     report.stages[-1].order_fits = list(report.order_fits)
 
 
 def solve_and_report(
     spec,
     config: SolverConfig = SolverConfig(),
-    options: SweepOptions = SweepOptions(),
     init: ScalarField | None = None,
 ) -> SweepReport:
     """Solve one spec and wrap the diagnostics as a one-stage report."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
-    _run_stage(report, spec, config, options, init, t0)
-    _fit_final_orders(report, options)
+    _run_stage(report, spec, config, init, t0)
+    _fit_final_orders(report)
     return report
 
 
@@ -834,7 +797,6 @@ def adiabatic_sweep(
     spec,
     schedule: ContinuationSchedule,
     config: SolverConfig = SolverConfig(),
-    options: SweepOptions = SweepOptions(),
     progress: Callable[[DiagnosticsReport], None] | None = None,
 ) -> SweepReport:
     """Decreasing-epsilon study with warm starts and limit comparisons.
@@ -862,7 +824,7 @@ def adiabatic_sweep(
             stage_spec = dataclasses.replace(spec, epsilon=eps, grid=grid)
             prev = report.final_solution
             init = resample(prev.f, grid) if prev is not None else None
-            stage = _run_stage(report, stage_spec, config, options, init, t0)
+            stage = _run_stage(report, stage_spec, config, init, t0)
             if progress is not None:
                 progress(stage)
         except Unsolvable as exc:
@@ -877,5 +839,5 @@ def adiabatic_sweep(
             }
             return report
     if report.final_spec is not None:
-        _fit_final_orders(report, options)
+        _fit_final_orders(report)
     return report

@@ -15,7 +15,6 @@ from vortexlab.errors import ParseError, ValidationError
 from vortexlab.greens import Divisor, divisor_potential, vanishing_density
 from vortexlab.kw import SolverConfig
 from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
-from vortexlab.vortex import SweepOptions
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,13 +74,13 @@ def test_parse_minimal_classical_materializes_defaults():
     assert cfg.outputs.csv and cfg.outputs.heatmaps and not cfg.outputs.svg
     assert cfg.output_dir == "runs/out"
     echoed = echo_config(cfg)
-    for key in ("newton_tol", "mask_radius", "order_fit_radii", "length_x"):
+    for key in ("newton_tol", "length_x"):
         assert key in echoed
     assert parse_config(echoed) == cfg
     # an empty section reads as all defaults
-    empty = parse_config(text + "solver:\ndiagnostics:\n")
+    empty = parse_config(text + "solver:\n")
     assert empty == cfg
-    assert (empty.solver, empty.diagnostics) == (SolverConfig(), SweepOptions())
+    assert empty.solver == SolverConfig()
 
 
 def test_roundtrip_every_kind():
@@ -195,12 +194,8 @@ mixed:
             "grid.nx: expected an integer, got 1.5",
         ),
         (
-            classical_yaml() + "diagnostics: {bump_core_factors: [1.0, 2.0, 3.0]}\n",
-            "diagnostics.bump_core_factors: expected a pair [a, b]",
-        ),
-        (
-            classical_yaml() + "diagnostics: {order_fit_samples: [12.5, 32]}\n",
-            "diagnostics.order_fit_samples: expected an integer, got 12.5",
+            classical_yaml() + "diagnostics: {mask_radius: 0.15}\n",
+            "config: unknown key 'diagnostics'",
         ),
         (
             "kind: classical\nepsilon: 0.2\nclassical: {divisor: [{x: 0.5, m: 1}]}\n",
@@ -233,6 +228,11 @@ mixed:
             "kind: sweep\nclassical: {divisor: []}\n"
             "sweep: {epsilons: [0.4, 0.2], max_grid: 6}\n",
             "sweep: max_grid must be a power of two, at least 8; got 6",
+        ),
+        (
+            "kind: sweep\ngrid: {nx: 8, ny: 8}\nclassical: {divisor: []}\n"
+            "sweep: {epsilons: [0.2]}\n",
+            "grid: sweep runs take grids from the sweep section",
         ),
         (
             "kind: sweep\nclassical: {divisor: []}\nsweep: {epsilons: ['a']}\n",
@@ -274,20 +274,6 @@ def test_exponent_floats_without_a_dot():
         cfg = parse_config(classical_yaml() + f"solver: {{newton_tol: {literal}}}\n")
         assert cfg.solver.newton_tol == value
         assert parse_config(echo_config(cfg)) == cfg
-
-
-@pytest.mark.parametrize(
-    "diagnostics, message",
-    [
-        ("{order_fit_radii: [0.05, 0.01]}", "order_fit_radii must satisfy 0 < r_min < r_max"),
-        ("{order_fit_samples: [1, 32]}", "order_fit_samples needs at least 2 radii"),
-        ("{order_fit_samples: [12, 0]}", "order_fit_samples needs at least 2 radii"),
-    ],
-)
-def test_impossible_order_fit_settings_rejected(diagnostics, message):
-    text = MIXED_YAML + f"diagnostics: {diagnostics}\n"
-    with pytest.raises(ValidationError, match="^diagnostics: " + re.escape(message)):
-        parse_config(text)
 
 
 def test_kind_and_model_section_consistency():
@@ -383,6 +369,20 @@ def test_run_outputs_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name
+)
+def test_shipped_config_runs(tmp_path, path):
+    kind = parse_config(path.read_text(encoding="utf-8")).kind
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == "ok"
+    point_rows = [r for r in read_csv(out / "results.csv") if r["point_index"] != "-1"]
+    for row in point_rows:
+        assert math.isfinite(float(row["curvature_mass"])), row
+
+
 def test_heatmap_dark_core_at_divisor_point(tmp_path):
     cfg_path = write_config(
         tmp_path, classical_yaml(points=((0.3, 0.7, 1),), epsilon=0.2, n=64)
@@ -420,8 +420,7 @@ sweep:
     assert [r["point_index"] for r in rows] == ["-1", "0"] * 3
     assert [float(r["epsilon"]) for r in rows] == [0.2, 0.2, 0.05, 0.05, 0.025, 0.025]
     point_rows = [r for r in rows if r["point_index"] == "0"]
-    # at epsilon=0.2 the default window exceeds the injectivity radius: blank cell
-    assert point_rows[0]["curvature_mass"] == ""
+    assert math.isfinite(float(point_rows[0]["curvature_mass"]))
     for r in point_rows[1:]:
         assert 0.9 <= float(r["curvature_mass"]) <= 1.05
     devs = [float(r["sup_deviation"]) for r in rows if r["point_index"] == "-1"]

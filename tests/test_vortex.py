@@ -37,7 +37,7 @@ from vortexlab.errors import (
 )
 from vortexlab.kw import kw_limit, kw_solve
 from vortexlab.greens import divisor_potential, vanishing_density
-from vortexlab.vortex import ContinuationSchedule, default_bump_radii
+from vortexlab.vortex import ContinuationSchedule
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -199,8 +199,8 @@ def test_classical_translation_symmetry():
 def test_classical_curvature_mass(classical_d2_small):
     spec, sol = classical_d2_small
     recon = reconstruct(spec, sol.f)
-    h = max(spec.grid.spacing(UNIT))
-    r_in, r_out = default_bump_radii(spec.epsilon, h)
+    # 3 eps + 4 h and 6 eps + 8 h at eps = 0.05, h = 1/256
+    r_in, r_out = 0.165625, 0.33125
     pts = [(0.25, 0.25), (0.75, 0.75)]
     masses = [
         curvature_mass(recon.curvature, p, r_in, r_out, [q for q in pts if q != p])
@@ -215,11 +215,22 @@ def test_classical_curvature_mass(classical_d2_small):
     assert abs(tight - 0.9793905960) <= 1e-6
 
 
+def test_stationary_window_masses_are_grid_converged():
+    # Masses of (0.25, 0.25) x 1 + (0.75, 0.75) x 2 at eps = 0.025: the
+    # stationary window holds the whole core on every grid.
+    by_grid = []
+    for n in (64, 128, 256):
+        spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.025, n=n)
+        by_grid.append(solve_and_report(spec).stages[0].curvature_masses)
+    for masses in by_grid:
+        assert np.abs(np.subtract(masses, by_grid[-1])).max() <= 1e-6
+        assert np.abs(np.subtract(masses, (1.0, 2.0))).max() <= 1e-5
+
+
 def test_curvature_mass_additivity(classical_d2_small):
     spec, sol = classical_d2_small
     recon = reconstruct(spec, sol.f)
-    h = max(spec.grid.spacing(UNIT))
-    r_in, r_out = default_bump_radii(spec.epsilon, h)
+    r_in, r_out = 0.165625, 0.33125
     pts = [(0.25, 0.25), (0.75, 0.75)]
     bumps = [bump_cutoff(UNIT, spec.grid, p, r_in, r_out) for p in pts]
     masses = [integrate(b * recon.curvature) / (2 * math.pi) for b in bumps]
@@ -243,12 +254,6 @@ def test_curvature_mass_rejects_overlapping_windows():
     curv = constant_field(UNIT, grid, 1.0)
     with pytest.raises(OverlappingBump):
         curvature_mass(curv, (0.5, 0.5), 0.2, 0.35, [(0.7, 0.5)])
-
-
-def test_default_bump_radii_shrink_with_epsilon():
-    r_in, r_out = default_bump_radii(0.1, 0.01)
-    assert r_in == pytest.approx(0.34) and r_out == pytest.approx(0.68)
-    assert default_bump_radii(0.05, 0.01)[0] < r_in
 
 
 # ---------------------------------------------------------------------------
