@@ -15,8 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import GridSection, parse_config, echo_config
+from .config import parse_config, echo_config
 from .errors import ParseError, ValidationError, VortexLabError
+from .fields import GridSpec
 from .runner import MANIFEST_NAME, run
 
 _RUN_COMMANDS = ("kw", "classical", "mixed", "generalized", "sweep")
@@ -52,7 +53,11 @@ def _apply_overrides(config, args):
     if args.grid is not None:
         if config.kind == "sweep":
             raise ValidationError("--grid does not apply to sweep runs")
-        config = dataclasses.replace(config, grid=GridSection(args.grid, args.grid))
+        try:
+            grid = GridSpec(args.grid, args.grid)
+        except ValueError as exc:
+            raise ValidationError(f"--grid: {exc}") from None
+        config = dataclasses.replace(config, grid=grid)
         changed = True
     if changed:
         # Re-validate through the canonical echo so overrides obey every

@@ -8,10 +8,17 @@ materializes every default, validates all module-level invariants before
 any solve, and rejects unknown keys; ``echo_config`` emits a canonical
 YAML text with ``parse_config(echo_config(c)) == c``.
 
-The frozen section dataclasses below, with :class:`SolverConfig` for
-``solver`` and :class:`ContinuationSchedule` for ``sweep``, are the schema:
-``_read`` builds a config from their fields and type hints, and ``_dump``
-writes one back.
+The schema is the library's own frozen dataclasses: :class:`TorusGeometry`
+is ``geometry``, :class:`GridSpec` is ``grid``, the model section is a
+:class:`ClassicalVortexSpec`, :class:`MixedVortexSpec` or
+:class:`GeneralizedSpec` (terms are :class:`GeneralizedTerm`), or
+:class:`KWSection` for ``kind: kw``, :class:`SolverConfig` is ``solver``,
+:class:`ContinuationSchedule` is ``sweep`` and :class:`OutputSection` is
+``outputs``. ``_read`` builds a config from their fields and type hints,
+so their constructors' checks (grid parity, Bradlow admissibility, the
+solvability dichotomy, ...) are the validation, and ``_dump`` writes one
+back. A spec takes its geometry, grid and epsilon from the run (a sweep's
+from its final epsilon), not from keys of its own section.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 
 import yaml
@@ -32,7 +39,6 @@ from .vortex import (
     ClassicalVortexSpec,
     ContinuationSchedule,
     GeneralizedSpec,
-    GeneralizedTerm,
     MixedVortexSpec,
     _density_data,
 )
@@ -48,19 +54,7 @@ KINDS = ("kw", "classical", "mixed", "generalized", "sweep")
 
 
 # ---------------------------------------------------------------------------
-# Config dataclasses (plain data; builders construct the numeric objects)
-
-
-@dataclass(frozen=True)
-class GeometrySection:
-    length_x: float = 1.0
-    length_y: float = 1.0
-
-
-@dataclass(frozen=True)
-class GridSection:
-    nx: int = 128
-    ny: int = 128
+# Config sections that have no library type of their own
 
 
 @dataclass(frozen=True)
@@ -72,45 +66,24 @@ class OutputSection:
 
 @dataclass(frozen=True)
 class DivisorItem:
+    """One ``{x, y, m}`` item of a divisor list; see :class:`Divisor`."""
+
     x: float
     y: float
     m: int
 
 
 @dataclass(frozen=True)
-class ClassicalSection:
-    divisor: tuple[DivisorItem, ...] = ()
-
-
-@dataclass(frozen=True)
-class MixedSection:
-    divisor_plus: tuple[DivisorItem, ...] = ()
-    divisor_minus: tuple[DivisorItem, ...] = ()
-    tau: float = 0.0
-    scale_plus: float = 1.0
-    scale_minus: float = 1.0
-    degree: Fraction | None = None
-
-
-@dataclass(frozen=True)
-class TermSection:
-    weight: int
-    divisor: tuple[DivisorItem, ...] = ()
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class GeneralizedSection:
-    terms: tuple[TermSection, ...] = ()
-    tau: float = 0.0
-    degree: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class KWTermSection:
     amplitude: float
     exponent: float = 1.0
-    divisor: tuple[DivisorItem, ...] = ()
+    divisor: Divisor = Divisor((), ())
+
+    def __post_init__(self):
+        if not self.amplitude > 0:
+            raise ValueError("amplitude must be positive")
+        if not self.exponent > 0:
+            raise ValueError("exponent must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,10 +95,13 @@ class KWSection:
 
 MODEL_SECTIONS = {
     "kw": KWSection,
-    "classical": ClassicalSection,
-    "mixed": MixedSection,
-    "generalized": GeneralizedSection,
+    "classical": ClassicalVortexSpec,
+    "mixed": MixedVortexSpec,
+    "generalized": GeneralizedSpec,
 }
+
+# Spec fields that the run supplies; they are not keys of the model section.
+_RUN_FIELDS = ("geometry", "grid", "epsilon")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -133,75 +109,32 @@ class RunConfig:
     """A parsed run; the field order is the order of the echoed YAML."""
 
     kind: str
-    geometry: GeometrySection = GeometrySection()
-    grid: GridSection = GridSection()
+    geometry: TorusGeometry = TorusGeometry()
+    grid: GridSpec = GridSpec()
     epsilon: float | None = None
     output_dir: str = "runs/out"
     # Read and echoed under its kind's key (``classical:``, ``kw:``, ...).
-    model: ClassicalSection | MixedSection | GeneralizedSection | KWSection
+    # A spec's geometry and grid are the run's; its epsilon is the run's,
+    # or for a sweep the final one (each stage replaces epsilon and grid).
+    model: ClassicalVortexSpec | MixedVortexSpec | GeneralizedSpec | KWSection
     solver: SolverConfig = SolverConfig()
     outputs: OutputSection = OutputSection()
     sweep: ContinuationSchedule | None = None
 
-    # -- builders ----------------------------------------------------------
-
-    def build_geometry(self) -> TorusGeometry:
-        return TorusGeometry(self.geometry.length_x, self.geometry.length_y)
-
-    def build_grid(self) -> GridSpec:
-        return GridSpec(self.grid.nx, self.grid.ny)
-
     def model_key(self) -> str:
         return next(k for k, t in MODEL_SECTIONS.items() if type(self.model) is t)
-
-    def build_spec(self):
-        """Vortex spec for the model section (not for kind 'kw').
-
-        A sweep's spec is built at its final epsilon; each stage replaces
-        the epsilon and the grid.
-        """
-        eps = self.epsilon if self.sweep is None else self.sweep.epsilons[-1]
-        if eps is None:
-            raise ValidationError("epsilon is required to build a spec")
-        geometry = self.build_geometry()
-        g = self.build_grid()
-        m = self.model
-        if isinstance(m, ClassicalSection):
-            return ClassicalVortexSpec(geometry, g, _divisor(m.divisor), eps)
-        if isinstance(m, MixedSection):
-            return MixedVortexSpec(
-                geometry,
-                g,
-                _divisor(m.divisor_plus),
-                _divisor(m.divisor_minus),
-                tau=m.tau,
-                scale_plus=m.scale_plus,
-                scale_minus=m.scale_minus,
-                epsilon=eps,
-                degree=m.degree,
-            )
-        if isinstance(m, GeneralizedSection):
-            terms = tuple(
-                GeneralizedTerm(_divisor(t.divisor), t.weight, t.scale)
-                for t in m.terms
-            )
-            return GeneralizedSpec(
-                geometry, g, terms, tau=m.tau, epsilon=eps, degree=m.degree
-            )
-        raise ValidationError("kind 'kw' has no vortex spec; use build_kw_problem")
 
     def build_kw_problem(self) -> KWProblem:
         if not isinstance(self.model, KWSection):
             raise ValidationError("build_kw_problem requires the 'kw' model section")
         if self.epsilon is None:
             raise ValidationError("epsilon is required for a kw run")
-        geometry = self.build_geometry()
-        g = self.build_grid()
+        geometry, g = self.geometry, self.grid
 
         def coeff(term: KWTermSection):
             if term.divisor:
                 _, density, _ = _density_data(
-                    geometry, g, _divisor(term.divisor), term.amplitude, False
+                    geometry, g, term.divisor, term.amplitude, False
                 )
                 return density
             return constant_field(geometry, g, term.amplitude)
@@ -210,10 +143,6 @@ class RunConfig:
         minus = tuple((coeff(t), t.exponent) for t in self.model.minus)
         w = constant_field(geometry, g, self.model.w)
         return KWProblem(epsilon=self.epsilon, plus_terms=plus, minus_terms=minus, w=w)
-
-
-def _divisor(items: tuple[DivisorItem, ...]) -> Divisor:
-    return Divisor.from_items([(it.x, it.y, it.m) for it in items])
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +167,33 @@ def _check_keys(node: dict, allowed, path: str) -> None:
 def _read(tp, node, path: str, **given):
     """Read the YAML ``node`` as type ``tp``; ``path`` names it in errors.
 
-    A dataclass reads from a mapping and a ``tuple[X, ...]`` from a list,
-    YAML null being an empty one; fields absent from the mapping take their
-    defaults, and ``given`` supplies fields that are already read. A
-    section constructor's ValueError or VortexLabError names the section.
+    A dataclass reads from a mapping, a ``tuple[X, ...]`` from a list and
+    a :class:`Divisor` from a list of :class:`DivisorItem`, YAML null
+    being an empty one. Fields absent from the mapping take their
+    defaults, an absent divisor being empty; ``given`` supplies fields
+    that are not keys of the mapping. A constructor's ValueError or
+    VortexLabError names the section.
     """
+    if tp is Divisor:  # a dataclass itself, read from its items
+        items = _read(tuple[DivisorItem, ...], node, path)
+        try:
+            return Divisor.from_items((it.x, it.y, it.m) for it in items)
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from None
     if is_dataclass(tp):
         if node is None:
             node = {}
         if not isinstance(node, dict):
             raise _fail(path, f"expected a mapping, got {type(node).__name__}")
-        _check_keys(node, [f.name for f in fields(tp)], path)
+        _check_keys(node, [f.name for f in fields(tp) if f.name not in given], path)
         hints = typing.get_type_hints(tp)
         values = dict(given)
         for f in fields(tp):
             if f.name in given:
                 continue
-            if f.name in node:
+            if f.name in node or hints[f.name] is Divisor:
                 sub = f"{path}.{f.name}" if path else f.name
-                values[f.name] = _read(hints[f.name], node[f.name], sub)
+                values[f.name] = _read(hints[f.name], node.get(f.name), sub)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise _fail(path, f"missing key '{f.name}'")
         try:
@@ -362,53 +299,34 @@ def parse_config(text: str) -> RunConfig:
     if kind == "sweep" and model_key == "kw":
         raise _fail("", "sweep supports classical, mixed, or generalized models")
 
-    model = _read(MODEL_SECTIONS[model_key], root[model_key], model_key)
     rest = {k: v for k, v in root.items() if k != model_key}
-    config = _read(RunConfig, rest, "", model=model)
-    if kind == "sweep" and config.sweep is None:
-        raise _fail("", "kind 'sweep' requires a sweep section")
-    if kind != "sweep" and config.sweep is not None:
-        raise _fail("sweep", "sweep section requires kind: sweep")
-    if kind == "sweep" and "grid" in root:
-        raise _fail("grid", "sweep runs take grids from the sweep section")
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    """Run every module-level invariant reachable from the config."""
-    try:
-        config.build_geometry()
-        config.build_grid()
-    except (VortexLabError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
-    if config.kind == "sweep":
+    config = _read(RunConfig, rest, "", model=None)
+    if kind == "sweep":
+        if config.sweep is None:
+            raise _fail("", "kind 'sweep' requires a sweep section")
+        if "grid" in root:
+            raise _fail("grid", "sweep runs take grids from the sweep section")
         if config.epsilon is not None:
             raise ValidationError("sweep runs take epsilons from the sweep section")
+        # Early stages may be infeasible (the sweep skips them); the
+        # final one must admit a solution.
+        eps = config.sweep.epsilons[-1]
     else:
+        if config.sweep is not None:
+            raise _fail("sweep", "sweep section requires kind: sweep")
         if config.epsilon is None:
-            raise ValidationError(f"kind '{config.kind}' requires epsilon")
+            raise ValidationError(f"kind '{kind}' requires epsilon")
         if not config.epsilon > 0:
             raise ValidationError("epsilon: must be positive")
+        eps = config.epsilon
 
-    m = config.model
-    try:
-        if isinstance(m, KWSection):
-            for side in (m.plus, m.minus):
-                for t in side:
-                    _divisor(t.divisor)
-                    if not t.amplitude > 0:
-                        raise ValidationError("kw amplitudes must be positive")
-                    if not t.exponent > 0:
-                        raise ValidationError("kw exponents must be positive")
-        else:
-            # Spec construction checks every model invariant, Bradlow
-            # admissibility included, without running a solve. A sweep's
-            # spec is at its final epsilon: early stages may be infeasible
-            # (the sweep skips them), the final one must admit a solution.
-            config.build_spec()
-    except (VortexLabError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
+    # Spec construction checks every model invariant, Bradlow
+    # admissibility included, without running a solve.
+    given = {}
+    if model_key != "kw":
+        given = dict(geometry=config.geometry, grid=config.grid, epsilon=eps)
+    model = _read(MODEL_SECTIONS[model_key], root[model_key], model_key, **given)
+    return replace(config, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +335,8 @@ def _validate(config: RunConfig) -> None:
 
 def _dump(value):
     """YAML tree of a config value: sections become mappings, tuples lists."""
+    if isinstance(value, Divisor):
+        return [_dump(DivisorItem(x, y, m)) for (x, y), m in value]
     if is_dataclass(value):
         return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
@@ -430,10 +350,12 @@ def _dump(value):
 
 def echo_config(config: RunConfig) -> str:
     """Canonical YAML text with all defaults spelled out."""
-    tree = {
-        config.model_key() if key == "model" else key: value
-        for key, value in _dump(config).items()
-    }
+    tree = {}
+    for key, value in _dump(config).items():
+        if key == "model":
+            key = config.model_key()
+            value = {k: v for k, v in value.items() if k not in _RUN_FIELDS}
+        tree[key] = value
     # A sweep's stage grids come from its sweep section.
     del tree["sweep" if config.sweep is None else "grid"]
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)

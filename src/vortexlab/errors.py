@@ -65,7 +65,8 @@ class BradlowViolation(Unsolvable):
 
 
 class OverlappingBump(VortexLabError):
-    """Mass window around one divisor point reaches another point."""
+    """Mass window around one divisor point reaches another point, or is
+    too narrow for the grid to resolve (inner radius below two cells)."""
 
 
 class DegenerateFit(VortexLabError):

@@ -58,10 +58,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TorusGeometry:
-    """Side lengths of the flat torus."""
+    """Side lengths of the flat torus; the unit torus by default."""
 
-    length_x: float
-    length_y: float
+    length_x: float = 1.0
+    length_y: float = 1.0
 
     def __post_init__(self):
         if not (self.length_x > 0 and self.length_y > 0):
@@ -80,8 +80,8 @@ class TorusGeometry:
 class GridSpec:
     """Uniform sampling resolution; both counts must be even and >= 8."""
 
-    nx: int
-    ny: int
+    nx: int = 128
+    ny: int = 128
 
     def __post_init__(self):
         for n in (self.nx, self.ny):

@@ -79,6 +79,10 @@ _EXP_GUARD = 700.0
 # stays strictly positive definite where the coefficients vanish.
 _V_FLOOR = 1e-14
 
+# Line search: sufficient-decrease constant and backtracking factor.
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+
 # Coefficient values below this count as identically zero in the limit
 # solve (exact zeros only arise from divisor-point sentinels).
 _COEFF_TINY = 1e-300
@@ -180,24 +184,15 @@ class KWProblem:
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 60
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     cg_tol: float = 1e-12
-    cg_max_iter: int | None = None
 
     def __post_init__(self):
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must lie in (0, 1)")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be at least 1")
 
 
 @dataclass
@@ -365,13 +360,7 @@ def kw_solve(
 
         _, _, pot, _ = _nonlinearity(problem, f.values)
         potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR))
-        delta = solve_linearized(
-            problem.epsilon,
-            potential,
-            -resid,
-            tol=config.cg_tol,
-            max_iter=config.cg_max_iter,
-        )
+        delta = solve_linearized(problem.epsilon, potential, -resid, tol=config.cg_tol)
         slope = float(np.mean(resid.values * delta.values)) * vol
         if slope >= 0.0:
             raise MaxIterExceeded(
@@ -395,9 +384,9 @@ def kw_solve(
             except OverflowGuard:
                 e_trial = math.inf
                 r_trial = math.inf
-            armijo_ok = e_trial <= energy + config.armijo_c * step * slope
+            armijo_ok = e_trial <= energy + _ARMIJO_C * step * slope
             residual_ok = (
-                r_trial <= (1.0 - config.armijo_c * step) * res_sup
+                r_trial <= (1.0 - _ARMIJO_C * step) * res_sup
                 and e_trial <= energy + e_noise
             )
             if armijo_ok or residual_ok:
@@ -405,7 +394,7 @@ def kw_solve(
                 energy = e_trial
                 accepted = True
                 break
-            step *= config.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if not accepted:
             raise MaxIterExceeded(
                 f"line search failed at iteration {iteration}, residual {res_sup:.3g}"

@@ -379,10 +379,10 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     )
 
                 report = adiabatic_sweep(
-                    config.build_spec(), config.sweep, config.solver, progress=progress
+                    config.model, config.sweep, config.solver, progress=progress
                 )
             else:
-                spec = config.build_spec()
+                spec = config.model
                 log(
                     f"{config.kind} solve epsilon={spec.epsilon:g} "
                     f"grid={spec.grid.nx}x{spec.grid.ny}"

@@ -574,7 +574,10 @@ def integral_identities(spec, f: ScalarField) -> dict[str, float]:
     chern:     integral(iLF)/2pi - d, when the curvature function is
                defined.
     """
-    recon = reconstruct(spec, f)
+    return _identities_of(spec, reconstruct(spec, f))
+
+
+def _identities_of(spec, recon: Reconstruction) -> dict[str, float]:
     out = spec._identities(recon.phi_sq)
     if recon.curvature is not None:
         out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - float(spec.degree)
@@ -729,14 +732,27 @@ def _spec_points(spec) -> list[PointInfo]:
 
 
 def _stage_masses(spec, recon, points) -> list[float | None]:
-    """Per-point curvature masses in the stationary windows."""
+    """Per-point curvature masses in the stationary windows.
+
+    Raises :class:`OverlappingBump` when a window's ``r_inner``, which is
+    also the bump's transition width, is below two grid cells: the grid
+    cannot resolve it (the rule :func:`vanishing_order_fit` applies too).
+    """
     if recon.curvature is None:
         return [None] * len(points)
+    two_cells = 2.0 * max(spec.grid.spacing(spec.geometry))
     masses: list[float | None] = []
     for info in points:
         others = [p.point for p in points if p.index != info.index]
-        window = _mass_window(spec.geometry, info.point, others)
-        masses.append(curvature_mass(recon.curvature, info.point, *window, others))
+        r_inner, r_outer = _mass_window(spec.geometry, info.point, others)
+        if r_inner < two_cells:
+            raise OverlappingBump(
+                f"mass window of {info.point} has r_inner={r_inner:.4g}, "
+                f"below two grid cells ({two_cells:.4g}); a point lies too close"
+            )
+        masses.append(
+            curvature_mass(recon.curvature, info.point, r_inner, r_outer, others)
+        )
     return masses
 
 
@@ -753,7 +769,7 @@ def diagnostics_report(spec, solution: KWSolution):
         grid=spec.grid,
         curvature_masses=_stage_masses(spec, recon, points),
         sup_deviation=sup_dev,
-        identity_residuals=integral_identities(spec, solution.f),
+        identity_residuals=_identities_of(spec, recon),
         order_fits=[None] * len(points),
         iterations=solution.iterations,
         energy_history=list(solution.energy_history),

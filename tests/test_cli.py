@@ -194,6 +194,19 @@ mixed:
             "grid.nx: expected an integer, got 1.5",
         ),
         (
+            "kind: classical\nepsilon: 0.2\ngrid: {nx: 7}\nclassical: {divisor: []}\n",
+            "grid: grid counts must be even and at least 8",
+        ),
+        (
+            "kind: classical\nepsilon: 0.2\ngeometry: {length_x: -1}\n"
+            "classical: {divisor: []}\n",
+            "geometry: torus side lengths must be positive",
+        ),
+        (
+            "kind: classical\nepsilon: 0.2\nclassical: {epsilon: 0.1, divisor: []}\n",
+            "classical: unknown key 'epsilon'",
+        ),
+        (
             classical_yaml() + "diagnostics: {mask_radius: 0.15}\n",
             "config: unknown key 'diagnostics'",
         ),
@@ -469,6 +482,27 @@ def test_unexpected_error_writes_failed_manifest(tmp_path, monkeypatch):
     }
 
 
+def test_unresolved_mass_window_writes_failed_manifest(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        """
+kind: sweep
+generalized:
+  terms:
+    - {weight: 1, divisor: [{x: 0.5, y: 0.5, m: 1}]}
+    - {weight: -1, divisor: [{x: 0.5000001, y: 0.5, m: 1}]}
+    - {weight: 1, divisor: [{x: 0.2, y: 0.2, m: 1}]}
+sweep: {epsilons: [0.2], min_grid: 64, max_grid: 64}
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--quiet"]) == 3
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "OverlappingBump"
+    assert manifest["stages"] == []
+
+
 def test_report_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, classical_yaml(points=(), epsilon=0.3, n=32))
     out = tmp_path / "out"
@@ -513,6 +547,13 @@ def test_cli_override_revalidates(tmp_path, capsys):
     assert "Bradlow" in capsys.readouterr().err
 
 
+def test_cli_bad_grid_override_exit_code(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, classical_yaml())
+    rc = main(["classical", "--config", cfg_path, "--out", str(tmp_path / "o"), "--grid", "7"])
+    assert rc == 2
+    assert "--grid: grid counts must be even and at least 8" in capsys.readouterr().err
+
+
 def test_cli_override_rejected_for_sweeps(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,
@@ -541,7 +582,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     "solver, message",
     [
         ("{max_newton: 0}", "max_newton must be at least 1"),
-        ("{cg_max_iter: 0}", "cg_max_iter must be at least 1"),
+        ("{cg_tol: 0.0}", "cg_tol must be positive"),
         ("{newton_tol: -1.0}", "newton_tol must be positive"),
     ],
 )
@@ -601,7 +642,7 @@ kw:
     )
     problem = config.build_kw_problem()
     divisor = Divisor(((0.3, 0.6),), (2,))
-    pot = divisor_potential(divisor, config.build_geometry(), config.build_grid())
+    pot = divisor_potential(divisor, config.geometry, config.grid)
     expected = vanishing_density(pot, 0.5)
     assert np.array_equal(problem.plus_terms[0][0].values, expected.values)
 

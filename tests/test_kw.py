@@ -162,10 +162,6 @@ def test_solver_config_ranges():
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_shrink=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
     with pytest.raises(ValueError):
         SolverConfig(cg_tol=-1e-12)

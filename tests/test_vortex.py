@@ -256,6 +256,21 @@ def test_curvature_mass_rejects_overlapping_windows():
         curvature_mass(curv, (0.5, 0.5), 0.2, 0.35, [(0.7, 0.5)])
 
 
+def test_mass_window_below_two_grid_cells_fails_the_stage():
+    # Points of different terms 1e-7 apart are distinct divisor points, but
+    # their windows are far below one cell: the masses would read about 0.
+    terms = (
+        GeneralizedTerm(Divisor(((0.5, 0.5),), (1,)), 1),
+        GeneralizedTerm(Divisor(((0.5 + 1e-7, 0.5),), (1,)), -1),
+        GeneralizedTerm(Divisor(((0.2, 0.2),), (1,)), 1),
+    )
+    spec = GeneralizedSpec(UNIT, GridSpec(64, 64), terms, epsilon=0.2)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.2,), 64, 64))
+    assert report.stages == []
+    assert report.error["type"] == "OverlappingBump"
+    assert "below two grid cells" in report.error["message"]
+
+
 # ---------------------------------------------------------------------------
 # Mixed pair
 
