@@ -16,7 +16,7 @@ is ``geometry``, :class:`GridSpec` is ``grid``, the model section is a
 :class:`ContinuationSchedule` is ``sweep`` and :class:`OutputSection` is
 ``outputs``. ``_read`` builds a config from their fields and type hints,
 so their constructors' checks (grid parity, Bradlow admissibility, the
-solvability dichotomy, ...) are the validation, and ``_dump`` writes one
+balance conditions, ...) are the validation, and ``_dump`` writes one
 back. A spec takes its geometry, grid and epsilon from the run (a sweep's
 from its final epsilon), not from keys of its own section.
 """
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import yaml
 
-from .errors import ParseError, ValidationError, VortexLabError
+from .errors import ParseError, Unsolvable, ValidationError, VortexLabError
 from .fields import GridSpec, TorusGeometry, constant_field
 from .greens import Divisor
 from .kw import KWProblem, SolverConfig
@@ -91,6 +91,17 @@ class KWSection:
     w: float = 0.0
     plus: tuple[KWTermSection, ...] = ()
     minus: tuple[KWTermSection, ...] = ()
+
+    def __post_init__(self):
+        # The balance condition of KWProblem.check_solvable for a constant
+        # w; amplitudes are positive, so every listed side is present.
+        sign = bool(self.minus) - bool(self.plus)  # the sign w must have
+        if not (self.plus and self.minus) and (self.w > 0) - (self.w < 0) != sign:
+            need = ("w < 0", "w = 0", "w > 0")[sign + 1]
+            raise Unsolvable(
+                f"{len(self.plus)} plus and {len(self.minus)} minus terms need {need}, "
+                f"got {self.w:g}"
+            )
 
 
 MODEL_SECTIONS = {

@@ -87,6 +87,10 @@ _ARMIJO_SHRINK = 0.5
 # solve (exact zeros only arise from divisor-point sentinels).
 _COEFF_TINY = 1e-300
 
+# Iteration cap of the pointwise root solver; the rtsafe safeguard needs
+# about 60 bisections to shrink a doubled bracket to roundoff.
+_ROOT_MAX_ITER = 200
+
 
 class Classification(enum.Enum):
     TWO_SIDED = "two_sided"
@@ -95,12 +99,18 @@ class Classification(enum.Enum):
     VACUOUS = "vacuous"
 
 
-def _as_terms(terms) -> tuple[tuple[ScalarField, float], ...]:
+def _as_terms(terms, w: ScalarField) -> tuple[tuple[ScalarField, float], ...]:
     out = []
     for coeff, expo in terms:
         expo = float(expo)
         if not expo > 0:
             raise ValueError("term exponents must be positive")
+        _check_compatible(coeff, w)
+        lo = coeff.min()
+        if lo < -1e-14:
+            raise ValueError(f"coefficient field has min {lo} < -1e-14")
+        if lo < 0.0:
+            coeff = coeff._like(np.maximum(coeff.values, 0.0))
         out.append((coeff, expo))
     return tuple(out)
 
@@ -122,24 +132,8 @@ class KWProblem:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        plus = _as_terms(self.plus_terms)
-        minus = _as_terms(self.minus_terms)
-
-        def clamp(f: ScalarField) -> ScalarField:
-            _check_compatible(f, self.w)
-            lo = f.min()
-            if lo < -1e-14:
-                raise ValueError(f"coefficient field has min {lo} < -1e-14")
-            if lo < 0.0:
-                return ScalarField(f.geometry, f.grid, np.maximum(f.values, 0.0))
-            return f
-
-        object.__setattr__(
-            self, "plus_terms", tuple((clamp(a), e) for a, e in plus)
-        )
-        object.__setattr__(
-            self, "minus_terms", tuple((clamp(b), e) for b, e in minus)
-        )
+        for name in ("plus_terms", "minus_terms"):
+            object.__setattr__(self, name, _as_terms(getattr(self, name), self.w))
 
     @property
     def geometry(self) -> TorusGeometry:
@@ -207,55 +201,54 @@ class KWSolution:
     energy_history: list = dc_field(default_factory=list)
 
 
-def _exp_or_guard(exponent_field: np.ndarray, bound: float) -> np.ndarray:
-    if exponent_field.max() > bound:
+def _exp_or_guard(exponent_field: np.ndarray) -> np.ndarray:
+    if exponent_field.max() > _EXP_GUARD:
         raise OverflowGuard(
-            f"exponent reached {exponent_field.max():.3g} > {bound:g}"
+            f"exponent reached {exponent_field.max():.3g} > {_EXP_GUARD:g}"
         )
     return np.exp(exponent_field)
+
+
+def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
+    """``(A, alpha)`` per plus term and ``(B, -beta)`` per minus term.
+
+    Every term of the equation then reads ``sign(k) C e^{k f}``.
+    """
+    return problem.plus_terms + tuple((b, -beta) for b, beta in problem.minus_terms)
 
 
 def _nonlinearity(problem: KWProblem, fvals: np.ndarray):
     """Pointwise pieces shared by residual, potential, and energy.
 
-    Returns (splus, sminus, potential, energy_density) where
-    splus = sum A e^{alpha f}, sminus = sum B e^{-beta f},
-    potential = sum alpha A e^{alpha f} + sum beta B e^{-beta f},
-    energy_density = sum (A/alpha) e^{alpha f} + sum (B/beta) e^{-beta f}.
+    Over the signed terms ``(C, k)`` returns (total, potential,
+    energy_density): total = sum sign(k) C e^{kf}, potential = its
+    derivative sum |k| C e^{kf}, energy_density = sum (C/|k|) e^{kf}.
     """
-    shape = fvals.shape
-    splus = np.zeros(shape)
-    sminus = np.zeros(shape)
-    pot = np.zeros(shape)
-    en = np.zeros(shape)
-    for a, alpha in problem.plus_terms:
-        e = _exp_or_guard(alpha * fvals, _EXP_GUARD)
-        ae = a.values * e
-        splus += ae
-        pot += alpha * ae
-        en += ae / alpha
-    for b, beta in problem.minus_terms:
-        e = _exp_or_guard(-beta * fvals, _EXP_GUARD)
-        be = b.values * e
-        sminus += be
-        pot += beta * be
-        en += be / beta
-    return splus, sminus, pot, en
+    total = np.zeros(fvals.shape)
+    pot = np.zeros(fvals.shape)
+    en = np.zeros(fvals.shape)
+    for c, k in _signed_terms(problem):
+        s = c.values * _exp_or_guard(k * fvals)
+        np.copysign(s, k, out=s)
+        total += s
+        pot += k * s
+        en += s / k
+    return total, pot, en
 
 
 def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
     """Pointwise left-hand side of the equation at ``f``."""
     _check_compatible(f, problem.w)
-    splus, sminus, _, _ = _nonlinearity(problem, f.values)
+    total, _, _ = _nonlinearity(problem, f.values)
     lap = laplacian(f).values if problem.epsilon != 0 else 0.0
-    vals = -problem.epsilon * lap + splus - sminus + problem.w.values
+    vals = -problem.epsilon * lap + total + problem.w.values
     return ScalarField(f.geometry, f.grid, vals)
 
 
 def kw_energy(problem: KWProblem, f: ScalarField) -> float:
     """Convex energy whose L2 gradient is :func:`kw_residual`."""
     _check_compatible(f, problem.w)
-    _, _, _, en = _nonlinearity(problem, f.values)
+    _, _, en = _nonlinearity(problem, f.values)
     vol = problem.geometry.volume
     bulk = float(np.mean(en + problem.w.values * f.values)) * vol
     if problem.epsilon == 0:
@@ -268,44 +261,16 @@ def _pin_constant_mode(problem: KWProblem, fvals: np.ndarray) -> float:
 
     For one-sided problems the mean of ``f`` is the stiff direction of the
     energy; after each Newton step it is re-pinned by solving the strictly
-    convex scalar problem  d/dc E(f + c) = 0  exactly. Returns ``c``.
+    convex scalar problem  d/dc E(f + c) = 0  exactly: the pointwise root
+    solver on one sample, with coefficients ``mean(C e^{k f}) vol``.
+    Returns ``c``.
     """
-    wint = integrate(problem.w)
-    plus = []
-    for a, alpha in problem.plus_terms:
-        e = _exp_or_guard(alpha * fvals, _EXP_GUARD)
-        plus.append((float(np.mean(a.values * e)), alpha))
-    minus = []
-    for b, beta in problem.minus_terms:
-        e = _exp_or_guard(-beta * fvals, _EXP_GUARD)
-        minus.append((float(np.mean(b.values * e)), beta))
     vol = problem.geometry.volume
-
-    def balance(c: float) -> tuple[float, float]:
-        val = wint
-        slope = 0.0
-        for ibar, alpha in plus:
-            t = ibar * math.exp(alpha * c) * vol
-            val += t
-            slope += alpha * t
-        for ibar, beta in minus:
-            t = ibar * math.exp(-beta * c) * vol
-            val -= t
-            slope += beta * t
-        return val, slope
-
-    c = 0.0
-    for _ in range(80):
-        val, slope = balance(c)
-        if slope == 0.0 or abs(val) <= 1e-15 * (abs(wint) + 1.0):
-            break
-        step = -val / slope
-        # Exponentials make the scalar Newton step safe only when modest.
-        step = max(-2.0, min(2.0, step))
-        c += step
-        if abs(step) < 1e-16:
-            break
-    return c
+    terms = [
+        (np.array([np.mean(c.values * _exp_or_guard(k * fvals)) * vol]), k)
+        for c, k in _signed_terms(problem)
+    ]
+    return float(_scalar_root(np.array([integrate(problem.w)]), terms)[0])
 
 
 def kw_solve(
@@ -358,7 +323,7 @@ def kw_solve(
         if iteration == config.max_newton:
             break
 
-        _, _, pot, _ = _nonlinearity(problem, f.values)
+        _, pot, _ = _nonlinearity(problem, f.values)
         potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR))
         delta = solve_linearized(problem.epsilon, potential, -resid, tol=config.cg_tol)
         slope = float(np.mean(resid.values * delta.values)) * vol
@@ -443,103 +408,94 @@ def kw_limit(problem: KWProblem) -> LimitProfile:
     raises :class:`NoRoot`.
     """
     cls = problem.classification()
-    geometry, grid = problem.geometry, problem.grid
-    shape = (grid.nx, grid.ny)
-    splus = np.zeros(shape)
-    sminus = np.zeros(shape)
-    for a, _ in problem.plus_terms:
-        splus += a.values
-    for b, _ in problem.minus_terms:
-        sminus += b.values
-    w = problem.w.values
-
     if cls is Classification.VACUOUS:
         raise NoRoot("no exponential terms; the limit equation is empty")
-    if cls is Classification.TWO_SIDED:
-        excluded = (splus < _COEFF_TINY) | (sminus < _COEFF_TINY)
-    elif cls is Classification.ONE_SIDED_PLUS:
-        excluded = splus < _COEFF_TINY
-        if np.any(w[~excluded] >= 0.0):
-            raise NoRoot("one-sided limit needs w < 0 where the coefficient lives")
-    else:
-        excluded = sminus < _COEFF_TINY
-        if np.any(w[~excluded] <= 0.0):
-            raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
-
+    geometry, grid = problem.geometry, problem.grid
+    terms = _signed_terms(problem)
+    sides = np.zeros((2, grid.nx, grid.ny))  # plus and minus coefficient sums
+    for c, k in terms:
+        sides[int(k < 0)] += c.values
+    # A sample is excluded where a side that the problem has sums to 0.
+    excluded = np.any(sides[sides.max(axis=(1, 2)) > 0.0] < _COEFF_TINY, axis=0)
     active = ~excluded
-    fvals = np.zeros(shape)
+    w = problem.w.values
+    if cls is Classification.ONE_SIDED_PLUS and np.any(w[active] >= 0.0):
+        raise NoRoot("one-sided limit needs w < 0 where the coefficient lives")
+    if cls is Classification.ONE_SIDED_MINUS and np.any(w[active] <= 0.0):
+        raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
 
-    single_pair = (
-        len(problem.plus_terms) == 1
-        and len(problem.minus_terms) == 1
-        and float(np.abs(w).max()) == 0.0
-    )
-    if cls is Classification.TWO_SIDED and single_pair:
+    fvals = np.zeros((grid.nx, grid.ny))
+    if cls is Classification.TWO_SIDED and len(terms) == 2 and not w.any():
         # A e^{alpha f} = B e^{-beta f}  =>  f = log(B/A) / (alpha + beta)
-        (a, alpha), (b, beta) = problem.plus_terms[0], problem.minus_terms[0]
+        (a, alpha), (b, k) = terms
         fvals[active] = (
             np.log(b.values[active]) - np.log(a.values[active])
-        ) / (alpha + beta)
+        ) / (alpha - k)
     elif active.any():
-        fvals[active] = _limit_newton(problem, active, splus, sminus, w)
+        fvals[active] = _scalar_root(w[active], [(c.values[active], k) for c, k in terms])
 
     f = ScalarField(geometry, grid, fvals)
     mask = RegionMask(geometry, grid, excluded.astype(float))
     return LimitProfile(f=f, excluded=mask, n_excluded=int(excluded.sum()))
 
 
-def _limit_newton(problem, active, splus, sminus, w):
-    """Vectorized bisection-safeguarded Newton on the active samples."""
-    plus = [(a.values[active], alpha) for a, alpha in problem.plus_terms]
-    minus = [(b.values[active], beta) for b, beta in problem.minus_terms]
-    wv = w[active]
+def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
+    """Per-sample root of ``g(t) = w + sum sign(k) C e^{k t}``.
 
-    def g_and_slope(f):
-        val = wv.copy()
-        slope = np.zeros_like(f)
-        for av, alpha in plus:
-            t = av * np.exp(np.minimum(alpha * f, _EXP_GUARD))
-            val += t
-            slope += alpha * t
-        for bv, beta in minus:
-            t = bv * np.exp(np.minimum(-beta * f, _EXP_GUARD))
-            val -= t
-            slope += beta * t
+    ``terms`` pairs coefficient arrays ``C >= 0``, shaped like ``w``, with
+    nonzero exponents ``k``, so ``g`` increases strictly wherever a
+    coefficient is positive. Exponents are capped at the overflow guard.
+    The root is bracketed by doubling [-1, 1]; Newton then runs from
+    ``t = 0`` and bisects wherever a step would leave the bracket or is not
+    at most half the previous one (``rtsafe``, Numerical Recipes 3rd ed.,
+    §9.4). It stops once every Newton step is at most 1e-15 (1 + |t|),
+    such steps being exempt from the halving test, and returns the
+    iterate those steps start from. Raises :class:`MaxIterExceeded` when
+    ``_ROOT_MAX_ITER`` iterations do not get there.
+    """
+
+    def g_and_slope(t):
+        val = w.copy()
+        slope = np.zeros_like(t)
+        for c, k in terms:
+            s = np.copysign(c * np.exp(np.minimum(k * t, _EXP_GUARD)), k)
+            val += s
+            slope += k * s
         return val, slope
 
     # Expand a bracket [lo, hi] with g(lo) < 0 < g(hi) per sample. g is
     # strictly increasing, so doubling the window must eventually work.
-    lo = np.full(wv.shape, -1.0)
-    hi = np.full(wv.shape, 1.0)
+    lo, hi = np.full(w.shape, -1.0), np.full(w.shape, 1.0)
     for _ in range(64):
-        glo, _ = g_and_slope(lo)
-        bad = glo >= 0.0
-        if not bad.any():
+        low = g_and_slope(lo)[0] >= 0.0
+        high = g_and_slope(hi)[0] <= 0.0
+        if not (low.any() or high.any()):
             break
-        lo[bad] = lo[bad] * 2.0
+        lo[low] *= 2.0
+        hi[high] *= 2.0
     else:
-        raise NoRoot("failed to bracket the pointwise root from below")
-    for _ in range(64):
-        ghi, _ = g_and_slope(hi)
-        bad = ghi <= 0.0
-        if not bad.any():
-            break
-        hi[bad] = hi[bad] * 2.0
-    else:
-        raise NoRoot("failed to bracket the pointwise root from above")
+        raise NoRoot("failed to bracket the pointwise root")
 
-    f = 0.5 * (lo + hi)
-    for _ in range(200):
-        val, slope = g_and_slope(f)
-        lo = np.where(val < 0.0, f, lo)
-        hi = np.where(val > 0.0, f, hi)
+    t = np.zeros(w.shape)
+    prev = hi - lo
+    for _ in range(_ROOT_MAX_ITER):
+        val, slope = g_and_slope(t)
+        lo = np.where(val < 0.0, t, lo)
+        hi = np.where(val > 0.0, t, hi)
+        small = np.abs(val) <= 1e-15 * (1.0 + np.abs(t)) * slope
+        if small.all():
+            return t
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = f - val / slope
-        inside = (newton > lo) & (newton < hi) & np.isfinite(newton)
-        f = np.where(inside, newton, 0.5 * (lo + hi))
-        if float(np.max(hi - lo)) < 1e-15 * (1.0 + float(np.max(np.abs(f)))):
-            break
-    return f
+            newton = t - val / slope
+        halves = np.abs(newton - t) <= 0.5 * np.abs(prev)
+        keep = (newton >= lo) & (newton <= hi) & (small | halves)
+        new_t = np.where(keep, newton, 0.5 * (lo + hi))
+        prev = new_t - t
+        t = new_t
+    raise MaxIterExceeded(
+        f"pointwise root not converged in {_ROOT_MAX_ITER} iterations "
+        f"at {int((~small).sum())} of {small.size} samples"
+    )
 
 
 # ---------------------------------------------------------------------------

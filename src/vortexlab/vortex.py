@@ -28,7 +28,7 @@ with ``P_j = c_j e^{u_j}``. The presets:
   ``-(eps^2/2) lap(f) + P e^{f} - Q e^{-f} + (2 pi d eps^2 / vol + tau) = 0``.
 * generalized: mean-normalized terms with arbitrary nonzero integer
   weights. Solutions exist only when the weights have mixed signs, or are
-  all positive with ``tau < 0``.
+  all positive with ``2 pi d eps^2 / vol + tau < 0``.
 
 Integrating each curvature equation over the torus gives the identities
 checked by :func:`integral_identities`; as epsilon decreases the curvature
@@ -161,6 +161,12 @@ class _VortexModel:
     # Factor multiplying the whole reduced equation.
     equation_scale: ClassVar[float] = 1.0
 
+    @property
+    def _forcing(self) -> float:
+        """``2 pi d eps^2 / vol + tau``, the reduced constant term before scaling."""
+        vol = self.geometry.volume
+        return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
+
     def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
         log_scale = math.log(self.equation_scale)
         comps = []
@@ -189,11 +195,19 @@ class _VortexModel:
 
     def _deviation(self, f: ScalarField, recon) -> ScalarField:
         """Distance to the epsilon = 0 limit profile on the spec's grid."""
-        zero_spec = dataclasses.replace(self, epsilon=0.0)
+        zero_spec = _copy(self, epsilon=0.0)
         return f - kw_limit(reduce_any(zero_spec)).f
 
     def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
+
+
+def _copy(spec, **changes):
+    """``dataclasses.replace`` without the degree warning: a copy keeps the
+    divisors and degree of ``spec``, whose construction already warned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return dataclasses.replace(spec, **changes)
 
 
 def reduce_any(spec) -> KWProblem:
@@ -212,12 +226,7 @@ def reduce_any(spec) -> KWProblem:
         k = abs(t.weight)
         coeff = density if k == 1 else density * float(k)
         (plus if t.weight > 0 else minus).append((coeff, float(k)))
-    vol = spec.geometry.volume
-    w = constant_field(
-        spec.geometry,
-        spec.grid,
-        scale * (2.0 * math.pi * float(spec.degree) * spec.epsilon**2 / vol + spec.tau),
-    )
+    w = constant_field(spec.geometry, spec.grid, scale * spec._forcing)
     return KWProblem(
         epsilon=0.5 * scale * spec.epsilon**2,
         plus_terms=tuple(plus),
@@ -331,9 +340,10 @@ class MixedVortexSpec(_VortexModel):
             object.__setattr__(self, "degree", default)
             return
         if Fraction(self.degree) != default:
+            # Level 3 is the caller of the generated __init__.
             warnings.warn(
                 f"degree {self.degree} differs from (deg+ - deg-)/2 = {default}",
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "degree", Fraction(self.degree))
 
@@ -359,7 +369,7 @@ class MixedVortexSpec(_VortexModel):
         return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
 
     def _order_fits(self, points) -> list[float | None]:
-        evaluator = mixed_limit_phi_sq(dataclasses.replace(self, epsilon=0.0))
+        evaluator = mixed_limit_phi_sq(_copy(self, epsilon=0.0))
         fits: list[float | None] = []
         for info in points:
             try:
@@ -389,10 +399,12 @@ class GeneralizedSpec(_VortexModel):
     """Multi-component data with integer weights.
 
     Solvability dichotomy: the weights must have mixed signs, or all be
-    positive with ``tau < 0``; otherwise construction raises
-    :class:`Unsolvable`. ``degree`` defaults to the least-squares
-    bookkeeping ``sum(k_j d_j) / sum(k_j^2)`` matching the mixed-pair
-    convention for weights (1, -1).
+    positive with ``2 pi d eps^2 / volume + tau < 0`` (the balance
+    condition of the reduced one-sided problem, ``tau < 0`` at
+    ``eps = 0``); otherwise construction raises :class:`Unsolvable`.
+    ``degree`` defaults to the least-squares bookkeeping
+    ``sum(k_j d_j) / sum(k_j^2)`` matching the mixed-pair convention for
+    weights (1, -1).
     """
 
     geometry: TorusGeometry
@@ -412,18 +424,21 @@ class GeneralizedSpec(_VortexModel):
             t.divisor.check_separated(self.geometry)
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        weights = [t.weight for t in self.terms]
-        mixed = any(k > 0 for k in weights) and any(k < 0 for k in weights)
-        if not mixed and not (all(k > 0 for k in weights) and self.tau < 0):
-            raise Unsolvable(
-                "weights must have mixed signs, or all be positive with tau < 0"
-            )
         if self.degree is None:
             num = sum(t.weight * t.divisor.degree for t in self.terms)
             den = sum(t.weight**2 for t in self.terms)
             object.__setattr__(self, "degree", Fraction(num, den))
         else:
             object.__setattr__(self, "degree", Fraction(self.degree))
+        weights = [t.weight for t in self.terms]
+        # Without mixed signs the reduced problem is one-sided; with
+        # positive weights it balances only when its constant is negative.
+        w = self._forcing
+        if not (min(weights) < 0 < max(weights) or (min(weights) > 0 and w < 0)):
+            raise Unsolvable(
+                "weights must have mixed signs, or all be positive with "
+                f"2 pi d eps^2 / volume + tau < 0 (got {w:.6g})"
+            )
 
     @property
     def _terms(self) -> tuple[_Term, ...]:
@@ -731,17 +746,17 @@ def _spec_points(spec) -> list[PointInfo]:
     ]
 
 
-def _stage_masses(spec, recon, points) -> list[float | None]:
-    """Per-point curvature masses in the stationary windows.
+def _mass_windows(spec, points) -> list[tuple[float, float, list]]:
+    """Per point, ``(r_inner, r_outer, other points)`` of its mass window.
 
     Raises :class:`OverlappingBump` when a window's ``r_inner``, which is
     also the bump's transition width, is below two grid cells: the grid
     cannot resolve it (the rule :func:`vanishing_order_fit` applies too).
+    The windows depend on the points and the grid alone, so a stage
+    checks them before it solves.
     """
-    if recon.curvature is None:
-        return [None] * len(points)
     two_cells = 2.0 * max(spec.grid.spacing(spec.geometry))
-    masses: list[float | None] = []
+    windows = []
     for info in points:
         others = [p.point for p in points if p.index != info.index]
         r_inner, r_outer = _mass_window(spec.geometry, info.point, others)
@@ -750,10 +765,18 @@ def _stage_masses(spec, recon, points) -> list[float | None]:
                 f"mass window of {info.point} has r_inner={r_inner:.4g}, "
                 f"below two grid cells ({two_cells:.4g}); a point lies too close"
             )
-        masses.append(
-            curvature_mass(recon.curvature, info.point, r_inner, r_outer, others)
-        )
-    return masses
+        windows.append((r_inner, r_outer, others))
+    return windows
+
+
+def _stage_masses(spec, recon, points) -> list[float | None]:
+    """Per-point curvature masses in the stationary windows."""
+    if recon.curvature is None:
+        return [None] * len(points)
+    return [
+        curvature_mass(recon.curvature, info.point, *window)
+        for info, window in zip(points, _mass_windows(spec, points))
+    ]
 
 
 def diagnostics_report(spec, solution: KWSolution):
@@ -780,6 +803,7 @@ def diagnostics_report(spec, solution: KWSolution):
 
 def _run_stage(report, spec, config, init, t0) -> DiagnosticsReport:
     """Reduce, solve and diagnose ``spec``; record it as the last stage."""
+    _mass_windows(spec, _spec_points(spec))
     solution = kw_solve(reduce_any(spec), config, init=init)
     stage, points, recon = diagnostics_report(spec, solution)
     stage.seconds = time.perf_counter() - t0
@@ -828,32 +852,32 @@ def adiabatic_sweep(
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
-    on; a solver failure, or a stage that needs a grid beyond
-    ``schedule.max_grid``, stops the sweep and is recorded in
-    ``report.error`` with the completed stages kept.
+    on; a solver failure, a stage that needs a grid beyond
+    ``schedule.max_grid`` or one whose mass windows the grid cannot
+    resolve stops the sweep and is recorded in ``report.error`` with the
+    completed stages kept. A sweep that skips every stage records its
+    last skip as ``report.error``.
     """
     report = SweepReport(kind=spec.kind, points=[], stages=[])
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
             grid = schedule.grid(spec.geometry, eps)
-            stage_spec = dataclasses.replace(spec, epsilon=eps, grid=grid)
+            stage_spec = _copy(spec, epsilon=eps, grid=grid)
             prev = report.final_solution
             init = resample(prev.f, grid) if prev is not None else None
             stage = _run_stage(report, stage_spec, config, init, t0)
             if progress is not None:
                 progress(stage)
-        except Unsolvable as exc:
-            report.skipped.append(
-                {"type": type(exc).__name__, "message": str(exc), "epsilon": eps}
-            )
         except (VortexLabError, ValueError) as exc:
-            report.error = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "epsilon": eps,
-            }
-            return report
-    if report.final_spec is not None:
+            record = {"type": type(exc).__name__, "message": str(exc), "epsilon": eps}
+            if not isinstance(exc, Unsolvable):
+                report.error = record
+                return report
+            report.skipped.append(record)
+    if report.final_spec is None:
+        # No stage was solved, so the sweep has no result.
+        report.error = dict(report.skipped[-1])
+    else:
         _fit_final_orders(report)
     return report

@@ -323,6 +323,52 @@ generalized:
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "kind: generalized\nepsilon: 0.5\ngeneralized:\n  tau: -0.1\n  terms:\n"
+            "    - {weight: 1, divisor: [{x: 0.3, y: 0.3, m: 1}]}\n",
+            "generalized: weights must have mixed signs",
+        ),
+        (
+            "kind: kw\nepsilon: 0.5\nkw:\n  w: 1.0\n  plus: [{amplitude: 1.0}]\n",
+            "kw: 1 plus and 0 minus terms need w < 0, got 1",
+        ),
+        ("kind: kw\nepsilon: 0.5\nkw: {w: -1.0, minus: [{amplitude: 1.0}]}\n", "need w > 0"),
+        ("kind: kw\nepsilon: 0.5\nkw: {w: 0.5}\n", "0 plus and 0 minus terms need w = 0"),
+    ],
+    ids=["generalized", "kw_plus", "kw_minus", "kw_empty"],
+)
+def test_unbalanced_model_exits_before_any_solve(tmp_path, capsys, text, message):
+    kind = text.split("\n")[0].split()[1]
+    out = tmp_path / "o"
+    assert main([kind, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_that_solves_no_stage_writes_failed_manifest(tmp_path):
+    import dataclasses
+
+    from vortexlab.runner import run
+    from vortexlab.vortex import ContinuationSchedule
+
+    # Both stages break Bradlow; a config could not say so (the final
+    # epsilon is checked when it is read), a caller of run() can.
+    config = parse_config(
+        "kind: sweep\nclassical: {divisor: [{x: 0.5, y: 0.5, m: 1}]}\n"
+        "sweep: {epsilons: [0.2], min_grid: 64, max_grid: 64}\n"
+    )
+    config = dataclasses.replace(config, sweep=ContinuationSchedule((0.5, 0.45), 64, 64))
+    manifest = run(config, tmp_path / "out", quiet=True)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "BradlowViolation"
+    assert manifest["error"]["epsilon"] == 0.45
+    assert manifest["stages"] == []
+    assert len(manifest["skipped"]) == 2
+
+
 def test_bradlow_checked_before_any_solve():
     eps = math.sqrt(1.0 / (2 * math.pi)) + 0.01
     with pytest.raises(ValidationError, match="Bradlow"):

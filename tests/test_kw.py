@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vortexlab.kw as kw_module
 from helpers import random_trig
 from vortexlab import (
     ContinuationSchedule,
@@ -392,6 +393,68 @@ def test_limit_distance_nonincreasing_in_epsilon():
         dists.append(sup_norm(sol.f - limit))
     for a, b in zip(dists, dists[1:]):
         assert b <= 1.05 * a
+
+
+def bisection_root(w, terms):
+    """Oracle: 200 bisections of g(t) = w + sum sign(k) C e^{kt} on [-40, 40]."""
+    lo = np.full(w.shape, -40.0)
+    hi = np.full(w.shape, 40.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = w + sum(np.copysign(c, k) * np.exp(k * mid) for c, k in terms)
+        lo = np.where(g < 0, mid, lo)
+        hi = np.where(g > 0, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_root_matches_bisection_oracle_on_random_signed_terms(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    exponents = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], size=rng.integers(1, 6))
+    signs = rng.choice([-1.0, 1.0], size=exponents.size)
+    terms = [(rng.uniform(0.05, 5.0, n), s * k) for s, k in zip(signs, exponents)]
+    # Terms of one sign need w of the other; mixed signs take any w.
+    one_sided = (signs == signs[0]).all()
+    w_sign = -signs[0] if one_sided else rng.choice([-1.0, 1.0], size=n)
+    w = w_sign * rng.uniform(0.1, 5.0, n)
+    root = kw_module._scalar_root(w, terms)
+    assert np.abs(root - bisection_root(w, terms)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "amplitude, w", [(1e-200, -1.0), (1e200, -1.0), (1e-290, -1e5)]
+)
+def test_limit_far_roots(amplitude, w):
+    # A e^f + w = 0 has the root log(-w / A), hundreds of units from 0.
+    grid = GridSpec(8, 8)
+    prof = kw_limit(KWProblem(0.0, ((const(grid, amplitude), 1.0),), (), const(grid, w)))
+    exact = np.log(-w) - np.log(amplitude)
+    assert np.abs(prof.f.values - exact).max() <= 1e-12 * abs(exact)
+
+
+def test_limit_raises_at_the_root_iteration_cap(monkeypatch):
+    grid = GridSpec(16, 16)
+    p = bumpy_two_sided(grid, epsilon=0.0, w=0.25)
+    monkeypatch.setattr(kw_module, "_ROOT_MAX_ITER", 2)
+    with pytest.raises(MaxIterExceeded):
+        kw_limit(p)
+
+
+def test_pin_keeps_a_balanced_field_exactly():
+    # f = 0 balances 1 * e^f - 1: the pin returns exactly 0, not a roundoff shift.
+    grid = GridSpec(16, 16)
+    p = KWProblem(0.1, ((const(grid, 1.0), 1.0),), (), const(grid, -1.0))
+    assert kw_module._pin_constant_mode(p, np.zeros((16, 16))) == 0.0
+
+
+def test_solve_one_sided_far_balance_shift():
+    # The balance shift log(1e250) = 575.6 is reached by the pin alone.
+    grid = GridSpec(16, 16)
+    p = KWProblem(0.1, ((const(grid, 1e-250), 1.0),), (), const(grid, -1.0))
+    sol = kw_solve(p)
+    assert sol.iterations == 0
+    assert np.abs(sol.f.values - 250.0 * np.log(10.0)).max() <= 1e-12 * 575.6
 
 
 # ---------------------------------------------------------------------------

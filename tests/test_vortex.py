@@ -1,6 +1,7 @@
 """Vortex reductions, gauge reconstruction, and adiabatic sweeps."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,16 @@ def test_mixed_degree_bookkeeping():
     assert spec.degree == Fraction(1)
 
 
+def test_mixed_degree_warning_names_the_caller_once():
+    with pytest.warns(UserWarning) as record:
+        spec = mixed_pair_spec(0.1, n=16, degree=1)
+    assert [r.filename for r in record] == [__file__]
+    # The sweep's own copies (stages, eps = 0 limit, order fits) stay silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2), 16, 32)).raise_if_failed()
+
+
 def test_generalized_solvability_dichotomy():
     term = lambda pt, k: GeneralizedTerm(Divisor(((pt),), (1,)), k)
     with pytest.raises(Unsolvable):
@@ -118,6 +129,15 @@ def test_generalized_solvability_dichotomy():
         GeneralizedSpec(UNIT, GridSpec(32, 32), (), tau=-1.0)
     with pytest.raises(ValueError):
         GeneralizedTerm(Divisor(((0.3, 0.3),), (1,)), 0)
+
+
+def test_generalized_positive_weights_need_a_negative_constant():
+    # 2 pi d eps^2 / vol + tau = 2 pi 0.25 - 0.1 > 0: the reduced problem
+    # cannot balance, although tau < 0.
+    term = GeneralizedTerm(Divisor(((0.3, 0.3),), (1,)), 1)
+    with pytest.raises(Unsolvable, match="2 pi d eps"):
+        GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=-0.1, epsilon=0.5)
+    GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=-0.1, epsilon=0.1)
 
 
 def test_generalized_degree_default():
@@ -269,6 +289,23 @@ def test_mass_window_below_two_grid_cells_fails_the_stage():
     assert report.stages == []
     assert report.error["type"] == "OverlappingBump"
     assert "below two grid cells" in report.error["message"]
+
+
+def test_unresolved_mass_window_fails_before_the_solve(monkeypatch):
+    import vortexlab.vortex as vortex
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("kw_solve called for an unresolvable stage")
+
+    monkeypatch.setattr(vortex, "kw_solve", no_solve)
+    # r_inner = 0.071 is below two cells of the 16^2 grid of eps = 0.4.
+    spec = MixedVortexSpec(
+        UNIT, GridSpec(16, 16), Divisor(((0.3, 0.3),), (1,)), Divisor(((0.45, 0.3),), (1,))
+    )
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2)))
+    assert report.stages == []
+    assert report.error["type"] == "OverlappingBump"
+    assert report.error["epsilon"] == 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +583,17 @@ def test_sweep_skips_infeasible_epsilons():
     assert report.stages[0].epsilon == 0.2
     assert report.skipped[0]["epsilon"] == 0.41
     assert report.skipped[0]["type"] == "BradlowViolation"
+
+
+def test_sweep_that_solves_no_stage_fails():
+    spec = ClassicalVortexSpec(UNIT, GridSpec(64, 64), Divisor(((0.5, 0.5),), (1,)), 0.2)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.5, 0.45), 64, 64))
+    assert report.stages == []
+    assert len(report.skipped) == 2
+    assert report.error == report.skipped[-1]
+    assert report.error["type"] == "BradlowViolation"
+    with pytest.raises(VortexLabError, match="epsilon=0.45"):
+        report.raise_if_failed()
 
 
 def test_sweep_records_stage_errors():
