@@ -10,12 +10,11 @@ error, 3 solver or I/O failure during the run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .config import parse_config, echo_config
+from .config import override, parse_config
 from .errors import ParseError, ValidationError, VortexLabError
 from .fields import GridSpec
 from .runner import MANIFEST_NAME, run
@@ -44,26 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    changed = False
+    changes = {}
     if args.epsilon is not None:
         if config.kind == "sweep":
             raise ValidationError("--epsilon does not apply to sweep runs")
-        config = dataclasses.replace(config, epsilon=args.epsilon)
-        changed = True
+        changes["epsilon"] = args.epsilon
     if args.grid is not None:
         if config.kind == "sweep":
             raise ValidationError("--grid does not apply to sweep runs")
         try:
-            grid = GridSpec(args.grid, args.grid)
+            changes["grid"] = GridSpec(args.grid, args.grid)
         except ValueError as exc:
             raise ValidationError(f"--grid: {exc}") from None
-        config = dataclasses.replace(config, grid=grid)
-        changed = True
-    if changed:
-        # Re-validate through the canonical echo so overrides obey every
-        # config invariant (grid parity, Bradlow, ...).
-        config = parse_config(echo_config(config))
-    return config
+    return override(config, **changes) if changes else config
 
 
 def _summarize(manifest: dict) -> str:

@@ -40,6 +40,7 @@ from .vortex import (
     ContinuationSchedule,
     GeneralizedSpec,
     MixedVortexSpec,
+    _copy,
     _density_data,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "echo_config",
+    "override",
     "KINDS",
 ]
 
@@ -327,8 +329,7 @@ def parse_config(text: str) -> RunConfig:
             raise _fail("sweep", "sweep section requires kind: sweep")
         if config.epsilon is None:
             raise ValidationError(f"kind '{kind}' requires epsilon")
-        if not config.epsilon > 0:
-            raise ValidationError("epsilon: must be positive")
+        _check_epsilon(config.epsilon)
         eps = config.epsilon
 
     # Spec construction checks every model invariant, Bradlow
@@ -338,6 +339,30 @@ def parse_config(text: str) -> RunConfig:
         given = dict(geometry=config.geometry, grid=config.grid, epsilon=eps)
     model = _read(MODEL_SECTIONS[model_key], root[model_key], model_key, **given)
     return replace(config, model=model)
+
+
+def _check_epsilon(eps: float) -> None:
+    if not eps > 0:
+        raise ValidationError("epsilon: must be positive")
+
+
+def override(config: RunConfig, **changes) -> RunConfig:
+    """``config`` with its run ``epsilon`` and/or ``grid`` replaced.
+
+    A spec model is rebuilt through its own constructor, so every check
+    that depends on the run fields (Bradlow admissibility, ...) runs
+    again and fails as in :func:`parse_config`. The YAML is not re-read:
+    the checks and warnings of the unchanged sections do not repeat.
+    """
+    if "epsilon" in changes:
+        _check_epsilon(changes["epsilon"])
+    model = config.model
+    if not isinstance(model, KWSection):
+        try:
+            model = _copy(model, **changes)
+        except (VortexLabError, ValueError) as exc:
+            raise _fail(config.model_key(), str(exc)) from None
+    return replace(config, model=model, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,10 @@ _V_FLOOR = 1e-14
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
+# Inexact Newton: Eisenstat-Walker choice-2 forcing (see _forcing).
+_EW_GAMMA = 0.9
+_ETA_MAX = 0.1
+
 # Coefficient values below this count as identically zero in the limit
 # solve (exact zeros only arise from divisor-point sentinels).
 _COEFF_TINY = 1e-300
@@ -178,6 +182,8 @@ class KWProblem:
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 60
+    # Floor of each CG solve's relative residual target; the target itself
+    # follows the Newton residual (see kw_solve).
     cg_tol: float = 1e-12
 
     def __post_init__(self):
@@ -199,6 +205,9 @@ class KWSolution:
     classification: Classification
     epsilon: float
     energy_history: list = dc_field(default_factory=list)
+    # res_sup at each loop head, and the relative CG target of each step.
+    residual_history: list = dc_field(default_factory=list)
+    cg_tolerances: list = dc_field(default_factory=list)
 
 
 def _exp_or_guard(exponent_field: np.ndarray) -> np.ndarray:
@@ -273,6 +282,33 @@ def _pin_constant_mode(problem: KWProblem, fvals: np.ndarray) -> float:
     return float(_scalar_root(np.array([integrate(problem.w)]), terms)[0])
 
 
+def _forcing(eta_prev: float, ratio: float) -> float:
+    """Eisenstat-Walker choice-2 forcing term of Newton step ``k >= 1``.
+
+    ``ratio`` is ``||r_k||_2 / ||r_{k-1}||_2`` and ``eta_prev`` the term of
+    step ``k - 1`` (step 0 takes ``_ETA_MAX``). The safeguard
+    ``_EW_GAMMA eta_prev^2`` keeps the term from collapsing after one
+    lucky step; it engages only above 0.1, so under ``_ETA_MAX = 0.1`` it
+    is inert, and it is kept so that the published rule holds for any cap.
+    """
+    eta = _EW_GAMMA * ratio**2
+    safeguard = _EW_GAMMA * eta_prev**2
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    return min(eta, _ETA_MAX)
+
+
+def _cg_tolerance(config: SolverConfig, eta: float, res_sup: float) -> float:
+    """Relative CG target of a Newton step with forcing term ``eta``.
+
+    Floored by ``config.cg_tol`` and by Kelley's terminal bound
+    ``0.1 newton_tol / res_sup``: a solve to that target already leaves
+    the next residual about a tenth of ``newton_tol`` of linear error, so
+    a tighter one would oversolve the last step.
+    """
+    return max(config.cg_tol, eta, 0.1 * config.newton_tol / res_sup)
+
+
 def kw_solve(
     problem: KWProblem,
     config: SolverConfig = SolverConfig(),
@@ -282,9 +318,11 @@ def kw_solve(
 
     Starts from ``init`` (default zero field), checks the balance condition
     first, and enforces monotone energy decrease via Armijo backtracking.
-    The Newton potential is floored at 1e-14 and, for one-sided problems,
-    the constant mode is re-pinned through the balance equation after each
-    accepted step.
+    Each linearized step is solved inexactly, to the relative target of
+    :func:`_cg_tolerance`; convergence is still decided on the exact sup
+    residual at the loop head. The Newton potential is floored at 1e-14
+    and, for one-sided problems, the constant mode is re-pinned through
+    the balance equation after each accepted step.
     """
     if problem.epsilon <= 0:
         raise ValueError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
@@ -304,11 +342,15 @@ def kw_solve(
 
     energy = kw_energy(problem, f)
     history = [energy]
+    residual_history: list[float] = []
+    cg_tolerances: list[float] = []
     vol = geometry.volume
+    eta, prev_l2 = _ETA_MAX, None
 
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f)
         res_sup = sup_norm(resid)
+        residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
             return KWSolution(
                 f=f,
@@ -319,13 +361,21 @@ def kw_solve(
                 classification=cls,
                 epsilon=problem.epsilon,
                 energy_history=history,
+                residual_history=residual_history,
+                cg_tolerances=cg_tolerances,
             )
         if iteration == config.max_newton:
             break
 
+        res_l2 = float(np.linalg.norm(resid.values))
+        if prev_l2 is not None:
+            eta = _forcing(eta, res_l2 / prev_l2)
+        prev_l2 = res_l2
+        tol = _cg_tolerance(config, eta, res_sup)
+        cg_tolerances.append(tol)
         _, pot, _ = _nonlinearity(problem, f.values)
         potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR))
-        delta = solve_linearized(problem.epsilon, potential, -resid, tol=config.cg_tol)
+        delta = solve_linearized(problem.epsilon, potential, -resid, tol=tol)
         slope = float(np.mean(resid.values * delta.values)) * vol
         if slope >= 0.0:
             raise MaxIterExceeded(
@@ -343,7 +393,7 @@ def kw_solve(
         e_noise = 1e-14 * (1.0 + abs(energy))
         for _ in range(80):
             try:
-                trial = f + step * delta
+                trial = f._like(f.values + step * delta.values)
                 e_trial = kw_energy(problem, trial)
                 r_trial = sup_norm(kw_residual(problem, trial))
             except OverflowGuard:

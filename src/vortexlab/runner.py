@@ -357,6 +357,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                         "epsilon": problem.epsilon,
                         "grid": problem.grid,
                         "iterations": solution.iterations,
+                        "residual_history": solution.residual_history,
+                        "cg_tolerances": solution.cg_tolerances,
                         "residual_sup": solution.residual_sup,
                         "residual_l2": solution.residual_l2,
                         "energy": solution.energy,

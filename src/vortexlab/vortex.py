@@ -692,6 +692,8 @@ class DiagnosticsReport:
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
     interior bound probes on the divisor-excluding region.
+    ``energy_history``, ``residual_history`` and ``cg_tolerances`` are
+    the Newton trace of :class:`KWSolution`; they go to the manifest only.
     """
 
     epsilon: float
@@ -706,6 +708,8 @@ class DiagnosticsReport:
     l2_exp_minus: float
     iterations: int
     energy_history: list
+    residual_history: list
+    cg_tolerances: list
     seconds: float = 0.0
 
 
@@ -796,6 +800,8 @@ def diagnostics_report(spec, solution: KWSolution):
         order_fits=[None] * len(points),
         iterations=solution.iterations,
         energy_history=list(solution.energy_history),
+        residual_history=list(solution.residual_history),
+        cg_tolerances=list(solution.cg_tolerances),
         **interior_bounds(solution.f, mask),
     )
     return stage, points, recon

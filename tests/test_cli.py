@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,16 @@ sweep:
         assert 0.9 <= float(r["curvature_mass"]) <= 1.05
     devs = [float(r["sup_deviation"]) for r in rows if r["point_index"] == "-1"]
     assert devs[2] < devs[1] < devs[0]
+    _assert_newton_trace(json.loads((out / MANIFEST_NAME).read_text())["stages"])
+
+
+def _assert_newton_trace(stages):
+    """Each stage record carries the Newton trace of its solve."""
+    assert stages
+    for stage in stages:
+        assert len(stage["residual_history"]) == stage["iterations"] + 1
+        assert stage["residual_history"][-1] <= 1e-10
+        assert len(stage["cg_tolerances"]) == stage["iterations"]
 
 
 def test_partial_failure_keeps_completed_rows(tmp_path):
@@ -600,6 +611,30 @@ def test_cli_bad_grid_override_exit_code(tmp_path, capsys):
     assert "--grid: grid counts must be even and at least 8" in capsys.readouterr().err
 
 
+def test_cli_override_checks_and_warns_once(tmp_path):
+    text = (
+        "kind: mixed\nepsilon: 0.1\ngrid: {nx: 64, ny: 64}\n"
+        "mixed:\n  divisor_plus: [{x: 0.25, y: 0.25, m: 1}]\n"
+        "  divisor_minus: [{x: 0.75, y: 0.75, m: 1}]\n  degree: 1\n"
+    )
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["mixed", "--config", cfg_path, "--out", str(out), "--quiet",
+                   "--grid", "32", "--epsilon", "0.2"])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == ["degree 1 differs from (deg+ - deg-)/2 = 0"]
+    # The override equals what a re-read of the overridden YAML gives.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = parse_config(text.replace("nx: 64, ny: 64", "nx: 32, ny: 32")
+                                .replace("0.1", "0.2"))
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["config_echo"] == echo_config(expected)
+    _assert_newton_trace(manifest["stages"])
+
+
 def test_cli_override_rejected_for_sweeps(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,
@@ -671,6 +706,7 @@ kw:
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert manifest["stages"][0]["classification"] == "ONE_SIDED_PLUS"
     assert manifest["stages"][0]["residual_sup"] <= 1e-10
+    _assert_newton_trace(manifest["stages"])
     assert (out / "f.pgm").exists() and (out / "results.csv").exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import vortexlab.kw as kw_module
 from helpers import random_trig
 from vortexlab import (
+    ClassicalVortexSpec,
     ContinuationSchedule,
     Divisor,
     GridSpec,
@@ -95,6 +96,11 @@ def bumpy_two_sided(grid, epsilon=0.3, w=0.25):
         minus_terms=((B, 1.0),),
         w=const(grid, w),
     )
+
+
+def one_sided_plus(grid):
+    A = field_from_function(UNIT, grid, lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * X))
+    return KWProblem(0.2, ((A, 1.0),), (), const(grid, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +284,64 @@ def test_solve_energy_monotone():
     assert sol.energy == hist[-1]
 
 
+def _classical_256():
+    divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
+    return ClassicalVortexSpec(UNIT, GridSpec(256, 256), divisor, 0.0125)
+
+
+def _mixed_128():
+    return MixedVortexSpec(
+        UNIT,
+        GridSpec(128, 128),
+        Divisor(((0.25, 0.25),), (1,)),
+        Divisor(((0.75, 0.75),), (1,)),
+        epsilon=0.0125,
+    )
+
+
+def _check_newton_trace(sol, config):
+    """Invariants of the recorded Newton trace of one solve."""
+    assert len(sol.residual_history) == sol.iterations + 1
+    assert len(sol.cg_tolerances) == sol.iterations
+    assert all(config.cg_tol <= tol <= 0.1 for tol in sol.cg_tolerances)
+    assert sol.residual_history[-1] == sol.residual_sup <= config.newton_tol
+    hist = np.asarray(sol.energy_history)
+    assert (np.diff(hist) <= 1e-14 * (1.0 + np.abs(hist[:-1]))).all()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: bumpy_two_sided(GridSpec(32, 32), w=0.4),
+        lambda: one_sided_plus(GridSpec(32, 32)),
+    ],
+    ids=["two_sided", "one_sided"],
+)
+def test_solve_newton_trace_invariants(problem):
+    config = SolverConfig()
+    sol = kw_solve(problem(), config)
+    _check_newton_trace(sol, config)
+    # The first step takes the largest forcing term, and the forcing
+    # tightens the CG target as the Newton residual falls.
+    assert sol.cg_tolerances[0] == 0.1
+    assert sol.cg_tolerances[-1] < 0.1
+
+
+@pytest.mark.parametrize("spec", [_classical_256, _mixed_128], ids=["classical", "mixed"])
+def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
+    problem = reduce_any(spec())
+    config = SolverConfig()
+    inexact = kw_solve(problem, config)
+    # Every CG solve to the cg_tol floor: exact Newton.
+    monkeypatch.setattr(kw_module, "_cg_tolerance", lambda config, eta, res_sup: config.cg_tol)
+    exact = kw_solve(problem, config)
+    assert exact.cg_tolerances == [config.cg_tol] * exact.iterations
+    assert max(inexact.cg_tolerances) > config.cg_tol
+    for sol in (inexact, exact):
+        _check_newton_trace(sol, config)
+    assert sup_norm(inexact.f - exact.f) <= config.newton_tol
+
+
 def test_solve_constant_mode_balance_at_solution():
     grid = GridSpec(32, 32)
     p = bumpy_two_sided(grid, w=0.4)
@@ -290,8 +354,8 @@ def test_solve_constant_mode_balance_at_solution():
 
 def test_solve_one_sided_plus():
     grid = GridSpec(32, 32)
-    A = field_from_function(UNIT, grid, lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * X))
-    p = KWProblem(0.2, ((A, 1.0),), (), const(grid, -1.0))
+    p = one_sided_plus(grid)
+    A = p.plus_terms[0][0]
     sol = kw_solve(p)
     assert sol.classification is Classification.ONE_SIDED_PLUS
     assert sol.residual_sup <= 1e-10
