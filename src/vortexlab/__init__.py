@@ -17,7 +17,6 @@ from .errors import (
     EmptyMask,
     GridMismatch,
     MaxIterExceeded,
-    MixedSignDivisor,
     NoConvergence,
     NonPositiveInput,
     NonPositivePotential,
@@ -36,11 +35,9 @@ from .fields import (
     TorusGeometry,
     bump_cutoff,
     constant_field,
-    cutoff_profile,
     cutoff_ratio_sup,
     dirichlet_energy,
     field_from_function,
-    field_from_values,
     gradient,
     gradient_magnitude,
     grid_points,
@@ -54,11 +51,9 @@ from .fields import (
 )
 from .greens import (
     Divisor,
-    DivisorPotential,
     divisor_potential,
     theta1,
     torus_green,
-    vanishing_density,
 )
 from .kw import (
     Classification,

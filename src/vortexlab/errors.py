@@ -36,10 +36,6 @@ class BadTau(VortexLabError):
     it that the nome underflows."""
 
 
-class MixedSignDivisor(VortexLabError):
-    """Vanishing density requested for a divisor with a negative part."""
-
-
 class OverflowGuard(VortexLabError):
     """An exponent in the nonlinearity exceeded the overflow threshold."""
 

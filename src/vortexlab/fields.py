@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "torus_distance",
     "constant_field",
     "field_from_function",
-    "field_from_values",
     "laplacian",
     "gradient",
     "gradient_magnitude",
@@ -49,7 +48,6 @@ __all__ = [
     "lp_norm",
     "sup_norm",
     "sample_at",
-    "cutoff_profile",
     "bump_cutoff",
     "cutoff_ratio_sup",
     "resample",
@@ -235,10 +233,6 @@ def field_from_function(
 ) -> ScalarField:
     X, Y = grid_points(geometry, grid)
     return ScalarField(geometry, grid, np.asarray(fn(X, Y), dtype=np.float64))
-
-
-def field_from_values(template: ScalarField, values: np.ndarray) -> ScalarField:
-    return ScalarField(template.geometry, template.grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -467,69 +461,22 @@ def solve_linearized(
 # Smooth radial cutoffs
 
 
-class _CutoffProfile:
-    """Radial profile of the standard smooth bump.
+def _bump_profile(dist: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:
+    """Radial profile of the standard smooth bump at distances ``dist``.
 
     In the transition variable ``t = (r_outer - dist) / (r_outer - r_inner)``
     the profile is ``sigma(t) = e^{-1/t} / (e^{-1/t} + e^{-1/(1-t)})``, which
     vanishes to infinite order at the outer edge, equals 1 inside, and is
     asymptotically proportional to ``e^{-1/t}`` near the vanishing edge.
-    Derivatives are evaluated in closed form so the profile can be probed
-    far below floating-point noise floors of grid differentiation.
     """
-
-    def __init__(self, r_inner: float, r_outer: float):
-        self.r_inner = float(r_inner)
-        self.r_outer = float(r_outer)
-        self.width = self.r_outer - self.r_inner
-
-    def _t(self, dist):
-        return (self.r_outer - np.asarray(dist, dtype=np.float64)) / self.width
-
-    @staticmethod
-    def _sigma(t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        out[t >= 1.0] = 1.0
-        mid = (t > 0.0) & (t < 1.0)
-        tm = t[mid]
-        with np.errstate(over="ignore"):
-            out[mid] = 1.0 / (1.0 + np.exp(1.0 / tm - 1.0 / (1.0 - tm)))
-        return out
-
-    def value(self, dist):
-        return self._sigma(self._t(dist))
-
-    def derivative(self, dist):
-        """d(phi)/d(dist), exact."""
-        t = self._t(dist)
-        out = np.zeros_like(t)
-        mid = (t > 0.0) & (t < 1.0)
-        tm = t[mid]
-        s = self._sigma(tm)
-        hp = -1.0 / tm**2 - 1.0 / (1.0 - tm) ** 2
-        # d/dt sigma = -h' * sigma * (1 - sigma); chain rule dt/ddist = -1/width
-        out[mid] = hp * s * (1.0 - s) / self.width
-        return out
-
-    def second_derivative(self, dist):
-        t = self._t(dist)
-        out = np.zeros_like(t)
-        mid = (t > 0.0) & (t < 1.0)
-        tm = t[mid]
-        s = self._sigma(tm)
-        hp = -1.0 / tm**2 - 1.0 / (1.0 - tm) ** 2
-        hpp = 2.0 / tm**3 - 2.0 / (1.0 - tm) ** 3
-        st = -hp * s * (1.0 - s)
-        stt = -hpp * s * (1.0 - s) - hp * st * (1.0 - 2.0 * s)
-        out[mid] = stt / self.width**2
-        return out
-
-
-def cutoff_profile(r_inner: float, r_outer: float) -> _CutoffProfile:
-    if not (0.0 < r_inner < r_outer):
-        raise BadRadii(f"need 0 < r_inner < r_outer, got ({r_inner}, {r_outer})")
-    return _CutoffProfile(r_inner, r_outer)
+    t = (r_outer - dist) / (r_outer - r_inner)
+    out = np.zeros_like(t)
+    out[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    with np.errstate(over="ignore"):
+        out[mid] = 1.0 / (1.0 + np.exp(1.0 / tm - 1.0 / (1.0 - tm)))
+    return out
 
 
 def bump_cutoff(
@@ -549,9 +496,8 @@ def bump_cutoff(
             f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
             f"got ({r_inner}, {r_outer})"
         )
-    prof = cutoff_profile(r_inner, r_outer)
     dist = torus_distance(geometry, grid, center)
-    return ScalarField(geometry, grid, prof.value(dist))
+    return ScalarField(geometry, grid, _bump_profile(dist, r_inner, r_outer))
 
 
 def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> float:

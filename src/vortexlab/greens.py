@@ -1,4 +1,4 @@
-"""Torus Green's function, divisors, and prescribed vanishing densities.
+"""Torus Green's function, effective divisors and their potentials.
 
 The Green's function of the flat torus ``[0, l1) x [0, l2)`` is built from
 the odd Jacobi theta function with modulus ``tau = i l2 / l1``:
@@ -14,14 +14,15 @@ The formula is used with ``l2 >= l1``, so ``Im tau >= 1`` and four
 terms of the sine series reach machine precision; a wider torus is
 evaluated through its reflection (see :func:`torus_green`).
 
-A divisor ``sum_k m_k x_k`` induces the potential
+An effective divisor ``sum_k m_k x_k`` (every ``m_k > 0``) induces the
+potential
 
     u_D = sum_k 4 pi m_k G(. - x_k)
 
 with ``u_D ~ 2 m_k log r`` near ``x_k``, so ``exp(u_D)`` vanishes to order
 ``2 m_k`` there and ``laplacian u_D = -4 pi deg(D) / volume`` away from the
-points. Samples that coincide exactly with a divisor point store a large
-finite sentinel of the appropriate sign in place of ``-inf``/``+inf``.
+points. Samples that coincide exactly with a divisor point store the
+finite sentinel ``NEGATIVE_SENTINEL`` in place of ``-inf``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadTau, MixedSignDivisor, VortexLabError
+from .errors import BadTau, VortexLabError
 from .fields import GridSpec, ScalarField, TorusGeometry, grid_points
 
 __all__ = [
@@ -40,9 +41,7 @@ __all__ = [
     "theta1",
     "torus_green",
     "Divisor",
-    "DivisorPotential",
     "divisor_potential",
-    "vanishing_density",
 ]
 
 # Finite stand-in for log(0) at samples that coincide with divisor points;
@@ -147,7 +146,7 @@ def _point_distance(geometry: TorusGeometry, p, q) -> float:
 
 @dataclass(frozen=True)
 class Divisor:
-    """Formal sum of torus points with nonzero integer multiplicities."""
+    """Effective divisor: torus points with positive integer multiplicities."""
 
     points: tuple[tuple[float, float], ...]
     multiplicities: tuple[int, ...]
@@ -157,8 +156,8 @@ class Divisor:
         mults = tuple(int(m) for m in self.multiplicities)
         if len(pts) != len(mults):
             raise ValueError("points and multiplicities must have equal length")
-        if any(m == 0 for m in mults):
-            raise ValueError("multiplicity must be nonzero")
+        if any(m <= 0 for m in mults):
+            raise ValueError(f"multiplicities must be positive, got {mults}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "multiplicities", mults)
 
@@ -180,14 +179,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.multiplicities)
 
-    def positive_part(self) -> "Divisor":
-        items = [(p, m) for p, m in self if m > 0]
-        return Divisor(tuple(p for p, _ in items), tuple(m for _, m in items))
-
-    def negative_part(self) -> "Divisor":
-        items = [(p, m) for p, m in self if m < 0]
-        return Divisor(tuple(p for p, _ in items), tuple(m for _, m in items))
-
     def check_separated(self, geometry: TorusGeometry, min_dist: float = 1e-9) -> None:
         """Require points pairwise distinct modulo the periods."""
         pts = self.points
@@ -199,48 +190,18 @@ class Divisor:
                     )
 
 
-@dataclass(frozen=True)
-class DivisorPotential:
-    """Grid samples of the logarithmic potential of a divisor."""
-
-    divisor: Divisor
-    geometry: TorusGeometry
-    grid: GridSpec
-    u: ScalarField
-
-    @property
-    def degree(self) -> int:
-        return self.divisor.degree
-
-
 def divisor_potential(
     divisor: Divisor, geometry: TorusGeometry, grid: GridSpec
-) -> DivisorPotential:
-    """Sum of ``4 pi m_k G(. - x_k)`` sampled on the grid.
+) -> ScalarField:
+    """``u_D``, the sum of ``4 pi m_k G(. - x_k)`` sampled on the grid.
 
-    Exact coincidences between samples and divisor points are stored as
-    large finite sentinels (negative for positive multiplicity).
+    Samples that coincide exactly with a divisor point store
+    ``NEGATIVE_SENTINEL``, so ``exp(u_D)`` is exactly 0 there.
     """
     divisor.check_separated(geometry)
     X, Y = grid_points(geometry, grid)
     u = np.zeros((grid.nx, grid.ny))
     for (px, py), m in divisor:
         u = u + (4.0 * np.pi * m) * torus_green((X - px, Y - py), geometry)
-    u = np.where(np.isneginf(u), NEGATIVE_SENTINEL, u)
-    u = np.where(np.isposinf(u), -NEGATIVE_SENTINEL, u)
-    return DivisorPotential(divisor, geometry, grid, ScalarField(geometry, grid, u))
-
-
-def vanishing_density(potential: DivisorPotential, scale: float = 1.0) -> ScalarField:
-    """``scale * exp(u_D)``: nonnegative, vanishing to order 2 m_k at x_k.
-
-    Requires an effective divisor (all multiplicities positive); a negative
-    part would make the density blow up instead of vanish.
-    """
-    if any(m < 0 for m in potential.divisor.multiplicities):
-        raise MixedSignDivisor("vanishing density needs all multiplicities positive")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    return ScalarField(
-        potential.geometry, potential.grid, scale * np.exp(potential.u.values)
-    )
+    u[np.isneginf(u)] = NEGATIVE_SENTINEL
+    return ScalarField(geometry, grid, u)

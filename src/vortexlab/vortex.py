@@ -27,8 +27,9 @@ with ``P_j = c_j e^{u_j}``. The presets:
 * mixed pair: mean-normalized terms with weights (1, -1), giving
   ``-(eps^2/2) lap(f) + P e^{f} - Q e^{-f} + (2 pi d eps^2 / vol + tau) = 0``.
 * generalized: mean-normalized terms with arbitrary nonzero integer
-  weights. Solutions exist only when the weights have mixed signs, or are
-  all positive with ``2 pi d eps^2 / vol + tau < 0``.
+  weights. Solutions exist only when the weights have mixed signs, are
+  all positive with ``2 pi d eps^2 / vol + tau < 0``, or are all
+  negative with ``2 pi d eps^2 / vol + tau > 0``.
 
 Integrating each curvature equation over the torus gives the identities
 checked by :func:`integral_identities`; as epsilon decreases the curvature
@@ -74,7 +75,6 @@ from .greens import (
     _point_distance,
     divisor_potential,
     torus_green,
-    vanishing_density,
 )
 from .kw import (
     KWProblem,
@@ -131,10 +131,10 @@ def _density_data(geometry, grid, divisor, scale, normalized):
     With ``normalized`` the density has mean ``scale``; otherwise the raw
     multiple ``scale * exp(u_D)`` is used.
     """
-    pot = divisor_potential(divisor, geometry, grid)
-    e = vanishing_density(pot)
-    c = scale / float(e.values.mean()) if normalized else scale
-    return pot, c * e, math.log(c)
+    u = divisor_potential(divisor, geometry, grid)
+    e = np.exp(u.values)
+    c = scale / float(e.mean()) if normalized else scale
+    return u, ScalarField(geometry, grid, c * e), math.log(c)
 
 
 def _term_data(spec, t: _Term):
@@ -171,9 +171,9 @@ class _VortexModel:
         log_scale = math.log(self.equation_scale)
         comps = []
         for t in self._terms:
-            pot, _, logc = _term_data(self, t)
+            u, _, logc = _term_data(self, t)
             # Divisor-point sentinels in u flush exp() to exactly 0.
-            vals = np.exp((logc - log_scale) + pot.u.values + t.weight * f.values)
+            vals = np.exp((logc - log_scale) + u.values + t.weight * f.values)
             comps.append(ScalarField(self.geometry, self.grid, vals))
         return comps
 
@@ -239,11 +239,6 @@ def reduce_any(spec) -> KWProblem:
 # Presets
 
 
-def _require_effective(divisor: Divisor, name: str) -> None:
-    if any(m <= 0 for m in divisor.multiplicities):
-        raise ValueError(f"{name} must have positive multiplicities")
-
-
 @dataclass(frozen=True)
 class ClassicalVortexSpec(_VortexModel):
     """Abelian vortex data: effective divisor, scale epsilon > 0.
@@ -264,7 +259,6 @@ class ClassicalVortexSpec(_VortexModel):
     tau: ClassVar[float] = -1.0
 
     def __post_init__(self):
-        _require_effective(self.divisor, "classical divisor")
         self.divisor.check_separated(self.geometry)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
@@ -327,8 +321,6 @@ class MixedVortexSpec(_VortexModel):
     kind: ClassVar[str] = "mixed"
 
     def __post_init__(self):
-        _require_effective(self.divisor_plus, "divisor_plus")
-        _require_effective(self.divisor_minus, "divisor_minus")
         self.divisor_plus.check_separated(self.geometry)
         self.divisor_minus.check_separated(self.geometry)
         if self.epsilon < 0:
@@ -359,8 +351,8 @@ class MixedVortexSpec(_VortexModel):
             return super()._phi_sq(f)
         # Limit profiles: both components collapse onto sqrt(P Q),
         # evaluated stably in log space (sentinels flush to zero).
-        (potp, _, logcp), (potm, _, logcm) = (_term_data(self, t) for t in self._terms)
-        half = 0.5 * (potp.u.values + potm.u.values)
+        (up, _, logcp), (um, _, logcm) = (_term_data(self, t) for t in self._terms)
+        half = 0.5 * (up.values + um.values)
         vals = np.exp(0.5 * (logcp + logcm) + half)
         phi = ScalarField(self.geometry, self.grid, vals)
         return [phi, phi._like(vals.copy())]
@@ -389,7 +381,6 @@ class GeneralizedTerm:
         if int(self.weight) == 0:
             raise ValueError("weight must be nonzero")
         object.__setattr__(self, "weight", int(self.weight))
-        _require_effective(self.divisor, "term divisor")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -398,10 +389,11 @@ class GeneralizedTerm:
 class GeneralizedSpec(_VortexModel):
     """Multi-component data with integer weights.
 
-    Solvability dichotomy: the weights must have mixed signs, or all be
-    positive with ``2 pi d eps^2 / volume + tau < 0`` (the balance
-    condition of the reduced one-sided problem, ``tau < 0`` at
-    ``eps = 0``); otherwise construction raises :class:`Unsolvable`.
+    Solvability trichotomy: the weights must have mixed signs, all be
+    positive with ``2 pi d eps^2 / volume + tau < 0``, or all be negative
+    with ``2 pi d eps^2 / volume + tau > 0`` (the balance conditions of
+    the reduced one-sided problems); otherwise construction raises
+    :class:`Unsolvable`.
     ``degree`` defaults to the least-squares bookkeeping
     ``sum(k_j d_j) / sum(k_j^2)`` matching the mixed-pair convention for
     weights (1, -1).
@@ -431,13 +423,14 @@ class GeneralizedSpec(_VortexModel):
         else:
             object.__setattr__(self, "degree", Fraction(self.degree))
         weights = [t.weight for t in self.terms]
-        # Without mixed signs the reduced problem is one-sided; with
-        # positive weights it balances only when its constant is negative.
+        # Without mixed signs the reduced problem is one-sided and balances
+        # only when its constant has the sign opposite to the weights.
         w = self._forcing
-        if not (min(weights) < 0 < max(weights) or (min(weights) > 0 and w < 0)):
+        if not (min(weights) < 0 < max(weights) or all(k * w < 0 for k in weights)):
             raise Unsolvable(
                 "weights must have mixed signs, or all be positive with "
-                f"2 pi d eps^2 / volume + tau < 0 (got {w:.6g})"
+                "2 pi d eps^2 / volume + tau < 0, or all negative with it > 0 "
+                f"(got {w:.6g})"
             )
 
     @property
@@ -692,8 +685,11 @@ class DiagnosticsReport:
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
     interior bound probes on the divisor-excluding region.
-    ``energy_history``, ``residual_history`` and ``cg_tolerances`` are
-    the Newton trace of :class:`KWSolution`; they go to the manifest only.
+    ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
+    classical model, ``residual_sup / (2 eps^2)`` up to roundoff
+    (derivations §3), and None for the other models. It and
+    ``energy_history``, ``residual_history`` and ``cg_tolerances``, the
+    Newton trace of :class:`KWSolution`, go to the manifest only.
     """
 
     epsilon: float
@@ -701,6 +697,7 @@ class DiagnosticsReport:
     curvature_masses: list[float | None]
     sup_deviation: float
     identity_residuals: dict[str, float]
+    crosscheck_gap: float | None
     order_fits: list[float | None]
     sup_f: float
     sup_grad_f: float
@@ -783,6 +780,14 @@ def _stage_masses(spec, recon, points) -> list[float | None]:
     ]
 
 
+def _crosscheck_gap(recon: Reconstruction) -> float | None:
+    """Sup distance between the curvature and its cross-check, if any."""
+    if recon.curvature_crosscheck is None:
+        return None
+    gap = recon.curvature.values - recon.curvature_crosscheck.values
+    return float(np.abs(gap, out=gap).max())
+
+
 def diagnostics_report(spec, solution: KWSolution):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`."""
     points = _spec_points(spec)
@@ -797,6 +802,7 @@ def diagnostics_report(spec, solution: KWSolution):
         curvature_masses=_stage_masses(spec, recon, points),
         sup_deviation=sup_dev,
         identity_residuals=_identities_of(spec, recon),
+        crosscheck_gap=_crosscheck_gap(recon),
         order_fits=[None] * len(points),
         iterations=solution.iterations,
         energy_history=list(solution.energy_history),

@@ -13,7 +13,7 @@ import pytest
 from vortexlab.cli import main
 from vortexlab.config import echo_config, parse_config
 from vortexlab.errors import ParseError, ValidationError
-from vortexlab.greens import Divisor, divisor_potential, vanishing_density
+from vortexlab.greens import Divisor, divisor_potential
 from vortexlab.kw import SolverConfig
 from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
 
@@ -306,7 +306,7 @@ def test_kind_and_model_section_consistency():
 
 
 def test_zero_multiplicity_names_the_invariant():
-    with pytest.raises(ValidationError, match="multiplicity must be nonzero"):
+    with pytest.raises(ValidationError, match="multiplicities must be positive"):
         parse_config(classical_yaml(points=((0.5, 0.5, 0),)))
 
 
@@ -485,7 +485,11 @@ sweep:
         assert 0.9 <= float(r["curvature_mass"]) <= 1.05
     devs = [float(r["sup_deviation"]) for r in rows if r["point_index"] == "-1"]
     assert devs[2] < devs[1] < devs[0]
-    _assert_newton_trace(json.loads((out / MANIFEST_NAME).read_text())["stages"])
+    stages = json.loads((out / MANIFEST_NAME).read_text())["stages"]
+    _assert_newton_trace(stages)
+    # The classical curvature cross-check reaches the manifest, not the CSV.
+    assert all(0.0 <= s["crosscheck_gap"] <= 1e-6 for s in stages)
+    assert "crosscheck_gap" not in (out / "results.csv").read_text()
 
 
 def _assert_newton_trace(stages):
@@ -656,7 +660,32 @@ def test_cli_subcommand_kind_mismatch(tmp_path, capsys):
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, classical_yaml(points=((0.5, 0.5, 0),)))
     assert main(["classical", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    assert "multiplicity must be nonzero" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "classical.divisor: multiplicities must be positive" in err
+
+
+def test_generalized_negative_weights_run(tmp_path):
+    text = (
+        "kind: generalized\nepsilon: 0.2\ngrid: {nx: 32, ny: 32}\ngeneralized:\n"
+        "  tau: 1.0\n  terms:\n    - {weight: -1, divisor: [{x: 0.3, y: 0.4, m: 1}]}\n"
+    )
+    out = tmp_path / "o"
+    cfg_path = write_config(tmp_path, text)
+    assert main(["generalized", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["stages"][0]["crosscheck_gap"] is None
+
+
+def test_kw_negative_multiplicity_exits_before_any_solve(tmp_path, capsys):
+    text = (
+        "kind: kw\nepsilon: 0.5\nkw:\n  w: -1.0\n  plus:\n"
+        "    - {amplitude: 1.0, divisor: [{x: 0.5, y: 0.5, m: -1}]}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["kw", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert "kw.plus[0].divisor: multiplicities must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -724,9 +753,8 @@ kw:
     )
     problem = config.build_kw_problem()
     divisor = Divisor(((0.3, 0.6),), (2,))
-    pot = divisor_potential(divisor, config.geometry, config.grid)
-    expected = vanishing_density(pot, 0.5)
-    assert np.array_equal(problem.plus_terms[0][0].values, expected.values)
+    u = divisor_potential(divisor, config.geometry, config.grid)
+    assert np.array_equal(problem.plus_terms[0][0].values, 0.5 * np.exp(u.values))
 
 
 def test_sweep_svg_output(tmp_path):

@@ -15,11 +15,9 @@ from vortexlab import (
     TorusGeometry,
     bump_cutoff,
     constant_field,
-    cutoff_profile,
     cutoff_ratio_sup,
     dirichlet_energy,
     field_from_function,
-    field_from_values,
     gradient,
     gradient_magnitude,
     integrate,
@@ -449,20 +447,12 @@ def test_bump_cutoff_plateau_and_support():
 
 
 def test_bump_cutoff_monotone_profile():
-    prof = cutoff_profile(0.1, 0.3)
-    radii = np.linspace(0.1, 0.3, 41)
-    vals = prof.value(radii)
+    # Along the x axis from the center the samples step 1/512 in radius;
+    # 100 of them fall strictly between the plateau and the support edge.
+    phi = bump_cutoff(UNIT, GridSpec(512, 8), (0.0, 0.0), 0.1, 0.3)
+    vals = phi.values[:257, 0]
     assert (np.diff(vals) <= 1e-15).all()
-
-
-def test_cutoff_profile_derivatives_match_finite_differences():
-    prof = cutoff_profile(0.1, 0.3)
-    radii = np.array([0.13, 0.18, 0.22, 0.27])
-    h = 1e-6
-    d_num = (prof.value(radii + h) - prof.value(radii - h)) / (2 * h)
-    d2_num = (prof.value(radii + h) - 2 * prof.value(radii) + prof.value(radii - h)) / h**2
-    assert np.abs(prof.derivative(radii) - d_num).max() <= 1e-4
-    assert np.abs(prof.second_derivative(radii) - d2_num).max() <= 1e-2
+    assert ((vals > 0.0) & (vals < 1.0)).sum() >= 100
 
 
 @pytest.mark.parametrize(
@@ -529,13 +519,6 @@ def test_resample_preserves_mean():
     f = random_field(UNIT, GridSpec(16, 16), seed=9)
     up = resample(f, GridSpec(48, 48))
     assert integrate(up) == pytest.approx(integrate(f), abs=1e-12)
-
-
-def test_field_from_values_uses_template():
-    f = constant_field(UNIT, GridSpec(8, 8), 1.0)
-    g = field_from_values(f, np.full((8, 8), 2.5))
-    assert g.geometry == f.geometry and g.grid == f.grid
-    assert (g.values == 2.5).all()
 
 
 def test_resample_non_square_round_trip():

@@ -13,10 +13,10 @@ from vortexlab import (
     sample_at,
     theta1,
     torus_green,
-    vanishing_density,
 )
-from vortexlab.errors import BadTau, MixedSignDivisor, VortexLabError
+from vortexlab.errors import BadTau, VortexLabError
 from vortexlab.greens import NEGATIVE_SENTINEL
+from vortexlab.vortex import _density_data
 
 UNIT = TorusGeometry(1.0, 1.0)
 GRID = GridSpec(256, 256)
@@ -157,20 +157,20 @@ def test_green_mean_laplacian_far_from_origin():
 
 
 def test_divisor_validation():
-    with pytest.raises(ValueError, match="multiplicity must be nonzero"):
-        Divisor(((0.1, 0.1),), (0,))
     with pytest.raises(ValueError):
         Divisor(((0.1, 0.1), (0.2, 0.2)), (1,))
-    d = Divisor.from_items([(0.1, 0.2, 1), (0.3, 0.4, -2)])
-    assert d.degree == -1
+    d = Divisor.from_items([(0.1, 0.2, 1), (0.3, 0.4, 2)])
+    assert d.degree == 3
     assert len(d) == 2
 
 
-def test_divisor_sign_partition():
-    d = Divisor(((0.1, 0.1), (0.2, 0.2), (0.3, 0.3)), (2, -1, 3))
-    pos, neg = d.positive_part(), d.negative_part()
-    assert pos.multiplicities == (2, 3) and neg.multiplicities == (-1,)
-    assert pos.degree + neg.degree == d.degree
+@pytest.mark.parametrize("m", [-1, 0])
+def test_divisor_is_effective(m):
+    # A density e^{u_D} vanishes only for positive multiplicities.
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        Divisor(((0.2, 0.2),), (m,))
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        Divisor(((0.2, 0.2), (0.6, 0.6)), (1, m))
 
 
 def test_divisor_separation_modulo_periods():
@@ -181,9 +181,9 @@ def test_divisor_separation_modulo_periods():
 
 
 def test_empty_divisor_potential_is_zero():
-    pot = divisor_potential(Divisor((), ()), UNIT, GridSpec(16, 16))
-    assert (pot.u.values == 0.0).all()
-    dens = vanishing_density(pot, 1.0)
+    u = divisor_potential(Divisor((), ()), UNIT, GridSpec(16, 16))
+    assert (u.values == 0.0).all()
+    _, dens, _ = _density_data(UNIT, GridSpec(16, 16), Divisor((), ()), 1.0, False)
     assert (dens.values == 1.0).all()
 
 
@@ -216,7 +216,6 @@ def test_potential_log_slope_single_point():
 
 def test_potential_far_laplacian_constant():
     div = Divisor(((0.3, 0.42), (0.7, 0.1)), (1, 2))
-    pot = divisor_potential(div, UNIT, GRID)
     fn = u_closed_form(div, UNIT)
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.0, 1.0, (600, 2))
@@ -228,17 +227,25 @@ def test_potential_far_laplacian_constant():
         dist = np.minimum(dist, np.hypot(ddx, ddy))
     sel = dist > 4 * h
     vals = lap4(fn, pts[sel, 0], pts[sel, 1])
-    target = -4.0 * np.pi * pot.degree
+    target = -4.0 * np.pi * div.degree
     assert np.abs(vals - target).max() <= 1e-3
 
 
-def test_potential_zero_degree_has_zero_mean_laplacian():
-    div = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, -1))
-    fn = u_closed_form(div, UNIT)
+def test_green_difference_has_zero_mean_laplacian():
+    # A charge and an anticharge: the uniform backgrounds of the two
+    # Green's functions cancel, leaving a harmonic function off the points.
+    points = ((0.25, 0.25), (0.75, 0.75))
+
+    def fn(a, b):
+        p, q = points
+        return 4.0 * np.pi * (
+            torus_green((a - p[0], b - p[1]), UNIT) - torus_green((a - q[0], b - q[1]), UNIT)
+        )
+
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, (600, 2))
     dist = np.full(600, np.inf)
-    for (px, py), _ in div:
+    for px, py in points:
         ddx = np.mod(pts[:, 0] - px + 0.5, 1.0) - 0.5
         ddy = np.mod(pts[:, 1] - py + 0.5, 1.0) - 0.5
         dist = np.minimum(dist, np.hypot(ddx, ddy))
@@ -252,19 +259,20 @@ def test_potential_linearity_disjoint_supports():
     d2 = Divisor(((0.7, 0.6),), (2,))
     combined = Divisor(d1.points + d2.points, d1.multiplicities + d2.multiplicities)
     grid = GridSpec(64, 64)
-    u1 = divisor_potential(d1, UNIT, grid).u
-    u2 = divisor_potential(d2, UNIT, grid).u
-    u12 = divisor_potential(combined, UNIT, grid).u
+    u1 = divisor_potential(d1, UNIT, grid)
+    u2 = divisor_potential(d2, UNIT, grid)
+    u12 = divisor_potential(combined, UNIT, grid)
     assert np.abs(u12.values - (u1.values + u2.values)).max() <= 1e-12
 
 
 def test_potential_sentinel_at_exact_sample():
     # Point placed on a grid sample: the log blows up there; the sample
     # stores the finite sentinel and exp() of it is exactly zero.
-    pot = divisor_potential(Divisor(((0.5, 0.5),), (1,)), UNIT, GridSpec(16, 16))
-    assert pot.u.values[8, 8] == NEGATIVE_SENTINEL
-    assert np.isfinite(pot.u.values).all()
-    dens = vanishing_density(pot, 1.0)
+    div = Divisor(((0.5, 0.5),), (1,))
+    u = divisor_potential(div, UNIT, GridSpec(16, 16))
+    assert u.values[8, 8] == NEGATIVE_SENTINEL
+    assert np.isfinite(u.values).all()
+    _, dens, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
     assert dens.values[8, 8] == 0.0
     assert (dens.values >= 0.0).all()
 
@@ -290,8 +298,8 @@ def test_potential_non_square_torus(log_aspect, pts):
         div.check_separated(geo, 0.05)
     except ValueError:
         assume(False)
-    pot = divisor_potential(div, geo, GridSpec(32, 32))
-    assert np.isfinite(pot.u.values).all()
+    u = divisor_potential(div, geo, GridSpec(32, 32))
+    assert np.isfinite(u.values).all()
     rng = np.random.default_rng(7)
     X, Y = rng.uniform(0.0, lx, 400), rng.uniform(0.0, ly, 400)
     dist = np.full(400, np.inf)
@@ -316,8 +324,7 @@ def test_extreme_aspect_torus_is_rejected():
 
 @pytest.mark.parametrize("m,target,tol", [(1, 2.0, 0.02), (2, 4.0, 0.05)])
 def test_density_log_slope(m, target, tol):
-    pot = divisor_potential(Divisor(((0.5, 0.5),), (m,)), UNIT, GRID)
-    dens = vanishing_density(pot, 1.0)
+    _, dens, _ = _density_data(UNIT, GRID, Divisor(((0.5, 0.5),), (m,)), 1.0, False)
     radii = np.exp(np.linspace(np.log(0.02), np.log(0.1), 12))
     ang = np.arange(64) * 2.0 * np.pi / 64
     pts = np.concatenate(
@@ -331,21 +338,10 @@ def test_density_log_slope(m, target, tol):
     assert abs(slope - target) <= tol
 
 
-def test_density_rejects_negative_multiplicities():
-    pot = divisor_potential(Divisor(((0.2, 0.2),), (-1,)), UNIT, GridSpec(16, 16))
-    with pytest.raises(MixedSignDivisor):
-        vanishing_density(pot, 1.0)
-    with pytest.raises(ValueError):
-        vanishing_density(
-            divisor_potential(Divisor(((0.2, 0.2),), (1,)), UNIT, GridSpec(16, 16)),
-            0.0,
-        )
-
-
 def test_density_positive_away_from_points():
     div = Divisor(((0.25, 0.25), (0.7, 0.6)), (1, 2))
     grid = GridSpec(128, 128)
-    dens = vanishing_density(divisor_potential(div, UNIT, grid), 3.0)
+    _, dens, _ = _density_data(UNIT, grid, div, 3.0, False)
     assert (dens.values >= 0.0).all()
     X = np.arange(128) / 128.0
     XX, YY = np.meshgrid(X, X, indexing="ij")
@@ -365,9 +361,9 @@ def test_density_positive_away_from_points():
     m=st.integers(1, 3),
 )
 def test_density_scale_is_linear(x, y, m):
-    pot = divisor_potential(Divisor(((x, y),), (m,)), UNIT, GridSpec(16, 16))
-    one = vanishing_density(pot, 1.0)
-    five = vanishing_density(pot, 5.0)
+    div = Divisor(((x, y),), (m,))
+    _, one, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
+    _, five, _ = _density_data(UNIT, GridSpec(16, 16), div, 5.0, False)
     assert np.abs(five.values - 5.0 * one.values).max() <= 1e-12 * max(
         1.0, one.values.max()
     )

@@ -37,8 +37,8 @@ from vortexlab.errors import (
     VortexLabError,
 )
 from vortexlab.kw import kw_limit, kw_solve
-from vortexlab.greens import divisor_potential, vanishing_density
-from vortexlab.vortex import ContinuationSchedule
+from vortexlab.greens import divisor_potential
+from vortexlab.vortex import ContinuationSchedule, diagnostics_report
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -140,6 +140,27 @@ def test_generalized_positive_weights_need_a_negative_constant():
     GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=-0.1, epsilon=0.1)
 
 
+def test_generalized_negative_weights_solve_with_a_positive_constant():
+    # The f -> -f mirror of the all-positive case: one-sided with minus
+    # terms only, so 2 pi d eps^2 / vol + tau must be positive.
+    term = GeneralizedTerm(Divisor(((0.3, 0.4),), (1,)), -1)
+    spec = GeneralizedSpec(UNIT, GridSpec(64, 64), (term,), tau=1.0, epsilon=0.2)
+    report = solve_and_report(spec)
+    assert report.error is None
+    (stage,) = report.stages
+    assert abs(stage.identity_residuals["identity"]) <= 1e-6 * UNIT.volume
+    assert stage.crosscheck_gap is None
+
+
+@pytest.mark.parametrize("tau, epsilon", [(-1.0, 0.2), (0.0, 0.0), (0.1, 0.2)])
+def test_generalized_negative_weights_need_a_positive_constant(tau, epsilon):
+    # The degree is -1, so the constant -2 pi eps^2 + tau is <= 0 in each
+    # case, although tau > 0 in the last.
+    term = GeneralizedTerm(Divisor(((0.3, 0.4),), (1,)), -1)
+    with pytest.raises(Unsolvable, match="2 pi d eps"):
+        GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=tau, epsilon=epsilon)
+
+
 def test_generalized_degree_default():
     terms = (
         GeneralizedTerm(Divisor(((0.2, 0.3),), (1,)), 2),
@@ -191,6 +212,20 @@ def test_classical_curvature_formulas_agree(classical_d1):
     recon = reconstruct(spec, sol.f)
     diff = sup_norm(recon.curvature - recon.curvature_crosscheck)
     assert diff <= 10 * 1e-10 / (2 * spec.epsilon**2)
+
+
+@pytest.mark.parametrize("epsilon, n", [(0.1, 128), (0.025, 256)])
+def test_classical_crosscheck_gap_is_the_scaled_residual(epsilon, n):
+    # The two curvature forms differ by -residual / (2 eps^2) (derivations §3).
+    report = solve_and_report(classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], epsilon, n=n))
+    (stage,) = report.stages
+    expected = report.final_solution.residual_sup / (2.0 * epsilon**2)
+    assert stage.crosscheck_gap == pytest.approx(expected, rel=1e-3)
+
+
+def test_crosscheck_gap_is_classical_only(mixed_pair):
+    spec, sol = mixed_pair
+    assert diagnostics_report(spec, sol)[0].crosscheck_gap is None
 
 
 def test_classical_max_principle(classical_d1, classical_d2_small):
@@ -419,9 +454,9 @@ def test_generalized_weighted_identity():
 
 
 def _density(divisor, grid, scale, normalized):
-    pot = divisor_potential(divisor, UNIT, grid)
-    c = scale / float(np.exp(pot.u.values).mean()) if normalized else scale
-    return vanishing_density(pot, c)
+    e = np.exp(divisor_potential(divisor, UNIT, grid).values)
+    c = scale / float(e.mean()) if normalized else scale
+    return c * e
 
 
 def test_reduce_any_dispatch():
@@ -432,7 +467,7 @@ def test_reduce_any_dispatch():
     p = reduce_any(spec)
     assert p.epsilon == spec.epsilon**2
     assert [e for _, e in p.plus_terms] == [1.0] and p.minus_terms == ()
-    raw = np.exp(divisor_potential(spec.divisor, UNIT, grid).u.values)
+    raw = np.exp(divisor_potential(spec.divisor, UNIT, grid).values)
     assert np.array_equal(p.plus_terms[0][0].values, 2.0 * raw)
     assert np.all(p.w.values == p.w.values[0, 0])
     assert p.w.values[0, 0] == pytest.approx(4 * math.pi * 0.01 * 3 - 2.0, abs=1e-15)
@@ -453,8 +488,8 @@ def test_reduce_any_dispatch():
     assert [e for _, e in p.minus_terms] == [1.0]
     P = _density(spec.divisor_plus, grid, 0.7, True)
     Q = _density(spec.divisor_minus, grid, 1.0, True)
-    assert np.array_equal(p.plus_terms[0][0].values, P.values)
-    assert np.array_equal(p.minus_terms[0][0].values, Q.values)
+    assert np.array_equal(p.plus_terms[0][0].values, P)
+    assert np.array_equal(p.minus_terms[0][0].values, Q)
     assert np.all(p.w.values == p.w.values[0, 0])
     assert p.w.values[0, 0] == pytest.approx(2 * math.pi * 0.5 * 0.04 + 0.25, abs=1e-15)
 
@@ -470,8 +505,8 @@ def test_reduce_any_dispatch():
     assert [e for _, e in p.minus_terms] == [1.0]
     P1 = _density(terms[0].divisor, grid, 1.5, True)
     P2 = _density(terms[1].divisor, grid, 1.0, True)
-    assert np.array_equal(p.plus_terms[0][0].values, 2.0 * P1.values)
-    assert np.array_equal(p.minus_terms[0][0].values, P2.values)
+    assert np.array_equal(p.plus_terms[0][0].values, 2.0 * P1)
+    assert np.array_equal(p.minus_terms[0][0].values, P2)
     assert spec.degree == Fraction(1, 5)
     assert np.all(p.w.values == p.w.values[0, 0])
     assert p.w.values[0, 0] == pytest.approx(2 * math.pi * 0.2 * 0.04 - 0.5, abs=1e-15)
