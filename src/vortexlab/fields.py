@@ -203,20 +203,38 @@ def _check_compatible(a, b) -> None:
         )
 
 
-def grid_points(geometry: TorusGeometry, grid: GridSpec):
-    """Meshgrid arrays (X, Y) of the sample coordinates, indexing='ij'."""
+def _axes(geometry: TorusGeometry, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """1-D sample coordinates along x (``nx``) and along y (``ny``)."""
     x = np.arange(grid.nx) * (geometry.length_x / grid.nx)
     y = np.arange(grid.ny) * (geometry.length_y / grid.ny)
-    return np.meshgrid(x, y, indexing="ij")
+    return x, y
+
+
+def _minimal_image(d, length: float):
+    """Offsets ``d`` along one period reduced to their minimal image.
+
+    The result lies in ``[-length/2, length/2]``. Scalars, 1-D axes and
+    full grids go through the same arithmetic, so a grid offset is
+    bit-identical however it is broadcast.
+    """
+    return np.mod(d + 0.5 * length, length) - 0.5 * length
+
+
+def grid_points(geometry: TorusGeometry, grid: GridSpec):
+    """Meshgrid arrays (X, Y) of the sample coordinates, indexing='ij'."""
+    return np.meshgrid(*_axes(geometry, grid), indexing="ij")
 
 
 def torus_displacement(geometry: TorusGeometry, grid: GridSpec, center):
-    """Minimal-image displacement (dx, dy) of every sample from ``center``."""
-    X, Y = grid_points(geometry, grid)
-    lx, ly = geometry.length_x, geometry.length_y
-    dx = np.mod(X - center[0] + 0.5 * lx, lx) - 0.5 * lx
-    dy = np.mod(Y - center[1] + 0.5 * ly, ly) - 0.5 * ly
-    return dx, dy
+    """Minimal-image displacement (dx, dy) of every sample from ``center``.
+
+    ``dx`` has shape ``(nx, 1)`` and ``dy`` shape ``(1, ny)``: each depends
+    on one axis only, and together they broadcast to the grid.
+    """
+    x, y = _axes(geometry, grid)
+    dx = _minimal_image(x - center[0], geometry.length_x)
+    dy = _minimal_image(y - center[1], geometry.length_y)
+    return dx[:, None], dy[None, :]
 
 
 def torus_distance(geometry: TorusGeometry, grid: GridSpec, center):

@@ -23,6 +23,14 @@ with ``u_D ~ 2 m_k log r`` near ``x_k``, so ``exp(u_D)`` vanishes to order
 ``2 m_k`` there and ``laplacian u_D = -4 pi deg(D) / volume`` away from the
 points. Samples that coincide exactly with a divisor point store the
 finite sentinel ``NEGATIVE_SENTINEL`` in place of ``-inf``.
+
+On a grid, every series term factors into a row part and a column part,
+``sin(a + ib) = sin a cosh b + i cos a sinh b``, where ``a`` depends only
+on the x offset and ``b`` only on the y offset. So ``Re theta1`` and
+``Im theta1`` over the whole grid are each one matrix product of rank at
+most four, and each sample costs one ``hypot`` and one ``log``
+(:func:`divisor_potential`). :func:`torus_green` evaluates ``G`` at
+arbitrary points; the two agree at roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadTau, VortexLabError
-from .fields import GridSpec, ScalarField, TorusGeometry, grid_points
+from .fields import GridSpec, ScalarField, TorusGeometry, _axes, _minimal_image
 
 __all__ = [
     "NEGATIVE_SENTINEL",
@@ -126,8 +134,8 @@ def torus_green(point, geometry: TorusGeometry):
     if ly < lx:
         reflected = torus_green((point[1], point[0]), TorusGeometry(ly, lx))
         return reflected + math.log(lx / ly) / (4.0 * math.pi)
-    x = np.mod(np.asarray(point[0], dtype=float) + 0.5 * lx, lx) - 0.5 * lx
-    y = np.mod(np.asarray(point[1], dtype=float) + 0.5 * ly, ly) - 0.5 * ly
+    x = _minimal_image(np.asarray(point[0], dtype=float), lx)
+    y = _minimal_image(np.asarray(point[1], dtype=float), ly)
     mag = np.abs(theta1((x + 1j * y) / lx, 1j * ly / lx))
     with np.errstate(divide="ignore"):
         logmag = np.log(mag)
@@ -137,10 +145,8 @@ def torus_green(point, geometry: TorusGeometry):
 
 def _point_distance(geometry: TorusGeometry, p, q) -> float:
     """Torus distance between two points (minimal image)."""
-    dx = abs(p[0] - q[0]) % geometry.length_x
-    dy = abs(p[1] - q[1]) % geometry.length_y
-    dx = min(dx, geometry.length_x - dx)
-    dy = min(dy, geometry.length_y - dy)
+    dx = _minimal_image(p[0] - q[0], geometry.length_x)
+    dy = _minimal_image(p[1] - q[1], geometry.length_y)
     return math.hypot(dx, dy)
 
 
@@ -153,6 +159,9 @@ class Divisor:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
+        for m in self.multiplicities:
+            if not float(m).is_integer():
+                raise ValueError(f"multiplicities must be integers, got {m}")
         mults = tuple(int(m) for m in self.multiplicities)
         if len(pts) != len(mults):
             raise ValueError("points and multiplicities must have equal length")
@@ -166,7 +175,7 @@ class Divisor:
         items = list(items)
         return cls(
             tuple((it[0], it[1]) for it in items),
-            tuple(int(it[2]) for it in items),
+            tuple(it[2] for it in items),
         )
 
     def __len__(self) -> int:
@@ -190,18 +199,60 @@ class Divisor:
                     )
 
 
+def _log_theta_grid(out, rows, cols, short: float, long: float) -> None:
+    """``out[i, j] = log|theta1((rows[i] + i cols[j]) / short, i long / short)|``.
+
+    ``rows`` and ``cols`` are 1-D minimal-image offsets along the sides of
+    length ``short <= long``. Term ``n`` of the sine series splits as
+    ``sin(k_n r) cosh(k_n c) + i cos(k_n r) sinh(k_n c)`` with
+    ``k_n = (2n+1) pi / short``; the row factors carry the coefficients
+    ``2 (-1)^n q^{(n+1/2)^2}``, so the real and imaginary parts are one
+    ``(len(rows), N) @ (N, len(cols))`` product each. ``out`` receives the
+    real part, and ``-inf`` where both parts vanish.
+    """
+    im_tau = _check_tau(1j * long / short).imag
+    n = np.arange(_term_count(im_tau))
+    k = (2 * n + 1) * (np.pi / short)
+    coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
+    a = np.multiply.outer(rows, k)
+    b = np.multiply.outer(k, cols)
+    np.matmul(np.sin(a) * coeff, np.cosh(b), out=out)
+    imag = np.cos(a) * coeff @ np.sinh(b)
+    np.hypot(out, imag, out=out)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+
+
 def divisor_potential(
     divisor: Divisor, geometry: TorusGeometry, grid: GridSpec
 ) -> ScalarField:
     """``u_D``, the sum of ``4 pi m_k G(. - x_k)`` sampled on the grid.
 
-    Samples that coincide exactly with a divisor point store
-    ``NEGATIVE_SENTINEL``, so ``exp(u_D)`` is exactly 0 there.
+    Each term is ``2 m_k (log|theta1| - pi dy^2 / (lx ly))`` built from the
+    1-D offsets of the samples from ``x_k`` (see :func:`_log_theta_grid`).
+    A torus with ``length_y < length_x`` is evaluated on its reflection,
+    with the axes swapped, as in :func:`torus_green`. Samples that coincide
+    exactly with a divisor point store ``NEGATIVE_SENTINEL``, so
+    ``exp(u_D)`` is exactly 0 there.
     """
     divisor.check_separated(geometry)
-    X, Y = grid_points(geometry, grid)
-    u = np.zeros((grid.nx, grid.ny))
+    lx, ly = geometry.length_x, geometry.length_y
+    x, y = _axes(geometry, grid)
+    reflected = ly < lx
+    short, long = (ly, lx) if reflected else (lx, ly)
+    shape = (grid.ny, grid.nx) if reflected else (grid.nx, grid.ny)
+    u = np.zeros(shape)
+    term = np.empty(shape)
     for (px, py), m in divisor:
-        u = u + (4.0 * np.pi * m) * torus_green((X - px, Y - py), geometry)
+        dx = _minimal_image(x - px, lx)
+        dy = _minimal_image(y - py, ly)
+        rows, cols = (dy, dx) if reflected else (dx, dy)
+        _log_theta_grid(term, rows, cols, short, long)
+        term -= (np.pi / (lx * ly)) * cols**2
+        term *= 2.0 * m
+        u += term
+    if reflected:
+        u += divisor.degree * math.log(lx / ly)
+        u = u.T
     u[np.isneginf(u)] = NEGATIVE_SENTINEL
     return ScalarField(geometry, grid, u)

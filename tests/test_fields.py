@@ -1,5 +1,7 @@
 """Torus geometry, spectral calculus, quadrature, sampling, and cutoffs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from vortexlab.errors import (
     NoConvergence,
     NonPositivePotential,
 )
-from vortexlab.fields import _wavenumbers, grid_points, torus_distance
+from vortexlab.fields import _bump_profile, _wavenumbers, grid_points, torus_distance
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -127,6 +129,51 @@ def test_excluding_discs_mask():
     dist = torus_distance(UNIT, grid, (0.5, 0.5))
     assert (mask.weights[dist <= 0.2] == 0.0).all()
     assert (mask.weights[dist > 0.2] == 1.0).all()
+
+
+def meshgrid_distance(geometry, grid, center):
+    # Minimal-image distances from full coordinate arrays, sample by sample.
+    lx, ly = geometry.length_x, geometry.length_y
+    x = np.arange(grid.nx) * (lx / grid.nx)
+    y = np.arange(grid.ny) * (ly / grid.ny)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    dx = np.mod(X - center[0] + 0.5 * lx, lx) - 0.5 * lx
+    dy = np.mod(Y - center[1] + 0.5 * ly, ly) - 0.5 * ly
+    return np.hypot(dx, dy)
+
+
+@pytest.mark.parametrize(
+    "geometry,grid",
+    [(UNIT, GridSpec(64, 64)), (TorusGeometry(2.0, 0.7), GridSpec(96, 40)), (TorusGeometry(0.6, 1.5), GridSpec(16, 72))],
+)
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.45), (0.59, 0.01)])
+def test_distances_equal_meshgrid_reference(geometry, grid, center):
+    # Broadcast 1-D offsets give the same bits as full coordinate arrays.
+    ref = meshgrid_distance(geometry, grid, center)
+    dist = torus_distance(geometry, grid, center)
+    assert dist.shape == (grid.nx, grid.ny)
+    assert np.array_equal(dist, ref)
+    r_in, r_out = 0.1, 0.25
+    phi = bump_cutoff(geometry, grid, center, r_in, r_out)
+    assert np.array_equal(phi.values, _bump_profile(ref, r_in, r_out))
+    mask = RegionMask.excluding_discs(geometry, grid, [center, (0.5, 0.2)], r_out)
+    expected = np.ones((grid.nx, grid.ny))
+    for c in (center, (0.5, 0.2)):
+        expected[meshgrid_distance(geometry, grid, c) <= r_out] = 0.0
+    assert np.array_equal(mask.weights, expected)
+
+
+def test_bump_cutoff_memory():
+    # At 512^2 a grid is 2 MiB: the distances, the transition variable, the
+    # profile and the field's own copy. Full coordinate arrays read 10 MiB.
+    grid = GridSpec(512, 512)
+    tracemalloc.start()
+    try:
+        bump_cutoff(UNIT, grid, (0.3, 0.4), 0.1, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

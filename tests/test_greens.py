@@ -1,5 +1,7 @@
 """Theta functions, the torus Green's function, divisors, and densities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from vortexlab import (
     GridSpec,
     TorusGeometry,
     divisor_potential,
+    grid_points,
     sample_at,
     theta1,
     torus_green,
@@ -173,6 +176,20 @@ def test_divisor_is_effective(m):
         Divisor(((0.2, 0.2), (0.6, 0.6)), (1, m))
 
 
+@pytest.mark.parametrize("m", [1.7, 0.5, np.float64(2.5)])
+def test_divisor_rejects_non_integer_multiplicities(m):
+    with pytest.raises(ValueError, match=f"multiplicities must be integers, got {m}"):
+        Divisor(((0.2, 0.2),), (m,))
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        Divisor.from_items([(0.2, 0.2, 1), (0.6, 0.6, m)])
+
+
+def test_divisor_accepts_integral_multiplicities():
+    d = Divisor(((0.2, 0.2), (0.6, 0.6), (0.4, 0.9)), (2.0, np.int64(3), np.float64(1.0)))
+    assert d.multiplicities == (2, 3, 1)
+    assert all(type(m) is int for m in d.multiplicities)
+
+
 def test_divisor_separation_modulo_periods():
     d = Divisor(((0.1, 0.2), (1.1, 0.2)), (1, 1))
     with pytest.raises(ValueError, match="coincide"):
@@ -310,6 +327,41 @@ def test_potential_non_square_torus(log_aspect, pts):
     sel = dist > 0.1
     vals = lap4(u_closed_form(div, geo), X[sel], Y[sel], h=1e-4)
     assert np.abs(vals - (-4.0 * np.pi * div.degree / geo.volume)).max() <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "lengths,grid",
+    [((1.0, 1.0), GridSpec(64, 64)), ((1.0, 8.0), GridSpec(32, 128)), ((20.0, 1.0), GridSpec(160, 16))],
+)
+def test_grid_potential_equals_pointwise_green(lengths, grid):
+    # The separable grid path against 4 pi m G at every sample, on a square
+    # torus and on both orientations of the Jacobi reflection. The first
+    # point lies on a sample, whose sentinel must sit at the same index.
+    geo = TorusGeometry(*lengths)
+    lx, ly = lengths
+    div = Divisor(((0.5 * lx, 0.5 * ly), (0.13 * lx, 0.71 * ly), (0.9 * lx, 0.05 * ly)), (1, 2, 3))
+    u = divisor_potential(div, geo, grid).values
+    X, Y = grid_points(geo, grid)
+    ref = u_closed_form(div, geo)(X, Y)
+    hit = np.isneginf(ref)
+    assert np.argwhere(hit).tolist() == [[grid.nx // 2, grid.ny // 2]]
+    assert (u[hit] == NEGATIVE_SENTINEL).all()
+    assert np.abs(u[~hit] - ref[~hit]).max() <= 1e-13
+
+
+def test_divisor_potential_memory():
+    # Two points at 512^2: the result, an accumulator and the real and
+    # imaginary parts of one theta term are each one grid (2 MiB). A
+    # meshgrid path that holds full coordinate arrays read 30 MiB.
+    geo, grid = UNIT, GridSpec(512, 512)
+    div = Divisor(((0.25, 0.3), (0.7, 0.6)), (1, 2))
+    tracemalloc.start()
+    try:
+        divisor_potential(div, geo, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_extreme_aspect_torus_is_rejected():
