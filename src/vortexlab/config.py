@@ -146,10 +146,7 @@ class RunConfig:
 
         def coeff(term: KWTermSection):
             if term.divisor:
-                _, density, _ = _density_data(
-                    geometry, g, term.divisor, term.amplitude, False
-                )
-                return density
+                return _density_data(geometry, g, term.divisor, term.amplitude, False)[1]
             return constant_field(geometry, g, term.amplitude)
 
         plus = tuple((coeff(t), t.exponent) for t in self.model.plus)

@@ -467,7 +467,8 @@ def kw_limit(problem: KWProblem) -> LimitProfile:
         sides[int(k < 0)] += c.values
     # A sample is excluded where a side that the problem has sums to 0.
     excluded = np.any(sides[sides.max(axis=(1, 2)) > 0.0] < _COEFF_TINY, axis=0)
-    active = ~excluded
+    # With nothing excluded, a full slice indexes views instead of copies.
+    active = ~excluded if excluded.any() else slice(None)
     w = problem.w.values
     if cls is Classification.ONE_SIDED_PLUS and np.any(w[active] >= 0.0):
         raise NoRoot("one-sided limit needs w < 0 where the coefficient lives")
@@ -478,10 +479,9 @@ def kw_limit(problem: KWProblem) -> LimitProfile:
     if cls is Classification.TWO_SIDED and len(terms) == 2 and not w.any():
         # A e^{alpha f} = B e^{-beta f}  =>  f = log(B/A) / (alpha + beta)
         (a, alpha), (b, k) = terms
-        fvals[active] = (
-            np.log(b.values[active]) - np.log(a.values[active])
-        ) / (alpha - k)
-    elif active.any():
+        log_ratio = np.log(b.values[active]) - np.log(a.values[active])
+        fvals[active] = log_ratio / (alpha - k)
+    elif not excluded.all():
         fvals[active] = _scalar_root(w[active], [(c.values[active], k) for c, k in terms])
 
     f = ScalarField(geometry, grid, fvals)

@@ -78,9 +78,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _jsonable(obj):
     """Recursively convert report objects to JSON-safe primitives."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()

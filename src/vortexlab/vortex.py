@@ -34,7 +34,9 @@ with ``P_j = c_j e^{u_j}``. The presets:
 Integrating each curvature equation over the torus gives the identities
 checked by :func:`integral_identities`; as epsilon decreases the curvature
 concentrates near the divisor points with calculable masses, measured by
-:func:`curvature_mass` through smooth bump windows.
+:func:`curvature_mass` through smooth bump windows. A spec computes its
+term densities ``P_j`` once and shares them with its copies at other
+epsilons on the same grid; nothing is cached process-wide.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -124,7 +126,6 @@ class _Term(NamedTuple):
     normalized: bool
 
 
-@lru_cache(maxsize=16)
 def _density_data(geometry, grid, divisor, scale, normalized):
     """Potential u_D, density rho = c * exp(u_D), and log c.
 
@@ -137,16 +138,6 @@ def _density_data(geometry, grid, divisor, scale, normalized):
     return u, ScalarField(geometry, grid, c * e), math.log(c)
 
 
-def _term_data(spec, t: _Term):
-    """Cached (u_D, S c e^{u_D}, log(S c)) of a term, S the equation scale.
-
-    Folding S into the cached density lets the reduction reuse it as the
-    coefficient of every weight +-1 term without a copy.
-    """
-    scale = spec.equation_scale * t.scale
-    return _density_data(spec.geometry, spec.grid, t.divisor, scale, t.normalized)
-
-
 class _VortexModel:
     """Behaviour shared by the presets, written once over ``_terms``.
 
@@ -154,7 +145,8 @@ class _VortexModel:
     ``degree`` and the term list ``_terms``. The hooks below (``_phi_sq``,
     ``_curvature``, ``_identities``, ``_expected``, ``_deviation`` and
     ``_order_fits``) hold the mixed/generalized behaviour; a preset
-    overrides the ones where its model differs.
+    overrides the ones where its model differs. A spec builds its term
+    densities once, in :attr:`_densities`; they live and die with it.
     """
 
     kind: ClassVar[str]
@@ -167,11 +159,20 @@ class _VortexModel:
         vol = self.geometry.volume
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
+    @cached_property
+    def _densities(self) -> tuple:
+        """Per term ``(u_D, S c e^{u_D}, log(S c))``, ``S`` the equation scale.
+
+        Folding S into the density lets the reduction use it as the
+        coefficient of every weight +-1 term without a copy.
+        """
+        g, n, S = self.geometry, self.grid, self.equation_scale
+        return tuple(_density_data(g, n, d, S * s, norm) for d, _, s, norm in self._terms)
+
     def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
         log_scale = math.log(self.equation_scale)
         comps = []
-        for t in self._terms:
-            u, _, logc = _term_data(self, t)
+        for t, (u, _, logc) in zip(self._terms, self._densities):
             # Divisor-point sentinels in u flush exp() to exactly 0.
             vals = np.exp((logc - log_scale) + u.values + t.weight * f.values)
             comps.append(ScalarField(self.geometry, self.grid, vals))
@@ -204,10 +205,16 @@ class _VortexModel:
 
 def _copy(spec, **changes):
     """``dataclasses.replace`` without the degree warning: a copy keeps the
-    divisors and degree of ``spec``, whose construction already warned."""
+    divisors and degree of ``spec``, whose construction already warned. A
+    copy that changes nothing but epsilon shares the densities of ``spec``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return dataclasses.replace(spec, **changes)
+        new = dataclasses.replace(spec, **changes)
+    if "_densities" in vars(spec) and all(
+        getattr(spec, k) == v for k, v in changes.items() if k != "epsilon"
+    ):
+        vars(new)["_densities"] = spec._densities
+    return new
 
 
 def reduce_any(spec) -> KWProblem:
@@ -221,8 +228,7 @@ def reduce_any(spec) -> KWProblem:
         raise TypeError(f"not a vortex spec: {type(spec)!r}")
     scale = spec.equation_scale
     plus, minus = [], []
-    for t in spec._terms:
-        _, density, _ = _term_data(spec, t)
+    for t, (_, density, _) in zip(spec._terms, spec._densities):
         k = abs(t.weight)
         coeff = density if k == 1 else density * float(k)
         (plus if t.weight > 0 else minus).append((coeff, float(k)))
@@ -351,7 +357,7 @@ class MixedVortexSpec(_VortexModel):
             return super()._phi_sq(f)
         # Limit profiles: both components collapse onto sqrt(P Q),
         # evaluated stably in log space (sentinels flush to zero).
-        (up, _, logcp), (um, _, logcm) = (_term_data(self, t) for t in self._terms)
+        (up, _, logcp), (um, _, logcm) = self._densities
         half = 0.5 * (up.values + um.values)
         vals = np.exp(0.5 * (logcp + logcm) + half)
         phi = ScalarField(self.geometry, self.grid, vals)
@@ -571,8 +577,6 @@ def vanishing_order_fit(
     return float(slope)
 
 
-
-
 def integral_identities(spec, f: ScalarField) -> dict[str, float]:
     """Residuals of the integrated curvature equations.
 
@@ -598,7 +602,7 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
     Works at arbitrary points through the Green's function sum, so order
     fits can probe radii below the grid scale without interpolation error.
     """
-    logcp, logcm = (_term_data(spec, t)[2] for t in spec._terms)
+    (_, _, logcp), (_, _, logcm) = spec._densities
     items = list(spec.divisor_plus) + list(spec.divisor_minus)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -875,7 +879,8 @@ def adiabatic_sweep(
         t0 = time.perf_counter()
         try:
             grid = schedule.grid(spec.geometry, eps)
-            stage_spec = _copy(spec, epsilon=eps, grid=grid)
+            # A copy of the last stage shares its densities on the same grid.
+            stage_spec = _copy(report.final_spec or spec, epsilon=eps, grid=grid)
             prev = report.final_solution
             init = resample(prev.f, grid) if prev is not None else None
             stage = _run_stage(report, stage_spec, config, init, t0)

@@ -1,7 +1,10 @@
 """Vortex reductions, gauge reconstruction, and adiabatic sweeps."""
 
+import gc
 import math
 import warnings
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -664,3 +667,74 @@ def test_solve_and_report_single_stage(mixed_pair):
     assert [p.expected_mass for p in report.points] == [0.5, -0.5]
     assert all(abs(v - 0.5) <= 0.02 for v in report.order_fits)
     assert report.final_solution is not None
+
+
+# ---------------------------------------------------------------------------
+# Term densities
+
+
+@pytest.fixture
+def potential_calls(monkeypatch):
+    """``(divisor, grid)`` of every divisor potential the models build."""
+    import vortexlab.vortex as vortex
+
+    calls = []
+
+    def counting(divisor, geometry, grid):
+        calls.append((divisor, grid))
+        return divisor_potential(divisor, geometry, grid)
+
+    monkeypatch.setattr(vortex, "divisor_potential", counting)
+    return calls
+
+
+def test_term_densities_die_with_their_spec():
+    spec = classical([(0.33, 0.44)], [1], 0.2, n=32)
+    # The reduced problem is dropped at once; only the spec holds the density.
+    ref = weakref.ref(reduce_any(spec).plus_terms[0][0])
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
+    spec = classical([(0.36, 0.47)], [1], 0.1, n=64)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.3, 0.2, 0.1), 64, 64))
+    report.raise_if_failed()
+    assert len(report.stages) == 3
+    assert potential_calls == [(spec.divisor, GridSpec(64, 64))]
+
+
+def test_mixed_sweep_builds_each_density_once_per_grid(potential_calls):
+    plus, minus = Divisor(((0.39, 0.41),), (1,)), Divisor(((0.69, 0.62),), (1,))
+    spec = MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.2, 0.1, 0.05)))
+    report.raise_if_failed()
+    grids = [s.grid for s in report.stages]
+    assert len(set(grids)) == 3
+    assert Counter(potential_calls) == {(d, g): 1 for d in (plus, minus) for g in grids}
+
+
+@pytest.mark.parametrize(
+    "kind, points",
+    [
+        ("mixed", ((0.34, 0.53), (0.63, 0.21))),
+        ("generalized", ((0.37, 0.56), (0.64, 0.24), (0.14, 0.86))),
+    ],
+)
+def test_one_stage_with_its_limit_and_fits_builds_each_density_once(
+    potential_calls, kind, points
+):
+    grid = GridSpec(64, 64)
+    divisors = [Divisor((pt,), (1,)) for pt in points]
+    if kind == "mixed":
+        spec = MixedVortexSpec(UNIT, grid, *divisors, epsilon=0.1)
+    else:
+        terms = tuple(GeneralizedTerm(d, k) for d, k in zip(divisors, (1, -1, 2)))
+        spec = GeneralizedSpec(UNIT, grid, terms, epsilon=0.1)
+    report = solve_and_report(spec)
+    report.raise_if_failed()
+    # The stage's eps = 0 limit and order fits reuse the stage's densities.
+    assert report.stages[0].sup_deviation > 0
+    assert len(report.order_fits) == len(divisors)
+    assert Counter(potential_calls) == {(d, grid): 1 for d in divisors}
