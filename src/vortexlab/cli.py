@@ -53,7 +53,7 @@ def _apply_overrides(config, args):
             raise ValidationError("--grid does not apply to sweep runs")
         try:
             changes["grid"] = GridSpec(args.grid, args.grid)
-        except ValueError as exc:
+        except ValidationError as exc:
             raise ValidationError(f"--grid: {exc}") from None
     return override(config, **changes) if changes else config
 

@@ -83,9 +83,9 @@ class KWTermSection:
 
     def __post_init__(self):
         if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+            raise ValidationError("amplitude must be positive")
         if not self.exponent > 0:
-            raise ValueError("exponent must be positive")
+            raise ValidationError("exponent must be positive")
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,14 @@ def _read(tp, node, path: str, **given):
     a :class:`Divisor` from a list of :class:`DivisorItem`, YAML null
     being an empty one. Fields absent from the mapping take their
     defaults, an absent divisor being empty; ``given`` supplies fields
-    that are not keys of the mapping. A constructor's ValueError or
-    VortexLabError names the section.
+    that are not keys of the mapping. A constructor's VortexLabError
+    names the section.
     """
     if tp is Divisor:  # a dataclass itself, read from its items
         items = _read(tuple[DivisorItem, ...], node, path)
         try:
             return Divisor.from_items((it.x, it.y, it.m) for it in items)
-        except ValueError as exc:
+        except VortexLabError as exc:
             raise _fail(path, str(exc)) from None
     if is_dataclass(tp):
         if node is None:
@@ -208,7 +208,7 @@ def _read(tp, node, path: str, **given):
                 raise _fail(path, f"missing key '{f.name}'")
         try:
             return tp(**values)
-        except (VortexLabError, ValueError) as exc:
+        except VortexLabError as exc:
             raise _fail(path, str(exc)) from None
 
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -357,7 +357,7 @@ def override(config: RunConfig, **changes) -> RunConfig:
     if not isinstance(model, KWSection):
         try:
             model = _copy(model, **changes)
-        except (VortexLabError, ValueError) as exc:
+        except VortexLabError as exc:
             raise _fail(config.model_key(), str(exc)) from None
     return replace(config, model=model, **changes)
 

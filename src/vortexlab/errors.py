@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; generic misuse (wrong grid, bad argument combinations) raises the
-base class directly.
+class; a value outside its documented domain raises ValidationError,
+which is also a ValueError. A VortexLabError is an expected failure;
+anything else is a programming error and propagates.
 """
 
 
@@ -82,5 +83,6 @@ class ParseError(VortexLabError):
         super().__init__(message)
 
 
-class ValidationError(VortexLabError):
-    """Config parsed but violates the schema or a model constraint."""
+class ValidationError(VortexLabError, ValueError):
+    """A value outside its documented domain: a config key, a constructor
+    argument or a function argument."""

@@ -27,6 +27,7 @@ from .errors import (
     GridMismatch,
     NoConvergence,
     NonPositivePotential,
+    ValidationError,
 )
 
 __all__ = [
@@ -63,7 +64,7 @@ class TorusGeometry:
 
     def __post_init__(self):
         if not (self.length_x > 0 and self.length_y > 0):
-            raise ValueError("torus side lengths must be positive")
+            raise ValidationError("torus side lengths must be positive")
 
     @property
     def volume(self) -> float:
@@ -84,7 +85,7 @@ class GridSpec:
     def __post_init__(self):
         for n in (self.nx, self.ny):
             if n < 8 or n % 2 != 0:
-                raise ValueError("grid counts must be even and at least 8")
+                raise ValidationError("grid counts must be even and at least 8")
 
     def spacing(self, geometry: TorusGeometry) -> tuple[float, float]:
         return geometry.length_x / self.nx, geometry.length_y / self.ny
@@ -112,12 +113,12 @@ class ScalarField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
+            raise ValidationError(
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise ValidationError("field values must be finite")
         object.__setattr__(self, "values", _freeze(vals))
 
     def _like(self, values: np.ndarray) -> "ScalarField":
@@ -169,9 +170,9 @@ class RegionMask:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError("mask shape does not match grid")
+            raise ValidationError("mask shape does not match grid")
         if w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("mask weights must lie in [0, 1]")
+            raise ValidationError("mask weights must lie in [0, 1]")
         object.__setattr__(self, "weights", _freeze(w))
 
     @classmethod
@@ -331,7 +332,7 @@ def _mask_weights(f: ScalarField, mask: RegionMask | None) -> np.ndarray:
 def lp_norm(f: ScalarField, p: float, mask: RegionMask | None = None) -> float:
     """(integral of mask * |f|^p)^(1/p) with the grid quadrature."""
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise ValidationError("p must be >= 1")
     w = _mask_weights(f, mask)
     val = float(np.mean(w * np.abs(f.values) ** p)) * f.geometry.volume
     return val ** (1.0 / p)
@@ -376,7 +377,7 @@ def sample_at(f: ScalarField, points) -> np.ndarray | float:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (x, y) or an (M, 2) array")
+        raise ValidationError("points must be (x, y) or an (M, 2) array")
     spec = np.fft.rfft2(f.values)
     px = _phase_matrix(pts[:, 0], f.grid.nx, f.geometry.length_x)
     py = _phase_matrix(pts[:, 1], f.grid.ny, f.geometry.length_y, half=True)
@@ -409,7 +410,7 @@ def solve_linearized(
     """
     _check_compatible(potential, rhs)
     if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+        raise ValidationError("epsilon must be nonnegative")
     vmin = potential.min()
     if vmin <= 0.0:
         raise NonPositivePotential(f"potential minimum {vmin} is not positive")

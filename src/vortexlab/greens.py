@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadTau, VortexLabError
+from .errors import BadTau, ValidationError
 from .fields import GridSpec, ScalarField, TorusGeometry, _axes, _minimal_image
 
 __all__ = [
@@ -100,13 +100,13 @@ def theta1(z, tau):
     ``z`` may be a complex scalar or array in the fundamental cell,
     ``|Re z| <= 1/2`` and ``|Im z| <= Im tau / 2``: the term count is
     derived for it, and far outside it the sine factors overflow. Any
-    other ``z`` raises :class:`VortexLabError`.
+    other ``z`` raises :class:`ValidationError`.
     """
     tau = _check_tau(tau)
     z = np.asarray(z, dtype=complex)
     half = 0.5 + _CELL_SLACK
     if not (np.all(np.abs(z.real) <= half) and np.all(np.abs(z.imag) <= half * tau.imag)):
-        raise VortexLabError(
+        raise ValidationError(
             f"theta1 argument outside the fundamental cell |Re z| <= 1/2, "
             f"|Im z| <= {0.5 * tau.imag:g}"
         )
@@ -161,12 +161,12 @@ class Divisor:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         for m in self.multiplicities:
             if not float(m).is_integer():
-                raise ValueError(f"multiplicities must be integers, got {m}")
+                raise ValidationError(f"multiplicities must be integers, got {m}")
         mults = tuple(int(m) for m in self.multiplicities)
         if len(pts) != len(mults):
-            raise ValueError("points and multiplicities must have equal length")
+            raise ValidationError("points and multiplicities must have equal length")
         if any(m <= 0 for m in mults):
-            raise ValueError(f"multiplicities must be positive, got {mults}")
+            raise ValidationError(f"multiplicities must be positive, got {mults}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "multiplicities", mults)
 
@@ -194,7 +194,7 @@ class Divisor:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if _point_distance(geometry, pts[i], pts[j]) < min_dist:
-                    raise ValueError(
+                    raise ValidationError(
                         f"divisor points {i} and {j} coincide modulo periods"
                     )
 

@@ -41,6 +41,7 @@ from .errors import (
     NoRoot,
     OverflowGuard,
     Unsolvable,
+    ValidationError,
 )
 from .fields import (
     GridSpec,
@@ -108,11 +109,11 @@ def _as_terms(terms, w: ScalarField) -> tuple[tuple[ScalarField, float], ...]:
     for coeff, expo in terms:
         expo = float(expo)
         if not expo > 0:
-            raise ValueError("term exponents must be positive")
+            raise ValidationError("term exponents must be positive")
         _check_compatible(coeff, w)
         lo = coeff.min()
         if lo < -1e-14:
-            raise ValueError(f"coefficient field has min {lo} < -1e-14")
+            raise ValidationError(f"coefficient field has min {lo} < -1e-14")
         if lo < 0.0:
             coeff = coeff._like(np.maximum(coeff.values, 0.0))
         out.append((coeff, expo))
@@ -135,7 +136,7 @@ class KWProblem:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ValidationError("epsilon must be nonnegative")
         for name in ("plus_terms", "minus_terms"):
             object.__setattr__(self, name, _as_terms(getattr(self, name), self.w))
 
@@ -188,11 +189,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+            raise ValidationError("newton_tol must be positive")
         if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
+            raise ValidationError("max_newton must be at least 1")
         if not self.cg_tol > 0:
-            raise ValueError("cg_tol must be positive")
+            raise ValidationError("cg_tol must be positive")
 
 
 @dataclass
@@ -325,7 +326,7 @@ def kw_solve(
     the balance equation after each accepted step.
     """
     if problem.epsilon <= 0:
-        raise ValueError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
+        raise ValidationError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
     problem.check_solvable()
     cls = problem.classification()
     geometry, grid = problem.geometry, problem.grid

@@ -201,24 +201,19 @@ def emit_line_plot(
     xs: Sequence[float],
     series: dict[str, Sequence[float]],
     title: str = "",
-    log_x: bool = True,
-    log_y: bool = True,
 ) -> None:
-    """Minimal SVG polyline plot for convergence curves."""
+    """Minimal log-log SVG polyline plot for convergence curves."""
     path = Path(path)
     width, height, margin = 640, 420, 60
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-    def transform(values, log):
+    def transform(values):
         arr = np.asarray(values, dtype=float)
-        if log:
-            arr = np.where(arr > 0, arr, np.nan)
-            arr = np.log10(arr)
-        return arr
+        return np.log10(np.where(arr > 0, arr, np.nan))
 
-    tx = transform(xs, log_x)
+    tx = transform(xs)
     all_y = np.concatenate(
-        [transform(v, log_y) for v in series.values()] or [np.array([0.0])]
+        [transform(v) for v in series.values()] or [np.array([0.0])]
     )
     finite_y = all_y[np.isfinite(all_y)]
     y_lo, y_hi = (
@@ -247,7 +242,7 @@ def emit_line_plot(
         f'y2="{height - margin}" stroke="black"/>',
     ]
     for idx, (name, values) in enumerate(series.items()):
-        ty = transform(values, log_y)
+        ty = transform(values)
         pts = [
             f"{px(a):.2f},{py(b):.2f}"
             for a, b in zip(tx, ty)
@@ -317,8 +312,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
     The manifest is also written to ``<out>/manifest.json`` atomically,
     on success and on failure alike; a solver failure mid-sweep keeps the
     rows of the completed stages. ``manifest['status']`` is ``"ok"`` or
-    ``"failed"``. An exception that is not a :class:`VortexLabError` is
-    recorded in the manifest the same way and then re-raised.
+    ``"failed"``. An exception that is not a :class:`VortexLabError`, an
+    interrupt included, is recorded the same way and then re-raised.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -413,7 +408,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                     f"failed at epsilon={report.error.get('epsilon')}: "
                     f"{report.error['type']}: {report.error['message']}"
                 )
-    except Exception as exc:
+    except BaseException as exc:
         manifest["status"] = "failed"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
         log(f"failed: {type(exc).__name__}: {exc}")

@@ -57,6 +57,7 @@ from .errors import (
     DegenerateFit,
     OverlappingBump,
     Unsolvable,
+    ValidationError,
     VortexLabError,
 )
 from .fields import (
@@ -267,7 +268,7 @@ class ClassicalVortexSpec(_VortexModel):
     def __post_init__(self):
         self.divisor.check_separated(self.geometry)
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ValidationError("epsilon must be positive")
         d = self.divisor.degree
         lhs = 2.0 * math.pi * d * self.epsilon**2
         if lhs >= self.geometry.volume:
@@ -330,9 +331,9 @@ class MixedVortexSpec(_VortexModel):
         self.divisor_plus.check_separated(self.geometry)
         self.divisor_minus.check_separated(self.geometry)
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ValidationError("epsilon must be nonnegative")
         if not (self.scale_plus > 0 and self.scale_minus > 0):
-            raise ValueError("scales must be positive")
+            raise ValidationError("scales must be positive")
         default = Fraction(self.divisor_plus.degree - self.divisor_minus.degree, 2)
         if self.degree is None:
             object.__setattr__(self, "degree", default)
@@ -372,7 +373,7 @@ class MixedVortexSpec(_VortexModel):
         for info in points:
             try:
                 fits.append(vanishing_order_fit(evaluator, info.point, *ORDER_FIT_RADII))
-            except (VortexLabError, ValueError):
+            except VortexLabError:
                 fits.append(None)
         return fits
 
@@ -385,10 +386,10 @@ class GeneralizedTerm:
 
     def __post_init__(self):
         if int(self.weight) == 0:
-            raise ValueError("weight must be nonzero")
+            raise ValidationError("weight must be nonzero")
         object.__setattr__(self, "weight", int(self.weight))
         if not self.scale > 0:
-            raise ValueError("scale must be positive")
+            raise ValidationError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -416,12 +417,12 @@ class GeneralizedSpec(_VortexModel):
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("need at least one term")
+            raise ValidationError("need at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             t.divisor.check_separated(self.geometry)
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ValidationError("epsilon must be nonnegative")
         if self.degree is None:
             num = sum(t.weight * t.divisor.degree for t in self.terms)
             den = sum(t.weight**2 for t in self.terms)
@@ -483,9 +484,11 @@ def reconstruct(spec, f: ScalarField) -> Reconstruction:
 
 
 # Radius of the discs around the divisor points that the sup-distance and
-# interior-bound probes exclude, and the radial range of the order fits.
+# interior-bound probes exclude, the radial range of the order fits and
+# their sampling (log-spaced rings, angles per ring).
 MASK_RADIUS = 0.15
 ORDER_FIT_RADII = (0.01, 0.05)
+_ORDER_FIT_SAMPLES = (12, 32)
 
 
 def _mass_window(geometry, point, others) -> tuple[float, float]:
@@ -531,34 +534,31 @@ def vanishing_order_fit(
     center: tuple[float, float],
     r_min: float,
     r_max: float,
-    n_samples: int = 12,
-    n_angles: int = 32,
 ) -> float:
     """Least-squares vanishing order of |phi| at ``center``.
 
     Samples ``phi_sq`` (a ScalarField, interpolated trigonometrically, or
-    a callable mapping an (M, 2) point array to values) on ``n_samples``
-    log-spaced circles, angularly averages, and fits the slope of
+    a callable mapping an (M, 2) point array to values) on log-spaced
+    circles, angularly averages, and fits the slope of
     ``log sqrt(phi_sq)`` against ``log r``. For grid fields ``r_min`` must
     stay at or above two grid cells, where interpolation is trustworthy;
     rings whose average underflows to zero are dropped from the fit.
     """
     if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    if n_samples < 2:
-        raise DegenerateFit("need at least two radii")
+        raise ValidationError("need 0 < r_min < r_max")
     if isinstance(phi_sq, ScalarField):
         hx, hy = phi_sq.grid.spacing(phi_sq.geometry)
         if r_min < 2.0 * max(hx, hy):
-            raise ValueError("r_min below two grid cells for a sampled field")
+            raise ValidationError("r_min below two grid cells for a sampled field")
         if r_max >= phi_sq.geometry.injectivity_radius:
-            raise ValueError("r_max must stay below the injectivity radius")
+            raise ValidationError("r_max must stay below the injectivity radius")
         evaluate = lambda pts: sample_at(phi_sq, pts)
     elif callable(phi_sq):
         evaluate = phi_sq
     else:
         raise TypeError("phi_sq must be a ScalarField or a callable")
 
+    n_samples, n_angles = _ORDER_FIT_SAMPLES
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_samples))
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
     pts = np.empty((n_samples * n_angles, 2))
@@ -636,30 +636,30 @@ class ContinuationSchedule:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
-            raise ValueError("schedule needs at least one epsilon")
+            raise ValidationError("schedule needs at least one epsilon")
         if any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
+            raise ValidationError("epsilons must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
+            raise ValidationError("epsilons must be strictly decreasing")
         for name in ("min_grid", "max_grid"):
             n = getattr(self, name)
             if n < 8 or n & (n - 1):
-                raise ValueError(f"{name} must be a power of two, at least 8; got {n}")
+                raise ValidationError(f"{name} must be a power of two, at least 8; got {n}")
         if self.max_grid < self.min_grid:
-            raise ValueError("max_grid must be at least min_grid")
+            raise ValidationError("max_grid must be at least min_grid")
         object.__setattr__(self, "epsilons", eps)
 
     def grid(self, geometry: TorusGeometry, epsilon: float) -> GridSpec:
         """Per axis, the smallest power of two >= ``min_grid`` with h <= eps/4.
 
-        Raises ValueError when that exceeds ``max_grid``.
+        Raises ValidationError when that exceeds ``max_grid``.
         """
 
         def pick(length: float) -> int:
             n = self.min_grid
             while length / n > epsilon / 4:
                 if n == self.max_grid:
-                    raise ValueError(
+                    raise ValidationError(
                         f"epsilon {epsilon} needs grid beyond max_grid={self.max_grid}"
                     )
                 n *= 2
@@ -886,7 +886,7 @@ def adiabatic_sweep(
             stage = _run_stage(report, stage_spec, config, init, t0)
             if progress is not None:
                 progress(stage)
-        except (VortexLabError, ValueError) as exc:
+        except VortexLabError as exc:
             record = {"type": type(exc).__name__, "message": str(exc), "epsilon": eps}
             if not isinstance(exc, Unsolvable):
                 report.error = record

@@ -518,7 +518,7 @@ sweep:
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]["epsilon"] == 0.002
-    assert manifest["error"]["type"] == "ValueError"
+    assert manifest["error"]["type"] == "ValidationError"
     assert len(manifest["stages"]) == 1
     rows = read_csv(out / "results.csv")
     assert all(float(r["epsilon"]) == 0.2 for r in rows)
@@ -541,6 +541,22 @@ def test_unexpected_error_writes_failed_manifest(tmp_path, monkeypatch):
         "type": "ValueError",
         "message": "field values must be finite",
     }
+
+
+def test_interrupted_run_writes_failed_manifest(tmp_path, monkeypatch):
+    import vortexlab.runner as runner
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "solve_and_report", interrupt)
+    config = parse_config(classical_yaml(points=(), epsilon=0.3, n=32))
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        runner.run(config, out, quiet=True)
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "KeyboardInterrupt"
 
 
 def test_unresolved_mass_window_writes_failed_manifest(tmp_path):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import vortexlab.vortex as vortex_module
 from vortexlab import (
     ClassicalVortexSpec,
     Divisor,
@@ -551,8 +552,6 @@ def test_order_fit_validation_and_degenerate_cases():
     with pytest.raises(ValueError):
         vanishing_order_fit(lambda pts: pts[:, 0], (0.5, 0.5), 0.05, 0.01)
     with pytest.raises(DegenerateFit):
-        vanishing_order_fit(lambda pts: pts[:, 0], (0.5, 0.5), 0.01, 0.05, n_samples=1)
-    with pytest.raises(DegenerateFit):
         vanishing_order_fit(
             lambda pts: np.zeros(pts.shape[0]), (0.5, 0.5), 0.01, 0.05
         )
@@ -640,8 +639,27 @@ def test_sweep_records_stage_errors():
     report = adiabatic_sweep(spec, ContinuationSchedule((0.2,), max_grid=16))
     assert report.error is not None
     assert report.error["epsilon"] == 0.2
+    assert report.error["type"] == "ValidationError"
     with pytest.raises(VortexLabError):
         report.raise_if_failed()
+
+
+def _crash(*args, **kwargs):
+    raise ValueError("a programming error, not a solver failure")
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # Only a VortexLabError is a failed stage; anything else escapes.
+    monkeypatch.setattr(vortex_module, "kw_solve", _crash)
+    spec = classical([(0.5, 0.5)], [1], 0.2, n=32)
+    with pytest.raises(ValueError, match="programming error"):
+        adiabatic_sweep(spec, ContinuationSchedule((0.2,), max_grid=32))
+
+
+def test_order_fit_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(vortex_module, "vanishing_order_fit", _crash)
+    with pytest.raises(ValueError, match="programming error"):
+        solve_and_report(mixed_pair_spec(0.2, n=32))
 
 
 @pytest.mark.parametrize("lengths, n", [((1.0, 8.0), (32, 256)), ((20.0, 1.0), (640, 32))])
