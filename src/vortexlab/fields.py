@@ -425,53 +425,74 @@ def solve_linearized(
     if b_norm == 0.0:
         return rhs._like(np.zeros_like(b))
 
-    inv_symbol = 1.0 / (epsilon * (-minus_k2) + float(V.mean()))
-    lap_inv_symbol = minus_k2 * inv_symbol
+    v_mean = float(V.mean())
+    inv_symbol = 1.0 / (epsilon * (-minus_k2) + v_mean)
     lam_max = epsilon * float((-minus_k2).max()) + float(V.max())
 
     def target(x_norm: float) -> float:
         floor = 32.0 * np.finfo(float).eps * (lam_max * x_norm + b_norm)
         return max(tol * b_norm, floor)
 
-    def precondition(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # z = M^-1 r and its Laplacian from one forward transform.
-        spec = np.fft.rfft2(r)
-        z = np.fft.irfft2(spec * inv_symbol, s=shape)
-        lap_z = np.fft.irfft2(spec * lap_inv_symbol, s=shape)
-        return z, lap_z
-
+    # Work arrays for the whole solve; every update below writes into them.
+    spec = np.empty(minus_k2.shape, dtype=complex)
     x = np.zeros_like(b)
     r = b.copy()
-    p, lap_p = precondition(r)
+    p = np.empty_like(b)
+    q_p = np.empty_like(b)
+    z = np.empty_like(b)
+    work = np.empty_like(b)
+
+    def inverse(out: np.ndarray) -> None:
+        # irfftn, not irfft2: numpy's irfft2 drops its ``out`` argument.
+        np.fft.irfftn(spec, s=shape, axes=(0, 1), out=out)
+
+    def precondition(src: np.ndarray, out: np.ndarray, q_out: np.ndarray) -> None:
+        # out = M^-1 src, and q_out = -eps laplacian(out) without a second
+        # inverse transform: (-eps laplacian + v_mean) out = src.
+        np.fft.rfft2(src, out=spec)
+        np.multiply(spec, inv_symbol, out=spec)
+        inverse(out)
+        np.multiply(out, v_mean, out=q_out)
+        np.subtract(src, q_out, out=q_out)
+
+    precondition(r, p, q_p)
     rz = float(np.vdot(r, p))
     iterations = 0
     while iterations < cap:
-        # Recursive-residual PCG carrying the search direction's Laplacian
-        # alongside it, so A p needs no transform; the true residual is
-        # checked at candidate convergence and the direction restarted if
-        # the recursion has drifted.
-        Ap = V * p - epsilon * lap_p
+        # Recursive-residual PCG carrying q_p = -eps laplacian(p) alongside
+        # the search direction, so A p needs no transform; the true
+        # residual is checked at candidate convergence and the direction
+        # restarted if the recursion has drifted.
+        Ap = np.multiply(V, p, out=work)
+        Ap += q_p
         denom = float(np.vdot(p, Ap))
         if denom <= 0.0:
             raise NonPositivePotential("operator lost positive definiteness")
         alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(Ap, alpha, out=Ap)
         iterations += 1
         if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
-            lap_x = np.fft.irfft2(np.fft.rfft2(x) * minus_k2, s=shape)
-            true_r = b - (V * x - epsilon * lap_x)
-            if float(np.linalg.norm(true_r)) <= target(float(np.linalg.norm(x))):
+            # The true residual b - (V x - eps laplacian(x)), written over r.
+            np.fft.rfft2(x, out=spec)
+            spec *= minus_k2
+            inverse(z)
+            z *= epsilon
+            np.multiply(V, x, out=r)
+            r -= z
+            np.subtract(b, r, out=r)
+            if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
                 return rhs._like(x)
-            r = true_r
-            p, lap_p = precondition(r)
+            precondition(r, p, q_p)
             rz = float(np.vdot(r, p))
             continue
-        z, lap_z = precondition(r)
+        precondition(r, z, work)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
-        lap_p = lap_z + beta * lap_p
+        p *= beta
+        p += z
+        q_p *= beta
+        q_p += work
         rz = rz_new
     raise NoConvergence(f"CG failed to reach tol={tol} within {cap} iterations")
 

@@ -227,29 +227,30 @@ def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
     return problem.plus_terms + tuple((b, -beta) for b, beta in problem.minus_terms)
 
 
-def _nonlinearity(problem: KWProblem, fvals: np.ndarray):
-    """Pointwise pieces shared by residual, potential, and energy.
+def _nonlinearity(problem: KWProblem, fvals: np.ndarray, power: int) -> np.ndarray:
+    """One pointwise sum over the signed terms ``(C, k)``.
 
-    Over the signed terms ``(C, k)`` returns (total, potential,
-    energy_density): total = sum sign(k) C e^{kf}, potential = its
-    derivative sum |k| C e^{kf}, energy_density = sum (C/|k|) e^{kf}.
+    ``power`` picks it: 0 gives the total ``sum sign(k) C e^{kf}``, 1 its
+    derivative, the Newton potential ``sum |k| C e^{kf}``, and -1 the
+    energy density ``sum (C/|k|) e^{kf}``.
     """
-    total = np.zeros(fvals.shape)
-    pot = np.zeros(fvals.shape)
-    en = np.zeros(fvals.shape)
+    out = np.zeros(fvals.shape)
     for c, k in _signed_terms(problem):
         s = c.values * _exp_or_guard(k * fvals)
-        np.copysign(s, k, out=s)
-        total += s
-        pot += k * s
-        en += s / k
-    return total, pot, en
+        if power == 0:
+            np.copysign(s, k, out=s)
+        elif power == 1:
+            s *= abs(k)
+        else:
+            s /= abs(k)
+        out += s
+    return out
 
 
 def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
     """Pointwise left-hand side of the equation at ``f``."""
     _check_compatible(f, problem.w)
-    total, _, _ = _nonlinearity(problem, f.values)
+    total = _nonlinearity(problem, f.values, 0)
     lap = laplacian(f).values if problem.epsilon != 0 else 0.0
     vals = -problem.epsilon * lap + total + problem.w.values
     return ScalarField(f.geometry, f.grid, vals)
@@ -258,7 +259,7 @@ def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
 def kw_energy(problem: KWProblem, f: ScalarField) -> float:
     """Convex energy whose L2 gradient is :func:`kw_residual`."""
     _check_compatible(f, problem.w)
-    _, _, en = _nonlinearity(problem, f.values)
+    en = _nonlinearity(problem, f.values, -1)
     vol = problem.geometry.volume
     bulk = float(np.mean(en + problem.w.values * f.values)) * vol
     if problem.epsilon == 0:
@@ -374,8 +375,8 @@ def kw_solve(
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
         cg_tolerances.append(tol)
-        _, pot, _ = _nonlinearity(problem, f.values)
-        potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR))
+        pot = _nonlinearity(problem, f.values, 1)
+        potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR, out=pot))
         delta = solve_linearized(problem.epsilon, potential, -resid, tol=tol)
         slope = float(np.mean(resid.values * delta.values)) * vol
         if slope >= 0.0:
@@ -505,13 +506,21 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
     ``_ROOT_MAX_ITER`` iterations do not get there.
     """
 
+    val, slope, s = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
+
     def g_and_slope(t):
-        val = w.copy()
-        slope = np.zeros_like(t)
+        # Written into the three arrays above, which every call reuses.
+        np.copyto(val, w)
+        slope.fill(0.0)
         for c, k in terms:
-            s = np.copysign(c * np.exp(np.minimum(k * t, _EXP_GUARD)), k)
-            val += s
-            slope += k * s
+            np.multiply(t, k, out=s)
+            np.minimum(s, _EXP_GUARD, out=s)
+            np.exp(s, out=s)
+            np.multiply(c, s, out=s)
+            np.copysign(s, k, out=s)
+            np.add(val, s, out=val)
+            np.multiply(s, k, out=s)
+            np.add(slope, s, out=slope)
         return val, slope
 
     # Expand a bracket [lo, hi] with g(lo) < 0 < g(hi) per sample. g is
