@@ -433,7 +433,8 @@ def solve_linearized(
         floor = 32.0 * np.finfo(float).eps * (lam_max * x_norm + b_norm)
         return max(tol * b_norm, floor)
 
-    # Work arrays for the whole solve; every update below writes into them.
+    # Work arrays for the whole solve; every update below writes into them
+    # (the transforms through ``out=``, which needs numpy 2.0).
     spec = np.empty(minus_k2.shape, dtype=complex)
     x = np.zeros_like(b)
     r = b.copy()

@@ -227,30 +227,23 @@ def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
     return problem.plus_terms + tuple((b, -beta) for b, beta in problem.minus_terms)
 
 
-def _nonlinearity(problem: KWProblem, fvals: np.ndarray, power: int) -> np.ndarray:
-    """One pointwise sum over the signed terms ``(C, k)``.
+def _term_values(problem: KWProblem, fvals: np.ndarray):
+    """Yield ``(C e^{kf}, k)`` over the signed terms ``(C, k)``.
 
-    ``power`` picks it: 0 gives the total ``sum sign(k) C e^{kf}``, 1 its
-    derivative, the Newton potential ``sum |k| C e^{kf}``, and -1 the
-    energy density ``sum (C/|k|) e^{kf}``.
+    Each caller reduces the fresh arrays to its own sum: the total
+    ``sum sign(k) C e^{kf}``, the Newton potential ``sum |k| C e^{kf}``
+    or the energy density ``sum (C/|k|) e^{kf}``.
     """
-    out = np.zeros(fvals.shape)
     for c, k in _signed_terms(problem):
-        s = c.values * _exp_or_guard(k * fvals)
-        if power == 0:
-            np.copysign(s, k, out=s)
-        elif power == 1:
-            s *= abs(k)
-        else:
-            s /= abs(k)
-        out += s
-    return out
+        yield c.values * _exp_or_guard(k * fvals), k
 
 
 def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
     """Pointwise left-hand side of the equation at ``f``."""
     _check_compatible(f, problem.w)
-    total = _nonlinearity(problem, f.values, 0)
+    total = np.zeros(f.values.shape)
+    for s, k in _term_values(problem, f.values):
+        total += np.copysign(s, k, out=s)
     lap = laplacian(f).values if problem.epsilon != 0 else 0.0
     vals = -problem.epsilon * lap + total + problem.w.values
     return ScalarField(f.geometry, f.grid, vals)
@@ -259,12 +252,22 @@ def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
 def kw_energy(problem: KWProblem, f: ScalarField) -> float:
     """Convex energy whose L2 gradient is :func:`kw_residual`."""
     _check_compatible(f, problem.w)
-    en = _nonlinearity(problem, f.values, -1)
+    en = np.zeros(f.values.shape)
+    for s, k in _term_values(problem, f.values):
+        en += np.divide(s, abs(k), out=s)
     vol = problem.geometry.volume
     bulk = float(np.mean(en + problem.w.values * f.values)) * vol
     if problem.epsilon == 0:
         return bulk
     return 0.5 * problem.epsilon * dirichlet_energy(f) + bulk
+
+
+def _newton_potential(problem: KWProblem, f: ScalarField) -> ScalarField:
+    """Potential ``sum |k| C e^{kf}`` of the Newton step, floored at ``_V_FLOOR``."""
+    pot = np.zeros(f.values.shape)
+    for s, k in _term_values(problem, f.values):
+        pot += np.multiply(s, abs(k), out=s)
+    return ScalarField(f.geometry, f.grid, np.maximum(pot, _V_FLOOR, out=pot))
 
 
 def _pin_constant_mode(problem: KWProblem, fvals: np.ndarray) -> float:
@@ -375,9 +378,9 @@ def kw_solve(
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
         cg_tolerances.append(tol)
-        pot = _nonlinearity(problem, f.values, 1)
-        potential = ScalarField(geometry, grid, np.maximum(pot, _V_FLOOR, out=pot))
-        delta = solve_linearized(problem.epsilon, potential, -resid, tol=tol)
+        delta = solve_linearized(
+            problem.epsilon, _newton_potential(problem, f), -resid, tol=tol
+        )
         slope = float(np.mean(resid.values * delta.values)) * vol
         if slope >= 0.0:
             raise MaxIterExceeded(
