@@ -60,6 +60,7 @@ from .kw import (
     KWProblem,
     KWSolution,
     LimitProfile,
+    NewtonTrace,
     SolverConfig,
     kw_energy,
     kw_limit,

@@ -144,9 +144,9 @@ def torus_green(point, geometry: TorusGeometry):
 
 
 def _point_distance(geometry: TorusGeometry, p, q) -> float:
-    """Torus distance between two points (minimal image)."""
-    dx = _minimal_image(p[0] - q[0], geometry.length_x)
-    dy = _minimal_image(p[1] - q[1], geometry.length_y)
+    """Torus distance between two points; ``math.remainder`` is an exact minimal image."""
+    dx = math.remainder(p[0] - q[0], geometry.length_x)
+    dy = math.remainder(p[1] - q[1], geometry.length_y)
     return math.hypot(dx, dy)
 
 

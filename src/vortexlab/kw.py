@@ -62,6 +62,7 @@ __all__ = [
     "Classification",
     "KWProblem",
     "KWSolution",
+    "NewtonTrace",
     "SolverConfig",
     "LimitProfile",
     "kw_residual",
@@ -197,18 +198,34 @@ class SolverConfig:
 
 
 @dataclass
+class NewtonTrace:
+    """Per-step record of one :func:`kw_solve`, its only writer.
+
+    It holds the energy at the start and after each step, the sup residual
+    at each loop head and the relative CG target of each step.
+    """
+
+    iterations: int = 0
+    energy_history: list[float] = dc_field(default_factory=list)
+    residual_history: list[float] = dc_field(default_factory=list)
+    cg_tolerances: list[float] = dc_field(default_factory=list)
+
+
+@dataclass
 class KWSolution:
+    """Converged solve; ``residual_sup`` and ``energy`` end its ``newton`` trace."""
+
     f: ScalarField
     residual_sup: float
     residual_l2: float
-    iterations: int
     energy: float
     classification: Classification
     epsilon: float
-    energy_history: list = dc_field(default_factory=list)
-    # res_sup at each loop head, and the relative CG target of each step.
-    residual_history: list = dc_field(default_factory=list)
-    cg_tolerances: list = dc_field(default_factory=list)
+    newton: NewtonTrace
+
+    @property
+    def iterations(self) -> int:
+        return self.newton.iterations
 
 
 def _exp_or_guard(exponent_field: np.ndarray) -> np.ndarray:
@@ -346,28 +363,24 @@ def kw_solve(
         f = f + _pin_constant_mode(problem, f.values)
 
     energy = kw_energy(problem, f)
-    history = [energy]
-    residual_history: list[float] = []
-    cg_tolerances: list[float] = []
+    trace = NewtonTrace(energy_history=[energy])
     vol = geometry.volume
     eta, prev_l2 = _ETA_MAX, None
 
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f)
         res_sup = sup_norm(resid)
-        residual_history.append(res_sup)
+        trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
+            trace.iterations = iteration
             return KWSolution(
                 f=f,
                 residual_sup=res_sup,
                 residual_l2=lp_norm(resid, 2),
-                iterations=iteration,
                 energy=energy,
                 classification=cls,
                 epsilon=problem.epsilon,
-                energy_history=history,
-                residual_history=residual_history,
-                cg_tolerances=cg_tolerances,
+                newton=trace,
             )
         if iteration == config.max_newton:
             break
@@ -377,7 +390,7 @@ def kw_solve(
             eta = _forcing(eta, res_l2 / prev_l2)
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
-        cg_tolerances.append(tol)
+        trace.cg_tolerances.append(tol)
         delta = solve_linearized(
             problem.epsilon, _newton_potential(problem, f), -resid, tol=tol
         )
@@ -428,7 +441,7 @@ def kw_solve(
                 if e_shifted <= energy:
                     f = shifted
                     energy = e_shifted
-        history.append(energy)
+        trace.energy_history.append(energy)
 
     raise MaxIterExceeded(
         f"no convergence in {config.max_newton} Newton steps, "

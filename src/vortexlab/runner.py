@@ -12,6 +12,7 @@ the same config produce byte-identical tables.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 import time
@@ -24,8 +25,8 @@ import numpy as np
 from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
-from .fields import RegionMask, ScalarField, gradient_magnitude, sup_norm
-from .kw import KWProblem, KWSolution, kw_solve
+from .fields import ScalarField
+from .kw import KWSolution, interior_bounds, kw_solve
 from .vortex import (
     DiagnosticsReport,
     SweepReport,
@@ -84,6 +85,8 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.name
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -99,54 +102,52 @@ def _jsonable(obj):
 # CSV
 
 
+def _row(point_index: int, **values) -> list[str]:
+    """One CSV row; a column not named in ``values``, or None there, is empty."""
+    return [
+        str(point_index) if c == "point_index" else _fmt(values.get(c))
+        for c in CSV_COLUMNS
+    ]
+
+
 def _report_rows(report: SweepReport) -> list[list[str]]:
     rows = []
     for stage in report.stages:
         residuals = stage.identity_residuals
         rows.append(
-            [
-                _fmt(stage.epsilon),
-                "-1",
-                "",
-                _fmt(stage.sup_deviation),
-                _fmt(residuals.get("bradlow")),
-                _fmt(residuals.get("identity")),
-                _fmt(stage.sup_f),
-                _fmt(stage.sup_grad_f),
-                "",
-            ]
-        )
-        for p in report.points:
-            rows.append(
-                [
-                    _fmt(stage.epsilon),
-                    str(p.index),
-                    _fmt(stage.curvature_masses[p.index]),
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    _fmt(stage.order_fits[p.index]),
-                ]
+            _row(
+                -1,
+                epsilon=stage.epsilon,
+                sup_deviation=stage.sup_deviation,
+                bradlow_residual=residuals.get("bradlow"),
+                identity_residual=residuals.get("identity"),
+                sup_f=stage.sup_f,
+                sup_grad_f=stage.sup_grad_f,
             )
+        )
+        rows.extend(
+            _row(
+                p.index,
+                epsilon=stage.epsilon,
+                curvature_mass=stage.curvature_masses[p.index],
+                order_fit=stage.order_fits[p.index],
+            )
+            for p in report.points
+        )
     return rows
 
 
-def _kw_rows(problem: KWProblem, solution: KWSolution) -> list[list[str]]:
-    mask = RegionMask.full(problem.geometry, problem.grid)
+def _kw_rows(solution: KWSolution) -> list[list[str]]:
+    bounds = interior_bounds(solution.f)
     return [
-        [
-            _fmt(problem.epsilon),
-            "-1",
-            "",
-            _fmt(solution.residual_sup),
-            "",
-            _fmt(solution.residual_l2),
-            _fmt(sup_norm(solution.f, mask)),
-            _fmt(sup_norm(gradient_magnitude(solution.f), mask)),
-            "",
-        ]
+        _row(
+            -1,
+            epsilon=solution.epsilon,
+            sup_deviation=solution.residual_sup,
+            identity_residual=solution.residual_l2,
+            sup_f=bounds["sup_f"],
+            sup_grad_f=bounds["sup_grad_f"],
+        )
     ]
 
 
@@ -266,8 +267,11 @@ def emit_line_plot(
 # Run orchestration
 
 
-def _stage_dict(stage: DiagnosticsReport) -> dict:
-    return _jsonable({f.name: getattr(stage, f.name) for f in dataclasses.fields(stage)})
+def _stage_dict(record: DiagnosticsReport | KWSolution, **extra) -> dict:
+    """Manifest entry of a stage or a kw solution: ``f`` left out, trace inlined."""
+    out = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != "f"}
+    trace = dataclasses.asdict(out.pop("newton"))
+    return _jsonable(out | trace | extra)
 
 
 def _emit_report_artifacts(report: SweepReport, out: Path, config: RunConfig) -> list[str]:
@@ -344,23 +348,9 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 f"done in {solution.iterations} iterations, "
                 f"residual {solution.residual_sup:.3e}"
             )
-            manifest["stages"] = [
-                _jsonable(
-                    {
-                        "epsilon": problem.epsilon,
-                        "grid": problem.grid,
-                        "iterations": solution.iterations,
-                        "residual_history": solution.residual_history,
-                        "cg_tolerances": solution.cg_tolerances,
-                        "residual_sup": solution.residual_sup,
-                        "residual_l2": solution.residual_l2,
-                        "energy": solution.energy,
-                        "classification": solution.classification.name,
-                    }
-                )
-            ]
+            manifest["stages"] = [_stage_dict(solution, grid=problem.grid)]
             if config.outputs.csv:
-                emit_csv(_kw_rows(problem, solution), out / "results.csv")
+                emit_csv(_kw_rows(solution), out / "results.csv")
                 manifest["outputs"].append("results.csv")
             if config.outputs.heatmaps:
                 emit_heatmap(solution.f, out / "f.pgm")
@@ -370,7 +360,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 def progress(stage: DiagnosticsReport) -> None:
                     log(
                         f"epsilon={stage.epsilon:g} grid={stage.grid.nx}x{stage.grid.ny} "
-                        f"iterations={stage.iterations} sup_dev={stage.sup_deviation:.3e}"
+                        f"iterations={stage.newton.iterations} sup_dev={stage.sup_deviation:.3e}"
                     )
 
                 report = adiabatic_sweep(

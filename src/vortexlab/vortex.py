@@ -82,6 +82,7 @@ from .greens import (
 from .kw import (
     KWProblem,
     KWSolution,
+    NewtonTrace,
     SolverConfig,
     interior_bounds,
     kw_limit,
@@ -691,9 +692,9 @@ class DiagnosticsReport:
     interior bound probes on the divisor-excluding region.
     ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
     classical model, ``residual_sup / (2 eps^2)`` up to roundoff
-    (derivations §3), and None for the other models. It and
-    ``energy_history``, ``residual_history`` and ``cg_tolerances``, the
-    Newton trace of :class:`KWSolution`, go to the manifest only.
+    (derivations §3), and None for the other models. It and ``newton``,
+    the solution's own :class:`NewtonTrace` (shared, not copied), go to
+    the manifest only.
     """
 
     epsilon: float
@@ -707,10 +708,7 @@ class DiagnosticsReport:
     sup_grad_f: float
     l2_exp_plus: float
     l2_exp_minus: float
-    iterations: int
-    energy_history: list
-    residual_history: list
-    cg_tolerances: list
+    newton: NewtonTrace
     seconds: float = 0.0
 
 
@@ -808,10 +806,7 @@ def diagnostics_report(spec, solution: KWSolution):
         identity_residuals=_identities_of(spec, recon),
         crosscheck_gap=_crosscheck_gap(recon),
         order_fits=[None] * len(points),
-        iterations=solution.iterations,
-        energy_history=list(solution.energy_history),
-        residual_history=list(solution.residual_history),
-        cg_tolerances=list(solution.cg_tolerances),
+        newton=solution.newton,
         **interior_bounds(solution.f, mask),
     )
     return stage, points, recon

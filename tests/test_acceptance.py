@@ -124,7 +124,7 @@ def test_acceptance_01_manufactured_recovery():
         worst_res = max(worst_res, sol.residual_sup)
         worst_iters = max(worst_iters, sol.iterations)
         worst_time = max(worst_time, dt)
-        monotone = monotone and _monotone(sol.energy_history)
+        monotone = monotone and _monotone(sol.newton.energy_history)
     ok = (
         worst_err <= 1e-8
         and worst_res <= 1e-10
@@ -158,7 +158,7 @@ def test_acceptance_02_bradlow_identity():
         recon = reconstruct(spec, sol.f)
         deficit = integrate(1.0 - recon.phi_sq[0]) - 2.0 * math.pi * d * 0.04
         worst = max(worst, abs(deficit))
-        monotone = monotone and _monotone(sol.energy_history)
+        monotone = monotone and _monotone(sol.newton.energy_history)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 * UNIT.volume and elapsed < 30.0 and monotone
     _line(
@@ -293,7 +293,7 @@ def test_acceptance_07_generalized_identity_family():
         total = sum(t.weight * integrate(p) for t, p in zip(spec.terms, recon.phi_sq))
         resid = total + 0.0 * UNIT.volume + 2 * math.pi * float(spec.degree) * eps**2
         worst = max(worst, abs(resid))
-        monotone = monotone and _monotone(sol.energy_history)
+        monotone = monotone and _monotone(sol.newton.energy_history)
     ok = worst <= 1e-6 * UNIT.volume and monotone
     _line(
         7,
@@ -315,9 +315,9 @@ def test_acceptance_08_convexity_uniqueness(mixed_sweep, classical_sweep, coloca
     sol_rand = kw_solve(problem, init=init)
     dist = sup_norm(sol_zero.f - sol_rand.f)
 
-    histories = [sol_zero.energy_history, sol_rand.energy_history]
+    histories = [sol_zero.newton.energy_history, sol_rand.newton.energy_history]
     for report in (mixed_sweep, classical_sweep, colocated_sweep):
-        histories.extend(s.energy_history for s in report.stages)
+        histories.extend(s.newton.energy_history for s in report.stages)
     monotone = all(_monotone(h) for h in histories)
 
     ok = dist <= 1e-8 and monotone

@@ -1,5 +1,6 @@
 """Config parsing, run orchestration, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from vortexlab.cli import main
 from vortexlab.config import echo_config, parse_config
 from vortexlab.errors import ParseError, ValidationError
 from vortexlab.greens import Divisor, divisor_potential
-from vortexlab.kw import SolverConfig
+from vortexlab.kw import NewtonTrace, SolverConfig
 from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -350,8 +351,6 @@ def test_unbalanced_model_exits_before_any_solve(tmp_path, capsys, text, message
 
 
 def test_sweep_that_solves_no_stage_writes_failed_manifest(tmp_path):
-    import dataclasses
-
     from vortexlab.runner import run
     from vortexlab.vortex import ContinuationSchedule
 
@@ -497,6 +496,7 @@ def _assert_newton_trace(stages):
     assert stages
     for stage in stages:
         assert len(stage["residual_history"]) == stage["iterations"] + 1
+        assert len(stage["energy_history"]) == stage["iterations"] + 1
         assert stage["residual_history"][-1] <= 1e-10
         assert len(stage["cg_tolerances"]) == stage["iterations"]
 
@@ -753,6 +753,44 @@ kw:
     assert manifest["stages"][0]["residual_sup"] <= 1e-10
     _assert_newton_trace(manifest["stages"])
     assert (out / "f.pgm").exists() and (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        (
+            "kw",
+            """
+kind: kw
+epsilon: 0.5
+grid: {nx: 32, ny: 32}
+kw:
+  w: -1.0
+  plus:
+    - {amplitude: 1.0}
+""",
+        ),
+        (
+            "sweep",
+            """
+kind: sweep
+classical:
+  divisor: [{x: 0.5, y: 0.5, m: 1}]
+sweep:
+  epsilons: [0.2, 0.1]
+""",
+        ),
+    ],
+    ids=["kw", "sweep"],
+)
+def test_every_stage_carries_the_whole_newton_trace(tmp_path, kind, text):
+    # One serializer writes every stage, so no kind drops a trace field.
+    out = tmp_path / "out"
+    assert main([kind, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    stages = json.loads((out / MANIFEST_NAME).read_text())["stages"]
+    assert stages
+    for stage in stages:
+        assert {f.name for f in dataclasses.fields(NewtonTrace)} <= stage.keys()
 
 
 def test_kw_divisor_term_uses_raw_density():

@@ -1,5 +1,6 @@
 """Theta functions, the torus Green's function, divisors, and densities."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from vortexlab import (
     torus_green,
 )
 from vortexlab.errors import BadTau, VortexLabError
-from vortexlab.greens import NEGATIVE_SENTINEL
+from vortexlab.greens import NEGATIVE_SENTINEL, _point_distance
 from vortexlab.vortex import _density_data
 
 UNIT = TorusGeometry(1.0, 1.0)
@@ -195,6 +196,16 @@ def test_divisor_separation_modulo_periods():
     with pytest.raises(ValueError, match="coincide"):
         d.check_separated(UNIT)
     Divisor(((0.1, 0.2), (0.6, 0.2)), (1, 1)).check_separated(UNIT)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [((0.001, 0.2), (0.001 + 1e-12, 0.2)), ((0.01, 0.01), (0.01, 0.01 + 3e-10))],
+)
+def test_point_distance_is_exact_for_close_points(p, q):
+    # Reducing d by mod(d + L/2, L) - L/2 rounds it at ulp(L/2); close
+    # points keep their raw offsets exactly.
+    assert _point_distance(UNIT, p, q) == math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def test_empty_divisor_potential_is_zero():

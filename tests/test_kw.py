@@ -281,7 +281,7 @@ def test_solve_energy_monotone():
     grid = GridSpec(32, 32)
     p, _ = manufactured_problem(grid, 0.2)
     sol = kw_solve(p)
-    hist = np.asarray(sol.energy_history)
+    hist = np.asarray(sol.newton.energy_history)
     assert (np.diff(hist) <= 1e-14 * (1.0 + np.abs(hist[:-1]))).all()
     assert sol.energy == hist[-1]
 
@@ -303,11 +303,11 @@ def _mixed_128():
 
 def _check_newton_trace(sol, config):
     """Invariants of the recorded Newton trace of one solve."""
-    assert len(sol.residual_history) == sol.iterations + 1
-    assert len(sol.cg_tolerances) == sol.iterations
-    assert all(config.cg_tol <= tol <= 0.1 for tol in sol.cg_tolerances)
-    assert sol.residual_history[-1] == sol.residual_sup <= config.newton_tol
-    hist = np.asarray(sol.energy_history)
+    assert len(sol.newton.residual_history) == sol.iterations + 1
+    assert len(sol.newton.cg_tolerances) == sol.iterations
+    assert all(config.cg_tol <= tol <= 0.1 for tol in sol.newton.cg_tolerances)
+    assert sol.newton.residual_history[-1] == sol.residual_sup <= config.newton_tol
+    hist = np.asarray(sol.newton.energy_history)
     assert (np.diff(hist) <= 1e-14 * (1.0 + np.abs(hist[:-1]))).all()
 
 
@@ -325,8 +325,8 @@ def test_solve_newton_trace_invariants(problem):
     _check_newton_trace(sol, config)
     # The first step takes the largest forcing term, and the forcing
     # tightens the CG target as the Newton residual falls.
-    assert sol.cg_tolerances[0] == 0.1
-    assert sol.cg_tolerances[-1] < 0.1
+    assert sol.newton.cg_tolerances[0] == 0.1
+    assert sol.newton.cg_tolerances[-1] < 0.1
 
 
 @pytest.mark.parametrize("spec", [_classical_256, _mixed_128], ids=["classical", "mixed"])
@@ -337,8 +337,8 @@ def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
     # Every CG solve to the cg_tol floor: exact Newton.
     monkeypatch.setattr(kw_module, "_cg_tolerance", lambda config, eta, res_sup: config.cg_tol)
     exact = kw_solve(problem, config)
-    assert exact.cg_tolerances == [config.cg_tol] * exact.iterations
-    assert max(inexact.cg_tolerances) > config.cg_tol
+    assert exact.newton.cg_tolerances == [config.cg_tol] * exact.iterations
+    assert max(inexact.newton.cg_tolerances) > config.cg_tol
     for sol in (inexact, exact):
         _check_newton_trace(sol, config)
     assert sup_norm(inexact.f - exact.f) <= config.newton_tol
@@ -628,7 +628,7 @@ def test_continuation_warm_start_saves_iterations():
     report.raise_if_failed()
     for stage in report.stages[1:]:
         cold = kw_solve(reduce_any(_fixed_grid_mixed(stage.epsilon)))
-        assert stage.iterations <= cold.iterations
+        assert stage.newton.iterations <= cold.iterations
 
 
 def test_continuation_warm_and_cold_agree():

@@ -578,6 +578,15 @@ def test_sweep_vacuum_family_has_zero_deviation():
     assert report.kind == "classical"
 
 
+def test_stage_shares_the_solution_trace():
+    # kw_solve writes the Newton trace once; the stage holds that record.
+    spec = classical([(0.5, 0.5)], [1], 0.2, n=32)
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2), 32, 32))
+    report.raise_if_failed()
+    assert report.stages[-1].newton is report.final_solution.newton
+    assert report.stages[-1].newton.iterations >= 1
+
+
 def test_sweep_classical_deviation_strictly_decreasing():
     geo = TorusGeometry(1.5, 1.5)
     spec = ClassicalVortexSpec(geo, GridSpec(16, 16), Divisor(((0.75, 0.75),), (1,)), 0.05)
