@@ -143,6 +143,26 @@ def torus_green(point, geometry: TorusGeometry):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _green_constant(geometry: TorusGeometry) -> float:
+    """``lim_{z -> 0} G(z) - log|z| / 2 pi``, the regular part of ``G`` at 0.
+
+    Near 0 the sine series is ``theta1(z) = theta1'(0) z + O(z^3)`` with
+    ``theta1'(0) = 2 pi sum_n (-1)^n (2n+1) q^{(n+1/2)^2}``, so the limit is
+    ``log(theta1'(0) / short) / 2 pi`` on the orientation with ``Im tau >=
+    1``, plus the reflection shift of :func:`torus_green` when
+    ``length_y < length_x``.
+    """
+    lx, ly = geometry.length_x, geometry.length_y
+    short, long = min(lx, ly), max(lx, ly)
+    im_tau = _check_tau(1j * long / short).imag
+    n = np.arange(_term_count(im_tau) + 1)
+    terms = (-1.0) ** n * (2 * n + 1) * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
+    out = math.log(2.0 * np.pi * terms.sum() / short) / (2.0 * np.pi)
+    if ly < lx:
+        out += math.log(lx / ly) / (4.0 * np.pi)
+    return out
+
+
 def _point_distance(geometry: TorusGeometry, p, q) -> float:
     """Torus distance between two points; ``math.remainder`` is an exact minimal image."""
     dx = math.remainder(p[0] - q[0], geometry.length_x)

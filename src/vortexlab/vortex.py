@@ -36,7 +36,8 @@ checked by :func:`integral_identities`; as epsilon decreases the curvature
 concentrates near the divisor points with calculable masses, measured by
 :func:`curvature_mass` through smooth bump windows. A spec computes its
 term densities ``P_j`` once and shares them with its copies at other
-epsilons on the same grid; nothing is cached process-wide.
+epsilons on the same grid. The one process-wide cache holds the 1-D
+planar vortex profiles that start a classical solve (:func:`_planar_profile`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -72,9 +73,11 @@ from .fields import (
     resample,
     sample_at,
     sup_norm,
+    torus_displacement,
 )
 from .greens import (
     Divisor,
+    _green_constant,
     _point_distance,
     divisor_potential,
     torus_green,
@@ -145,10 +148,11 @@ class _VortexModel:
 
     A preset supplies ``geometry``, ``grid``, ``epsilon``, ``tau``,
     ``degree`` and the term list ``_terms``. The hooks below (``_phi_sq``,
-    ``_curvature``, ``_identities``, ``_expected``, ``_deviation`` and
-    ``_order_fits``) hold the mixed/generalized behaviour; a preset
-    overrides the ones where its model differs. A spec builds its term
-    densities once, in :attr:`_densities`; they live and die with it.
+    ``_curvature``, ``_identities``, ``_expected``, ``_deviation``,
+    ``_order_fits`` and ``_initial_guess``) hold the mixed/generalized
+    behaviour; a preset overrides the ones where its model differs. A spec
+    builds its term densities once, in :attr:`_densities`; they live and
+    die with it.
     """
 
     kind: ClassVar[str]
@@ -204,6 +208,11 @@ class _VortexModel:
     def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
 
+    def _initial_guess(self, previous: KWSolution | None) -> ScalarField | None:
+        """Newton start of this spec: the previous stage's solution resampled
+        onto this grid, or None (a zero start) when there is none."""
+        return None if previous is None else resample(previous.f, self.grid)
+
 
 def _copy(spec, **changes):
     """``dataclasses.replace`` without the degree warning: a copy keeps the
@@ -241,6 +250,86 @@ def reduce_any(spec) -> KWProblem:
         minus_terms=tuple(minus),
         w=w,
     )
+
+
+# ---------------------------------------------------------------------------
+# Planar vortex cores
+
+# Log-radius range of the profile: below it h = 2 m s + a_m to roundoff,
+# above it (rho > 40) |h| < 1e-24. Collocation degree and table size.
+_PROFILE_RANGE = (-12.0, math.log(40.0))
+_PROFILE_DEGREE = 128
+_PROFILE_TABLE = 4097
+
+
+@lru_cache(maxsize=None)
+def _planar_profile(m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(s, h, a_m)``: the planar degree-``m`` vortex tabulated in ``s = log rho``.
+
+    ``|phi|^2 = e^{h(log rho)}`` is the radial vortex of the plane at unit
+    scale (derivations §4): ``h'' = 2 e^{2s} (e^h - 1)`` with ``h_s = 2m``
+    at the left end of ``_PROFILE_RANGE`` and ``h = 0`` at the right end,
+    solved by Newton on Chebyshev collocation. Newton stops at ``max|dh|
+    <= 1e-10``; collocation roundoff grows like ``n^4 u``, so a tighter
+    stop is never met. The solution is tabulated on uniform ``s`` nodes by
+    barycentric interpolation, for ``np.interp``; below the table ``h = 2m
+    s + a_m``. That roundoff also breaks the monotonicity of the far tail,
+    where ``|h| < 1e-12``; a running maximum restores it.
+
+    This is the package's one process-wide cache: one read-only 1-D table
+    per ``m``, built on first use.
+    """
+    n = _PROFILE_DEGREE
+    lo, hi = _PROFILE_RANGE
+    half = 0.5 * (hi - lo)
+    # Chebyshev points x_j = cos(pi j / n) (x_0 = 1 is the right end) and
+    # the differentiation matrix in s (Trefethen, Spectral Methods in MATLAB).
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = (-1.0) ** np.arange(n + 1)
+    c[[0, -1]] *= 2.0
+    d1 = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n + 1))
+    d1 -= np.diag(d1.sum(axis=1))
+    d1 /= half
+    d2 = d1 @ d1
+    s = lo + (x + 1.0) * half
+    w = 2.0 * np.exp(2.0 * s)
+    h = m * (2.0 * s - np.log1p(np.exp(2.0 * s)))
+    while True:
+        eh = np.exp(h)
+        resid = d2 @ h - w * (eh - 1.0)
+        jac = d2 - np.diag(w * eh)
+        resid[0], jac[0] = h[0], np.eye(n + 1)[0]
+        resid[-1], jac[-1] = d1[-1] @ h - 2.0 * m, d1[-1]
+        dh = np.linalg.solve(jac, -resid)
+        h += dh
+        if np.abs(dh).max() <= 1e-10:
+            break
+    # Barycentric weights (-1)^j, halved at the ends. The table's ends are
+    # the Chebyshev end points and take their values; no interior node is
+    # a Chebyshev point.
+    table_s = np.linspace(lo, hi, _PROFILE_TABLE)
+    t = (table_s - lo) / half - 1.0
+    num, den = np.zeros_like(t), np.zeros_like(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n + 1):
+            weight = (0.5 if j in (0, n) else 1.0) * (-1.0) ** j / (t - x[j])
+            num += weight * h[j]
+            den += weight
+        num /= den
+    num[0], num[-1] = h[-1], h[0]
+    table_h = np.minimum(np.maximum.accumulate(num), 0.0)
+    a = float(table_h[0] - 2.0 * m * table_s[0])
+    table_s.flags.writeable = table_h.flags.writeable = False
+    return table_s, table_h, a
+
+
+def _planar_core(m: int, rho: float) -> float:
+    """``h_m(rho)`` at one radius ``rho > 0``."""
+    s, h, a = _planar_profile(m)
+    log_rho = math.log(rho)
+    if log_rho < s[0]:
+        return 2.0 * m * log_rho + a
+    return float(np.interp(log_rho, s, h, right=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +391,45 @@ class ClassicalVortexSpec(_VortexModel):
 
     def _deviation(self, f: ScalarField, recon) -> ScalarField:
         return 1.0 - recon.phi_sq[0]
+
+    def _initial_guess(self, previous: KWSolution | None) -> ScalarField:
+        """Glued planar cores, ``f0 = sum_i h_{m_i}(|x - p_i| / eps) - u_D``.
+
+        The blow-up limit of derivations §4, so ``previous`` is ignored and
+        the stages of a sweep are independent. A sample on a divisor point
+        ``p`` takes the limit ``a_m - 2m log eps - R_p + sum_{q != p}
+        h_{m_q}(|p - q| / eps)``, where ``R_p = lim (u_D - 2m log|x - p|)``.
+        """
+        eps, geometry = self.epsilon, self.geometry
+        f0 = np.negative(self._densities[0][0].values)
+        log_rho = np.empty_like(f0)
+        points = list(self.divisor)
+        on_points = []
+        for p, m in points:
+            s, h, a = _planar_profile(m)
+            dx, dy = torus_displacement(geometry, self.grid, p)
+            np.hypot(dx / eps, dy / eps, out=log_rho)
+            with np.errstate(divide="ignore"):
+                np.log(log_rho, out=log_rho)
+            f0 += np.interp(log_rho, s, h, right=0.0)
+            # Below the table h = 2m s + a_m; only samples within
+            # eps e^{s_0} of p, found from the 1-D offsets, lie there.
+            reach = eps * math.exp(s[0])
+            near = np.ix_(np.flatnonzero(np.abs(dx[:, 0]) < reach),
+                          np.flatnonzero(np.abs(dy[0]) < reach))
+            f0[near] += 2.0 * m * np.minimum(log_rho[near] - s[0], 0.0)
+            row, col = np.flatnonzero(dx[:, 0] == 0.0), np.flatnonzero(dy[0] == 0.0)
+            if row.size and col.size:
+                on_points.append(((row[0], col[0]), p, m, a))
+        for sample, p, m, a in on_points:
+            # R_p = 4 pi m c_G + sum_{q != p} 4 pi m_q G(p - q).
+            value = a - 2.0 * m * math.log(eps) - 4.0 * math.pi * m * _green_constant(geometry)
+            for q, k in points:
+                if q != p:
+                    value -= 4.0 * math.pi * k * torus_green((q[0] - p[0], q[1] - p[1]), geometry)
+                    value += _planar_core(k, _point_distance(geometry, p, q) / eps)
+            f0[sample] = value
+        return ScalarField(geometry, self.grid, f0)
 
 
 @dataclass(frozen=True)
@@ -839,6 +967,8 @@ def solve_and_report(
     """Solve one spec and wrap the diagnostics as a one-stage report."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
+    if init is None:
+        init = spec._initial_guess(None)
     _run_stage(report, spec, config, init, t0)
     _fit_final_orders(report)
     return report
@@ -850,11 +980,13 @@ def adiabatic_sweep(
     config: SolverConfig = SolverConfig(),
     progress: Callable[[DiagnosticsReport], None] | None = None,
 ) -> SweepReport:
-    """Decreasing-epsilon study with warm starts and limit comparisons.
+    """Decreasing-epsilon study with limit comparisons.
 
     Each stage is ``spec`` at the stage's epsilon on the grid
-    ``schedule.grid`` picks; each stage after the first starts from the
-    previous solution, transplanted by spectral resampling. Per stage the
+    ``schedule.grid`` picks, and starts from the spec's
+    ``_initial_guess``: a classical stage from its glued planar cores, a
+    mixed or generalized stage after the first from the previous solution,
+    transplanted by spectral resampling. Per stage the
     report records the curvature masses at the divisor points, the
     sup-distance to the epsilon = 0 profile away from them (for the
     classical model, the deficit ``sup|1 - |phi|^2|``), the
@@ -876,8 +1008,7 @@ def adiabatic_sweep(
             grid = schedule.grid(spec.geometry, eps)
             # A copy of the last stage shares its densities on the same grid.
             stage_spec = _copy(report.final_spec or spec, epsilon=eps, grid=grid)
-            prev = report.final_solution
-            init = resample(prev.f, grid) if prev is not None else None
+            init = stage_spec._initial_guess(report.final_solution)
             stage = _run_stage(report, stage_spec, config, init, t0)
             if progress is not None:
                 progress(stage)

@@ -19,7 +19,7 @@ from vortexlab import (
     torus_green,
 )
 from vortexlab.errors import BadTau, VortexLabError
-from vortexlab.greens import NEGATIVE_SENTINEL, _point_distance
+from vortexlab.greens import NEGATIVE_SENTINEL, _green_constant, _point_distance
 from vortexlab.vortex import _density_data
 
 UNIT = TorusGeometry(1.0, 1.0)
@@ -144,6 +144,9 @@ def test_green_normalization_either_orientation(lengths):
     r = 1e-6
     regular = torus_green((r, 0.0), TorusGeometry(lx, ly)) - np.log(r) / (2 * np.pi)
     assert abs(regular - np.log(2 * np.pi * eta**3 / lx) / (2 * np.pi)) <= 1e-9
+    # The same limit from the theta series' slope at 0, with no offset.
+    exact = _green_constant(TorusGeometry(lx, ly))
+    assert abs(exact - np.log(2 * np.pi * eta**3 / lx) / (2 * np.pi)) <= 1e-13
 
 
 def test_green_mean_laplacian_far_from_origin():

@@ -29,6 +29,7 @@ from vortexlab import (
     mixed_limit_phi_sq,
     reconstruct,
     reduce_any,
+    resample,
     solve_and_report,
     sup_norm,
     vanishing_order_fit,
@@ -42,7 +43,12 @@ from vortexlab.errors import (
 )
 from vortexlab.kw import kw_limit, kw_solve
 from vortexlab.greens import divisor_potential
-from vortexlab.vortex import ContinuationSchedule, diagnostics_report
+from vortexlab.vortex import (
+    ContinuationSchedule,
+    _copy,
+    _planar_profile,
+    diagnostics_report,
+)
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -345,6 +351,81 @@ def test_unresolved_mass_window_fails_before_the_solve(monkeypatch):
     assert report.stages == []
     assert report.error["type"] == "OverlappingBump"
     assert report.error["epsilon"] == 0.4
+
+
+# ---------------------------------------------------------------------------
+# Planar cores and the classical start (derivations §4)
+
+
+@pytest.mark.parametrize("m, a_m", [(1, -0.3175745), (2, -1.500316)])
+def test_planar_profile(m, a_m):
+    s, h, a = _planar_profile(m)
+    rho = np.exp(s)
+    # Mass identity: integral (1 - e^h) rho drho = m.
+    assert abs(np.trapezoid((1.0 - np.exp(h)) * rho**2, s) - m) <= 1e-9
+    # Below the table h = 2m s + a_m.
+    head = h[:64] - 2.0 * m * s[:64]
+    assert np.ptp(head) <= 1e-8 and abs(head[0] - a) <= 1e-12
+    assert abs(a - a_m) <= 1e-6
+    # The ODE h'' = 2 e^{2s} (e^h - 1), to the second difference's error.
+    ds = s[1] - s[0]
+    second = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / ds**2
+    assert np.abs(second - 2.0 * rho[1:-1] ** 2 * np.expm1(h[1:-1])).max() <= 1e-4
+    # Increasing to 0 at the right end, strictly where h is above roundoff.
+    steps = np.diff(h)
+    assert (steps >= 0.0).all() and h[-1] == 0.0
+    assert (steps[h[1:] < -1e-10] > 0.0).all()
+    assert _planar_profile(m) is _planar_profile(m)
+
+
+OFF_GRID = ([(0.3013, 0.2571), (0.7129, 0.6637)], [1, 2])
+
+
+def test_classical_start_from_planar_cores():
+    spec = classical(*OFF_GRID, 0.025, n=128)
+    glued = solve_and_report(spec)
+    zero = kw_solve(reduce_any(spec))
+    assert glued.stages[0].newton.iterations <= 3
+    assert zero.iterations >= 5
+    assert sup_norm(glued.final_solution.f - zero.f) <= 1e-9
+
+
+@pytest.mark.parametrize("lx", [1.0, 2.0])
+def test_classical_start_on_divisor_samples(lx):
+    # The configs/classical.yaml divisor, stretched along x: both points
+    # are grid samples, where u_D holds the sentinel and the guess takes
+    # its limit value. lx = 2 evaluates u_D on the reflected torus.
+    geo = TorusGeometry(lx, 1.0)
+    points = [(0.25 * lx, 0.25), (0.75 * lx, 0.75)]
+    spec = classical(points, [1, 2], 0.1, geometry=geo)
+    f0 = spec._initial_guess(None).values
+    assert np.isfinite(f0).all() and np.abs(f0).max() < 1e3
+    assert solve_and_report(spec).stages[0].newton.iterations <= 3
+    # It is the limit of the guess as a point approaches its sample, from
+    # below the profile table (1e-8) and from inside it (1e-6).
+    for delta in (1e-8, 1e-6):
+        for i, sample in ((0, (32, 32)), (1, (96, 96))):
+            moved = list(points)
+            moved[i] = (points[i][0] + delta, points[i][1] - delta)
+            near = classical(moved, [1, 2], 0.1, geometry=geo)._initial_guess(None).values
+            assert abs(near[sample] - f0[sample]) <= 1e-10
+
+
+def test_classical_sweep_stages_are_independent():
+    spec = classical(*OFF_GRID, 0.05, n=128)
+    sweep = adiabatic_sweep(spec, ContinuationSchedule((0.1, 0.05), 128, 128))
+    sweep.raise_if_failed()
+    single = solve_and_report(spec)
+    assert np.array_equal(sweep.final_solution.f.values, single.final_solution.f.values)
+    assert all(s.newton.iterations <= 3 for s in sweep.stages)
+
+
+def test_mixed_start_is_the_resampled_previous_solution(mixed_pair):
+    spec, sol = mixed_pair
+    assert spec._initial_guess(None) is None
+    coarse = _copy(spec, grid=GridSpec(64, 64))
+    start = coarse._initial_guess(sol)
+    assert np.array_equal(start.values, resample(sol.f, coarse.grid).values)
 
 
 # ---------------------------------------------------------------------------
