@@ -31,10 +31,10 @@ from fractions import Fraction
 
 import yaml
 
-from .errors import ParseError, Unsolvable, ValidationError, VortexLabError
+from .errors import ParseError, ValidationError, VortexLabError
 from .fields import GridSpec, TorusGeometry, constant_field
 from .greens import Divisor
-from .kw import KWProblem, SolverConfig
+from .kw import KWProblem, SolverConfig, _check_balance
 from .vortex import (
     ClassicalVortexSpec,
     ContinuationSchedule,
@@ -95,15 +95,9 @@ class KWSection:
     minus: tuple[KWTermSection, ...] = ()
 
     def __post_init__(self):
-        # The balance condition of KWProblem.check_solvable for a constant
-        # w; amplitudes are positive, so every listed side is present.
-        sign = bool(self.minus) - bool(self.plus)  # the sign w must have
-        if not (self.plus and self.minus) and (self.w > 0) - (self.w < 0) != sign:
-            need = ("w < 0", "w = 0", "w > 0")[sign + 1]
-            raise Unsolvable(
-                f"{len(self.plus)} plus and {len(self.minus)} minus terms need {need}, "
-                f"got {self.w:g}"
-            )
+        # Amplitudes are positive, so every listed side is present, and a
+        # constant w has the sign of its integral.
+        _check_balance(bool(self.plus), bool(self.minus), self.w, 0.0)
 
 
 MODEL_SECTIONS = {

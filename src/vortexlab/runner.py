@@ -285,21 +285,15 @@ def _emit_report_artifacts(report: SweepReport, out: Path, config: RunConfig) ->
             name = f"phi_sq_{j}.pgm"
             emit_heatmap(phi, out / name)
             written.extend([name, name + ".json"])
-        if recon.curvature is not None:
-            emit_heatmap(recon.curvature, out / "curvature.pgm")
-            written.extend(["curvature.pgm", "curvature.pgm.json"])
+        emit_heatmap(recon.curvature, out / "curvature.pgm")
+        written.extend(["curvature.pgm", "curvature.pgm.json"])
     if config.outputs.svg and len(report.stages) > 1:
         xs = [s.epsilon for s in report.stages]
         series: dict[str, list[float]] = {
             "sup_deviation": [s.sup_deviation for s in report.stages]
         }
         for p in report.points:
-            series[f"mass_{p.index}"] = [
-                s.curvature_masses[p.index]
-                if s.curvature_masses[p.index] is not None
-                else float("nan")
-                for s in report.stages
-            ]
+            series[f"mass_{p.index}"] = [s.curvature_masses[p.index] for s in report.stages]
         emit_line_plot(
             out / "convergence.svg",
             xs,

@@ -36,8 +36,10 @@ checked by :func:`integral_identities`; as epsilon decreases the curvature
 concentrates near the divisor points with calculable masses, measured by
 :func:`curvature_mass` through smooth bump windows. A spec computes its
 term densities ``P_j`` once and shares them with its copies at other
-epsilons on the same grid. The one process-wide cache holds the 1-D
-planar vortex profiles that start a classical solve (:func:`_planar_profile`).
+epsilons on the same grid. Two process-wide caches outlive a spec: the
+1-D planar vortex profiles that start a classical solve
+(:func:`_planar_profile`) and the half-spectrum symbols of the last four
+grids (``fields._wavenumbers``).
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .kw import (
     KWSolution,
     NewtonTrace,
     SolverConfig,
+    _check_balance,
     interior_bounds,
     kw_limit,
     kw_solve,
@@ -147,12 +150,12 @@ class _VortexModel:
     """Behaviour shared by the presets, written once over ``_terms``.
 
     A preset supplies ``geometry``, ``grid``, ``epsilon``, ``tau``,
-    ``degree`` and the term list ``_terms``. The hooks below (``_phi_sq``,
-    ``_curvature``, ``_identities``, ``_expected``, ``_deviation``,
-    ``_order_fits`` and ``_initial_guess``) hold the mixed/generalized
-    behaviour; a preset overrides the ones where its model differs. A spec
-    builds its term densities once, in :attr:`_densities`; they live and
-    die with it.
+    ``degree`` and the term list ``_terms``, and its ``__post_init__``
+    ends in :meth:`_admit`. The hooks below (``_curvature``,
+    ``_identities``, ``_expected``, ``_deviation``, ``_order_fits`` and
+    ``_initial_guess``) hold the mixed/generalized behaviour; a preset
+    overrides the ones where its model differs. A spec builds its term
+    densities once, in :attr:`_densities`; they live and die with it.
     """
 
     kind: ClassVar[str]
@@ -165,6 +168,20 @@ class _VortexModel:
         vol = self.geometry.volume
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
+    def _admit(self) -> None:
+        """Reject ``epsilon <= 0`` and data whose reduced problem cannot balance."""
+        if not self.epsilon > 0:
+            raise ValidationError("epsilon must be positive")
+        weights = [t.weight for t in self._terms]
+        # Up to the equation scale, the reduced w is the constant _forcing.
+        integral_w = self._forcing * self.geometry.volume
+        try:
+            _check_balance(max(weights) > 0, min(weights) < 0, integral_w, 0.0)
+        except Unsolvable as exc:
+            raise Unsolvable(
+                f"weights {weights} lack mixed signs; with w = 2 pi d eps^2 / volume + tau, {exc}"
+            ) from None
+
     @cached_property
     def _densities(self) -> tuple:
         """Per term ``(u_D, S c e^{u_D}, log(S c))``, ``S`` the equation scale.
@@ -174,15 +191,6 @@ class _VortexModel:
         """
         g, n, S = self.geometry, self.grid, self.equation_scale
         return tuple(_density_data(g, n, d, S * s, norm) for d, _, s, norm in self._terms)
-
-    def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
-        log_scale = math.log(self.equation_scale)
-        comps = []
-        for t, (u, _, logc) in zip(self._terms, self._densities):
-            # Divisor-point sentinels in u flush exp() to exactly 0.
-            vals = np.exp((logc - log_scale) + u.values + t.weight * f.values)
-            comps.append(ScalarField(self.geometry, self.grid, vals))
-        return comps
 
     def _curvature(self, phi_sq, geometric):
         """(curvature, cross-check) given the geometric curvature."""
@@ -201,9 +209,11 @@ class _VortexModel:
         return None, None
 
     def _deviation(self, f: ScalarField, recon) -> ScalarField:
-        """Distance to the epsilon = 0 limit profile on the spec's grid."""
-        zero_spec = _copy(self, epsilon=0.0)
-        return f - kw_limit(reduce_any(zero_spec)).f
+        """Distance to the epsilon = 0 limit: the reduced problem's coefficient
+        arrays with ``w = equation_scale * tau``, solved by :func:`kw_limit`."""
+        w = constant_field(self.geometry, self.grid, self.equation_scale * self.tau)
+        limit = dataclasses.replace(reduce_any(self), epsilon=0.0, w=w)
+        return f - kw_limit(limit).f
 
     def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
@@ -276,8 +286,9 @@ def _planar_profile(m: int) -> tuple[np.ndarray, np.ndarray, float]:
     s + a_m``. That roundoff also breaks the monotonicity of the far tail,
     where ``|h| < 1e-12``; a running maximum restores it.
 
-    This is the package's one process-wide cache: one read-only 1-D table
-    per ``m``, built on first use.
+    One of the package's two process-wide caches (the other holds the
+    half-spectrum symbols of the last four grids, ``fields._wavenumbers``):
+    one read-only 1-D table per ``m``, built on first use.
     """
     n = _PROFILE_DEGREE
     lo, hi = _PROFILE_RANGE
@@ -340,10 +351,9 @@ def _planar_core(m: int, rho: float) -> float:
 class ClassicalVortexSpec(_VortexModel):
     """Abelian vortex data: effective divisor, scale epsilon > 0.
 
-    Construction enforces the volume (Bradlow) admissibility
-    ``2 pi d eps^2 < volume``, necessary for a solution with a
-    non-vanishing section; it is exactly the balance condition of the
-    reduced scalar problem.
+    Construction enforces the volume (Bradlow) admissibility ``2 pi d
+    eps^2 < volume``, the balance condition of the reduced problem; it
+    raises :class:`BradlowViolation`.
     """
 
     geometry: TorusGeometry
@@ -357,15 +367,14 @@ class ClassicalVortexSpec(_VortexModel):
 
     def __post_init__(self):
         self.divisor.check_separated(self.geometry)
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
-        d = self.divisor.degree
-        lhs = 2.0 * math.pi * d * self.epsilon**2
-        if lhs >= self.geometry.volume:
+        try:
+            self._admit()
+        except Unsolvable:
+            lhs = 2.0 * math.pi * self.degree * self.epsilon**2
             raise BradlowViolation(
-                f"Bradlow: 2 pi d eps^2 = {lhs:.6g} >= volume = "
+                f"Bradlow: 2 pi d eps^2 = {lhs:.6g} is not below volume = "
                 f"{self.geometry.volume:.6g}"
-            )
+            ) from None
 
     @property
     def degree(self) -> int:
@@ -451,7 +460,7 @@ class MixedVortexSpec(_VortexModel):
     tau: float = 0.0
     scale_plus: float = 1.0
     scale_minus: float = 1.0
-    epsilon: float = 0.0
+    epsilon: float = dc_field(kw_only=True)
     degree: Fraction | None = None
 
     kind: ClassVar[str] = "mixed"
@@ -459,21 +468,19 @@ class MixedVortexSpec(_VortexModel):
     def __post_init__(self):
         self.divisor_plus.check_separated(self.geometry)
         self.divisor_minus.check_separated(self.geometry)
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
         if not (self.scale_plus > 0 and self.scale_minus > 0):
             raise ValidationError("scales must be positive")
         default = Fraction(self.divisor_plus.degree - self.divisor_minus.degree, 2)
         if self.degree is None:
             object.__setattr__(self, "degree", default)
-            return
-        if Fraction(self.degree) != default:
+        elif Fraction(self.degree) != default:
             # Level 3 is the caller of the generated __init__.
             warnings.warn(
                 f"degree {self.degree} differs from (deg+ - deg-)/2 = {default}",
                 stacklevel=3,
             )
         object.__setattr__(self, "degree", Fraction(self.degree))
+        self._admit()
 
     @property
     def _terms(self) -> tuple[_Term, ...]:
@@ -482,22 +489,17 @@ class MixedVortexSpec(_VortexModel):
             _Term(self.divisor_minus, -1, self.scale_minus, True),
         )
 
-    def _phi_sq(self, f: ScalarField) -> list[ScalarField]:
-        if self.epsilon != 0:
-            return super()._phi_sq(f)
-        # Limit profiles: both components collapse onto sqrt(P Q),
-        # evaluated stably in log space (sentinels flush to zero).
-        (up, _, logcp), (um, _, logcm) = self._densities
-        half = 0.5 * (up.values + um.values)
-        vals = np.exp(0.5 * (logcp + logcm) + half)
-        phi = ScalarField(self.geometry, self.grid, vals)
-        return [phi, phi._like(vals.copy())]
-
+    # Predictions of the tau = 0 limit sqrt(P Q); at tau != 0 the limit
+    # solves a - b + tau = 0, ab = P Q, and none is recorded (derivations §3).
     def _expected(self, m_plus: int, m_minus: int):
+        if self.tau != 0:
+            return super()._expected(m_plus, m_minus)
         return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
 
     def _order_fits(self, points) -> list[float | None]:
-        evaluator = mixed_limit_phi_sq(_copy(self, epsilon=0.0))
+        if self.tau != 0:
+            return super()._order_fits(points)
+        evaluator = mixed_limit_phi_sq(self)
         fits: list[float | None] = []
         for info in points:
             try:
@@ -525,12 +527,9 @@ class GeneralizedTerm:
 class GeneralizedSpec(_VortexModel):
     """Multi-component data with integer weights.
 
-    Solvability trichotomy: the weights must have mixed signs, all be
-    positive with ``2 pi d eps^2 / volume + tau < 0``, or all be negative
-    with ``2 pi d eps^2 / volume + tau > 0`` (the balance conditions of
-    the reduced one-sided problems); otherwise construction raises
-    :class:`Unsolvable`.
-    ``degree`` defaults to the least-squares bookkeeping
+    Weights of one sign need ``2 pi d eps^2 / volume + tau`` of the other
+    sign (the balance condition); otherwise construction raises
+    :class:`Unsolvable`. ``degree`` defaults to the least-squares bookkeeping
     ``sum(k_j d_j) / sum(k_j^2)`` matching the mixed-pair convention for
     weights (1, -1).
     """
@@ -539,7 +538,7 @@ class GeneralizedSpec(_VortexModel):
     grid: GridSpec
     terms: tuple[GeneralizedTerm, ...]
     tau: float = 0.0
-    epsilon: float = 0.0
+    epsilon: float = dc_field(kw_only=True)
     degree: Fraction | None = None
 
     kind: ClassVar[str] = "generalized"
@@ -550,24 +549,13 @@ class GeneralizedSpec(_VortexModel):
         object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             t.divisor.check_separated(self.geometry)
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
         if self.degree is None:
             num = sum(t.weight * t.divisor.degree for t in self.terms)
             den = sum(t.weight**2 for t in self.terms)
             object.__setattr__(self, "degree", Fraction(num, den))
         else:
             object.__setattr__(self, "degree", Fraction(self.degree))
-        weights = [t.weight for t in self.terms]
-        # Without mixed signs the reduced problem is one-sided and balances
-        # only when its constant has the sign opposite to the weights.
-        w = self._forcing
-        if not (min(weights) < 0 < max(weights) or all(k * w < 0 for k in weights)):
-            raise Unsolvable(
-                "weights must have mixed signs, or all be positive with "
-                "2 pi d eps^2 / volume + tau < 0, or all negative with it > 0 "
-                f"(got {w:.6g})"
-            )
+        self._admit()
 
     @property
     def _terms(self) -> tuple[_Term, ...]:
@@ -585,26 +573,25 @@ class Reconstruction:
     ``phi_sq`` lists the pointwise squared component magnitudes;
     ``curvature`` is the curvature function iLF (for the classical model
     the algebraic form ``(1 - |phi|^2)/eps^2``, whose geometric
-    counterpart is kept in ``curvature_crosscheck``). At epsilon = 0 the
-    curvature is a measure, not a function, and is omitted.
+    counterpart is kept in ``curvature_crosscheck``).
     """
 
     phi_sq: list[ScalarField]
-    curvature: ScalarField | None
+    curvature: ScalarField
     curvature_crosscheck: ScalarField | None = None
 
 
 def reconstruct(spec, f: ScalarField) -> Reconstruction:
-    """Recover |phi|^2 fields and the curvature function from ``f``.
-
-    ``f`` should solve the reduced problem of ``spec`` (at epsilon = 0,
-    the limit profile from :func:`vortexlab.kw.kw_limit`).
-    """
-    phi_sq = spec._phi_sq(f)
-    if spec.epsilon == 0:
-        return Reconstruction(phi_sq, None)
-    background = 2.0 * math.pi * float(spec.degree) / spec.geometry.volume
-    geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * laplacian(f)
+    """Recover |phi|^2 fields and the curvature function from ``f``,
+    a solution of the reduced problem of ``spec``."""
+    g, n, log_scale = spec.geometry, spec.grid, math.log(spec.equation_scale)
+    # |phi_j|^2 = c_j e^{u_j + k_j f}; divisor-point sentinels in u flush to 0.
+    phi_sq = [
+        ScalarField(g, n, np.exp((logc - log_scale) + u.values + t.weight * f.values))
+        for t, (u, _, logc) in zip(spec._terms, spec._densities)
+    ]
+    background = 2.0 * math.pi * float(spec.degree) / g.volume
+    geometric = constant_field(g, n, background) - 0.5 * laplacian(f)
     return Reconstruction(phi_sq, *spec._curvature(phi_sq, geometric))
 
 
@@ -712,21 +699,19 @@ def integral_identities(spec, f: ScalarField) -> dict[str, float]:
     identity:  sum_j k_j |phi^j|_2^2 + tau vol + 2 pi d eps^2, which for
                the classical model is reported as the Bradlow deficit
                integral(1 - |phi|^2) - 2 pi d eps^2 (key ``bradlow`` too)
-    chern:     integral(iLF)/2pi - d, when the curvature function is
-               defined.
+    chern:     integral(iLF)/2pi - d.
     """
     return _identities_of(spec, reconstruct(spec, f))
 
 
 def _identities_of(spec, recon: Reconstruction) -> dict[str, float]:
     out = spec._identities(recon.phi_sq)
-    if recon.curvature is not None:
-        out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - float(spec.degree)
+    out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - float(spec.degree)
     return out
 
 
 def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form evaluator of the epsilon = 0 profile sqrt(P Q).
+    """Closed-form evaluator of the epsilon = 0 profile sqrt(P Q) at tau = 0.
 
     Works at arbitrary points through the Green's function sum, so order
     fits can probe radii below the grid scale without interpolation error.
@@ -812,8 +797,7 @@ class DiagnosticsReport:
     """Per-epsilon measurements against the adiabatic-limit predictions.
 
     ``curvature_masses`` holds one entry per divisor point, measured in
-    the point's stationary bump window (None at epsilon = 0, where the
-    curvature is a measure); ``identity_residuals``
+    the point's stationary bump window; ``identity_residuals``
     the integrated-equation residuals; ``order_fits`` the fitted vanishing
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
@@ -827,7 +811,7 @@ class DiagnosticsReport:
 
     epsilon: float
     grid: GridSpec
-    curvature_masses: list[float | None]
+    curvature_masses: list[float]
     sup_deviation: float
     identity_residuals: dict[str, float]
     crosscheck_gap: float | None
@@ -900,10 +884,8 @@ def _mass_windows(spec, points) -> list[tuple[float, float, list]]:
     return windows
 
 
-def _stage_masses(spec, recon, points) -> list[float | None]:
+def _stage_masses(spec, recon, points) -> list[float]:
     """Per-point curvature masses in the stationary windows."""
-    if recon.curvature is None:
-        return [None] * len(points)
     return [
         curvature_mass(recon.curvature, info.point, *window)
         for info, window in zip(points, _mass_windows(spec, points))
@@ -959,17 +941,12 @@ def _fit_final_orders(report: SweepReport) -> None:
     report.stages[-1].order_fits = list(report.order_fits)
 
 
-def solve_and_report(
-    spec,
-    config: SolverConfig = SolverConfig(),
-    init: ScalarField | None = None,
-) -> SweepReport:
-    """Solve one spec and wrap the diagnostics as a one-stage report."""
+def solve_and_report(spec, config: SolverConfig = SolverConfig()) -> SweepReport:
+    """Solve one spec from its ``_initial_guess`` and wrap the diagnostics
+    as a one-stage report."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
-    if init is None:
-        init = spec._initial_guess(None)
-    _run_stage(report, spec, config, init, t0)
+    _run_stage(report, spec, config, spec._initial_guess(None), t0)
     _fit_final_orders(report)
     return report
 
@@ -995,11 +972,12 @@ def adiabatic_sweep(
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
-    on; a solver failure, a stage that needs a grid beyond
-    ``schedule.max_grid`` or one whose mass windows the grid cannot
-    resolve stops the sweep and is recorded in ``report.error`` with the
-    completed stages kept. A sweep that skips every stage records its
-    last skip as ``report.error``.
+    on, and so are stages whose grid cannot resolve a mass window, which
+    is found before the solve and recorded with the stage's grid. A
+    solver failure or a stage that needs a grid beyond
+    ``schedule.max_grid`` stops the sweep and is recorded in
+    ``report.error`` with the completed stages kept. A sweep that skips
+    every stage records its last skip as ``report.error``.
     """
     report = SweepReport(kind=spec.kind, points=[], stages=[])
     for eps in schedule.epsilons:
@@ -1014,7 +992,10 @@ def adiabatic_sweep(
                 progress(stage)
         except VortexLabError as exc:
             record = {"type": type(exc).__name__, "message": str(exc), "epsilon": eps}
-            if not isinstance(exc, Unsolvable):
+            if isinstance(exc, OverlappingBump):
+                # Raised by the mass-window check that precedes the solve.
+                record["grid"] = grid
+            elif not isinstance(exc, Unsolvable):
                 report.error = record
                 return report
             report.skipped.append(record)

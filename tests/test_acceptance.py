@@ -25,6 +25,7 @@ from vortexlab import (
     TorusGeometry,
     adiabatic_sweep,
     bump_cutoff,
+    constant_field,
     cutoff_ratio_sup,
     integrate,
     laplacian,
@@ -229,13 +230,15 @@ def test_acceptance_05_uniform_interior_bounds(mixed_sweep):
     sup_ratio = max(s.sup_f for s in stages) / final.sup_f
     grad_ratio = max(s.sup_grad_f for s in stages) / final.sup_grad_f
 
-    spec0 = dataclasses.replace(mixed_sweep.final_spec, epsilon=0.0)
-    f0 = kw_limit(reduce_any(spec0)).f
+    # The eps = 0 limit: the final reduced problem with w = tau.
+    spec = mixed_sweep.final_spec
+    w0 = constant_field(UNIT, spec.grid, spec.tau)
+    f0 = kw_limit(dataclasses.replace(reduce_any(spec), epsilon=0.0, w=w0)).f
     mask = RegionMask.excluding_discs(
-        UNIT, spec0.grid, [p.point for p in mixed_sweep.points], 0.15
+        UNIT, spec.grid, [p.point for p in mixed_sweep.points], 0.15
     )
-    limit_plus = lp_norm(ScalarField(UNIT, spec0.grid, np.exp(f0.values)), 2, mask)
-    limit_minus = lp_norm(ScalarField(UNIT, spec0.grid, np.exp(-f0.values)), 2, mask)
+    limit_plus = lp_norm(ScalarField(UNIT, spec.grid, np.exp(f0.values)), 2, mask)
+    limit_minus = lp_norm(ScalarField(UNIT, spec.grid, np.exp(-f0.values)), 2, mask)
     plus_ratio = max(s.l2_exp_plus for s in stages) / limit_plus
     minus_ratio = max(s.l2_exp_minus for s in stages) / limit_minus
 
@@ -255,9 +258,8 @@ def test_acceptance_06_vanishing_orders(mixed_sweep, colocated_sweep):
     orders = mixed_sweep.order_fits
     simple_ok = all(abs(v - 0.5) <= 0.05 * 0.5 for v in orders)
     # co-located point: (2+1)/2 = 1.5, strictly above |2-1|/2 = 0.5
-    spec_co = dataclasses.replace(colocated_sweep.final_spec, epsilon=0.0)
     order_co = vanishing_order_fit(
-        mixed_limit_phi_sq(spec_co), (0.5, 0.5), 0.01, 0.05
+        mixed_limit_phi_sq(colocated_sweep.final_spec), (0.5, 0.5), 0.01, 0.05
     )
     co_ok = abs(order_co - 1.5) <= 0.05 * 1.5 and order_co > 0.5
     lower_ok = all(v >= 0.5 - 0.05 * 0.5 for v in orders)

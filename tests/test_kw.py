@@ -172,8 +172,6 @@ def test_solver_config_ranges():
         SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
-    with pytest.raises(ValueError):
-        SolverConfig(cg_tol=-1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +303,7 @@ def _check_newton_trace(sol, config):
     """Invariants of the recorded Newton trace of one solve."""
     assert len(sol.newton.residual_history) == sol.iterations + 1
     assert len(sol.newton.cg_tolerances) == sol.iterations
-    assert all(config.cg_tol <= tol <= 0.1 for tol in sol.newton.cg_tolerances)
+    assert all(1e-12 <= tol <= 0.1 for tol in sol.newton.cg_tolerances)
     assert sol.newton.residual_history[-1] == sol.residual_sup <= config.newton_tol
     hist = np.asarray(sol.newton.energy_history)
     assert (np.diff(hist) <= 1e-14 * (1.0 + np.abs(hist[:-1]))).all()
@@ -334,11 +332,11 @@ def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
     problem = reduce_any(spec())
     config = SolverConfig()
     inexact = kw_solve(problem, config)
-    # Every CG solve to the cg_tol floor: exact Newton.
-    monkeypatch.setattr(kw_module, "_cg_tolerance", lambda config, eta, res_sup: config.cg_tol)
+    # Every CG solve to a relative 1e-12: exact Newton.
+    monkeypatch.setattr(kw_module, "_cg_tolerance", lambda config, eta, res_sup: 1e-12)
     exact = kw_solve(problem, config)
-    assert exact.newton.cg_tolerances == [config.cg_tol] * exact.iterations
-    assert max(inexact.newton.cg_tolerances) > config.cg_tol
+    assert exact.newton.cg_tolerances == [1e-12] * exact.iterations
+    assert max(inexact.newton.cg_tolerances) > 1e-12
     for sol in (inexact, exact):
         _check_newton_trace(sol, config)
     assert sup_norm(inexact.f - exact.f) <= config.newton_tol

@@ -1,5 +1,6 @@
 """Vortex reductions, gauge reconstruction, and adiabatic sweeps."""
 
+import dataclasses
 import gc
 import math
 import warnings
@@ -39,6 +40,7 @@ from vortexlab.errors import (
     DegenerateFit,
     OverlappingBump,
     Unsolvable,
+    ValidationError,
     VortexLabError,
 )
 from vortexlab.kw import kw_limit, kw_solve
@@ -111,6 +113,17 @@ def test_specs_require_effective_divisors_and_positive_scales():
         mixed_pair_spec(-0.1)
 
 
+def test_specs_need_a_positive_epsilon():
+    # The eps -> 0 limit is a reduced problem for kw_limit, not a spec.
+    term = GeneralizedTerm(Divisor(((0.3, 0.3),), (1,)), 1)
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
+        mixed_pair_spec(0.0)
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
+        GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=-1.0, epsilon=0.0)
+    with pytest.raises(TypeError, match="epsilon"):
+        MixedVortexSpec(UNIT, GridSpec(32, 32), Divisor((), ()), Divisor((), ()))
+
+
 def test_mixed_degree_bookkeeping():
     spec = mixed_pair_spec(0.1)
     assert spec.degree == Fraction(0)
@@ -132,11 +145,11 @@ def test_mixed_degree_warning_names_the_caller_once():
 def test_generalized_solvability_dichotomy():
     term = lambda pt, k: GeneralizedTerm(Divisor(((pt),), (1,)), k)
     with pytest.raises(Unsolvable):
-        GeneralizedSpec(UNIT, GridSpec(32, 32), (term((0.3, 0.3), 1),), tau=0.0)
+        GeneralizedSpec(UNIT, GridSpec(32, 32), (term((0.3, 0.3), 1),), tau=0.0, epsilon=0.1)
     # all-positive weights with tau < 0 are fine
-    GeneralizedSpec(UNIT, GridSpec(32, 32), (term((0.3, 0.3), 1),), tau=-1.0)
+    GeneralizedSpec(UNIT, GridSpec(32, 32), (term((0.3, 0.3), 1),), tau=-1.0, epsilon=0.1)
     with pytest.raises(ValueError):
-        GeneralizedSpec(UNIT, GridSpec(32, 32), (), tau=-1.0)
+        GeneralizedSpec(UNIT, GridSpec(32, 32), (), tau=-1.0, epsilon=0.1)
     with pytest.raises(ValueError):
         GeneralizedTerm(Divisor(((0.3, 0.3),), (1,)), 0)
 
@@ -162,10 +175,12 @@ def test_generalized_negative_weights_solve_with_a_positive_constant():
     assert stage.crosscheck_gap is None
 
 
-@pytest.mark.parametrize("tau, epsilon", [(-1.0, 0.2), (0.0, 0.0), (0.1, 0.2)])
+@pytest.mark.parametrize(
+    "tau, epsilon", [(-1.0, 0.2), (2.0 * math.pi * 0.2**2, 0.2), (0.1, 0.2)]
+)
 def test_generalized_negative_weights_need_a_positive_constant(tau, epsilon):
     # The degree is -1, so the constant -2 pi eps^2 + tau is <= 0 in each
-    # case, although tau > 0 in the last.
+    # case (exactly 0 in the second), although tau > 0 in the last two.
     term = GeneralizedTerm(Divisor(((0.3, 0.4),), (1,)), -1)
     with pytest.raises(Unsolvable, match="2 pi d eps"):
         GeneralizedSpec(UNIT, GridSpec(32, 32), (term,), tau=tau, epsilon=epsilon)
@@ -177,7 +192,7 @@ def test_generalized_degree_default():
         GeneralizedTerm(Divisor(((0.7, 0.6),), (1,)), 1),
         GeneralizedTerm(Divisor(((0.5, 0.1),), (1,)), -1),
     )
-    spec = GeneralizedSpec(UNIT, GridSpec(32, 32), terms, tau=0.0)
+    spec = GeneralizedSpec(UNIT, GridSpec(32, 32), terms, tau=0.0, epsilon=0.1)
     assert spec.degree == Fraction(1, 3)
 
 
@@ -336,21 +351,30 @@ def test_mass_window_below_two_grid_cells_fails_the_stage():
     assert "below two grid cells" in report.error["message"]
 
 
-def test_unresolved_mass_window_fails_before_the_solve(monkeypatch):
-    import vortexlab.vortex as vortex
+def test_unresolved_mass_window_is_skipped_before_the_solve(monkeypatch):
+    solved = []
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("kw_solve called for an unresolvable stage")
+    def recording(problem, *args, **kwargs):
+        solved.append(problem.grid)
+        return kw_solve(problem, *args, **kwargs)
 
-    monkeypatch.setattr(vortex, "kw_solve", no_solve)
-    # r_inner = 0.071 is below two cells of the 16^2 grid of eps = 0.4.
+    monkeypatch.setattr(vortex_module, "kw_solve", recording)
+    # r_inner = 0.071 is below two cells of the 16^2 grid of eps = 0.4 and
+    # above two cells of the finer grids of the later stages.
     spec = MixedVortexSpec(
-        UNIT, GridSpec(16, 16), Divisor(((0.3, 0.3),), (1,)), Divisor(((0.45, 0.3),), (1,))
+        UNIT,
+        GridSpec(16, 16),
+        Divisor(((0.3, 0.3),), (1,)),
+        Divisor(((0.45, 0.3),), (1,)),
+        epsilon=0.05,
     )
-    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2)))
-    assert report.stages == []
-    assert report.error["type"] == "OverlappingBump"
-    assert report.error["epsilon"] == 0.4
+    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2, 0.1, 0.05)))
+    report.raise_if_failed()
+    (skip,) = report.skipped
+    assert skip["type"] == "OverlappingBump"
+    assert skip["epsilon"] == 0.4 and skip["grid"] == GridSpec(16, 16)
+    assert [s.epsilon for s in report.stages] == [0.2, 0.1, 0.05]
+    assert solved == [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 64, 128)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +465,8 @@ def test_mixed_empty_divisors_balanced_vacuum():
 
 
 def test_mixed_limit_profile_is_half_log_ratio():
-    spec = mixed_pair_spec(0.0, n=64)
-    problem = reduce_any(spec)
+    # Degree 0 and tau = 0: the reduced w is 0 at every eps, as in the limit.
+    problem = dataclasses.replace(reduce_any(mixed_pair_spec(0.2, n=64)), epsilon=0.0)
     prof = kw_limit(problem)
     P = problem.plus_terms[0][0].values
     Q = problem.minus_terms[0][0].values
@@ -460,22 +484,6 @@ def test_mixed_component_masses_balance(mixed_pair):
     ids = integral_identities(spec, sol.f)
     assert abs(ids["identity"]) <= 1e-6 * UNIT.volume
     assert abs(ids["chern"]) <= 1e-8
-
-
-def test_mixed_limit_reconstruction_identity():
-    spec = mixed_pair_spec(0.0, n=64)
-    problem = reduce_any(spec)
-    prof = kw_limit(problem)
-    recon = reconstruct(spec, prof.f)
-    P = problem.plus_terms[0][0].values
-    Q = problem.minus_terms[0][0].values
-    root = np.sqrt(P * Q)
-    assert np.array_equal(recon.phi_sq[0].values, recon.phi_sq[1].values)
-    assert np.abs(recon.phi_sq[0].values - root).max() <= 1e-10
-    # total squared magnitude: |phi|^2 = |phi1|^2 + |phi2|^2, so |phi|^4 = 4 P Q
-    total = recon.phi_sq[0].values + recon.phi_sq[1].values
-    assert np.abs(total**2 - 4.0 * P * Q).max() <= 1e-9
-    assert recon.curvature is None
 
 
 def test_mixed_colocated_mass_is_half_difference():
@@ -613,7 +621,7 @@ def test_order_fit_synthetic_quartic():
 
 
 def test_order_fit_mixed_limit_simple_zero():
-    spec = mixed_pair_spec(0.0, n=64)
+    spec = mixed_pair_spec(0.2, n=64)
     order = vanishing_order_fit(mixed_limit_phi_sq(spec), (0.25, 0.25), 0.01, 0.05)
     assert abs(order - 0.5) <= 0.02
 
@@ -624,6 +632,7 @@ def test_order_fit_mixed_limit_colocated():
         GridSpec(64, 64),
         Divisor(((0.5, 0.5),), (2,)),
         Divisor(((0.5, 0.5),), (1,)),
+        epsilon=0.1,
     )
     order = vanishing_order_fit(mixed_limit_phi_sq(spec), (0.5, 0.5), 0.01, 0.05)
     assert abs(order - 1.5) <= 0.05
@@ -777,6 +786,16 @@ def test_solve_and_report_single_stage(mixed_pair):
     assert report.final_solution is not None
 
 
+def test_mixed_records_no_prediction_at_nonzero_tau():
+    # The mass and order predictions are those of the tau = 0 limit.
+    report = solve_and_report(mixed_pair_spec(0.2, n=32, tau=0.5))
+    report.raise_if_failed()
+    assert [(p.expected_mass, p.expected_order) for p in report.points] == [(None, None)] * 2
+    assert report.order_fits == [None, None]
+    assert report.stages[0].order_fits == [None, None]
+    assert all(m is not None for m in report.stages[0].curvature_masses)
+
+
 # ---------------------------------------------------------------------------
 # Term densities
 
@@ -815,7 +834,7 @@ def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
 
 def test_mixed_sweep_builds_each_density_once_per_grid(potential_calls):
     plus, minus = Divisor(((0.39, 0.41),), (1,)), Divisor(((0.69, 0.62),), (1,))
-    spec = MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus)
+    spec = MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus, epsilon=0.05)
     report = adiabatic_sweep(spec, ContinuationSchedule((0.2, 0.1, 0.05)))
     report.raise_if_failed()
     grids = [s.grid for s in report.stages]
