@@ -24,6 +24,7 @@ from .errors import (
     OverflowGuard,
     OverlappingBump,
     ParseError,
+    UnderResolved,
     Unsolvable,
     ValidationError,
     VortexLabError,
@@ -47,6 +48,7 @@ from .fields import (
     resample,
     sample_at,
     solve_linearized,
+    spectral_tail,
     sup_norm,
 )
 from .greens import (

@@ -320,7 +320,8 @@ def parse_config(text: str) -> RunConfig:
             raise _fail("sweep", "sweep section requires kind: sweep")
         if config.epsilon is None:
             raise ValidationError(f"kind '{kind}' requires epsilon")
-        _check_epsilon(config.epsilon)
+        if kind == "kw":
+            _check_epsilon(config.epsilon)
         eps = config.epsilon
 
     # Spec construction checks every model invariant, Bradlow
@@ -333,6 +334,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_epsilon(eps: float) -> None:
+    """The run epsilon of ``kind: kw``; a spec's ``_admit`` checks its own."""
     if not eps > 0:
         raise ValidationError("epsilon: must be positive")
 
@@ -345,10 +347,11 @@ def override(config: RunConfig, **changes) -> RunConfig:
     again and fails as in :func:`parse_config`. The YAML is not re-read:
     the checks and warnings of the unchanged sections do not repeat.
     """
-    if "epsilon" in changes:
-        _check_epsilon(changes["epsilon"])
     model = config.model
-    if not isinstance(model, KWSection):
+    if isinstance(model, KWSection):
+        if "epsilon" in changes:
+            _check_epsilon(changes["epsilon"])
+    else:
         try:
             model = _copy(model, **changes)
         except VortexLabError as exc:

@@ -66,6 +66,11 @@ class OverlappingBump(VortexLabError):
     too narrow for the grid to resolve (inner radius below two cells)."""
 
 
+class UnderResolved(VortexLabError):
+    """A solution's spectral tail exceeds the resolution tolerance on the
+    finest grid the run allows."""
+
+
 class DegenerateFit(VortexLabError):
     """Least-squares order fit attempted on degenerate data."""
 

@@ -43,6 +43,7 @@ __all__ = [
     "laplacian",
     "gradient",
     "gradient_magnitude",
+    "spectral_tail",
     "dirichlet_energy",
     "solve_linearized",
     "integrate",
@@ -279,25 +280,62 @@ def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
     return minus_k2, dx_mult, dy_mult
 
 
-def laplacian(f: ScalarField) -> ScalarField:
+def _half_spectrum(f: ScalarField, spectrum: np.ndarray | None) -> np.ndarray:
+    """``spectrum`` if given, else ``rfft2(f.values)``.
+
+    The spectral operators below take the half spectrum of ``f`` as an
+    optional argument, so a caller that reads several of them from one
+    field transforms it once.
+    """
+    return np.fft.rfft2(f.values) if spectrum is None else spectrum
+
+
+def laplacian(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField:
     """Flat Laplacian by Fourier multiplier; the output has zero mean."""
     minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
-    out = np.fft.irfft2(np.fft.rfft2(f.values) * minus_k2, s=f.values.shape)
+    out = np.fft.irfft2(_half_spectrum(f, spectrum) * minus_k2, s=f.values.shape)
     return f._like(out)
 
 
-def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
+def gradient(
+    f: ScalarField, spectrum: np.ndarray | None = None
+) -> tuple[ScalarField, ScalarField]:
     """Spectral partial derivatives (df/dx, df/dy)."""
     _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
-    spec = np.fft.rfft2(f.values)
+    spec = _half_spectrum(f, spectrum)
     fx = np.fft.irfft2(spec * dx_mult[:, None], s=f.values.shape)
     fy = np.fft.irfft2(spec * dy_mult[None, :], s=f.values.shape)
     return f._like(fx), f._like(fy)
 
 
-def gradient_magnitude(f: ScalarField) -> ScalarField:
-    fx, fy = gradient(f)
+def gradient_magnitude(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField:
+    fx, fy = gradient(f, spectrum)
     return f._like(np.hypot(fx.values, fy.values))
+
+
+# A non-mean spectrum below this fraction of the mean coefficient is
+# roundoff: the field is constant, and its tail is 0.
+_CONSTANT_RTOL = 1e-13
+
+
+def spectral_tail(f: ScalarField, spectrum: np.ndarray | None = None) -> float:
+    """Relative size of the top third of the spectrum of ``f``.
+
+    The largest ``|F_k|`` over the modes with ``max(|k1|/nx, |k2|/ny) >
+    1/3``, divided by the largest non-mean ``|F_k|``. A smooth field that
+    the grid resolves has a geometrically decaying spectrum, so the tail
+    tracks the error against a finer grid (Boyd, *Chebyshev and Fourier
+    Spectral Methods*, ch. 2). A field constant to roundoff has tail 0.
+    """
+    mags = np.abs(_half_spectrum(f, spectrum))
+    mean = float(mags[0, 0])
+    mags[0, 0] = 0.0
+    top = float(mags.max())
+    if top <= _CONSTANT_RTOL * mean:
+        return 0.0
+    rows = np.abs(np.fft.fftfreq(f.grid.nx)) > 1.0 / 3.0
+    cols = np.fft.rfftfreq(f.grid.ny) > 1.0 / 3.0
+    return max(float(mags[rows].max()), float(mags[:, cols].max())) / top
 
 
 def dirichlet_energy(f: ScalarField) -> float:

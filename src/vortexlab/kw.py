@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveInput,
     NoRoot,
     OverflowGuard,
+    UnderResolved,
     Unsolvable,
     ValidationError,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "kw_limit",
     "interior_bounds",
     "young_bound",
+    "TAIL_TOL",
 ]
 
 # Exponents above this threshold would push exp() toward the float64
@@ -95,6 +97,10 @@ _COEFF_TINY = 1e-300
 # Iteration cap of the pointwise root solver; the rtsafe safeguard needs
 # about 60 bisections to shrink a doubled bracket to roundoff.
 _ROOT_MAX_ITER = 200
+
+# Resolution certificate: the largest spectral tail of a solution
+# (fields.spectral_tail) that a run accepts; derivations §8.
+TAIL_TOL = 1e-7
 
 
 class Classification(enum.Enum):
@@ -582,16 +588,29 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
 # Diagnostics
 
 
-def interior_bounds(f: ScalarField, mask: RegionMask | None = None) -> dict[str, float]:
+def _check_resolved(f: ScalarField, tail: float) -> None:
+    """Raise :class:`UnderResolved` when ``tail``, the spectral tail of the
+    solution ``f``, exceeds ``TAIL_TOL``."""
+    if tail > TAIL_TOL:
+        raise UnderResolved(
+            f"spectral tail {tail:.3g} exceeds TAIL_TOL = {TAIL_TOL:g} "
+            f"on the {f.grid.nx}x{f.grid.ny} grid"
+        )
+
+
+def interior_bounds(
+    f: ScalarField, mask: RegionMask | None = None, spectrum: np.ndarray | None = None
+) -> dict[str, float]:
     """Uniform-bound probes of ``f`` on a region away from singular points.
 
     Returns sup |f|, sup |grad f| and the L2 norms of e^{f} and e^{-f} over
     ``mask`` (the whole torus when omitted), keyed like the matching
-    fields of :class:`vortexlab.vortex.DiagnosticsReport`.
+    fields of :class:`vortexlab.vortex.DiagnosticsReport`. ``spectrum`` is
+    ``rfft2(f.values)`` when the caller already has it.
     """
     return {
         "sup_f": sup_norm(f, mask),
-        "sup_grad_f": sup_norm(gradient_magnitude(f), mask),
+        "sup_grad_f": sup_norm(gradient_magnitude(f, spectrum), mask),
         "l2_exp_plus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(f.values)), 2, mask),
         "l2_exp_minus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(-f.values)), 2, mask),
     }

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
-from .fields import ScalarField
-from .kw import KWSolution, interior_bounds, kw_solve
+from .fields import ScalarField, spectral_tail
+from .kw import KWSolution, _check_resolved, interior_bounds, kw_solve
 from .vortex import (
     DiagnosticsReport,
     SweepReport,
@@ -53,6 +53,7 @@ CSV_COLUMNS = (
     "sup_f",
     "sup_grad_f",
     "order_fit",
+    "spectral_tail",
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -123,6 +124,7 @@ def _report_rows(report: SweepReport) -> list[list[str]]:
                 identity_residual=residuals.get("identity"),
                 sup_f=stage.sup_f,
                 sup_grad_f=stage.sup_grad_f,
+                spectral_tail=stage.spectral_tail,
             )
         )
         rows.extend(
@@ -137,8 +139,8 @@ def _report_rows(report: SweepReport) -> list[list[str]]:
     return rows
 
 
-def _kw_rows(solution: KWSolution) -> list[list[str]]:
-    bounds = interior_bounds(solution.f)
+def _kw_rows(solution: KWSolution, spectrum: np.ndarray, tail: float) -> list[list[str]]:
+    bounds = interior_bounds(solution.f, spectrum=spectrum)
     return [
         _row(
             -1,
@@ -147,6 +149,7 @@ def _kw_rows(solution: KWSolution) -> list[list[str]]:
             identity_residual=solution.residual_l2,
             sup_f=bounds["sup_f"],
             sup_grad_f=bounds["sup_grad_f"],
+            spectral_tail=tail,
         )
     ]
 
@@ -342,9 +345,15 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 f"done in {solution.iterations} iterations, "
                 f"residual {solution.residual_sup:.3e}"
             )
-            manifest["stages"] = [_stage_dict(solution, grid=problem.grid)]
+            # The grid is fixed: an unresolved solution fails the run.
+            spectrum = np.fft.rfft2(solution.f.values)
+            tail = spectral_tail(solution.f, spectrum)
+            _check_resolved(solution.f, tail)
+            manifest["stages"] = [
+                _stage_dict(solution, grid=problem.grid, spectral_tail=tail)
+            ]
             if config.outputs.csv:
-                emit_csv(_kw_rows(solution), out / "results.csv")
+                emit_csv(_kw_rows(solution, spectrum, tail), out / "results.csv")
                 manifest["outputs"].append("results.csv")
             if config.outputs.heatmaps:
                 emit_heatmap(solution.f, out / "f.pgm")

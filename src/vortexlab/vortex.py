@@ -74,6 +74,7 @@ from .fields import (
     laplacian,
     resample,
     sample_at,
+    spectral_tail,
     sup_norm,
     torus_displacement,
 )
@@ -89,7 +90,9 @@ from .kw import (
     KWSolution,
     NewtonTrace,
     SolverConfig,
+    TAIL_TOL,
     _check_balance,
+    _check_resolved,
     interior_bounds,
     kw_limit,
     kw_solve,
@@ -152,9 +155,9 @@ class _VortexModel:
     A preset supplies ``geometry``, ``grid``, ``epsilon``, ``tau``,
     ``degree`` and the term list ``_terms``, and its ``__post_init__``
     ends in :meth:`_admit`. The hooks below (``_curvature``,
-    ``_identities``, ``_expected``, ``_deviation``, ``_order_fits`` and
-    ``_initial_guess``) hold the mixed/generalized behaviour; a preset
-    overrides the ones where its model differs. A spec builds its term
+    ``_identities``, ``_expected``, ``_deviation``, ``_order_fits``,
+    ``_initial_guess`` and ``_core_scale``) hold the mixed/generalized
+    behaviour; a preset overrides the ones where its model differs. A spec builds its term
     densities once, in :attr:`_densities`; they live and die with it.
     """
 
@@ -208,7 +211,7 @@ class _VortexModel:
         """(expected curvature mass, expected vanishing order) of a point."""
         return None, None
 
-    def _deviation(self, f: ScalarField, recon) -> ScalarField:
+    def _deviation(self, f: ScalarField, phi_sq) -> ScalarField:
         """Distance to the epsilon = 0 limit: the reduced problem's coefficient
         arrays with ``w = equation_scale * tau``, solved by :func:`kw_limit`."""
         w = constant_field(self.geometry, self.grid, self.equation_scale * self.tau)
@@ -219,9 +222,20 @@ class _VortexModel:
         return [None] * len(points)
 
     def _initial_guess(self, previous: KWSolution | None) -> ScalarField | None:
-        """Newton start of this spec: the previous stage's solution resampled
-        onto this grid, or None (a zero start) when there is none."""
+        """Newton start of this spec: the previous solution resampled onto
+        this grid, or None (a zero start) when there is none."""
         return None if previous is None else resample(previous.f, self.grid)
+
+    def _core_scale(self) -> float:
+        """Length that a sweep stage's grid resolves with ``h <= scale / 4``:
+        ``0.82 eps^(2/(s+2))``, ``s`` the largest ``m+ + m-`` over the merged
+        points, the core radius of derivations §4."""
+        s = max((p.m_plus + p.m_minus for p in _spec_points(self)), default=0)
+        return _CORE_FACTOR * self.epsilon ** (2.0 / (s + 2))
+
+
+# Measured mixed core radius over eps^(2/3) is 0.82-0.84 (derivations §4).
+_CORE_FACTOR = 0.82
 
 
 def _copy(spec, **changes):
@@ -398,8 +412,12 @@ class ClassicalVortexSpec(_VortexModel):
     def _expected(self, m_plus: int, m_minus: int):
         return float(m_plus), float(m_plus)
 
-    def _deviation(self, f: ScalarField, recon) -> ScalarField:
-        return 1.0 - recon.phi_sq[0]
+    def _deviation(self, f: ScalarField, phi_sq) -> ScalarField:
+        return 1.0 - phi_sq[0]
+
+    def _core_scale(self) -> float:
+        """Classical cores have radius of order eps (derivations §4)."""
+        return self.epsilon
 
     def _initial_guess(self, previous: KWSolution | None) -> ScalarField:
         """Glued planar cores, ``f0 = sum_i h_{m_i}(|x - p_i| / eps) - u_D``.
@@ -584,14 +602,23 @@ class Reconstruction:
 def reconstruct(spec, f: ScalarField) -> Reconstruction:
     """Recover |phi|^2 fields and the curvature function from ``f``,
     a solution of the reduced problem of ``spec``."""
+    return _reconstruction(spec, f, _phi_sq(spec, f), None)
+
+
+def _phi_sq(spec, f: ScalarField) -> list[ScalarField]:
+    """``|phi_j|^2 = c_j e^{u_j + k_j f}``; divisor-point sentinels in u flush to 0."""
     g, n, log_scale = spec.geometry, spec.grid, math.log(spec.equation_scale)
-    # |phi_j|^2 = c_j e^{u_j + k_j f}; divisor-point sentinels in u flush to 0.
-    phi_sq = [
+    return [
         ScalarField(g, n, np.exp((logc - log_scale) + u.values + t.weight * f.values))
         for t, (u, _, logc) in zip(spec._terms, spec._densities)
     ]
-    background = 2.0 * math.pi * float(spec.degree) / g.volume
-    geometric = constant_field(g, n, background) - 0.5 * laplacian(f)
+
+
+def _reconstruction(spec, f, phi_sq, spectrum: np.ndarray | None) -> Reconstruction:
+    """The curvature function from ``f`` (its half spectrum ``spectrum``,
+    if the caller has it), alongside ``phi_sq``."""
+    background = 2.0 * math.pi * float(spec.degree) / spec.geometry.volume
+    geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * laplacian(f, spectrum)
     return Reconstruction(phi_sq, *spec._curvature(phi_sq, geometric))
 
 
@@ -738,9 +765,9 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
 class ContinuationSchedule:
     """Strictly decreasing positive epsilons and the bounds of their grids.
 
-    :meth:`grid` is the one grid rule of a sweep. ``min_grid`` and
-    ``max_grid`` are powers of two, at least 8, with
-    ``min_grid <= max_grid``.
+    :meth:`grid` is the one grid rule of a sweep and :meth:`finer` its one
+    refinement step. ``min_grid`` and ``max_grid`` are powers of two, at
+    least 8, with ``min_grid <= max_grid``.
     """
 
     epsilons: tuple[float, ...]
@@ -763,23 +790,35 @@ class ContinuationSchedule:
             raise ValidationError("max_grid must be at least min_grid")
         object.__setattr__(self, "epsilons", eps)
 
-    def grid(self, geometry: TorusGeometry, epsilon: float) -> GridSpec:
-        """Per axis, the smallest power of two >= ``min_grid`` with h <= eps/4.
+    def grid(
+        self, geometry: TorusGeometry, scale: float, floor: GridSpec | None = None
+    ) -> GridSpec:
+        """Per axis, the smallest power of two at or above ``min_grid`` and
+        the count of ``floor`` with ``h <= scale / 4``.
 
-        Raises ValidationError when that exceeds ``max_grid``.
+        ``scale`` is a spec's core scale (``eps`` for classical). Raises
+        ValidationError when the grid would exceed ``max_grid``.
         """
 
-        def pick(length: float) -> int:
-            n = self.min_grid
-            while length / n > epsilon / 4:
-                if n == self.max_grid:
+        def pick(length: float, start: int) -> int:
+            n = max(self.min_grid, start)
+            while length / n > scale / 4:
+                if n >= self.max_grid:
                     raise ValidationError(
-                        f"epsilon {epsilon} needs grid beyond max_grid={self.max_grid}"
+                        f"scale {scale:.6g} needs a grid beyond max_grid={self.max_grid}"
                     )
                 n *= 2
             return n
 
-        return GridSpec(pick(geometry.length_x), pick(geometry.length_y))
+        nx, ny = (floor.nx, floor.ny) if floor is not None else (0, 0)
+        return GridSpec(pick(geometry.length_x, nx), pick(geometry.length_y, ny))
+
+    def finer(self, grid: GridSpec) -> GridSpec | None:
+        """``grid`` doubled per axis, capped at ``max_grid``; None when
+        neither axis can double."""
+        n = self.max_grid
+        doubled = GridSpec(min(2 * grid.nx, n), min(2 * grid.ny, n))
+        return None if doubled == grid else doubled
 
 
 @dataclass
@@ -802,11 +841,15 @@ class DiagnosticsReport:
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
     interior bound probes on the divisor-excluding region.
+    ``spectral_tail`` is the resolution certificate of the solution
+    (:func:`vortexlab.fields.spectral_tail`, at most ``TAIL_TOL``).
     ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
     classical model, ``residual_sup / (2 eps^2)`` up to roundoff
-    (derivations §3), and None for the other models. It and ``newton``,
-    the solution's own :class:`NewtonTrace` (shared, not copied), go to
-    the manifest only.
+    (derivations §3), and None for the other models. It, ``newton``, the
+    solution's own :class:`NewtonTrace` (shared, not copied), and
+    ``rejected``, the ``grid``, ``spectral_tail`` and Newton
+    ``iterations`` of each solve that the certificate sent to a finer
+    grid, go to the manifest only.
     """
 
     epsilon: float
@@ -820,7 +863,9 @@ class DiagnosticsReport:
     sup_grad_f: float
     l2_exp_plus: float
     l2_exp_minus: float
+    spectral_tail: float
     newton: NewtonTrace
+    rejected: list[dict] = dc_field(default_factory=list)
     seconds: float = 0.0
 
 
@@ -861,16 +906,16 @@ def _spec_points(spec) -> list[PointInfo]:
     ]
 
 
-def _mass_windows(spec, points) -> list[tuple[float, float, list]]:
+def _mass_windows(spec, points, grid: GridSpec | None = None) -> list[tuple[float, float, list]]:
     """Per point, ``(r_inner, r_outer, other points)`` of its mass window.
 
     Raises :class:`OverlappingBump` when a window's ``r_inner``, which is
-    also the bump's transition width, is below two grid cells: the grid
-    cannot resolve it (the rule :func:`vanishing_order_fit` applies too).
-    The windows depend on the points and the grid alone, so a stage
-    checks them before it solves.
+    also the bump's transition width, is below two cells of ``grid``
+    (the spec's own by default): the grid cannot resolve it (the rule
+    :func:`vanishing_order_fit` applies too). The windows depend on the
+    points and the grid alone, so a stage checks them before it solves.
     """
-    two_cells = 2.0 * max(spec.grid.spacing(spec.geometry))
+    two_cells = 2.0 * max((grid or spec.grid).spacing(spec.geometry))
     windows = []
     for info in points:
         others = [p.point for p in points if p.index != info.index]
@@ -901,13 +946,26 @@ def _crosscheck_gap(recon: Reconstruction) -> float | None:
 
 
 def diagnostics_report(spec, solution: KWSolution):
-    """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`."""
+    """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
+
+    One transform of the solution serves the curvature's Laplacian, the
+    spectral tail and the interior gradient. It lives only between them:
+    after the deviation from the epsilon = 0 limit, whose
+    :func:`kw_limit` is the memory peak of a mixed or generalized stage,
+    and before the masses.
+    """
+    f = solution.f
     points = _spec_points(spec)
-    recon = reconstruct(spec, solution.f)
     mask = RegionMask.excluding_discs(
         spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
     ) if points else RegionMask.full(spec.geometry, spec.grid)
-    sup_dev = sup_norm(spec._deviation(solution.f, recon), mask)
+    phi_sq = _phi_sq(spec, f)
+    sup_dev = sup_norm(spec._deviation(f, phi_sq), mask)
+    spectrum = np.fft.rfft2(f.values)
+    recon = _reconstruction(spec, f, phi_sq, spectrum)
+    tail = spectral_tail(f, spectrum)
+    bounds = interior_bounds(f, mask, spectrum)
+    del spectrum
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,
@@ -916,17 +974,39 @@ def diagnostics_report(spec, solution: KWSolution):
         identity_residuals=_identities_of(spec, recon),
         crosscheck_gap=_crosscheck_gap(recon),
         order_fits=[None] * len(points),
+        spectral_tail=tail,
         newton=solution.newton,
-        **interior_bounds(solution.f, mask),
+        **bounds,
     )
     return stage, points, recon
 
 
-def _run_stage(report, spec, config, init, t0) -> DiagnosticsReport:
-    """Reduce, solve and diagnose ``spec``; record it as the last stage."""
-    _mass_windows(spec, _spec_points(spec))
-    solution = kw_solve(reduce_any(spec), config, init=init)
-    stage, points, recon = diagnostics_report(spec, solution)
+def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsReport:
+    """Reduce, solve, diagnose and certify ``spec``; record it as the last stage.
+
+    A solution whose spectral tail (a diagnostic, so a rejected solve is
+    diagnosed too) exceeds ``TAIL_TOL`` is rejected. In a
+    sweep (``schedule`` given) the stage then solves again on
+    ``schedule.finer`` of its grid, from the spec's ``_initial_guess`` of
+    the rejected solution; without a schedule, or past ``max_grid``, it
+    raises :class:`UnderResolved`.
+    """
+    rejected = []
+    while True:
+        _mass_windows(spec, _spec_points(spec))
+        solution = kw_solve(reduce_any(spec), config, init=init)
+        stage, points, recon = diagnostics_report(spec, solution)
+        tail = stage.spectral_tail
+        finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
+        if finer is None:
+            _check_resolved(solution.f, tail)
+            break
+        rejected.append(
+            {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
+        )
+        spec = _copy(spec, grid=finer)
+        init = spec._initial_guess(solution)
+    stage.rejected = rejected
     stage.seconds = time.perf_counter() - t0
     report.points = points
     report.stages.append(stage)
@@ -936,6 +1016,23 @@ def _run_stage(report, spec, config, init, t0) -> DiagnosticsReport:
     return stage
 
 
+def _stage_grid(schedule: ContinuationSchedule, spec, floor: GridSpec | None) -> GridSpec:
+    """First grid of a sweep stage: the grid of the spec's core scale, never
+    coarser than ``floor``, and fine enough that every mass window's
+    ``r_inner`` spans two cells.
+
+    Raises :class:`OverlappingBump` when even ``max_grid`` cannot resolve
+    a window.
+    """
+    grid = schedule.grid(spec.geometry, spec._core_scale(), floor)
+    finest = GridSpec(schedule.max_grid, schedule.max_grid)
+    windows = _mass_windows(spec, _spec_points(spec), finest)
+    if not windows:
+        return grid
+    # r_inner >= 2 h on both axes is the grid rule at scale 2 r_inner.
+    return schedule.grid(spec.geometry, 2.0 * min(w[0] for w in windows), grid)
+
+
 def _fit_final_orders(report: SweepReport) -> None:
     report.order_fits = report.final_spec._order_fits(report.points)
     report.stages[-1].order_fits = list(report.order_fits)
@@ -943,7 +1040,8 @@ def _fit_final_orders(report: SweepReport) -> None:
 
 def solve_and_report(spec, config: SolverConfig = SolverConfig()) -> SweepReport:
     """Solve one spec from its ``_initial_guess`` and wrap the diagnostics
-    as a one-stage report."""
+    as a one-stage report. The spec's grid is fixed: a solution whose
+    spectral tail exceeds ``TAIL_TOL`` raises :class:`UnderResolved`."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
     _run_stage(report, spec, config, spec._initial_guess(None), t0)
@@ -959,23 +1057,29 @@ def adiabatic_sweep(
 ) -> SweepReport:
     """Decreasing-epsilon study with limit comparisons.
 
-    Each stage is ``spec`` at the stage's epsilon on the grid
-    ``schedule.grid`` picks, and starts from the spec's
+    Each stage is ``spec`` at the stage's epsilon. It starts on the grid
+    of :func:`_stage_grid`: ``h <= scale / 4`` for the spec's core scale
+    (``eps`` for classical, ``0.82 eps^(2/(s+2))`` for mixed and
+    generalized), never coarser than the previous stage's grid, and fine
+    enough for every mass window. It starts from the spec's
     ``_initial_guess``: a classical stage from its glued planar cores, a
     mixed or generalized stage after the first from the previous solution,
-    transplanted by spectral resampling. Per stage the
-    report records the curvature masses at the divisor points, the
-    sup-distance to the epsilon = 0 profile away from them (for the
-    classical model, the deficit ``sup|1 - |phi|^2|``), the
-    integral-identity residuals, and uniform-bound probes; vanishing
-    orders are fitted once at the final stage.
+    transplanted by spectral resampling. A solution whose spectral tail
+    exceeds ``TAIL_TOL`` is solved again on the doubled grid (see
+    :func:`_run_stage`). Per stage the report records the curvature masses
+    at the divisor points, the sup-distance to the epsilon = 0 profile
+    away from them (for the classical model, the deficit ``sup|1 -
+    |phi|^2|``), the integral-identity residuals, the spectral tail and
+    uniform-bound probes; vanishing orders are fitted once at the final
+    stage.
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
-    on, and so are stages whose grid cannot resolve a mass window, which
-    is found before the solve and recorded with the stage's grid. A
-    solver failure or a stage that needs a grid beyond
-    ``schedule.max_grid`` stops the sweep and is recorded in
+    on, and so are stages whose mass windows even ``max_grid`` cannot
+    resolve, which is found before the solve and recorded with that grid.
+    A solver failure, a core scale that needs a grid beyond
+    ``schedule.max_grid``, or a tail above ``TAIL_TOL`` at ``max_grid``
+    (:class:`UnderResolved`) stops the sweep and is recorded in
     ``report.error`` with the completed stages kept. A sweep that skips
     every stage records its last skip as ``report.error``.
     """
@@ -983,18 +1087,20 @@ def adiabatic_sweep(
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
-            grid = schedule.grid(spec.geometry, eps)
             # A copy of the last stage shares its densities on the same grid.
-            stage_spec = _copy(report.final_spec or spec, epsilon=eps, grid=grid)
+            stage_spec = _copy(report.final_spec or spec, epsilon=eps)
+            floor = report.final_spec.grid if report.final_spec else None
+            grid = _stage_grid(schedule, stage_spec, floor)
+            stage_spec = _copy(stage_spec, grid=grid)
             init = stage_spec._initial_guess(report.final_solution)
-            stage = _run_stage(report, stage_spec, config, init, t0)
+            stage = _run_stage(report, stage_spec, config, init, t0, schedule)
             if progress is not None:
                 progress(stage)
         except VortexLabError as exc:
             record = {"type": type(exc).__name__, "message": str(exc), "epsilon": eps}
             if isinstance(exc, OverlappingBump):
-                # Raised by the mass-window check that precedes the solve.
-                record["grid"] = grid
+                # Raised by the mass-window check before the solve.
+                record["grid"] = GridSpec(schedule.max_grid, schedule.max_grid)
             elif not isinstance(exc, Unsolvable):
                 report.error = record
                 return report

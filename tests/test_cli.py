@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vortexlab.cli import main
-from vortexlab.config import echo_config, parse_config
+from vortexlab.config import echo_config, override, parse_config
 from vortexlab.errors import ParseError, ValidationError
 from vortexlab.greens import Divisor, divisor_potential
 from vortexlab.kw import NewtonTrace, SolverConfig
@@ -384,8 +384,14 @@ def test_parse_error_carries_position():
 def test_epsilon_schedule_rules():
     with pytest.raises(ValidationError, match="requires epsilon"):
         parse_config("kind: classical\nclassical: {divisor: []}\n")
-    with pytest.raises(ValidationError, match="epsilon: must be positive"):
+    # A spec checks its own epsilon; only kind: kw checks the run's.
+    with pytest.raises(ValidationError, match="classical: epsilon must be positive"):
         parse_config(classical_yaml(epsilon=-0.1, points=()))
+    with pytest.raises(ValidationError, match="epsilon: must be positive"):
+        parse_config("kind: kw\nepsilon: 0.0\nkw: {w: 0.0}\n")
+    config = parse_config(classical_yaml(points=()))
+    with pytest.raises(ValidationError, match="classical: epsilon must be positive"):
+        override(config, epsilon=0.0)
     with pytest.raises(ValidationError, match="strictly decreasing"):
         parse_config(
             "kind: sweep\nclassical: {divisor: []}\nsweep: {epsilons: [0.1, 0.2]}\n"
@@ -592,6 +598,7 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
 
 
+
 def test_cli_overrides(tmp_path):
     cfg_path = write_config(tmp_path, classical_yaml(epsilon=0.3, n=64))
     out = tmp_path / "out"
@@ -732,6 +739,57 @@ def test_cli_missing_config(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, status", [(32, "failed"), (64, "failed"), (128, "ok")])
+def test_under_resolved_run_writes_a_failed_manifest(tmp_path, n, status):
+    # Classical cores at eps = 0.025 need 128^2 (spectral tails 2e-3,
+    # 4.1e-5 and 2.3e-8); the masses alone would not show it.
+    points = ((0.25, 0.25, 1), (0.75, 0.75, 2))
+    cfg_path = write_config(tmp_path, classical_yaml(points=points, epsilon=0.025, n=n))
+    out = tmp_path / "out"
+    rc = main(["classical", "--config", cfg_path, "--out", str(out), "--quiet"])
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == status
+    if status == "failed":
+        assert rc == 3
+        assert manifest["error"]["type"] == "UnderResolved"
+        assert f"on the {n}x{n} grid" in manifest["error"]["message"]
+        assert manifest["stages"] == []
+    else:
+        assert rc == 0
+        (stage,) = manifest["stages"]
+        assert 0.0 < stage["spectral_tail"] <= 1e-7 and stage["rejected"] == []
+        (row,) = [r for r in read_csv(out / "results.csv") if r["point_index"] == "-1"]
+        assert float(row["spectral_tail"]) == stage["spectral_tail"]
+
+
+KW_DIVISOR_YAML = """
+kind: kw
+epsilon: {epsilon}
+grid: {{nx: 32, ny: 32}}
+kw:
+  w: -1.0
+  plus:
+    - {{amplitude: 1.0, divisor: [{{x: 0.5, y: 0.5, m: 1}}]}}
+"""
+
+
+@pytest.mark.parametrize("epsilon, status", [(0.01, "ok"), (0.002, "failed")])
+def test_kw_run_certifies_its_resolution(tmp_path, epsilon, status):
+    # On 32^2 the tail is 1.1e-8 at eps = 0.01 and 3.1e-5 at eps = 0.002.
+    cfg_path = write_config(tmp_path, KW_DIVISOR_YAML.format(epsilon=epsilon))
+    out = tmp_path / "out"
+    rc = main(["kw", "--config", cfg_path, "--out", str(out), "--quiet"])
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["status"] == status
+    if status == "failed":
+        assert rc == 3 and manifest["error"]["type"] == "UnderResolved"
+        return
+    (stage,) = manifest["stages"]
+    assert 0.0 < stage["spectral_tail"] <= 1e-7
+    (row,) = read_csv(out / "results.csv")
+    assert float(row["spectral_tail"]) == stage["spectral_tail"]
+
+
 def test_kw_kind_run(tmp_path):
     cfg_path = write_config(
         tmp_path,
@@ -749,6 +807,8 @@ kw:
     assert main(["kw", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert manifest["stages"][0]["classification"] == "ONE_SIDED_PLUS"
+    # Constant coefficients give a constant solution, whose tail is 0.
+    assert manifest["stages"][0]["spectral_tail"] == 0.0
     assert manifest["stages"][0]["residual_sup"] <= 1e-10
     _assert_newton_trace(manifest["stages"])
     assert (out / "f.pgm").exists() and (out / "results.csv").exists()

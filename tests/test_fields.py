@@ -29,6 +29,7 @@ from vortexlab import (
     sample_at,
     solve_and_report,
     solve_linearized,
+    spectral_tail,
     sup_norm,
 )
 from vortexlab.errors import (
@@ -696,3 +697,58 @@ def test_no_complex_full_spectrum_transform(monkeypatch):
     f = random_field(UNIT, GridSpec(16, 24), seed=3)
     assert resample(f, GridSpec(24, 16)).grid == GridSpec(24, 16)
     assert abs(sample_at(f, (0.25, 0.75)) - f.values[4, 18]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Spectral tail
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40), GridSpec(96, 48)])
+def test_spectral_tail_of_a_constant_field_is_zero(grid):
+    # 24, 40, 96 and 48 have factors 3 and 5, whose butterflies leave
+    # roundoff in the non-mean coefficients of a constant.
+    assert spectral_tail(constant_field(UNIT, grid, 0.0)) == 0.0
+    assert spectral_tail(constant_field(UNIT, grid, -3.7)) == 0.0
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 48)])
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-9])
+def test_spectral_tail_reads_the_top_third_over_the_largest_mode(grid, amplitude):
+    # The mean (5.0) is left out of the normalization; the mode n/2 - 1
+    # lies in the top third of its axis.
+    for axis in (0, 1):
+        k_hi = (grid.nx, grid.ny)[axis] // 2 - 1
+
+        def fn(X, Y, axis=axis, k_hi=k_hi):
+            hi = X if axis == 0 else Y
+            return 5.0 + np.cos(2 * np.pi * X) + amplitude * np.cos(2 * np.pi * k_hi * hi)
+
+        f = field_from_function(UNIT, grid, fn)
+        assert spectral_tail(f) == pytest.approx(amplitude, rel=1e-6)
+
+
+def test_spectral_tail_ignores_modes_below_the_top_third():
+    f = field_from_function(
+        UNIT, GridSpec(24, 24), lambda X, Y: np.sin(2 * np.pi * 8 * X) * np.cos(2 * np.pi * 8 * Y)
+    )
+    # |k| / n = 1/3 exactly is not in the tail.
+    assert spectral_tail(f) <= 1e-14
+
+
+def test_operators_read_a_given_spectrum_bit_for_bit(monkeypatch):
+    f = random_field(UNIT, GridSpec(16, 24), seed=11)
+    spectrum = np.fft.rfft2(f.values)
+    expected = (laplacian(f), gradient(f), gradient_magnitude(f), spectral_tail(f))
+    calls = record_transforms(monkeypatch)
+    given_spec = (
+        laplacian(f, spectrum),
+        gradient(f, spectrum),
+        gradient_magnitude(f, spectrum),
+        spectral_tail(f, spectrum),
+    )
+    assert not [name for name, _ in calls if name == "rfft2"]
+    assert np.array_equal(given_spec[0].values, expected[0].values)
+    for a, b in zip(given_spec[1], expected[1]):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(given_spec[2].values, expected[2].values)
+    assert given_spec[3] == expected[3]

@@ -582,6 +582,20 @@ def test_schedule_grid():
         ContinuationSchedule((1e-5,), max_grid=1024).grid(UNIT, 1e-5)
 
 
+def test_schedule_grid_keeps_its_floor_and_finer_doubles_to_max_grid():
+    sched = ContinuationSchedule((0.1,), max_grid=128)
+    # Never coarser than the floor, and refined past it when the scale asks.
+    assert sched.grid(UNIT, 10.0, GridSpec(64, 64)) == GridSpec(64, 64)
+    assert sched.grid(UNIT, 0.1, GridSpec(32, 32)) == GridSpec(64, 64)
+    geo = TorusGeometry(1.0, 2.0)
+    assert sched.grid(geo, 0.5) == GridSpec(16, 16)
+    assert sched.grid(geo, 0.5, GridSpec(32, 16)) == GridSpec(32, 16)
+    # Each axis doubles up to max_grid; at max_grid on both there is none.
+    assert sched.finer(GridSpec(32, 64)) == GridSpec(64, 128)
+    assert sched.finer(GridSpec(64, 128)) == GridSpec(128, 128)
+    assert sched.finer(GridSpec(128, 128)) is None
+
+
 def test_schedule_grids_resolve_every_stage():
     geo = TorusGeometry(1.0, 2.0)
     sched = ContinuationSchedule((0.5, 0.3, 0.2, 0.125, 0.1, 0.05, 0.03, 0.0125), 32)

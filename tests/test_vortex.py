@@ -39,11 +39,13 @@ from vortexlab.errors import (
     BradlowViolation,
     DegenerateFit,
     OverlappingBump,
+    UnderResolved,
     Unsolvable,
     ValidationError,
     VortexLabError,
 )
-from vortexlab.kw import kw_limit, kw_solve
+from vortexlab.fields import spectral_tail
+from vortexlab.kw import TAIL_TOL, kw_limit, kw_solve
 from vortexlab.greens import divisor_potential
 from vortexlab.vortex import (
     ContinuationSchedule,
@@ -297,14 +299,73 @@ def test_classical_curvature_mass(classical_d2_small):
 
 def test_stationary_window_masses_are_grid_converged():
     # Masses of (0.25, 0.25) x 1 + (0.75, 0.75) x 2 at eps = 0.025: the
-    # stationary window holds the whole core on every grid.
+    # stationary window holds the whole core on every grid that resolves
+    # it (64^2 does not; see the test below).
     by_grid = []
-    for n in (64, 128, 256):
+    for n in (128, 256):
         spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.025, n=n)
         by_grid.append(solve_and_report(spec).stages[0].curvature_masses)
     for masses in by_grid:
         assert np.abs(np.subtract(masses, by_grid[-1])).max() <= 1e-6
         assert np.abs(np.subtract(masses, (1.0, 2.0))).max() <= 1e-5
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_under_resolved_single_stage_raises(n):
+    # The masses are topological and would still read (1, 2) on 64^2;
+    # the spectral tail (4.1e-5 there) fails the stage instead.
+    spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.025, n=n)
+    with pytest.raises(UnderResolved, match=f"on the {n}x{n} grid"):
+        solve_and_report(spec)
+    stage = solve_and_report(_copy(spec, grid=GridSpec(128, 128))).stages[0]
+    assert 0.0 < stage.spectral_tail <= TAIL_TOL
+
+
+@pytest.mark.parametrize(
+    "make, eps, grids",
+    [
+        (lambda n, e: classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], e, n=n), 0.025, (64, 128)),
+        (lambda n, e: _sweep_mixed_spec(e, n), 0.0125, (64, 128)),
+    ],
+    ids=["classical", "mixed"],
+)
+def test_spectral_tail_bounds_the_refinement_error(make, eps, grids):
+    # Measured max |f_n - f_256| (f_n resampled) against the tail of f_n:
+    # classical 6.9e-5 vs 4.1e-5 (64^2) and 4.1e-9 vs 2.3e-8 (128^2); mixed
+    # 1.1e-5 vs 2.5e-5 and 1.2e-10 vs 1.1e-8. The error stays within twice
+    # the tail, so a certified solution is within 2 TAIL_TOL of the finer one.
+    reference = kw_solve(reduce_any(make(256, eps))).f
+    for n in grids:
+        f = kw_solve(reduce_any(make(n, eps))).f
+        error = np.abs(resample(f, reference.grid).values - reference.values).max()
+        tail = spectral_tail(f)
+        assert error <= 2.0 * tail
+        assert (tail <= TAIL_TOL) == (n == 128)
+
+
+def _sweep_mixed_spec(eps, n):
+    """The divisor of ``configs/sweep_mixed.yaml``."""
+    return MixedVortexSpec(
+        UNIT,
+        GridSpec(n, n),
+        Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 1)),
+        Divisor(((0.75, 0.25),), (1,)),
+        epsilon=eps,
+    )
+
+
+@pytest.mark.parametrize("kind", ["classical", "mixed"])
+def test_stage_diagnostics_transform_the_solution_once(monkeypatch, kind):
+    spec = classical([(0.3, 0.6)], [1], 0.2, n=32) if kind == "classical" else mixed_pair_spec(0.2, n=32)
+    sol = kw_solve(reduce_any(spec))
+    forward = []
+    rfft2 = np.fft.rfft2
+    monkeypatch.setattr(np.fft, "rfft2", lambda *a, **k: forward.append(1) or rfft2(*a, **k))
+    stage, _, recon = diagnostics_report(spec, sol)
+    # The tail, the curvature's Laplacian and the interior gradient share it.
+    assert len(forward) == 1
+    assert stage.spectral_tail == spectral_tail(sol.f)
+    assert np.array_equal(recon.curvature.values, reconstruct(spec, sol.f).curvature.values)
 
 
 def test_curvature_mass_additivity(classical_d2_small):
@@ -351,7 +412,9 @@ def test_mass_window_below_two_grid_cells_fails_the_stage():
     assert "below two grid cells" in report.error["message"]
 
 
-def test_unresolved_mass_window_is_skipped_before_the_solve(monkeypatch):
+@pytest.fixture
+def solved_grids(monkeypatch):
+    """The grid of every Newton solve that the models run."""
     solved = []
 
     def recording(problem, *args, **kwargs):
@@ -359,22 +422,90 @@ def test_unresolved_mass_window_is_skipped_before_the_solve(monkeypatch):
         return kw_solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(vortex_module, "kw_solve", recording)
-    # r_inner = 0.071 is below two cells of the 16^2 grid of eps = 0.4 and
-    # above two cells of the finer grids of the later stages.
-    spec = MixedVortexSpec(
+    return solved
+
+
+def _close_mixed_pair(eps):
+    # r_inner = 0.071: below two cells of 16^2, above two cells of 32^2.
+    return MixedVortexSpec(
         UNIT,
         GridSpec(16, 16),
         Divisor(((0.3, 0.3),), (1,)),
         Divisor(((0.45, 0.3),), (1,)),
+        epsilon=eps,
+    )
+
+
+def test_unresolved_mass_window_is_skipped_before_the_solve(solved_grids):
+    # With max_grid = 16 no grid can resolve the window: every stage is
+    # skipped, with that grid recorded, and none is solved.
+    schedule = ContinuationSchedule((0.4, 0.2), max_grid=16)
+    report = adiabatic_sweep(_close_mixed_pair(0.2), schedule)
+    assert report.stages == [] and solved_grids == []
+    assert [skip["epsilon"] for skip in report.skipped] == [0.4, 0.2]
+    for skip in report.skipped:
+        assert skip["type"] == "OverlappingBump"
+        assert "below two grid cells" in skip["message"]
+        assert skip["grid"] == GridSpec(16, 16)
+    assert report.error == report.skipped[-1]
+
+
+def test_unresolved_mass_window_refines_the_stage_grid(solved_grids):
+    # The core scale of eps = 0.4 and 0.2 asks for 16^2 only; the window
+    # raises both stages to 32^2, and no stage is skipped.
+    schedule = ContinuationSchedule((0.4, 0.2, 0.1, 0.05))
+    spec = _close_mixed_pair(0.05)
+    for eps in (0.4, 0.2):
+        scale = _copy(spec, epsilon=eps)._core_scale()
+        assert schedule.grid(UNIT, scale) == GridSpec(16, 16)
+    report = adiabatic_sweep(spec, schedule)
+    report.raise_if_failed()
+    assert not report.skipped
+    assert [s.epsilon for s in report.stages] == [0.4, 0.2, 0.1, 0.05]
+    assert solved_grids == [s.grid for s in report.stages]
+    assert solved_grids == [GridSpec(n, n) for n in (32, 32, 32, 64)]
+
+
+def test_core_scale_of_each_preset():
+    assert classical([(0.5, 0.5)], [1], 0.05)._core_scale() == 0.05
+    assert mixed_pair_spec(0.05)._core_scale() == pytest.approx(0.82 * 0.05 ** (2 / 3))
+    # A (2, 1) co-location has s = 3; the largest s over the points counts.
+    colocated = MixedVortexSpec(
+        UNIT,
+        GridSpec(32, 32),
+        Divisor(((0.25, 0.25), (0.6, 0.6)), (2, 1)),
+        Divisor(((0.25, 0.25),), (1,)),
         epsilon=0.05,
     )
-    report = adiabatic_sweep(spec, ContinuationSchedule((0.4, 0.2, 0.1, 0.05)))
+    assert colocated._core_scale() == pytest.approx(0.82 * 0.05 ** (2 / 5))
+
+
+def _far_mixed_pair(eps):
+    plus, minus = Divisor(((0.39, 0.41),), (1,)), Divisor(((0.69, 0.62),), (1,))
+    return MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus, epsilon=eps)
+
+
+def test_sweep_stage_doubles_an_under_resolved_grid(solved_grids):
+    # eps = 0.2 starts on 16^2 (tail 1.5e-6) and is solved again on 32^2.
+    report = adiabatic_sweep(_far_mixed_pair(0.2), ContinuationSchedule((0.2,), max_grid=32))
     report.raise_if_failed()
-    (skip,) = report.skipped
-    assert skip["type"] == "OverlappingBump"
-    assert skip["epsilon"] == 0.4 and skip["grid"] == GridSpec(16, 16)
-    assert [s.epsilon for s in report.stages] == [0.2, 0.1, 0.05]
-    assert solved == [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 64, 128)]
+    (stage,) = report.stages
+    assert solved_grids == [GridSpec(16, 16), GridSpec(32, 32)]
+    assert stage.grid == GridSpec(32, 32) and stage.spectral_tail <= TAIL_TOL
+    (rejected,) = stage.rejected
+    assert rejected["grid"] == GridSpec(16, 16)
+    assert rejected["spectral_tail"] > TAIL_TOL
+    assert rejected["iterations"] >= 1
+
+
+def test_sweep_stage_past_max_grid_is_under_resolved():
+    report = adiabatic_sweep(
+        _far_mixed_pair(0.1), ContinuationSchedule((0.2, 0.1), 16, 16)
+    )
+    assert report.stages == []
+    assert report.error["type"] == "UnderResolved"
+    assert report.error["epsilon"] == 0.2
+    assert "on the 16x16 grid" in report.error["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +964,16 @@ def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
 
 
 def test_mixed_sweep_builds_each_density_once_per_grid(potential_calls):
-    plus, minus = Divisor(((0.39, 0.41),), (1,)), Divisor(((0.69, 0.62),), (1,))
-    spec = MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus, epsilon=0.05)
+    spec = _far_mixed_pair(0.05)
     report = adiabatic_sweep(spec, ContinuationSchedule((0.2, 0.1, 0.05)))
     report.raise_if_failed()
-    grids = [s.grid for s in report.stages]
-    assert len(set(grids)) == 3
-    assert Counter(potential_calls) == {(d, g): 1 for d in (plus, minus) for g in grids}
+    # eps = 0.2 is rejected on 16^2 and solved on 32^2, which eps = 0.1
+    # keeps; eps = 0.05 starts on 64^2.
+    assert [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 32, 64)]
+    assert [r["grid"] for r in report.stages[0].rejected] == [GridSpec(16, 16)]
+    grids = {GridSpec(n, n) for n in (16, 32, 64)}
+    divisors = (spec.divisor_plus, spec.divisor_minus)
+    assert Counter(potential_calls) == {(d, g): 1 for d in divisors for g in grids}
 
 
 @pytest.mark.parametrize(
