@@ -562,22 +562,44 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
     else:
         raise NoRoot("failed to bracket the pointwise root")
 
-    t = np.zeros(w.shape)
-    prev = hi - lo
+    # The iteration updates these arrays in place: fresh temporaries of a
+    # grid's size each step would make the heap grow and fault.
+    t, new_t, newton = np.zeros(w.shape), np.empty(w.shape), np.empty(w.shape)
+    prev, bound = hi - lo, np.empty(w.shape)
+    small, keep, test = (np.empty(w.shape, dtype=bool) for _ in range(3))
     for _ in range(_ROOT_MAX_ITER):
         val, slope = g_and_slope(t)
-        lo = np.where(val < 0.0, t, lo)
-        hi = np.where(val > 0.0, t, hi)
-        small = np.abs(val) <= 1e-15 * (1.0 + np.abs(t)) * slope
+        np.copyto(lo, t, where=val < 0.0)
+        np.copyto(hi, t, where=val > 0.0)
+        # small: |g| <= 1e-15 (1 + |t|) g'
+        np.abs(t, out=bound)
+        np.add(bound, 1.0, out=bound)
+        np.multiply(bound, 1e-15, out=bound)
+        np.multiply(bound, slope, out=bound)
+        np.abs(val, out=s)
+        np.less_equal(s, bound, out=small)
         if small.all():
             return t
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - val / slope
-        halves = np.abs(newton - t) <= 0.5 * np.abs(prev)
-        keep = (newton >= lo) & (newton <= hi) & (small | halves)
-        new_t = np.where(keep, newton, 0.5 * (lo + hi))
-        prev = new_t - t
-        t = new_t
+            np.divide(val, slope, out=newton)
+        np.subtract(t, newton, out=newton)
+        # keep: inside [lo, hi], and small or at most half the last step.
+        np.subtract(newton, t, out=s)
+        np.abs(s, out=s)
+        np.abs(prev, out=bound)
+        np.multiply(bound, 0.5, out=bound)
+        np.less_equal(s, bound, out=keep)
+        np.logical_or(keep, small, out=keep)
+        np.greater_equal(newton, lo, out=test)
+        np.logical_and(keep, test, out=keep)
+        np.less_equal(newton, hi, out=test)
+        np.logical_and(keep, test, out=keep)
+        # Elsewhere bisect.
+        np.add(lo, hi, out=new_t)
+        np.multiply(new_t, 0.5, out=new_t)
+        np.copyto(new_t, newton, where=keep)
+        np.subtract(new_t, t, out=prev)
+        t, new_t = new_t, t
     raise MaxIterExceeded(
         f"pointwise root not converged in {_ROOT_MAX_ITER} iterations "
         f"at {int((~small).sum())} of {small.size} samples"

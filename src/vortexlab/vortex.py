@@ -227,28 +227,30 @@ class _VortexModel:
         return None if previous is None else resample(previous.f, self.grid)
 
     def _core_scale(self) -> float:
-        """Length that a sweep stage's grid resolves with ``h <= scale / 4``:
-        ``0.82 eps^(2/(s+2))``, ``s`` the largest ``m+ + m-`` over the merged
-        points, the core radius of derivations §4."""
-        s = max((p.m_plus + p.m_minus for p in _spec_points(self)), default=0)
-        return _CORE_FACTOR * self.epsilon ** (2.0 / (s + 2))
+        """Length that the first grid of a sweep stage resolves with ``h <=
+        scale / 4``. Mixed and generalized cores shrink only like
+        ``eps^(2/(s+2))`` (derivations §4), so these presets set none: the
+        stage starts on the previous stage's grid and the certificate
+        refines it."""
+        return math.inf
 
 
-# Measured mixed core radius over eps^(2/3) is 0.82-0.84 (derivations §4).
-_CORE_FACTOR = 0.82
-
-
-def _copy(spec, **changes):
+def _copy(spec, *donors, **changes):
     """``dataclasses.replace`` without the degree warning: a copy keeps the
-    divisors and degree of ``spec``, whose construction already warned. A
-    copy that changes nothing but epsilon shares the densities of ``spec``."""
+    divisors and degree of ``spec``, whose construction already warned.
+
+    A copy that changes nothing but epsilon and the grid shares the
+    densities that ``spec`` or the first of ``donors`` (copies of ``spec``
+    that differ from it in those two alone) has built on its grid.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         new = dataclasses.replace(spec, **changes)
-    if "_densities" in vars(spec) and all(
-        getattr(spec, k) == v for k, v in changes.items() if k != "epsilon"
-    ):
-        vars(new)["_densities"] = spec._densities
+    if all(getattr(spec, k) == v for k, v in changes.items() if k not in ("epsilon", "grid")):
+        for donor in (spec, *donors):
+            if donor.grid == new.grid and "_densities" in vars(donor):
+                vars(new)["_densities"] = donor._densities
+                break
     return new
 
 
@@ -791,19 +793,27 @@ class ContinuationSchedule:
         object.__setattr__(self, "epsilons", eps)
 
     def grid(
-        self, geometry: TorusGeometry, scale: float, floor: GridSpec | None = None
+        self,
+        geometry: TorusGeometry,
+        scale: float,
+        floor: GridSpec | None = None,
+        *,
+        capped: bool = False,
     ) -> GridSpec:
         """Per axis, the smallest power of two at or above ``min_grid`` and
         the count of ``floor`` with ``h <= scale / 4``.
 
-        ``scale`` is a spec's core scale (``eps`` for classical). Raises
-        ValidationError when the grid would exceed ``max_grid``.
+        ``scale`` is a spec's core scale (``eps`` for classical, ``inf``
+        where there is none). A grid beyond ``max_grid`` raises
+        ValidationError, or with ``capped`` stops at ``max_grid``.
         """
 
         def pick(length: float, start: int) -> int:
             n = max(self.min_grid, start)
             while length / n > scale / 4:
                 if n >= self.max_grid:
+                    if capped:
+                        return n
                     raise ValidationError(
                         f"scale {scale:.6g} needs a grid beyond max_grid={self.max_grid}"
                     )
@@ -840,7 +850,10 @@ class DiagnosticsReport:
     the integrated-equation residuals; ``order_fits`` the fitted vanishing
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
-    interior bound probes on the divisor-excluding region.
+    interior bound probes on the divisor-excluding region. ``grid`` is
+    the grid of the solve; in a sweep every measurement but the spectral
+    tail samples the solution on the stage's ``h <= eps / 4`` lattice
+    instead (:func:`_run_stage`).
     ``spectral_tail`` is the resolution certificate of the solution
     (:func:`vortexlab.fields.spectral_tail`, at most ``TAIL_TOL``).
     ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
@@ -945,30 +958,51 @@ def _crosscheck_gap(recon: Reconstruction) -> float | None:
     return float(np.abs(gap, out=gap).max())
 
 
-def diagnostics_report(spec, solution: KWSolution):
+def _on_lattice(f: ScalarField, grid: GridSpec) -> ScalarField:
+    """The trigonometric interpolant of ``f`` sampled on ``grid``.
+
+    Sweep grids are powers of two per axis, so along an axis where
+    ``grid`` is coarser those are every k-th sample of ``f`` (the
+    interpolant passes through them); along a finer one,
+    :func:`resample` adds the samples.
+    """
+    sx, sy = max(f.grid.nx // grid.nx, 1), max(f.grid.ny // grid.ny, 1)
+    values = f.values[::sx, ::sy]
+    coarse = GridSpec(*values.shape)
+    return resample(ScalarField(f.geometry, coarse, values), grid)
+
+
+def diagnostics_report(spec, solution: KWSolution, spectrum=None, lattice=None):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
 
-    One transform of the solution serves the curvature's Laplacian, the
-    spectral tail and the interior gradient. It lives only between them:
-    after the deviation from the epsilon = 0 limit, whose
-    :func:`kw_limit` is the memory peak of a mixed or generalized stage,
-    and before the masses.
+    ``spectrum`` is ``rfft2`` of the solution when the caller has it; the
+    spectral tail reads it. Every other diagnostic reads the solution's
+    trigonometric interpolant sampled on the grid of ``lattice``, a copy
+    of ``spec`` (``spec`` itself when None), where one transform serves
+    the curvature's Laplacian and the interior gradient. The row keeps the
+    grid of ``spec``, the grid of the solve.
     """
-    f = solution.f
+    f, grid = solution.f, spec.grid
+    if spectrum is None:
+        spectrum = np.fft.rfft2(f.values)
+    tail = spectral_tail(f, spectrum)
+    if lattice is not None and lattice.grid != grid:
+        spec, f = lattice, _on_lattice(f, lattice.grid)
+        spectrum = np.fft.rfft2(f.values)
     points = _spec_points(spec)
     mask = RegionMask.excluding_discs(
         spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
     ) if points else RegionMask.full(spec.geometry, spec.grid)
     phi_sq = _phi_sq(spec, f)
+    # The limit behind the deviation is the memory peak of a mixed or
+    # generalized stage, so it runs before the curvature exists.
     sup_dev = sup_norm(spec._deviation(f, phi_sq), mask)
-    spectrum = np.fft.rfft2(f.values)
     recon = _reconstruction(spec, f, phi_sq, spectrum)
-    tail = spectral_tail(f, spectrum)
     bounds = interior_bounds(f, mask, spectrum)
     del spectrum
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
-        grid=spec.grid,
+        grid=grid,
         curvature_masses=_stage_masses(spec, recon, points),
         sup_deviation=sup_dev,
         identity_residuals=_identities_of(spec, recon),
@@ -981,22 +1015,29 @@ def diagnostics_report(spec, solution: KWSolution):
     return stage, points, recon
 
 
-def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsReport:
-    """Reduce, solve, diagnose and certify ``spec``; record it as the last stage.
+def _run_stage(report, spec, config, init, t0, schedule=None, pool=None) -> DiagnosticsReport:
+    """Reduce, solve, certify and diagnose ``spec``; record it as the last stage.
 
-    A solution whose spectral tail (a diagnostic, so a rejected solve is
-    diagnosed too) exceeds ``TAIL_TOL`` is rejected. In a
+    A solution whose spectral tail exceeds ``TAIL_TOL`` is rejected. In a
     sweep (``schedule`` given) the stage then solves again on
     ``schedule.finer`` of its grid, from the spec's ``_initial_guess`` of
     the rejected solution; without a schedule, or past ``max_grid``, it
-    raises :class:`UnderResolved`.
+    raises :class:`UnderResolved`. Only the accepted solution is
+    diagnosed. In a sweep it is diagnosed on the stage's lattice, the
+    :func:`_stage_grid` of ``h <= eps / 4`` capped at ``max_grid``,
+    whatever grid the certificate chose, so that the diagnostics measure
+    the solution and not the grid.
+
+    ``pool`` lists copies of ``spec`` whose densities the stage's grids
+    may share; the stage leaves its lattice copy there for the next one.
     """
-    rejected = []
+    pool = [] if pool is None else pool
+    rejected, tried = [], []
     while True:
         _mass_windows(spec, _spec_points(spec))
         solution = kw_solve(reduce_any(spec), config, init=init)
-        stage, points, recon = diagnostics_report(spec, solution)
-        tail = stage.spectral_tail
+        spectrum = np.fft.rfft2(solution.f.values)
+        tail = spectral_tail(solution.f, spectrum)
         finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
         if finer is None:
             _check_resolved(solution.f, tail)
@@ -1004,8 +1045,15 @@ def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsRepo
         rejected.append(
             {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
         )
-        spec = _copy(spec, grid=finer)
+        tried.append(spec)
+        spec = _copy(spec, *pool, grid=finer)
         init = spec._initial_guess(solution)
+    lattice = spec
+    if schedule is not None:
+        sampling = _stage_grid(schedule, spec, spec.epsilon, capped=True)
+        lattice = _copy(spec, *tried, *pool, grid=sampling)
+    stage, points, recon = diagnostics_report(spec, solution, spectrum, lattice)
+    pool[:] = [lattice]
     stage.rejected = rejected
     stage.seconds = time.perf_counter() - t0
     report.points = points
@@ -1016,15 +1064,17 @@ def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsRepo
     return stage
 
 
-def _stage_grid(schedule: ContinuationSchedule, spec, floor: GridSpec | None) -> GridSpec:
-    """First grid of a sweep stage: the grid of the spec's core scale, never
-    coarser than ``floor``, and fine enough that every mass window's
+def _stage_grid(
+    schedule: ContinuationSchedule, spec, scale: float, floor=None, capped=False
+) -> GridSpec:
+    """A grid of a sweep stage: :meth:`ContinuationSchedule.grid` at
+    ``scale`` from ``floor``, refined until every mass window's
     ``r_inner`` spans two cells.
 
     Raises :class:`OverlappingBump` when even ``max_grid`` cannot resolve
     a window.
     """
-    grid = schedule.grid(spec.geometry, spec._core_scale(), floor)
+    grid = schedule.grid(spec.geometry, scale, floor, capped=capped)
     finest = GridSpec(schedule.max_grid, schedule.max_grid)
     windows = _mass_windows(spec, _spec_points(spec), finest)
     if not windows:
@@ -1058,20 +1108,19 @@ def adiabatic_sweep(
     """Decreasing-epsilon study with limit comparisons.
 
     Each stage is ``spec`` at the stage's epsilon. It starts on the grid
-    of :func:`_stage_grid`: ``h <= scale / 4`` for the spec's core scale
-    (``eps`` for classical, ``0.82 eps^(2/(s+2))`` for mixed and
-    generalized), never coarser than the previous stage's grid, and fine
-    enough for every mass window. It starts from the spec's
-    ``_initial_guess``: a classical stage from its glued planar cores, a
-    mixed or generalized stage after the first from the previous solution,
-    transplanted by spectral resampling. A solution whose spectral tail
-    exceeds ``TAIL_TOL`` is solved again on the doubled grid (see
-    :func:`_run_stage`). Per stage the report records the curvature masses
-    at the divisor points, the sup-distance to the epsilon = 0 profile
-    away from them (for the classical model, the deficit ``sup|1 -
-    |phi|^2|``), the integral-identity residuals, the spectral tail and
-    uniform-bound probes; vanishing orders are fitted once at the final
-    stage.
+    of :func:`_stage_grid`: ``h <= eps / 4`` for classical, never coarser
+    than the previous stage's grid, and fine enough for every mass window.
+    It starts from the spec's ``_initial_guess``: a classical stage from
+    its glued planar cores, a mixed or generalized stage after the first
+    from the previous solution, transplanted by spectral resampling. A
+    solution whose spectral tail exceeds ``TAIL_TOL`` is solved again on
+    the doubled grid (see :func:`_run_stage`). Per stage the report
+    records the spectral tail and, read on the stage's ``h <= eps / 4``
+    lattice, the curvature masses at the divisor points, the sup-distance
+    to the epsilon = 0 profile away from them (for the classical model,
+    the deficit ``sup|1 - |phi|^2|``), the integral-identity residuals
+    and uniform-bound probes; vanishing orders are fitted once at the
+    final stage.
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
@@ -1084,16 +1133,18 @@ def adiabatic_sweep(
     every stage records its last skip as ``report.error``.
     """
     report = SweepReport(kind=spec.kind, points=[], stages=[])
+    pool: list = []
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
-            # A copy of the last stage shares its densities on the same grid.
+            # A copy of the last stage, or of its lattice copy, shares their
+            # densities on the same grid.
             stage_spec = _copy(report.final_spec or spec, epsilon=eps)
             floor = report.final_spec.grid if report.final_spec else None
-            grid = _stage_grid(schedule, stage_spec, floor)
-            stage_spec = _copy(stage_spec, grid=grid)
+            grid = _stage_grid(schedule, stage_spec, stage_spec._core_scale(), floor)
+            stage_spec = _copy(stage_spec, *pool, grid=grid)
             init = stage_spec._initial_guess(report.final_solution)
-            stage = _run_stage(report, stage_spec, config, init, t0, schedule)
+            stage = _run_stage(report, stage_spec, config, init, t0, schedule, pool)
             if progress is not None:
                 progress(stage)
         except VortexLabError as exc:

@@ -31,6 +31,7 @@ from vortexlab import (
     reconstruct,
     reduce_any,
     resample,
+    sample_at,
     solve_and_report,
     sup_norm,
     vanishing_order_fit,
@@ -50,6 +51,7 @@ from vortexlab.greens import divisor_potential
 from vortexlab.vortex import (
     ContinuationSchedule,
     _copy,
+    _on_lattice,
     _planar_profile,
     diagnostics_report,
 )
@@ -451,33 +453,25 @@ def test_unresolved_mass_window_is_skipped_before_the_solve(solved_grids):
 
 
 def test_unresolved_mass_window_refines_the_stage_grid(solved_grids):
-    # The core scale of eps = 0.4 and 0.2 asks for 16^2 only; the window
-    # raises both stages to 32^2, and no stage is skipped.
+    # min_grid = 16 cannot resolve the window: it raises the first stage to
+    # 32^2, and no stage is skipped. eps = 0.05 is rejected on 32^2.
     schedule = ContinuationSchedule((0.4, 0.2, 0.1, 0.05))
-    spec = _close_mixed_pair(0.05)
-    for eps in (0.4, 0.2):
-        scale = _copy(spec, epsilon=eps)._core_scale()
-        assert schedule.grid(UNIT, scale) == GridSpec(16, 16)
-    report = adiabatic_sweep(spec, schedule)
+    report = adiabatic_sweep(_close_mixed_pair(0.05), schedule)
     report.raise_if_failed()
     assert not report.skipped
     assert [s.epsilon for s in report.stages] == [0.4, 0.2, 0.1, 0.05]
-    assert solved_grids == [s.grid for s in report.stages]
-    assert solved_grids == [GridSpec(n, n) for n in (32, 32, 32, 64)]
+    assert [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 32, 32, 64)]
+    assert solved_grids == [GridSpec(n, n) for n in (32, 32, 32, 32, 64)]
+    assert [r["grid"] for r in report.stages[3].rejected] == [GridSpec(32, 32)]
 
 
 def test_core_scale_of_each_preset():
+    # Classical stages start on h <= eps / 4; mixed and generalized ones on
+    # the previous stage's grid, which the certificate refines.
     assert classical([(0.5, 0.5)], [1], 0.05)._core_scale() == 0.05
-    assert mixed_pair_spec(0.05)._core_scale() == pytest.approx(0.82 * 0.05 ** (2 / 3))
-    # A (2, 1) co-location has s = 3; the largest s over the points counts.
-    colocated = MixedVortexSpec(
-        UNIT,
-        GridSpec(32, 32),
-        Divisor(((0.25, 0.25), (0.6, 0.6)), (2, 1)),
-        Divisor(((0.25, 0.25),), (1,)),
-        epsilon=0.05,
-    )
-    assert colocated._core_scale() == pytest.approx(0.82 * 0.05 ** (2 / 5))
+    assert mixed_pair_spec(0.05)._core_scale() == math.inf
+    schedule = ContinuationSchedule((0.05,))
+    assert schedule.grid(UNIT, math.inf, GridSpec(32, 64)) == GridSpec(32, 64)
 
 
 def _far_mixed_pair(eps):
@@ -963,15 +957,44 @@ def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
     assert potential_calls == [(spec.divisor, GridSpec(64, 64))]
 
 
+@pytest.mark.parametrize("eps, lattice", [(0.1, 64), (0.05, 128)])
+def test_sweep_stage_is_diagnosed_on_its_eps_lattice(eps, lattice):
+    # The certificate accepts a coarser grid than h <= eps / 4 (32^2 and
+    # 64^2); the stage's numbers are still those of a solve on the lattice.
+    (stage,) = adiabatic_sweep(_far_mixed_pair(eps), ContinuationSchedule((eps,))).stages
+    assert stage.grid == GridSpec(lattice // 2, lattice // 2)
+    fine = solve_and_report(_copy(_far_mixed_pair(eps), grid=GridSpec(lattice, lattice)))
+    (ref,) = fine.stages
+    for name in ("sup_deviation", "sup_f", "sup_grad_f", "l2_exp_plus", "l2_exp_minus"):
+        assert getattr(stage, name) == pytest.approx(getattr(ref, name), abs=1e-10)
+    assert stage.curvature_masses == pytest.approx(ref.curvature_masses, abs=1e-10)
+    for key, value in ref.identity_residuals.items():
+        assert stage.identity_residuals[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_lattice_values_are_the_trigonometric_interpolant():
+    x = np.arange(32) / 32
+    values = np.sin(2 * np.pi * 3 * x)[:, None] * np.cos(2 * np.pi * 5 * x)[None, :]
+    f = ScalarField(UNIT, GridSpec(32, 32), values + 0.3 * np.cos(2 * np.pi * 7 * x)[:, None])
+    for grid in (GridSpec(16, 16), GridSpec(64, 16), GridSpec(64, 64)):
+        lattice = _on_lattice(f, grid)
+        gx, gy = np.meshgrid(np.arange(grid.nx) / grid.nx, np.arange(grid.ny) / grid.ny, indexing="ij")
+        expected = sample_at(f, np.column_stack([gx.ravel(), gy.ravel()]))
+        assert lattice.grid == grid
+        assert np.abs(lattice.values.ravel() - expected).max() <= 1e-12
+
+
 def test_mixed_sweep_builds_each_density_once_per_grid(potential_calls):
     spec = _far_mixed_pair(0.05)
     report = adiabatic_sweep(spec, ContinuationSchedule((0.2, 0.1, 0.05)))
     report.raise_if_failed()
     # eps = 0.2 is rejected on 16^2 and solved on 32^2, which eps = 0.1
-    # keeps; eps = 0.05 starts on 64^2.
+    # keeps; eps = 0.05 is rejected on 32^2 and solved on 64^2. The
+    # deviations run on the h <= eps / 4 lattices 32^2, 64^2 and 128^2.
     assert [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 32, 64)]
-    assert [r["grid"] for r in report.stages[0].rejected] == [GridSpec(16, 16)]
-    grids = {GridSpec(n, n) for n in (16, 32, 64)}
+    rejected = [[r["grid"] for r in s.rejected] for s in report.stages]
+    assert rejected == [[GridSpec(16, 16)], [], [GridSpec(32, 32)]]
+    grids = {GridSpec(n, n) for n in (16, 32, 64, 128)}
     divisors = (spec.divisor_plus, spec.divisor_minus)
     assert Counter(potential_calls) == {(d, g): 1 for d in divisors for g in grids}
 
