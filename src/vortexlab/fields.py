@@ -636,12 +636,14 @@ def _resample_full_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
     return out
 
 
-def resample(f: ScalarField, new_grid: GridSpec) -> ScalarField:
+def resample(
+    f: ScalarField, new_grid: GridSpec, spectrum: np.ndarray | None = None
+) -> ScalarField:
     """Trigonometric interpolation of ``f`` onto another grid."""
     if new_grid == f.grid:
         return ScalarField(f.geometry, new_grid, f.values)
     nx, ny = f.grid.nx, f.grid.ny
-    spec = _resample_half_axis(np.fft.rfft2(f.values), ny, new_grid.ny)
+    spec = _resample_half_axis(_half_spectrum(f, spectrum), ny, new_grid.ny)
     spec = _resample_full_axis(spec, nx, new_grid.nx)
     vals = np.fft.irfft2(spec, s=(new_grid.nx, new_grid.ny))
     vals *= new_grid.nx * new_grid.ny / (nx * ny)

@@ -313,20 +313,14 @@ def _pin_constant_mode(problem: KWProblem, fvals: np.ndarray) -> float:
     return float(_scalar_root(np.array([integrate(problem.w)]), terms)[0])
 
 
-def _forcing(eta_prev: float, ratio: float) -> float:
+def _forcing(ratio: float) -> float:
     """Eisenstat-Walker choice-2 forcing term of Newton step ``k >= 1``.
 
-    ``ratio`` is ``||r_k||_2 / ||r_{k-1}||_2`` and ``eta_prev`` the term of
-    step ``k - 1`` (step 0 takes ``_ETA_MAX``). The safeguard
-    ``_EW_GAMMA eta_prev^2`` keeps the term from collapsing after one
-    lucky step; it engages only above 0.1, so under ``_ETA_MAX = 0.1`` it
-    is inert, and it is kept so that the published rule holds for any cap.
+    ``ratio`` is ``||r_k||_2 / ||r_{k-1}||_2``; step 0 takes ``_ETA_MAX``.
+    The published safeguard ``_EW_GAMMA eta_{k-1}^2`` is omitted: it
+    engages only above 0.1, which no term under ``_ETA_MAX = 0.1`` reaches.
     """
-    eta = _EW_GAMMA * ratio**2
-    safeguard = _EW_GAMMA * eta_prev**2
-    if safeguard > 0.1:
-        eta = max(eta, safeguard)
-    return min(eta, _ETA_MAX)
+    return min(_EW_GAMMA * ratio**2, _ETA_MAX)
 
 
 def _cg_tolerance(config: SolverConfig, eta: float, res_sup: float) -> float:
@@ -375,7 +369,7 @@ def kw_solve(
     energy = kw_energy(problem, f)
     trace = NewtonTrace(energy_history=[energy])
     vol = geometry.volume
-    eta, prev_l2 = _ETA_MAX, None
+    prev_l2 = None
 
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f)
@@ -396,8 +390,7 @@ def kw_solve(
             break
 
         res_l2 = float(np.linalg.norm(resid.values))
-        if prev_l2 is not None:
-            eta = _forcing(eta, res_l2 / prev_l2)
+        eta = _ETA_MAX if prev_l2 is None else _forcing(res_l2 / prev_l2)
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
         trace.cg_tolerances.append(tol)

@@ -235,22 +235,20 @@ class _VortexModel:
         return math.inf
 
 
-def _copy(spec, *donors, **changes):
+def _copy(spec, **changes):
     """``dataclasses.replace`` without the degree warning: a copy keeps the
     divisors and degree of ``spec``, whose construction already warned.
 
-    A copy that changes nothing but epsilon and the grid shares the
-    densities that ``spec`` or the first of ``donors`` (copies of ``spec``
-    that differ from it in those two alone) has built on its grid.
+    A copy that changes nothing but epsilon shares the densities that
+    ``spec`` has built.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         new = dataclasses.replace(spec, **changes)
-    if all(getattr(spec, k) == v for k, v in changes.items() if k not in ("epsilon", "grid")):
-        for donor in (spec, *donors):
-            if donor.grid == new.grid and "_densities" in vars(donor):
-                vars(new)["_densities"] = donor._densities
-                break
+    if "_densities" in vars(spec) and all(
+        getattr(spec, k) == v for k, v in changes.items() if k != "epsilon"
+    ):
+        vars(new)["_densities"] = spec._densities
     return new
 
 
@@ -634,6 +632,9 @@ def _reconstruction(spec, f, phi_sq, spectrum: np.ndarray | None) -> Reconstruct
 MASK_RADIUS = 0.15
 ORDER_FIT_RADII = (0.01, 0.05)
 _ORDER_FIT_SAMPLES = (12, 32)
+# The lattice on which every solution's sup-distance to the epsilon = 0
+# limit is read, for every epsilon and every solve grid (derivations §4).
+_PROBE_GRID = GridSpec(64, 64)
 
 
 def _mass_window(geometry, point, others) -> tuple[float, float]:
@@ -793,27 +794,20 @@ class ContinuationSchedule:
         object.__setattr__(self, "epsilons", eps)
 
     def grid(
-        self,
-        geometry: TorusGeometry,
-        scale: float,
-        floor: GridSpec | None = None,
-        *,
-        capped: bool = False,
+        self, geometry: TorusGeometry, scale: float, floor: GridSpec | None = None
     ) -> GridSpec:
         """Per axis, the smallest power of two at or above ``min_grid`` and
         the count of ``floor`` with ``h <= scale / 4``.
 
         ``scale`` is a spec's core scale (``eps`` for classical, ``inf``
         where there is none). A grid beyond ``max_grid`` raises
-        ValidationError, or with ``capped`` stops at ``max_grid``.
+        ValidationError.
         """
 
         def pick(length: float, start: int) -> int:
             n = max(self.min_grid, start)
             while length / n > scale / 4:
                 if n >= self.max_grid:
-                    if capped:
-                        return n
                     raise ValidationError(
                         f"scale {scale:.6g} needs a grid beyond max_grid={self.max_grid}"
                     )
@@ -824,7 +818,7 @@ class ContinuationSchedule:
         return GridSpec(pick(geometry.length_x, nx), pick(geometry.length_y, ny))
 
     def finer(self, grid: GridSpec) -> GridSpec | None:
-        """``grid`` doubled per axis, capped at ``max_grid``; None when
+        """``grid`` doubled per axis, at most to ``max_grid``; None when
         neither axis can double."""
         n = self.max_grid
         doubled = GridSpec(min(2 * grid.nx, n), min(2 * grid.ny, n))
@@ -851,9 +845,10 @@ class DiagnosticsReport:
     orders, filled only where requested (sweeps fit at the final stage).
     The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
     interior bound probes on the divisor-excluding region. ``grid`` is
-    the grid of the solve; in a sweep every measurement but the spectral
-    tail samples the solution on the stage's ``h <= eps / 4`` lattice
-    instead (:func:`_run_stage`).
+    the grid of the solve, which every measurement samples but
+    ``sup_deviation``: a sup over samples would move with the grid, so
+    it samples the solution's trigonometric interpolant on the fixed
+    ``_PROBE_GRID`` lattice instead.
     ``spectral_tail`` is the resolution certificate of the solution
     (:func:`vortexlab.fields.spectral_tail`, at most ``TAIL_TOL``).
     ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
@@ -958,64 +953,71 @@ def _crosscheck_gap(recon: Reconstruction) -> float | None:
     return float(np.abs(gap, out=gap).max())
 
 
-def _on_lattice(f: ScalarField, grid: GridSpec) -> ScalarField:
+def _on_lattice(
+    f: ScalarField, grid: GridSpec, spectrum: np.ndarray | None = None
+) -> ScalarField:
     """The trigonometric interpolant of ``f`` sampled on ``grid``.
 
-    Sweep grids are powers of two per axis, so along an axis where
-    ``grid`` is coarser those are every k-th sample of ``f`` (the
-    interpolant passes through them); along a finer one,
-    :func:`resample` adds the samples.
+    Per axis, ``f`` is resampled up to the least multiple ``k n`` of the
+    lattice count ``n`` at or above its own count, where the interpolant
+    is unchanged; every k-th of those samples lies on ``grid``.
+    ``spectrum`` is ``rfft2`` of ``f`` when the caller has it.
     """
-    sx, sy = max(f.grid.nx // grid.nx, 1), max(f.grid.ny // grid.ny, 1)
-    values = f.values[::sx, ::sy]
-    coarse = GridSpec(*values.shape)
-    return resample(ScalarField(f.geometry, coarse, values), grid)
+    kx, ky = -(-f.grid.nx // grid.nx), -(-f.grid.ny // grid.ny)
+    fine = GridSpec(kx * grid.nx, ky * grid.ny)
+    if fine != f.grid:
+        f = resample(f, fine, spectrum)
+    return ScalarField(f.geometry, grid, f.values[::kx, ::ky])
 
 
-def diagnostics_report(spec, solution: KWSolution, spectrum=None, lattice=None):
+def _outside_discs(spec, points) -> RegionMask:
+    """The region of the grid of ``spec`` outside the ``MASK_RADIUS`` discs
+    around ``points``."""
+    if not points:
+        return RegionMask.full(spec.geometry, spec.grid)
+    return RegionMask.excluding_discs(
+        spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
+    )
+
+
+def diagnostics_report(spec, solution: KWSolution, spectrum=None):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
 
-    ``spectrum`` is ``rfft2`` of the solution when the caller has it; the
-    spectral tail reads it. Every other diagnostic reads the solution's
-    trigonometric interpolant sampled on the grid of ``lattice``, a copy
-    of ``spec`` (``spec`` itself when None), where one transform serves
-    the curvature's Laplacian and the interior gradient. The row keeps the
-    grid of ``spec``, the grid of the solve.
+    ``spectrum`` is ``rfft2`` of the solution when the caller has it;
+    otherwise it is taken here, once. The spectral tail, the curvature's
+    Laplacian, the interior gradient and the probe samples of
+    ``sup_deviation`` all read it. Every diagnostic but ``sup_deviation``
+    samples the grid of the solve.
     """
-    f, grid = solution.f, spec.grid
+    f = solution.f
     if spectrum is None:
         spectrum = np.fft.rfft2(f.values)
-    tail = spectral_tail(f, spectrum)
-    if lattice is not None and lattice.grid != grid:
-        spec, f = lattice, _on_lattice(f, lattice.grid)
-        spectrum = np.fft.rfft2(f.values)
     points = _spec_points(spec)
-    mask = RegionMask.excluding_discs(
-        spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
-    ) if points else RegionMask.full(spec.geometry, spec.grid)
+    mask = _outside_discs(spec, points)
     phi_sq = _phi_sq(spec, f)
-    # The limit behind the deviation is the memory peak of a mixed or
-    # generalized stage, so it runs before the curvature exists.
-    sup_dev = sup_norm(spec._deviation(f, phi_sq), mask)
+    # A sup over samples moves with the grid, so the deviation is read on
+    # the fixed probe lattice: a function of the solution alone.
+    probe, on_probe = _copy(spec, grid=_PROBE_GRID), _on_lattice(f, _PROBE_GRID, spectrum)
+    deviation = probe._deviation(on_probe, _phi_sq(probe, on_probe))
+    sup_dev = sup_norm(deviation, _outside_discs(probe, points))
     recon = _reconstruction(spec, f, phi_sq, spectrum)
     bounds = interior_bounds(f, mask, spectrum)
-    del spectrum
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
-        grid=grid,
+        grid=spec.grid,
         curvature_masses=_stage_masses(spec, recon, points),
         sup_deviation=sup_dev,
         identity_residuals=_identities_of(spec, recon),
         crosscheck_gap=_crosscheck_gap(recon),
         order_fits=[None] * len(points),
-        spectral_tail=tail,
+        spectral_tail=spectral_tail(f, spectrum),
         newton=solution.newton,
         **bounds,
     )
     return stage, points, recon
 
 
-def _run_stage(report, spec, config, init, t0, schedule=None, pool=None) -> DiagnosticsReport:
+def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsReport:
     """Reduce, solve, certify and diagnose ``spec``; record it as the last stage.
 
     A solution whose spectral tail exceeds ``TAIL_TOL`` is rejected. In a
@@ -1023,16 +1025,9 @@ def _run_stage(report, spec, config, init, t0, schedule=None, pool=None) -> Diag
     ``schedule.finer`` of its grid, from the spec's ``_initial_guess`` of
     the rejected solution; without a schedule, or past ``max_grid``, it
     raises :class:`UnderResolved`. Only the accepted solution is
-    diagnosed. In a sweep it is diagnosed on the stage's lattice, the
-    :func:`_stage_grid` of ``h <= eps / 4`` capped at ``max_grid``,
-    whatever grid the certificate chose, so that the diagnostics measure
-    the solution and not the grid.
-
-    ``pool`` lists copies of ``spec`` whose densities the stage's grids
-    may share; the stage leaves its lattice copy there for the next one.
+    diagnosed, on the grid it was solved on.
     """
-    pool = [] if pool is None else pool
-    rejected, tried = [], []
+    rejected = []
     while True:
         _mass_windows(spec, _spec_points(spec))
         solution = kw_solve(reduce_any(spec), config, init=init)
@@ -1045,15 +1040,9 @@ def _run_stage(report, spec, config, init, t0, schedule=None, pool=None) -> Diag
         rejected.append(
             {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
         )
-        tried.append(spec)
-        spec = _copy(spec, *pool, grid=finer)
+        spec = _copy(spec, grid=finer)
         init = spec._initial_guess(solution)
-    lattice = spec
-    if schedule is not None:
-        sampling = _stage_grid(schedule, spec, spec.epsilon, capped=True)
-        lattice = _copy(spec, *tried, *pool, grid=sampling)
-    stage, points, recon = diagnostics_report(spec, solution, spectrum, lattice)
-    pool[:] = [lattice]
+    stage, points, recon = diagnostics_report(spec, solution, spectrum)
     stage.rejected = rejected
     stage.seconds = time.perf_counter() - t0
     report.points = points
@@ -1064,17 +1053,15 @@ def _run_stage(report, spec, config, init, t0, schedule=None, pool=None) -> Diag
     return stage
 
 
-def _stage_grid(
-    schedule: ContinuationSchedule, spec, scale: float, floor=None, capped=False
-) -> GridSpec:
-    """A grid of a sweep stage: :meth:`ContinuationSchedule.grid` at
-    ``scale`` from ``floor``, refined until every mass window's
+def _stage_grid(schedule: ContinuationSchedule, spec, scale: float, floor=None) -> GridSpec:
+    """The first grid of a sweep stage: :meth:`ContinuationSchedule.grid`
+    at ``scale`` from ``floor``, refined until every mass window's
     ``r_inner`` spans two cells.
 
     Raises :class:`OverlappingBump` when even ``max_grid`` cannot resolve
     a window.
     """
-    grid = schedule.grid(spec.geometry, scale, floor, capped=capped)
+    grid = schedule.grid(spec.geometry, scale, floor)
     finest = GridSpec(schedule.max_grid, schedule.max_grid)
     windows = _mass_windows(spec, _spec_points(spec), finest)
     if not windows:
@@ -1115,12 +1102,12 @@ def adiabatic_sweep(
     from the previous solution, transplanted by spectral resampling. A
     solution whose spectral tail exceeds ``TAIL_TOL`` is solved again on
     the doubled grid (see :func:`_run_stage`). Per stage the report
-    records the spectral tail and, read on the stage's ``h <= eps / 4``
-    lattice, the curvature masses at the divisor points, the sup-distance
-    to the epsilon = 0 profile away from them (for the classical model,
-    the deficit ``sup|1 - |phi|^2|``), the integral-identity residuals
-    and uniform-bound probes; vanishing orders are fitted once at the
-    final stage.
+    records, on the grid of the accepted solve, the spectral tail, the
+    curvature masses at the divisor points, the integral-identity
+    residuals and uniform-bound probes, and, on the fixed ``_PROBE_GRID``
+    lattice, the sup-distance to the epsilon = 0 profile away from the
+    points (for the classical model, the deficit ``sup|1 - |phi|^2|``);
+    vanishing orders are fitted once at the final stage.
 
     Stages whose spec is infeasible (e.g. the volume bound fails at a
     large epsilon) are recorded in ``report.skipped`` and the sweep moves
@@ -1133,18 +1120,16 @@ def adiabatic_sweep(
     every stage records its last skip as ``report.error``.
     """
     report = SweepReport(kind=spec.kind, points=[], stages=[])
-    pool: list = []
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
-            # A copy of the last stage, or of its lattice copy, shares their
-            # densities on the same grid.
+            # A copy of the last stage shares its densities on the same grid.
             stage_spec = _copy(report.final_spec or spec, epsilon=eps)
             floor = report.final_spec.grid if report.final_spec else None
             grid = _stage_grid(schedule, stage_spec, stage_spec._core_scale(), floor)
-            stage_spec = _copy(stage_spec, *pool, grid=grid)
+            stage_spec = _copy(stage_spec, grid=grid)
             init = stage_spec._initial_guess(report.final_solution)
-            stage = _run_stage(report, stage_spec, config, init, t0, schedule, pool)
+            stage = _run_stage(report, stage_spec, config, init, t0, schedule)
             if progress is not None:
                 progress(stage)
         except VortexLabError as exc:
