@@ -957,6 +957,25 @@ def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
     assert potential_calls == [(spec.divisor, GridSpec(64, 64))]
 
 
+@pytest.mark.parametrize("eps, n", [(0.1, 32), (0.05, 64)])
+def test_sweep_stage_is_diagnosed_on_its_solve_grid(eps, n):
+    # The certificate accepts 32^2 and 64^2; the stage's numbers are those
+    # of the accepted solution diagnosed on a fresh spec of that grid, one
+    # that shares no densities with the sweep's copies.
+    report = adiabatic_sweep(_far_mixed_pair(eps), ContinuationSchedule((eps,)))
+    report.raise_if_failed()
+    (stage,) = report.stages
+    assert stage.grid == report.final_spec.grid == GridSpec(n, n)
+    fresh = _copy(_far_mixed_pair(eps), grid=GridSpec(n, n))
+    ref, _, _ = diagnostics_report(fresh, report.final_solution)
+    for name in ("sup_deviation", "sup_f", "sup_grad_f", "l2_exp_plus", "l2_exp_minus"):
+        assert getattr(stage, name) == pytest.approx(getattr(ref, name), abs=1e-10)
+    assert stage.spectral_tail == pytest.approx(ref.spectral_tail, abs=1e-12)
+    assert stage.curvature_masses == pytest.approx(ref.curvature_masses, abs=1e-10)
+    for key, value in ref.identity_residuals.items():
+        assert stage.identity_residuals[key] == pytest.approx(value, abs=1e-12)
+
+
 def test_sup_deviation_is_a_function_of_the_solution():
     # One accepted 16^2 solution, carried exactly onto finer copies of its
     # spec: the deviation is read on the same probe lattice from each, and
