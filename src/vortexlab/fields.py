@@ -99,12 +99,24 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_samples(values, grid: GridSpec) -> np.ndarray:
+    """``values`` as float64, checked to be finite and shaped like ``grid``."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape != (grid.nx, grid.ny):
+        raise ValidationError(
+            f"values shape {vals.shape} does not match grid ({grid.nx}, {grid.ny})"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("field values must be finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar field sampled on a torus grid.
 
     The sample array is copied and frozen at construction; all operations
-    return new fields.
+    return new fields, which adopt the arrays they have just built.
     """
 
     geometry: TorusGeometry
@@ -112,18 +124,21 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.nx, self.grid.ny):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("field values must be finite")
-        object.__setattr__(self, "values", _freeze(vals))
+        object.__setattr__(self, "values", _freeze(_checked_samples(self.values, self.grid)))
 
     def _like(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.geometry, self.grid, values)
+        """A field on this grid that adopts ``values`` without a copy.
+
+        Only for an array that the caller has just built and keeps no
+        other reference to: it is checked like a constructor argument and
+        frozen in place.
+        """
+        vals = _checked_samples(values, self.grid)
+        vals.flags.writeable = False
+        new = object.__new__(ScalarField)
+        for name, value in (("geometry", self.geometry), ("grid", self.grid), ("values", vals)):
+            object.__setattr__(new, name, value)
+        return new
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -280,6 +295,31 @@ def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
     return minus_k2, dx_mult, dy_mult
 
 
+# Every 2-D transform writes into an array through ``out=``: numpy 2.4
+# transforms into a given array about twice as fast as into one that it
+# allocates itself (derivations §8).
+
+
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum ``rfft2(values)``, written into ``out`` (a fresh array
+    when omitted)."""
+    if out is None:
+        nx, ny = values.shape
+        out = np.empty((nx, ny // 2 + 1), dtype=complex)
+    return np.fft.rfft2(values, out=out)
+
+
+def _irfft2(spec: np.ndarray, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of shape ``shape`` of the half spectrum ``spec``, written
+    into ``out`` (a fresh array when omitted).
+
+    irfftn, not irfft2: numpy's irfft2 drops its ``out`` argument.
+    """
+    if out is None:
+        out = np.empty(shape)
+    return np.fft.irfftn(spec, s=shape, axes=(0, 1), out=out)
+
+
 def _half_spectrum(f: ScalarField, spectrum: np.ndarray | None) -> np.ndarray:
     """``spectrum`` if given, else ``rfft2(f.values)``.
 
@@ -287,14 +327,13 @@ def _half_spectrum(f: ScalarField, spectrum: np.ndarray | None) -> np.ndarray:
     optional argument, so a caller that reads several of them from one
     field transforms it once.
     """
-    return np.fft.rfft2(f.values) if spectrum is None else spectrum
+    return _rfft2(f.values) if spectrum is None else spectrum
 
 
 def laplacian(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField:
     """Flat Laplacian by Fourier multiplier; the output has zero mean."""
     minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
-    out = np.fft.irfft2(_half_spectrum(f, spectrum) * minus_k2, s=f.values.shape)
-    return f._like(out)
+    return f._like(_irfft2(_half_spectrum(f, spectrum) * minus_k2, f.values.shape))
 
 
 def gradient(
@@ -303,8 +342,8 @@ def gradient(
     """Spectral partial derivatives (df/dx, df/dy)."""
     _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
     spec = _half_spectrum(f, spectrum)
-    fx = np.fft.irfft2(spec * dx_mult[:, None], s=f.values.shape)
-    fy = np.fft.irfft2(spec * dy_mult[None, :], s=f.values.shape)
+    fx = _irfft2(spec * dx_mult[:, None], f.values.shape)
+    fy = _irfft2(spec * dy_mult[None, :], f.values.shape)
     return f._like(fx), f._like(fy)
 
 
@@ -338,7 +377,7 @@ def spectral_tail(f: ScalarField, spectrum: np.ndarray | None = None) -> float:
     return max(float(mags[rows].max()), float(mags[:, cols].max())) / top
 
 
-def dirichlet_energy(f: ScalarField) -> float:
+def dirichlet_energy(f: ScalarField, spectrum: np.ndarray | None = None) -> float:
     """integral of |grad f|^2, evaluated exactly by Parseval.
 
     The half spectrum stands for each interior y column and its conjugate
@@ -346,7 +385,7 @@ def dirichlet_energy(f: ScalarField) -> float:
     column ``ny/2`` are their own mirrors and count once.
     """
     minus_k2, _, _ = _wavenumbers(f.geometry, f.grid)
-    spec = np.fft.rfft2(f.values)
+    spec = _half_spectrum(f, spectrum)
     n = f.grid.nx * f.grid.ny
     dens = (spec.real**2 + spec.imag**2) * (-minus_k2)
     power = float(2.0 * dens.sum() - dens[:, 0].sum() - dens[:, -1].sum())
@@ -416,7 +455,7 @@ def sample_at(f: ScalarField, points) -> np.ndarray | float:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError("points must be (x, y) or an (M, 2) array")
-    spec = np.fft.rfft2(f.values)
+    spec = _rfft2(f.values)
     px = _phase_matrix(pts[:, 0], f.grid.nx, f.geometry.length_x)
     py = _phase_matrix(pts[:, 1], f.grid.ny, f.geometry.length_y, half=True)
     vals = np.einsum("mj,jk,mk->m", px, spec, py).real / (f.grid.nx * f.grid.ny)
@@ -481,16 +520,12 @@ def solve_linearized(
     z = np.empty_like(b)
     work = np.empty_like(b)
 
-    def inverse(out: np.ndarray) -> None:
-        # irfftn, not irfft2: numpy's irfft2 drops its ``out`` argument.
-        np.fft.irfftn(spec, s=shape, axes=(0, 1), out=out)
-
     def precondition(src: np.ndarray, out: np.ndarray, q_out: np.ndarray) -> None:
         # out = M^-1 src, and q_out = -eps laplacian(out) without a second
         # inverse transform: (-eps laplacian + v_mean) out = src.
-        np.fft.rfft2(src, out=spec)
+        _rfft2(src, spec)
         np.multiply(spec, inv_symbol, out=spec)
-        inverse(out)
+        _irfft2(spec, shape, out)
         np.multiply(out, v_mean, out=q_out)
         np.subtract(src, q_out, out=q_out)
 
@@ -513,9 +548,9 @@ def solve_linearized(
         iterations += 1
         if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
             # The true residual b - (V x - eps laplacian(x)), written over r.
-            np.fft.rfft2(x, out=spec)
+            _rfft2(x, spec)
             spec *= minus_k2
-            inverse(z)
+            _irfft2(spec, shape, z)
             z *= epsilon
             np.multiply(V, x, out=r)
             r -= z
@@ -645,6 +680,6 @@ def resample(
     nx, ny = f.grid.nx, f.grid.ny
     spec = _resample_half_axis(_half_spectrum(f, spectrum), ny, new_grid.ny)
     spec = _resample_full_axis(spec, nx, new_grid.nx)
-    vals = np.fft.irfft2(spec, s=(new_grid.nx, new_grid.ny))
+    vals = _irfft2(spec, (new_grid.nx, new_grid.ny))
     vals *= new_grid.nx * new_grid.ny / (nx * ny)
     return ScalarField(f.geometry, new_grid, vals)

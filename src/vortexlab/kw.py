@@ -49,6 +49,7 @@ from .fields import (
     ScalarField,
     TorusGeometry,
     _check_compatible,
+    _half_spectrum,
     dirichlet_energy,
     gradient_magnitude,
     integrate,
@@ -237,14 +238,6 @@ class KWSolution:
         return self.newton.iterations
 
 
-def _exp_or_guard(exponent_field: np.ndarray) -> np.ndarray:
-    if exponent_field.max() > _EXP_GUARD:
-        raise OverflowGuard(
-            f"exponent reached {exponent_field.max():.3g} > {_EXP_GUARD:g}"
-        )
-    return np.exp(exponent_field)
-
-
 def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
     """``(A, alpha)`` per plus term and ``(B, -beta)`` per minus term.
 
@@ -253,64 +246,140 @@ def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
     return problem.plus_terms + tuple((b, -beta) for b, beta in problem.minus_terms)
 
 
-def _term_values(problem: KWProblem, fvals: np.ndarray):
-    """Yield ``(C e^{kf}, k)`` over the signed terms ``(C, k)``.
+def _guard(top: float) -> None:
+    if top > _EXP_GUARD:
+        raise OverflowGuard(f"exponent reached {top:.3g} > {_EXP_GUARD:g}")
 
-    Each caller reduces the fresh arrays to its own sum: the total
-    ``sum sign(k) C e^{kf}``, the Newton potential ``sum |k| C e^{kf}``
-    or the energy density ``sum (C/|k|) e^{kf}``.
+
+class _Evaluation:
+    """One iterate ``f`` of a problem, evaluated once for every reader.
+
+    One exponential pass gives the term values ``C e^{kf}`` of the signed
+    terms ``(C, k)``, with the top exponent ``max(k f)`` of each, which
+    the overflow guard tests. One forward and one inverse transform give
+    the Laplacian of ``f`` and its Dirichlet energy, which is kept as a
+    scalar; the spectrum is not. The energy, the residual, the Newton
+    potential and the pin coefficients all read these. The pass runs on
+    first use, so an :class:`OverflowGuard` raises in whichever of
+    :func:`kw_energy` and :func:`kw_residual` reads the evaluation first.
     """
-    for c, k in _signed_terms(problem):
-        yield c.values * _exp_or_guard(k * fvals), k
+
+    def __init__(self, problem: KWProblem, f: ScalarField):
+        self.problem, self.f = problem, f
+        self._terms = None  # [(C e^{kf}, k, max(k f))], once filled
+        self._lap, self._dirichlet = None, 0.0
+
+    def _fill(self) -> None:
+        if self._terms is not None:
+            return
+        fvals, terms = self.f.values, []
+        for c, k in _signed_terms(self.problem):
+            s = np.multiply(fvals, k)
+            top = float(s.max())
+            _guard(top)
+            np.exp(s, out=s)
+            terms.append((np.multiply(c.values, s, out=s), k, top))
+        if self.problem.epsilon != 0:
+            spec = _half_spectrum(self.f, None)
+            self._dirichlet = dirichlet_energy(self.f, spec)
+            self._lap = laplacian(self.f, spec).values
+        self._terms = terms
+
+    def shifted(self, c: float) -> "_Evaluation":
+        """The evaluation at ``f + c``, from this one.
+
+        Each term value scales by ``e^{kc}``, under the same guard on
+        ``max(k f) + k c``; the Laplacian and the Dirichlet energy do not
+        change, so the shift costs no transform. A factor ``e^{kc}`` that
+        would itself overflow or underflow takes a fresh ``exp`` instead.
+        """
+        self._fill()
+        new = _Evaluation(self.problem, self.f + c)
+        new._lap, new._dirichlet, new._terms = self._lap, self._dirichlet, []
+        for (s, k, top), (coeff, _) in zip(self._terms, _signed_terms(self.problem)):
+            _guard(top + k * c)
+            if abs(k * c) <= _EXP_GUARD:
+                s = s * math.exp(k * c)
+            else:
+                s = coeff.values * np.exp(k * new.f.values)
+            new._terms.append((s, k, top + k * c))
+        return new
+
+    def residual(self) -> np.ndarray:
+        """``-epsilon laplacian(f) + sum sign(k) C e^{kf} + w``, a fresh array."""
+        self._fill()
+        if self._lap is None:
+            out = self.problem.w.values.copy()
+        else:
+            out = np.multiply(self._lap, -self.problem.epsilon)
+            out += self.problem.w.values
+        for s, k, _ in self._terms:
+            (np.add if k > 0 else np.subtract)(out, s, out=out)
+        return out
+
+    def energy(self) -> float:
+        """``epsilon/2 D(f) + integral(sum (C/|k|) e^{kf} + w f)``."""
+        self._fill()
+        problem, fvals = self.problem, self.f.values
+        en = np.multiply(problem.w.values, fvals)
+        for s, k, _ in self._terms:
+            en += s if abs(k) == 1 else s / abs(k)
+        bulk = float(np.mean(en)) * problem.geometry.volume
+        if problem.epsilon == 0:
+            return bulk
+        return 0.5 * problem.epsilon * self._dirichlet + bulk
+
+    def potential(self) -> ScalarField:
+        """Potential ``sum |k| C e^{kf}`` of the Newton step, floored at ``_V_FLOOR``."""
+        self._fill()
+        pot = np.zeros(self.f.values.shape)
+        for s, k, _ in self._terms:
+            pot += s if abs(k) == 1 else s * abs(k)
+        return self.f._like(np.maximum(pot, _V_FLOOR, out=pot))
+
+    def pin(self) -> float:
+        """Scalar shift solving the balance equation at ``f + c``.
+
+        For one-sided problems the mean of ``f`` is the stiff direction of
+        the energy; after each Newton step it is re-pinned by solving the
+        strictly convex scalar problem  d/dc E(f + c) = 0  exactly: the
+        pointwise root solver on one sample, with coefficients
+        ``mean(C e^{k f}) vol``. Returns ``c``.
+        """
+        self._fill()
+        vol = self.problem.geometry.volume
+        terms = [(np.array([np.mean(s) * vol]), k) for s, k, _ in self._terms]
+        return float(_scalar_root(np.array([integrate(self.problem.w)]), terms)[0])
 
 
-def kw_residual(problem: KWProblem, f: ScalarField) -> ScalarField:
-    """Pointwise left-hand side of the equation at ``f``."""
+def _evaluation(problem: KWProblem, f: ScalarField, evaluation) -> _Evaluation:
     _check_compatible(f, problem.w)
-    total = np.zeros(f.values.shape)
-    for s, k in _term_values(problem, f.values):
-        total += np.copysign(s, k, out=s)
-    lap = laplacian(f).values if problem.epsilon != 0 else 0.0
-    vals = -problem.epsilon * lap + total + problem.w.values
-    return ScalarField(f.geometry, f.grid, vals)
+    if evaluation is None:
+        return _Evaluation(problem, f)
+    if evaluation.f is not f or evaluation.problem is not problem:
+        raise ValidationError("the evaluation belongs to another field or problem")
+    return evaluation
 
 
-def kw_energy(problem: KWProblem, f: ScalarField) -> float:
-    """Convex energy whose L2 gradient is :func:`kw_residual`."""
-    _check_compatible(f, problem.w)
-    en = np.zeros(f.values.shape)
-    for s, k in _term_values(problem, f.values):
-        en += np.divide(s, abs(k), out=s)
-    vol = problem.geometry.volume
-    bulk = float(np.mean(en + problem.w.values * f.values)) * vol
-    if problem.epsilon == 0:
-        return bulk
-    return 0.5 * problem.epsilon * dirichlet_energy(f) + bulk
+def kw_residual(
+    problem: KWProblem, f: ScalarField, evaluation: _Evaluation | None = None
+) -> ScalarField:
+    """Pointwise left-hand side of the equation at ``f``.
 
-
-def _newton_potential(problem: KWProblem, f: ScalarField) -> ScalarField:
-    """Potential ``sum |k| C e^{kf}`` of the Newton step, floored at ``_V_FLOOR``."""
-    pot = np.zeros(f.values.shape)
-    for s, k in _term_values(problem, f.values):
-        pot += np.multiply(s, abs(k), out=s)
-    return ScalarField(f.geometry, f.grid, np.maximum(pot, _V_FLOOR, out=pot))
-
-
-def _pin_constant_mode(problem: KWProblem, fvals: np.ndarray) -> float:
-    """Scalar shift solving the balance equation at ``f + c``.
-
-    For one-sided problems the mean of ``f`` is the stiff direction of the
-    energy; after each Newton step it is re-pinned by solving the strictly
-    convex scalar problem  d/dc E(f + c) = 0  exactly: the pointwise root
-    solver on one sample, with coefficients ``mean(C e^{k f}) vol``.
-    Returns ``c``.
+    ``evaluation`` is :func:`kw_solve`'s own evaluation of ``f``, which
+    this reads instead of evaluating ``f`` afresh.
     """
-    vol = problem.geometry.volume
-    terms = [
-        (np.array([np.mean(c.values * _exp_or_guard(k * fvals)) * vol]), k)
-        for c, k in _signed_terms(problem)
-    ]
-    return float(_scalar_root(np.array([integrate(problem.w)]), terms)[0])
+    return f._like(_evaluation(problem, f, evaluation).residual())
+
+
+def kw_energy(
+    problem: KWProblem, f: ScalarField, evaluation: _Evaluation | None = None
+) -> float:
+    """Convex energy whose L2 gradient is :func:`kw_residual`.
+
+    ``evaluation`` is as for :func:`kw_residual`.
+    """
+    return _evaluation(problem, f, evaluation).energy()
 
 
 def _forcing(ratio: float) -> float:
@@ -349,6 +418,11 @@ def kw_solve(
     residual at the loop head. The Newton potential is floored at 1e-14
     and, for one-sided problems, the constant mode is re-pinned through
     the balance equation after each accepted step.
+
+    Each iterate is evaluated once (:class:`_Evaluation`): the start, each
+    line-search trial and each pinned iterate, which costs no transform.
+    Its energy, its residual at the loop head and its Newton potential
+    read that evaluation, which is released before CG runs.
     """
     if problem.epsilon <= 0:
         raise ValidationError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
@@ -362,17 +436,19 @@ def kw_solve(
         _check_compatible(init, problem.w)
         f = init
 
+    ev = _Evaluation(problem, f)
     one_sided = cls in (Classification.ONE_SIDED_PLUS, Classification.ONE_SIDED_MINUS)
     if one_sided:
-        f = f + _pin_constant_mode(problem, f.values)
+        ev = ev.shifted(ev.pin())
+        f = ev.f
 
-    energy = kw_energy(problem, f)
+    energy = kw_energy(problem, f, ev)
     trace = NewtonTrace(energy_history=[energy])
     vol = geometry.volume
     prev_l2 = None
 
     for iteration in range(config.max_newton + 1):
-        resid = kw_residual(problem, f)
+        resid = kw_residual(problem, f, ev)
         res_sup = sup_norm(resid)
         trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
@@ -394,62 +470,78 @@ def kw_solve(
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
         trace.cg_tolerances.append(tol)
-        delta = solve_linearized(
-            problem.epsilon, _newton_potential(problem, f), -resid, tol=tol
-        )
+        potential = ev.potential()
+        ev = None  # CG runs with no evaluation alive
+        delta = solve_linearized(problem.epsilon, potential, -resid, tol=tol)
+        del potential
         slope = float(np.mean(resid.values * delta.values)) * vol
         if slope >= 0.0:
             raise MaxIterExceeded(
                 f"Newton direction lost descent (slope {slope:.3g})"
             )
 
-        step = 1.0
-        accepted = False
-        # Near the optimum the energy decrease of a Newton step falls
-        # below float resolution; a step is then certified by residual
-        # decrease instead (the Newton direction descends ||r|| as well),
-        # provided the energy does not rise above rounding noise. The
-        # noise budget keeps the recorded energy sequence monotone up to
-        # 1e-14 relative slack.
-        e_noise = 1e-14 * (1.0 + abs(energy))
-        for _ in range(80):
-            try:
-                trial = f._like(f.values + step * delta.values)
-                e_trial = kw_energy(problem, trial)
-                r_trial = sup_norm(kw_residual(problem, trial))
-            except OverflowGuard:
-                e_trial = math.inf
-                r_trial = math.inf
-            armijo_ok = e_trial <= energy + _ARMIJO_C * step * slope
-            residual_ok = (
-                r_trial <= (1.0 - _ARMIJO_C * step) * res_sup
-                and e_trial <= energy + e_noise
-            )
-            if armijo_ok or residual_ok:
-                f = trial
-                energy = e_trial
-                accepted = True
-                break
-            step *= _ARMIJO_SHRINK
-        if not accepted:
-            raise MaxIterExceeded(
-                f"line search failed at iteration {iteration}, residual {res_sup:.3g}"
-            )
+        ev, energy = _line_search(problem, f, delta, energy, slope, res_sup, iteration)
         if one_sided:
-            shift = _pin_constant_mode(problem, f.values)
-            if shift != 0.0:
-                shifted = f + shift
-                e_shifted = kw_energy(problem, shifted)
-                # The exact scalar balance solve cannot increase the energy.
-                if e_shifted <= energy:
-                    f = shifted
-                    energy = e_shifted
+            ev, energy = _pinned(problem, ev, energy)
+        f = ev.f
         trace.energy_history.append(energy)
 
     raise MaxIterExceeded(
         f"no convergence in {config.max_newton} Newton steps, "
         f"residual {res_sup:.3g} > {config.newton_tol:g}"
     )
+
+
+def _line_search(problem, f, delta, energy, slope, res_sup, iteration):
+    """Armijo backtracking along ``delta``: the accepted trial's evaluation
+    and energy.
+
+    Each trial is evaluated once, and its energy and sup residual read
+    that evaluation. Near the optimum the energy decrease of a Newton step
+    falls below float resolution; a step is then certified by residual
+    decrease instead (the Newton direction descends ||r|| as well),
+    provided the energy does not rise above rounding noise. The noise
+    budget keeps the recorded energy sequence monotone up to 1e-14
+    relative slack.
+    """
+    e_noise = 1e-14 * (1.0 + abs(energy))
+    step = 1.0
+    for _ in range(80):
+        trial = f._like(f.values + step * delta.values)
+        ev = _Evaluation(problem, trial)
+        try:
+            e_trial = kw_energy(problem, trial, ev)
+            r_trial = sup_norm(kw_residual(problem, trial, ev))
+        except OverflowGuard:
+            e_trial = math.inf
+            r_trial = math.inf
+        armijo_ok = e_trial <= energy + _ARMIJO_C * step * slope
+        residual_ok = (
+            r_trial <= (1.0 - _ARMIJO_C * step) * res_sup
+            and e_trial <= energy + e_noise
+        )
+        if armijo_ok or residual_ok:
+            return ev, e_trial
+        step *= _ARMIJO_SHRINK
+    raise MaxIterExceeded(
+        f"line search failed at iteration {iteration}, residual {res_sup:.3g}"
+    )
+
+
+def _pinned(problem: KWProblem, ev: _Evaluation, energy: float):
+    """The evaluation and energy after re-pinning the constant mode.
+
+    The exact scalar balance solve cannot increase the energy; a shift
+    that rounding makes do so is dropped, and a zero shift (``f`` already
+    balanced) costs nothing more.
+    """
+    shift = ev.pin()
+    if shift != 0.0:
+        shifted = ev.shifted(shift)
+        e_shifted = kw_energy(problem, shifted.f, shifted)
+        if e_shifted <= energy:
+            return shifted, e_shifted
+    return ev, energy
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
-from .fields import ScalarField, spectral_tail
+from .fields import ScalarField, _rfft2, spectral_tail
 from .kw import KWSolution, _check_resolved, interior_bounds, kw_solve
 from .vortex import (
     DiagnosticsReport,
@@ -346,7 +346,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 f"residual {solution.residual_sup:.3e}"
             )
             # The grid is fixed: an unresolved solution fails the run.
-            spectrum = np.fft.rfft2(solution.f.values)
+            spectrum = _rfft2(solution.f.values)
             tail = spectral_tail(solution.f, spectrum)
             _check_resolved(solution.f, tail)
             manifest["stages"] = [

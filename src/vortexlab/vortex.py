@@ -68,6 +68,7 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
+    _rfft2,
     bump_cutoff,
     constant_field,
     integrate,
@@ -226,6 +227,17 @@ class _VortexModel:
         this grid, or None (a zero start) when there is none."""
         return None if previous is None else resample(previous.f, self.grid)
 
+    @cached_property
+    def _probe(self):
+        """This spec on the ``_PROBE_GRID`` lattice, where ``sup_deviation``
+        is read. Along a sweep it is the probe that :func:`_copy` handed on
+        (``_probe_base``), copied to this epsilon, so the stages share its
+        densities."""
+        base = vars(self).get("_probe_base")
+        if base is None:
+            return _copy(self, grid=_PROBE_GRID)
+        return _copy(base, epsilon=self.epsilon)
+
     def _core_scale(self) -> float:
         """Length that the first grid of a sweep stage resolves with ``h <=
         scale / 4``. Mixed and generalized cores shrink only like
@@ -240,15 +252,22 @@ def _copy(spec, **changes):
     divisors and degree of ``spec``, whose construction already warned.
 
     A copy that changes nothing but epsilon shares the densities that
-    ``spec`` has built.
+    ``spec`` has built. A copy that changes nothing but epsilon and the
+    grid hands on the probe-lattice copy that ``spec`` has built or was
+    handed, from which its own ``_probe`` is made.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         new = dataclasses.replace(spec, **changes)
-    if "_densities" in vars(spec) and all(
-        getattr(spec, k) == v for k, v in changes.items() if k != "epsilon"
-    ):
+
+    def unchanged(*free):
+        return all(getattr(spec, k) == v for k, v in changes.items() if k not in free)
+
+    if "_densities" in vars(spec) and unchanged("epsilon"):
         vars(new)["_densities"] = spec._densities
+    base = vars(spec).get("_probe", vars(spec).get("_probe_base"))
+    if base is not None and unchanged("epsilon", "grid"):
+        vars(new)["_probe_base"] = base
     return new
 
 
@@ -980,24 +999,28 @@ def _outside_discs(spec, points) -> RegionMask:
     )
 
 
-def diagnostics_report(spec, solution: KWSolution, spectrum=None):
+def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
 
     ``spectrum`` is ``rfft2`` of the solution when the caller has it;
-    otherwise it is taken here, once. The spectral tail, the curvature's
-    Laplacian, the interior gradient and the probe samples of
-    ``sup_deviation`` all read it. Every diagnostic but ``sup_deviation``
-    samples the grid of the solve.
+    otherwise it is taken here, once. The curvature's Laplacian, the
+    interior gradient, the probe samples of ``sup_deviation`` and the
+    spectral tail, unless the caller passes it as ``tail``, all read it.
+    Every diagnostic but ``sup_deviation`` samples the grid of the solve;
+    that one samples the spec's ``_probe`` lattice, whose densities a
+    sweep's stages share.
     """
     f = solution.f
     if spectrum is None:
-        spectrum = np.fft.rfft2(f.values)
+        spectrum = _rfft2(f.values)
+    if tail is None:
+        tail = spectral_tail(f, spectrum)
     points = _spec_points(spec)
     mask = _outside_discs(spec, points)
     phi_sq = _phi_sq(spec, f)
     # A sup over samples moves with the grid, so the deviation is read on
     # the fixed probe lattice: a function of the solution alone.
-    probe, on_probe = _copy(spec, grid=_PROBE_GRID), _on_lattice(f, _PROBE_GRID, spectrum)
+    probe, on_probe = spec._probe, _on_lattice(f, _PROBE_GRID, spectrum)
     deviation = probe._deviation(on_probe, _phi_sq(probe, on_probe))
     sup_dev = sup_norm(deviation, _outside_discs(probe, points))
     recon = _reconstruction(spec, f, phi_sq, spectrum)
@@ -1010,7 +1033,7 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None):
         identity_residuals=_identities_of(spec, recon),
         crosscheck_gap=_crosscheck_gap(recon),
         order_fits=[None] * len(points),
-        spectral_tail=spectral_tail(f, spectrum),
+        spectral_tail=tail,
         newton=solution.newton,
         **bounds,
     )
@@ -1031,7 +1054,7 @@ def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsRepo
     while True:
         _mass_windows(spec, _spec_points(spec))
         solution = kw_solve(reduce_any(spec), config, init=init)
-        spectrum = np.fft.rfft2(solution.f.values)
+        spectrum = _rfft2(solution.f.values)
         tail = spectral_tail(solution.f, spectrum)
         finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
         if finer is None:
@@ -1042,7 +1065,7 @@ def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsRepo
         )
         spec = _copy(spec, grid=finer)
         init = spec._initial_guess(solution)
-    stage, points, recon = diagnostics_report(spec, solution, spectrum)
+    stage, points, recon = diagnostics_report(spec, solution, spectrum, tail)
     stage.rejected = rejected
     stage.seconds = time.perf_counter() - t0
     report.points = points

@@ -4,6 +4,7 @@
 closed form, so the same continuum function can be sampled on several
 grids, differentiated analytically, and evaluated at arbitrary points —
 the independent reference for spectral calculus and interpolation tests.
+``record_transforms`` counts the ``np.fft`` calls of a test.
 """
 
 from __future__ import annotations
@@ -79,3 +80,23 @@ def fd_laplacian(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     d2x = (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) / hx**2
     d2y = (np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)) / hy**2
     return d2x + d2y
+
+
+FFT_ROUTINES = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+def record_transforms(monkeypatch) -> list:
+    """Wrap every ``np.fft`` routine; each call appends (name, wrote into out)."""
+    calls = []
+    for name in FFT_ROUTINES:
+        def counted(*args, _name=name, _orig=getattr(np.fft, name), **kwargs):
+            result = _orig(*args, **kwargs)
+            out = kwargs.get("out")
+            calls.append((_name, out is not None and result is out))
+            return result
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_laplacian, random_trig
+from helpers import fd_laplacian, random_trig, record_transforms
 from vortexlab import (
     ClassicalVortexSpec,
     Divisor,
@@ -93,6 +93,23 @@ def test_field_values_frozen():
     f = constant_field(UNIT, GridSpec(8, 8), 1.0)
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+
+
+def test_operations_adopt_their_fresh_arrays():
+    # The constructor copies the caller's array; an operation's result
+    # adopts the array it has just built, frozen in place, and is checked
+    # like a constructor argument.
+    grid = GridSpec(8, 8)
+    given = np.ones((8, 8))
+    f = ScalarField(UNIT, grid, given)
+    assert f.values is not given and given.flags.writeable
+    built = np.full((8, 8), 2.0)
+    g = f._like(built)
+    assert g.values is built and not built.flags.writeable
+    assert (g.geometry, g.grid) == (f.geometry, f.grid)
+    for bad in (np.zeros((8, 9)), np.full((8, 8), np.nan)):
+        with pytest.raises(ValueError):
+            f._like(bad)
 
 
 def test_field_arithmetic_and_strict_compatibility():
@@ -480,26 +497,6 @@ def test_solve_linearized_errors():
         solve_linearized(1.0, pot, rhs, tol=1e-15, max_iter=1)
 
 
-FFT_ROUTINES = (
-    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
-)
-
-
-def record_transforms(monkeypatch) -> list:
-    """Wrap every ``np.fft`` routine; each call appends (name, wrote into out)."""
-    calls = []
-    for name in FFT_ROUTINES:
-        def counted(*args, _name=name, _orig=getattr(np.fft, name), **kwargs):
-            result = _orig(*args, **kwargs)
-            out = kwargs.get("out")
-            calls.append((_name, out is not None and result is out))
-            return result
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def random_spd_problem(n, seed):
     grid = GridSpec(n, n)
     rng = np.random.default_rng(seed)
@@ -528,6 +525,21 @@ def test_cg_transforms_write_into_their_buffers(monkeypatch):
     calls = record_transforms(monkeypatch)
     solve_linearized(0.3, pot, rhs, tol=1e-10)
     assert any(name.startswith("i") for name, _ in calls)
+    assert all(wrote for _, wrote in calls), calls
+
+
+def test_operators_write_every_transform_into_its_buffer(monkeypatch):
+    # Outside CG as inside it, every transform fills an array through
+    # ``out``, and only real-to-complex transforms run.
+    f = random_field(UNIT, GridSpec(16, 24), seed=12)
+    calls = record_transforms(monkeypatch)
+    laplacian(f)
+    gradient_magnitude(f)
+    dirichlet_energy(f)
+    spectral_tail(f)
+    sample_at(f, (0.3, 0.6))
+    resample(f, GridSpec(24, 16))
+    assert {name for name, _ in calls} == {"rfft2", "irfftn"}
     assert all(wrote for _, wrote in calls), calls
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexlab.kw as kw_module
-from helpers import random_trig
+from helpers import random_trig, record_transforms
 from vortexlab import (
     ClassicalVortexSpec,
     ContinuationSchedule,
@@ -213,6 +213,16 @@ def test_residual_overflow_guard():
         kw_residual(p, const(grid, -800.0))
 
 
+def test_residual_and_energy_read_only_their_own_evaluation():
+    grid = GridSpec(8, 8)
+    p, f = symmetric_problem(grid), const(grid, 0.0)
+    ev = kw_module._Evaluation(p, f)
+    assert kw_energy(p, f, ev) == kw_energy(p, f)
+    for read in (kw_residual, kw_energy):
+        with pytest.raises(ValueError):
+            read(p, const(grid, 0.0), ev)
+
+
 def test_energy_trivial_value():
     grid = GridSpec(16, 16)
     p = symmetric_problem(grid)
@@ -340,6 +350,104 @@ def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
     for sol in (inexact, exact):
         _check_newton_trace(sol, config)
     assert sup_norm(inexact.f - exact.f) <= config.newton_tol
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: bumpy_two_sided(GridSpec(32, 32), w=0.4),
+        lambda: one_sided_plus(GridSpec(32, 32)),
+    ],
+    ids=["two_sided", "one_sided"],
+)
+def test_solve_transforms_each_iterate_once(monkeypatch, problem):
+    # Outside CG a solve transforms its start once and each line-search
+    # trial once, a forward and an inverse transform each; the loop head
+    # and the pin shift read the evaluation they already have. Every
+    # transform writes into its ``out``.
+    problem = problem()
+    calls = record_transforms(monkeypatch)
+    in_cg, residuals, shifts = [], [], []
+    cg, residual, shifted = (
+        kw_module.solve_linearized, kw_module.kw_residual, kw_module._Evaluation.shifted
+    )
+
+    def counted_cg(*args, **kwargs):
+        before = len(calls)
+        delta = cg(*args, **kwargs)
+        in_cg.append(len(calls) - before)
+        return delta
+
+    monkeypatch.setattr(kw_module, "solve_linearized", counted_cg)
+    monkeypatch.setattr(
+        kw_module, "kw_residual", lambda *a, **k: residuals.append(1) or residual(*a, **k)
+    )
+    monkeypatch.setattr(
+        kw_module._Evaluation, "shifted", lambda ev, c: shifts.append(c) or shifted(ev, c)
+    )
+    sol = kw_solve(problem)
+    trials = len(residuals) - (sol.iterations + 1)
+    assert sol.iterations >= 2 and trials >= sol.iterations
+    assert len(calls) - sum(in_cg) == 2 + 2 * trials
+    assert all(wrote for _, wrote in calls), calls
+    one_sided = problem.classification() is Classification.ONE_SIDED_PLUS
+    # The start is always pinned; the steps' pins shift by nonzero amounts.
+    assert len(shifts) == (1 + sol.iterations if one_sided else 0)
+    assert all(c != 0.0 for c in shifts[1:])
+
+
+@pytest.mark.parametrize("c", [-650.5, -360.0, -3.7, 0.0, 0.4, 249.9, 250.1, 400.0])
+def test_shifted_evaluation_matches_a_fresh_one(c):
+    # Terms e^{2f} and e^{-f}: max(2 f) = 200 and max(-f) = 50, so the
+    # guard trips exactly above c = 250 and below c = -650. At c = -360
+    # the factor e^{2c} alone would underflow, so that term is evaluated
+    # afresh.
+    grid = GridSpec(32, 32)
+    f = field_from_function(
+        UNIT, grid, lambda X, Y: 25.0 + 75.0 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
+    )
+    a = field_from_function(UNIT, grid, lambda X, Y: 1.0 + 0.5 * np.cos(2 * np.pi * Y))
+    p = KWProblem(0.3, ((a, 2.0),), ((const(grid, 0.7), 1.0),), const(grid, 0.1))
+    assert (2.0 * f.values).max() == 200.0 and (-f.values).max() == 50.0
+
+    def evaluated(make):
+        try:
+            ev = make()
+            ev.energy()
+            return ev
+        except OverflowGuard:
+            return None
+
+    fresh = evaluated(lambda: kw_module._Evaluation(p, f + c))
+    shifted_ev = evaluated(lambda: kw_module._Evaluation(p, f).shifted(c))
+    assert (fresh is None) == (shifted_ev is None) == (c in (-650.5, 250.1, 400.0))
+    if fresh is None:
+        return
+    assert np.array_equal(shifted_ev.f.values, fresh.f.values)
+    e_shifted, e_fresh = shifted_ev.energy(), fresh.energy()
+    assert abs(e_shifted - e_fresh) <= 1e-12 * abs(e_fresh)
+    r_shifted, r_fresh = shifted_ev.residual(), fresh.residual()
+    assert np.abs(r_shifted - r_fresh).max() <= 1e-12 * np.abs(r_fresh).max()
+
+
+def test_solve_memory():
+    # One 512^2 classical stage from its glued cores (a grid is 2 MiB).
+    # Outside CG's own arrays (17.0 MiB, test_cg_memory) only the iterate,
+    # its residual, the right-hand side and the Newton potential are alive
+    # while CG runs; each iterate's evaluation is released before it
+    # starts. The same solve read 30.2 MiB with an evaluation per reader
+    # and a copy per field operation, and 28.2 MiB without.
+    divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
+    spec = ClassicalVortexSpec(UNIT, GridSpec(512, 512), divisor, 0.05)
+    problem, init = reduce_any(spec), spec._initial_guess(None)
+    tracemalloc.start()
+    try:
+        sol = kw_solve(problem, init=init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations >= 1
+    assert peak <= 30.2 * 2**20
 
 
 def test_solve_constant_mode_balance_at_solution():
@@ -538,7 +646,7 @@ def test_pin_keeps_a_balanced_field_exactly():
     # f = 0 balances 1 * e^f - 1: the pin returns exactly 0, not a roundoff shift.
     grid = GridSpec(16, 16)
     p = KWProblem(0.1, ((const(grid, 1.0), 1.0),), (), const(grid, -1.0))
-    assert kw_module._pin_constant_mode(p, np.zeros((16, 16))) == 0.0
+    assert kw_module._Evaluation(p, const(grid, 0.0)).pin() == 0.0
 
 
 def test_solve_one_sided_far_balance_shift():

@@ -479,6 +479,20 @@ def _far_mixed_pair(eps):
     return MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus, epsilon=eps)
 
 
+def test_sweep_stage_takes_one_spectral_tail_per_solve(monkeypatch):
+    # The tail that certifies a solve is the one its stage records; the
+    # diagnostics do not take it again.
+    tails = []
+    monkeypatch.setattr(
+        vortex_module,
+        "spectral_tail",
+        lambda *a, **k: tails.append(spectral_tail(*a, **k)) or tails[-1],
+    )
+    report = adiabatic_sweep(_far_mixed_pair(0.2), ContinuationSchedule((0.2,), max_grid=32))
+    (stage,) = report.stages
+    assert tails == [stage.rejected[0]["spectral_tail"], stage.spectral_tail]
+
+
 def test_sweep_stage_doubles_an_under_resolved_grid(solved_grids):
     # eps = 0.2 starts on 16^2 (tail 1.5e-6) and is solved again on 32^2.
     report = adiabatic_sweep(_far_mixed_pair(0.2), ContinuationSchedule((0.2,), max_grid=32))
@@ -1019,12 +1033,12 @@ def test_mixed_sweep_builds_each_density_once_per_grid(potential_calls):
     report.raise_if_failed()
     # eps = 0.2 is rejected on 16^2 and solved on 32^2, which eps = 0.1
     # keeps; eps = 0.05 is rejected on 32^2 and solved on 64^2. Each solve
-    # grid is built once; the 64^2 probe of the deviation is built again
-    # for each of the two stages solved on 32^2.
+    # grid is built once, and so is the 64^2 probe of the deviation, which
+    # every stage shares.
     assert [s.grid for s in report.stages] == [GridSpec(n, n) for n in (32, 32, 64)]
     rejected = [[r["grid"] for r in s.rejected] for s in report.stages]
     assert rejected == [[GridSpec(16, 16)], [], [GridSpec(32, 32)]]
-    counts = {GridSpec(16, 16): 1, GridSpec(32, 32): 1, GridSpec(64, 64): 3}
+    counts = {GridSpec(16, 16): 1, GridSpec(32, 32): 1, GridSpec(64, 64): 2}
     divisors = (spec.divisor_plus, spec.divisor_minus)
     assert Counter(potential_calls) == {(d, g): k for d in divisors for g, k in counts.items()}
 
