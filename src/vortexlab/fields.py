@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -99,6 +99,20 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adopted(cls, geometry: TorusGeometry, grid: GridSpec, samples: np.ndarray):
+    """A ``cls`` (ScalarField or RegionMask) that adopts ``samples``.
+
+    The array is frozen in place, not copied, and not checked: only for an
+    array that the caller has just built, checked or valid by
+    construction, and keeps no other reference to.
+    """
+    samples.flags.writeable = False
+    new = object.__new__(cls)
+    for name, value in zip((f.name for f in fields(cls)), (geometry, grid, samples)):
+        object.__setattr__(new, name, value)
+    return new
+
+
 def _checked_samples(values, grid: GridSpec) -> np.ndarray:
     """``values`` as float64, checked to be finite and shaped like ``grid``."""
     vals = np.asarray(values, dtype=np.float64)
@@ -133,12 +147,7 @@ class ScalarField:
         other reference to: it is checked like a constructor argument and
         frozen in place.
         """
-        vals = _checked_samples(values, self.grid)
-        vals.flags.writeable = False
-        new = object.__new__(ScalarField)
-        for name, value in (("geometry", self.geometry), ("grid", self.grid), ("values", vals)):
-            object.__setattr__(new, name, value)
-        return new
+        return _adopted(ScalarField, self.geometry, self.grid, _checked_samples(values, self.grid))
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -203,11 +212,16 @@ class RegionMask:
         centers: Iterable[tuple[float, float]],
         radius: float,
     ) -> "RegionMask":
-        """Indicator of the complement of closed discs around ``centers``."""
+        """Indicator of the complement of closed discs around ``centers``.
+
+        Each disc is cleared inside the index box that holds it, so the
+        only full grid built is the mask itself.
+        """
         w = np.ones((grid.nx, grid.ny))
         for c in centers:
-            w[torus_distance(geometry, grid, c) <= radius] = 0.0
-        return cls(geometry, grid, w)
+            box, dist = _disc_box(geometry, grid, c, radius)
+            w[box] *= dist > radius
+        return _adopted(cls, geometry, grid, w)
 
     def area(self) -> float:
         return float(self.weights.mean()) * self.geometry.volume
@@ -257,6 +271,37 @@ def torus_displacement(geometry: TorusGeometry, grid: GridSpec, center):
 def torus_distance(geometry: TorusGeometry, grid: GridSpec, center):
     dx, dy = torus_displacement(geometry, grid, center)
     return np.hypot(dx, dy)
+
+
+def _box_axis(offsets: np.ndarray, radius: float):
+    """Indices along one axis whose offset is at most ``radius``: a slice
+    when they are contiguous, else an index array (a disc across the seam)."""
+    idx = np.flatnonzero(np.abs(offsets) <= radius)
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _disc_box(
+    geometry: TorusGeometry, grid: GridSpec, center, radius: float, unit: float = 1.0
+):
+    """The index box that holds the closed disc of ``radius`` about ``center``,
+    and the distances on it.
+
+    The box is the rows and columns whose minimal-image offset is at most
+    ``radius``; every sample of the disc lies in it, since a distance is at
+    least each of its offsets. It is a pair of slices (a view) unless the
+    disc crosses the seam, and an ``np.ix_`` pair then. The distances are
+    ``hypot(dx / unit, dy / unit)`` from the 1-D offsets of
+    :func:`torus_displacement`, so with ``unit = 1`` they are bit-identical
+    to :func:`torus_distance` on the box.
+    """
+    dx, dy = torus_displacement(geometry, grid, center)
+    rows, cols = _box_axis(dx[:, 0], radius), _box_axis(dy[0], radius)
+    dist = np.hypot(dx[rows] / unit, dy[:, cols] / unit)
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        return (rows, cols), dist
+    return np.ix_(np.arange(grid.nx)[rows], np.arange(grid.ny)[cols]), dist
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
@@ -582,15 +627,30 @@ def _bump_profile(dist: np.ndarray, r_inner: float, r_outer: float) -> np.ndarra
     the profile is ``sigma(t) = e^{-1/t} / (e^{-1/t} + e^{-1/(1-t)})``, which
     vanishes to infinite order at the outer edge, equals 1 inside, and is
     asymptotically proportional to ``e^{-1/t}`` near the vanishing edge.
+    With ``t`` clipped to ``[0, 1]`` the same expression gives exactly 0 at
+    ``t = 0`` (``e^{+inf}``) and exactly 1 at ``t = 1`` (``e^{-inf}``).
     """
-    t = (r_outer - dist) / (r_outer - r_inner)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    with np.errstate(over="ignore"):
-        out[mid] = 1.0 / (1.0 + np.exp(1.0 / tm - 1.0 / (1.0 - tm)))
-    return out
+    t = np.clip((r_outer - dist) / (r_outer - r_inner), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
+
+
+def _bump_window(
+    geometry: TorusGeometry,
+    grid: GridSpec,
+    center: tuple[float, float],
+    r_inner: float,
+    r_outer: float,
+):
+    """The :func:`bump_cutoff` profile on the box of its ``r_outer`` disc:
+    ``(box, values)``; the bump is exactly 0 outside the box."""
+    if not (0.0 < r_inner < r_outer < geometry.injectivity_radius):
+        raise BadRadii(
+            f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
+            f"got ({r_inner}, {r_outer})"
+        )
+    box, dist = _disc_box(geometry, grid, center, r_outer)
+    return box, _bump_profile(dist, r_inner, r_outer)
 
 
 def bump_cutoff(
@@ -605,13 +665,10 @@ def bump_cutoff(
     Radii must satisfy ``0 < r_inner < r_outer < injectivity radius`` so
     the annulus embeds in the torus.
     """
-    if not (0.0 < r_inner < r_outer < geometry.injectivity_radius):
-        raise BadRadii(
-            f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
-            f"got ({r_inner}, {r_outer})"
-        )
-    dist = torus_distance(geometry, grid, center)
-    return ScalarField(geometry, grid, _bump_profile(dist, r_inner, r_outer))
+    box, window = _bump_window(geometry, grid, center, r_inner, r_outer)
+    values = np.zeros((grid.nx, grid.ny))
+    values[box] = window
+    return _adopted(ScalarField, geometry, grid, values)
 
 
 def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> float:

@@ -718,8 +718,8 @@ def interior_bounds(
     return {
         "sup_f": sup_norm(f, mask),
         "sup_grad_f": sup_norm(gradient_magnitude(f, spectrum), mask),
-        "l2_exp_plus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(f.values)), 2, mask),
-        "l2_exp_minus": lp_norm(ScalarField(f.geometry, f.grid, np.exp(-f.values)), 2, mask),
+        "l2_exp_plus": lp_norm(f._like(np.exp(f.values)), 2, mask),
+        "l2_exp_minus": lp_norm(f._like(np.exp(-f.values)), 2, mask),
     }
 
 

@@ -68,8 +68,9 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
+    _bump_window,
+    _disc_box,
     _rfft2,
-    bump_cutoff,
     constant_field,
     integrate,
     laplacian,
@@ -448,22 +449,18 @@ class ClassicalVortexSpec(_VortexModel):
         """
         eps, geometry = self.epsilon, self.geometry
         f0 = np.negative(self._densities[0][0].values)
-        log_rho = np.empty_like(f0)
         points = list(self.divisor)
         on_points = []
         for p, m in points:
             s, h, a = _planar_profile(m)
+            # Past eps e^{s[-1]} the table adds exactly 0 (it ends in exact
+            # zeros, and right=0.0); below eps e^{s[0]} it continues as
+            # h = 2m s + a_m. Each part is evaluated on the box of its disc.
+            box, log_rho = self._log_rho(p, eps * math.exp(s[-1]))
+            f0[box] += np.interp(log_rho, s, h, right=0.0)
+            box, log_rho = self._log_rho(p, eps * math.exp(s[0]))
+            f0[box] += 2.0 * m * np.minimum(log_rho - s[0], 0.0)
             dx, dy = torus_displacement(geometry, self.grid, p)
-            np.hypot(dx / eps, dy / eps, out=log_rho)
-            with np.errstate(divide="ignore"):
-                np.log(log_rho, out=log_rho)
-            f0 += np.interp(log_rho, s, h, right=0.0)
-            # Below the table h = 2m s + a_m; only samples within
-            # eps e^{s_0} of p, found from the 1-D offsets, lie there.
-            reach = eps * math.exp(s[0])
-            near = np.ix_(np.flatnonzero(np.abs(dx[:, 0]) < reach),
-                          np.flatnonzero(np.abs(dy[0]) < reach))
-            f0[near] += 2.0 * m * np.minimum(log_rho[near] - s[0], 0.0)
             row, col = np.flatnonzero(dx[:, 0] == 0.0), np.flatnonzero(dy[0] == 0.0)
             if row.size and col.size:
                 on_points.append(((row[0], col[0]), p, m, a))
@@ -476,6 +473,13 @@ class ClassicalVortexSpec(_VortexModel):
                     value += _planar_core(k, _point_distance(geometry, p, q) / eps)
             f0[sample] = value
         return ScalarField(geometry, self.grid, f0)
+
+    def _log_rho(self, p, reach: float):
+        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach``
+        about ``p``."""
+        box, rho = _disc_box(self.geometry, self.grid, p, reach, unit=self.epsilon)
+        with np.errstate(divide="ignore"):
+            return box, np.log(rho, out=rho)
 
 
 @dataclass(frozen=True)
@@ -690,8 +694,12 @@ def curvature_mass(
             raise OverlappingBump(
                 f"point {q} lies within r_outer={r_outer:.4g} of {center}"
             )
-    bump = bump_cutoff(curvature.geometry, curvature.grid, center, r_inner, r_outer)
-    return integrate(bump * curvature) / (2.0 * math.pi)
+    # The bump vanishes outside the box of its r_outer disc, so the
+    # trapezoid sum runs over that box alone.
+    box, window = _bump_window(curvature.geometry, curvature.grid, center, r_inner, r_outer)
+    window *= curvature.values[box]
+    mean = float(window.sum()) / curvature.values.size
+    return mean * curvature.geometry.volume / (2.0 * math.pi)
 
 
 def vanishing_order_fit(
@@ -1016,7 +1024,6 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     if tail is None:
         tail = spectral_tail(f, spectrum)
     points = _spec_points(spec)
-    mask = _outside_discs(spec, points)
     phi_sq = _phi_sq(spec, f)
     # A sup over samples moves with the grid, so the deviation is read on
     # the fixed probe lattice: a function of the solution alone.
@@ -1024,7 +1031,7 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     deviation = probe._deviation(on_probe, _phi_sq(probe, on_probe))
     sup_dev = sup_norm(deviation, _outside_discs(probe, points))
     recon = _reconstruction(spec, f, phi_sq, spectrum)
-    bounds = interior_bounds(f, mask, spectrum)
+    bounds = interior_bounds(f, _outside_discs(spec, points), spectrum)
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -19,6 +20,7 @@ from vortexlab import (
     GeneralizedTerm,
     GridSpec,
     MixedVortexSpec,
+    RegionMask,
     ScalarField,
     TorusGeometry,
     adiabatic_sweep,
@@ -45,10 +47,11 @@ from vortexlab.errors import (
     ValidationError,
     VortexLabError,
 )
-from vortexlab.fields import spectral_tail
+from vortexlab.fields import spectral_tail, torus_distance
 from vortexlab.kw import TAIL_TOL, kw_limit, kw_solve
 from vortexlab.greens import divisor_potential
 from vortexlab.vortex import (
+    MASK_RADIUS,
     ContinuationSchedule,
     _copy,
     _on_lattice,
@@ -397,6 +400,60 @@ def test_curvature_mass_rejects_overlapping_windows():
     curv = constant_field(UNIT, grid, 1.0)
     with pytest.raises(OverlappingBump):
         curvature_mass(curv, (0.5, 0.5), 0.2, 0.35, [(0.7, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "geometry,grid,center,r_inner,r_outer",
+    [
+        # Lattice-aligned centers on the seam, r_outer a multiple of h:
+        # samples lie exactly at distance r_outer, on both sides of the seam.
+        (UNIT, GridSpec(64, 64), (0.0, 0.0), 0.125, 0.25),
+        (TorusGeometry(2.0, 0.5), GridSpec(64, 32), (0.0, 0.484375), 0.0625, 0.125),
+        # Windows across the seam of a non-square torus and grid.
+        (UNIT, GridSpec(48, 80), (0.99, 0.013), 0.1, 0.3),
+        (TorusGeometry(2.0, 0.7), GridSpec(96, 40), (1.97, 0.02), 0.1, 0.3),
+        # r_outer just inside the injectivity radius (0.35 and 0.5).
+        (TorusGeometry(2.0, 0.7), GridSpec(96, 40), (0.8, 0.35), 0.17, 0.3499),
+        (UNIT, GridSpec(48, 80), (0.4, 0.6), 0.2, 0.4999),
+    ],
+)
+def test_box_windows_match_full_grid(geometry, grid, center, r_inner, r_outer):
+    # The mass integrates over the box of the r_outer disc only; it agrees
+    # with the full-grid integral. The disc mask is the distance rule bit
+    # for bit, including samples at distance exactly r_outer.
+    rng = np.random.default_rng(11)
+    curvature = ScalarField(geometry, grid, rng.uniform(0.5, 2.0, (grid.nx, grid.ny)))
+    bump = bump_cutoff(geometry, grid, center, r_inner, r_outer)
+    full = integrate(bump * curvature) / (2.0 * math.pi)
+    mass = curvature_mass(curvature, center, r_inner, r_outer)
+    assert mass == pytest.approx(full, rel=1e-13, abs=0.0)
+    other = (0.5 * geometry.length_x, 0.5 * geometry.length_y)
+    mask = RegionMask.excluding_discs(geometry, grid, [center, other], r_outer)
+    expected = np.ones((grid.nx, grid.ny))
+    for c in (center, other):
+        expected[torus_distance(geometry, grid, c) <= r_outer] = 0.0
+    assert np.array_equal(mask.weights, expected)
+    if r_outer in (0.25, 0.125):
+        assert (torus_distance(geometry, grid, center) == r_outer).any()
+
+
+def test_box_windows_memory():
+    # At 1024^2 one grid is 8 MiB. A mass window touches only the box of
+    # its disc; a disc mask builds one grid, the mask it adopts.
+    grid = GridSpec(1024, 1024)
+    curvature = constant_field(UNIT, grid, 1.0)
+    centers = [((i + 0.5) / 4, (j + 0.5) / 4) for i in range(4) for j in range(4)]
+    tracemalloc.start()
+    try:
+        curvature_mass(curvature, (0.3, 0.4), 0.025, 0.05)
+        mass_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        RegionMask.excluding_discs(UNIT, grid, centers, MASK_RADIUS)
+        mask_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mass_peak < 2**20
+    assert mask_peak <= 2 * 8 * 2**20
 
 
 def test_mass_window_below_two_grid_cells_fails_the_stage():
