@@ -140,7 +140,7 @@ class RunConfig:
 
         def coeff(term: KWTermSection):
             if term.divisor:
-                return _density_data(geometry, g, term.divisor, term.amplitude, False)[1]
+                return _density_data(geometry, g, term.divisor, term.amplitude, False)[0]
             return constant_field(geometry, g, term.amplitude)
 
         plus = tuple((coeff(t), t.exponent) for t in self.model.plus)

@@ -34,12 +34,13 @@ with ``P_j = c_j e^{u_j}``. The presets:
 Integrating each curvature equation over the torus gives the identities
 checked by :func:`integral_identities`; as epsilon decreases the curvature
 concentrates near the divisor points with calculable masses, measured by
-:func:`curvature_mass` through smooth bump windows. A spec computes its
-term densities ``P_j`` once and shares them with its copies at other
-epsilons on the same grid. Two process-wide caches outlive a spec: the
-1-D planar vortex profiles that start a classical solve
-(:func:`_planar_profile`) and the half-spectrum symbols of the last four
-grids (``fields._wavenumbers``).
+:func:`curvature_mass` through smooth bump windows. A spec holds one grid
+per term, its reduced coefficient ``|k_j| P_j`` (times the equation
+scale), from which ``|phi^j|^2`` and ``u_j`` are recovered, and shares it
+with its copies at other epsilons on the same grid. Two process-wide
+caches outlive a spec: the 1-D planar vortex profiles that start a
+classical solve (:func:`_planar_profile`) and the half-spectrum symbols
+of the last four grids (``fields._wavenumbers``).
 """
 
 from __future__ import annotations
@@ -140,15 +141,15 @@ class _Term(NamedTuple):
 
 
 def _density_data(geometry, grid, divisor, scale, normalized):
-    """Potential u_D, density rho = c * exp(u_D), and log c.
+    """Density ``c e^{u_D}``, 0 on divisor-point samples, and ``log c``.
 
     With ``normalized`` the density has mean ``scale``; otherwise the raw
-    multiple ``scale * exp(u_D)`` is used.
+    multiple ``scale * exp(u_D)`` is used. ``e^{u_D}`` is scaled in place.
     """
     u = divisor_potential(divisor, geometry, grid)
     e = np.exp(u.values)
     c = scale / float(e.mean()) if normalized else scale
-    return u, ScalarField(geometry, grid, c * e), math.log(c)
+    return u._like(np.multiply(e, c, out=e)), math.log(c)
 
 
 class _VortexModel:
@@ -160,7 +161,7 @@ class _VortexModel:
     ``_identities``, ``_expected``, ``_deviation``, ``_order_fits``,
     ``_initial_guess`` and ``_core_scale``) hold the mixed/generalized
     behaviour; a preset overrides the ones where its model differs. A spec builds its term
-    densities once, in :attr:`_densities`; they live and die with it.
+    coefficients once, in :attr:`_coefficients`; they live and die with it.
     """
 
     kind: ClassVar[str]
@@ -188,14 +189,11 @@ class _VortexModel:
             ) from None
 
     @cached_property
-    def _densities(self) -> tuple:
-        """Per term ``(u_D, S c e^{u_D}, log(S c))``, ``S`` the equation scale.
-
-        Folding S into the density lets the reduction use it as the
-        coefficient of every weight +-1 term without a copy.
-        """
+    def _coefficients(self) -> tuple:
+        """Per term, the one grid it holds, ``C = |k| S c e^{u_D}`` (the reduced
+        coefficient, ``S`` the equation scale), and its log scale ``log(|k| S c)``."""
         g, n, S = self.geometry, self.grid, self.equation_scale
-        return tuple(_density_data(g, n, d, S * s, norm) for d, _, s, norm in self._terms)
+        return tuple(_density_data(g, n, d, abs(k) * S * s, norm) for d, k, s, norm in self._terms)
 
     def _curvature(self, phi_sq, geometric):
         """(curvature, cross-check) given the geometric curvature."""
@@ -233,7 +231,7 @@ class _VortexModel:
         """This spec on the ``_PROBE_GRID`` lattice, where ``sup_deviation``
         is read. Along a sweep it is the probe that :func:`_copy` handed on
         (``_probe_base``), copied to this epsilon, so the stages share its
-        densities."""
+        coefficients."""
         base = vars(self).get("_probe_base")
         if base is None:
             return _copy(self, grid=_PROBE_GRID)
@@ -252,7 +250,7 @@ def _copy(spec, **changes):
     """``dataclasses.replace`` without the degree warning: a copy keeps the
     divisors and degree of ``spec``, whose construction already warned.
 
-    A copy that changes nothing but epsilon shares the densities that
+    A copy that changes nothing but epsilon shares the coefficients that
     ``spec`` has built. A copy that changes nothing but epsilon and the
     grid hands on the probe-lattice copy that ``spec`` has built or was
     handed, from which its own ``_probe`` is made.
@@ -264,8 +262,8 @@ def _copy(spec, **changes):
     def unchanged(*free):
         return all(getattr(spec, k) == v for k, v in changes.items() if k not in free)
 
-    if "_densities" in vars(spec) and unchanged("epsilon"):
-        vars(new)["_densities"] = spec._densities
+    if "_coefficients" in vars(spec) and unchanged("epsilon"):
+        vars(new)["_coefficients"] = spec._coefficients
     base = vars(spec).get("_probe", vars(spec).get("_probe_base"))
     if base is not None and unchanged("epsilon", "grid"):
         vars(new)["_probe_base"] = base
@@ -277,22 +275,19 @@ def reduce_any(spec) -> KWProblem:
 
     Weight ``k_j`` appears in both the coefficient (``|k_j| P_j``) and the
     exponent, so integrating the equation reproduces the weighted-mass
-    identity exactly. Raises :class:`TypeError` for anything but a spec.
+    identity exactly. Each coefficient is the spec's own array. Raises
+    :class:`TypeError` for anything but a spec.
     """
     if not isinstance(spec, _VortexModel):
         raise TypeError(f"not a vortex spec: {type(spec)!r}")
     scale = spec.equation_scale
-    plus, minus = [], []
-    for t, (_, density, _) in zip(spec._terms, spec._densities):
-        k = abs(t.weight)
-        coeff = density if k == 1 else density * float(k)
-        (plus if t.weight > 0 else minus).append((coeff, float(k)))
-    w = constant_field(spec.geometry, spec.grid, scale * spec._forcing)
+    pairs = zip(spec._terms, spec._coefficients)
+    terms = [(t.weight, (c, float(abs(t.weight)))) for t, (c, _) in pairs]
     return KWProblem(
         epsilon=0.5 * scale * spec.epsilon**2,
-        plus_terms=tuple(plus),
-        minus_terms=tuple(minus),
-        w=w,
+        plus_terms=tuple(term for k, term in terms if k > 0),
+        minus_terms=tuple(term for k, term in terms if k < 0),
+        w=constant_field(spec.geometry, spec.grid, scale * spec._forcing),
     )
 
 
@@ -439,6 +434,7 @@ class ClassicalVortexSpec(_VortexModel):
         """Classical cores have radius of order eps (derivations §4)."""
         return self.epsilon
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def _initial_guess(self, previous: KWSolution | None) -> ScalarField:
         """Glued planar cores, ``f0 = sum_i h_{m_i}(|x - p_i| / eps) - u_D``.
 
@@ -446,9 +442,15 @@ class ClassicalVortexSpec(_VortexModel):
         the stages of a sweep are independent. A sample on a divisor point
         ``p`` takes the limit ``a_m - 2m log eps - R_p + sum_{q != p}
         h_{m_q}(|p - q| / eps)``, where ``R_p = lim (u_D - 2m log|x - p|)``.
+
+        ``-u_D = log(S c) - log C``: on a divisor-point sample ``C`` is 0 and
+        the sum not finite until overwritten; any other such sample fails
+        the field check.
         """
         eps, geometry = self.epsilon, self.geometry
-        f0 = np.negative(self._densities[0][0].values)
+        ((coeff, log_scale),) = self._coefficients
+        f0 = np.log(coeff.values)
+        np.subtract(log_scale, f0, out=f0)
         points = list(self.divisor)
         on_points = []
         for p, m in points:
@@ -475,11 +477,9 @@ class ClassicalVortexSpec(_VortexModel):
         return ScalarField(geometry, self.grid, f0)
 
     def _log_rho(self, p, reach: float):
-        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach``
-        about ``p``."""
+        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach`` about ``p``."""
         box, rho = _disc_box(self.geometry, self.grid, p, reach, unit=self.epsilon)
-        with np.errstate(divide="ignore"):
-            return box, np.log(rho, out=rho)
+        return box, np.log(rho, out=rho)
 
 
 @dataclass(frozen=True)
@@ -629,11 +629,11 @@ def reconstruct(spec, f: ScalarField) -> Reconstruction:
 
 
 def _phi_sq(spec, f: ScalarField) -> list[ScalarField]:
-    """``|phi_j|^2 = c_j e^{u_j + k_j f}``; divisor-point sentinels in u flush to 0."""
-    g, n, log_scale = spec.geometry, spec.grid, math.log(spec.equation_scale)
+    """``|phi_j|^2 = c_j e^{u_j + k_j f} = C_j e^{k_j f} / (|k_j| S)``; 0 where C_j is."""
+    S = spec.equation_scale
     return [
-        ScalarField(g, n, np.exp((logc - log_scale) + u.values + t.weight * f.values))
-        for t, (u, _, logc) in zip(spec._terms, spec._densities)
+        f._like(np.exp(t.weight * f.values) * coeff.values / (abs(t.weight) * S))
+        for t, (coeff, _) in zip(spec._terms, spec._coefficients)
     ]
 
 
@@ -773,7 +773,7 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
     Works at arbitrary points through the Green's function sum, so order
     fits can probe radii below the grid scale without interpolation error.
     """
-    (_, _, logcp), (_, _, logcm) = spec._densities
+    (_, logcp), (_, logcm) = spec._coefficients
     items = list(spec.divisor_plus) + list(spec.divisor_minus)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -1015,7 +1015,7 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     interior gradient, the probe samples of ``sup_deviation`` and the
     spectral tail, unless the caller passes it as ``tail``, all read it.
     Every diagnostic but ``sup_deviation`` samples the grid of the solve;
-    that one samples the spec's ``_probe`` lattice, whose densities a
+    that one samples the spec's ``_probe`` lattice, whose coefficients a
     sweep's stages share.
     """
     f = solution.f
@@ -1153,7 +1153,7 @@ def adiabatic_sweep(
     for eps in schedule.epsilons:
         t0 = time.perf_counter()
         try:
-            # A copy of the last stage shares its densities on the same grid.
+            # A copy of the last stage shares its coefficients on the same grid.
             stage_spec = _copy(report.final_spec or spec, epsilon=eps)
             floor = report.final_spec.grid if report.final_spec else None
             grid = _stage_grid(schedule, stage_spec, stage_spec._core_scale(), floor)

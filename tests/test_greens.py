@@ -214,7 +214,7 @@ def test_point_distance_is_exact_for_close_points(p, q):
 def test_empty_divisor_potential_is_zero():
     u = divisor_potential(Divisor((), ()), UNIT, GridSpec(16, 16))
     assert (u.values == 0.0).all()
-    _, dens, _ = _density_data(UNIT, GridSpec(16, 16), Divisor((), ()), 1.0, False)
+    dens, _ = _density_data(UNIT, GridSpec(16, 16), Divisor((), ()), 1.0, False)
     assert (dens.values == 1.0).all()
 
 
@@ -303,7 +303,7 @@ def test_potential_sentinel_at_exact_sample():
     u = divisor_potential(div, UNIT, GridSpec(16, 16))
     assert u.values[8, 8] == NEGATIVE_SENTINEL
     assert np.isfinite(u.values).all()
-    _, dens, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
+    dens, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
     assert dens.values[8, 8] == 0.0
     assert (dens.values >= 0.0).all()
 
@@ -390,7 +390,7 @@ def test_extreme_aspect_torus_is_rejected():
 
 @pytest.mark.parametrize("m,target,tol", [(1, 2.0, 0.02), (2, 4.0, 0.05)])
 def test_density_log_slope(m, target, tol):
-    _, dens, _ = _density_data(UNIT, GRID, Divisor(((0.5, 0.5),), (m,)), 1.0, False)
+    dens, _ = _density_data(UNIT, GRID, Divisor(((0.5, 0.5),), (m,)), 1.0, False)
     radii = np.exp(np.linspace(np.log(0.02), np.log(0.1), 12))
     ang = np.arange(64) * 2.0 * np.pi / 64
     pts = np.concatenate(
@@ -407,7 +407,7 @@ def test_density_log_slope(m, target, tol):
 def test_density_positive_away_from_points():
     div = Divisor(((0.25, 0.25), (0.7, 0.6)), (1, 2))
     grid = GridSpec(128, 128)
-    _, dens, _ = _density_data(UNIT, grid, div, 3.0, False)
+    dens, _ = _density_data(UNIT, grid, div, 3.0, False)
     assert (dens.values >= 0.0).all()
     X = np.arange(128) / 128.0
     XX, YY = np.meshgrid(X, X, indexing="ij")
@@ -428,8 +428,8 @@ def test_density_positive_away_from_points():
 )
 def test_density_scale_is_linear(x, y, m):
     div = Divisor(((x, y),), (m,))
-    _, one, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
-    _, five, _ = _density_data(UNIT, GridSpec(16, 16), div, 5.0, False)
+    one, _ = _density_data(UNIT, GridSpec(16, 16), div, 1.0, False)
+    five, _ = _density_data(UNIT, GridSpec(16, 16), div, 5.0, False)
     assert np.abs(five.values - 5.0 * one.values).max() <= 1e-12 * max(
         1.0, one.values.max()
     )

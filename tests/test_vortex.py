@@ -27,6 +27,7 @@ from vortexlab import (
     bump_cutoff,
     constant_field,
     curvature_mass,
+    field_from_function,
     integral_identities,
     integrate,
     mixed_limit_phi_sq,
@@ -49,7 +50,7 @@ from vortexlab.errors import (
 )
 from vortexlab.fields import spectral_tail, torus_distance
 from vortexlab.kw import TAIL_TOL, kw_limit, kw_solve
-from vortexlab.greens import divisor_potential
+from vortexlab.greens import NEGATIVE_SENTINEL, divisor_potential
 from vortexlab.vortex import (
     MASK_RADIUS,
     ContinuationSchedule,
@@ -631,6 +632,16 @@ def test_classical_start_on_divisor_samples(lx):
             assert abs(near[sample] - f0[sample]) <= 1e-10
 
 
+def test_classical_start_rejects_an_underflowed_coefficient():
+    # e^{u_D} underflows to 0 on the sample 1e-4 from a point of
+    # multiplicity 100, which is no divisor point: the start is not finite
+    # there, and its field says so.
+    spec = classical([(0.25 + 1e-4, 0.25)], [100], 0.01, n=32)
+    assert (spec._coefficients[0][0].values == 0.0).sum() == 1
+    with pytest.raises(ValidationError, match="finite"):
+        spec._initial_guess(None)
+
+
 def test_classical_sweep_stages_are_independent():
     spec = classical(*OFF_GRID, 0.05, n=128)
     sweep = adiabatic_sweep(spec, ContinuationSchedule((0.1, 0.05), 128, 128))
@@ -1018,6 +1029,108 @@ def test_term_densities_die_with_their_spec():
     del spec
     gc.collect()
     assert ref() is None
+
+
+def _weighted_spec():
+    # Weights +-1 and +-2, two scales other than 1; the weight-2 point
+    # and the second weight-(-1) point are grid samples of 32^2.
+    terms = (
+        GeneralizedTerm(Divisor(((0.25, 0.25),), (1,)), 2, 1.5),
+        GeneralizedTerm(Divisor(((0.6, 0.3),), (2,)), 1),
+        GeneralizedTerm(Divisor(((0.71, 0.77), (0.5, 0.875)), (1, 1)), -1, 0.7),
+        GeneralizedTerm(Divisor(((0.31, 0.64),), (1,)), -2),
+    )
+    return GeneralizedSpec(UNIT, GridSpec(32, 32), terms, tau=0.0, epsilon=0.2)
+
+
+# The configs/classical.yaml divisor: both points are samples of 32^2.
+ON_SAMPLES = ([(0.25, 0.25), (0.75, 0.75)], [1, 2])
+ONE_TERM_FORMATS = pytest.mark.parametrize(
+    "make", [_weighted_spec, lambda: classical(*ON_SAMPLES, 0.1, n=32)], ids=["weighted", "classical"]
+)
+
+
+def _grids_held(spec) -> int:
+    """Distinct arrays shaped like the spec's grid in its attributes."""
+
+    def arrays(obj):
+        if isinstance(obj, ScalarField):
+            yield obj.values
+        elif isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+
+    shape = (spec.grid.nx, spec.grid.ny)
+    return len({id(a) for v in vars(spec).values() for a in arrays(v) if a.shape == shape})
+
+
+@ONE_TERM_FORMATS
+def test_spec_holds_one_coefficient_per_term(make):
+    spec = make()
+    problem = reduce_any(spec)
+    reconstruct(spec, constant_field(spec.geometry, spec.grid, 0.1))
+    stored = [c for c, _ in spec._coefficients]
+    expected = [c for t, c in zip(spec._terms, stored) if t.weight > 0]
+    expected += [c for t, c in zip(spec._terms, stored) if t.weight < 0]
+    passed = [c for c, _ in problem.plus_terms + problem.minus_terms]
+    assert len(passed) == len(expected) and all(a is b for a, b in zip(passed, expected))
+    assert _grids_held(spec) == len(spec._terms)
+
+
+def test_weight_two_coefficient_is_the_doubled_density():
+    # Twice the normalized density c e^{u_D}, bit for bit: doubling the
+    # scale before the division is exact.
+    spec = _weighted_spec()
+    for t, (coeff, _) in zip(spec._terms, spec._coefficients):
+        if abs(t.weight) == 2:
+            e = np.exp(divisor_potential(t.divisor, UNIT, spec.grid).values)
+            density = (t.scale / float(e.mean())) * e
+            assert np.array_equal(coeff.values, density * 2.0)
+
+
+@ONE_TERM_FORMATS
+def test_phi_sq_matches_the_log_space_form(make):
+    spec = make()
+    f = field_from_function(
+        UNIT, spec.grid, lambda X, Y: 0.8 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y) - 0.3
+    )
+    phi_sq = reconstruct(spec, f).phi_sq
+    for t, (_, log_scale), p in zip(spec._terms, spec._coefficients, phi_sq):
+        u = divisor_potential(t.divisor, UNIT, spec.grid).values
+        c = t.scale / float(np.exp(u).mean()) if t.normalized else t.scale
+        assert log_scale == pytest.approx(math.log(abs(t.weight) * spec.equation_scale * c), abs=1e-14)
+        ref = np.exp(math.log(c) + u + t.weight * f.values)
+        assert (np.abs(p.values - ref) <= 1e-14 * ref).all()
+        on_points = u == NEGATIVE_SENTINEL
+        if t.weight == 2 or spec.kind == "classical":
+            assert on_points.sum() == len(t.divisor.points)
+        assert (p.values[on_points] == 0.0).all()
+
+
+def test_many_point_spec_memory():
+    # The 16 points of a jittered 4 x 4 lattice in four terms with weights
+    # (2, 1, -1, -2), solved and diagnosed at 256^2 (a grid is 0.5 MiB).
+    # Each term holds its coefficient alone and the reduction copies none:
+    # 9.65 MiB measured. The bound allows half a grid more.
+    rng = np.random.default_rng(3)
+    points = [[], [], [], []]
+    for j in range(4):
+        for i in range(4):
+            x, y = 0.125 + 0.25 * i, 0.125 + 0.25 * j
+            points[(i + 2 * j) % 4].append(tuple(np.array([x, y]) + rng.uniform(-0.04, 0.04, 2)))
+    terms = tuple(
+        GeneralizedTerm(Divisor(tuple(pts), (1,) * 4), w) for w, pts in zip((2, 1, -1, -2), points)
+    )
+    spec = GeneralizedSpec(UNIT, GridSpec(256, 256), terms, tau=0.0, epsilon=0.1)
+    tracemalloc.start()
+    try:
+        solve_and_report(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (9.65 + 0.25) * 2**20
 
 
 def test_classical_sweep_on_one_grid_builds_its_density_once(potential_calls):
