@@ -305,7 +305,9 @@ def _disc_box(
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
-    return ScalarField(geometry, grid, np.full((grid.nx, grid.ny), float(value)))
+    """``value`` everywhere, as one scalar broadcast to the grid: it holds no grid."""
+    samples = np.broadcast_to(float(value), (grid.nx, grid.ny))
+    return _adopted(ScalarField, geometry, grid, _checked_samples(samples, grid))
 
 
 def field_from_function(

@@ -472,15 +472,16 @@ def kw_solve(
         trace.cg_tolerances.append(tol)
         potential = ev.potential()
         ev = None  # CG runs with no evaluation alive
-        delta = solve_linearized(problem.epsilon, potential, -resid, tol=tol)
+        # x = -delta, from the residual itself: CG commutes exactly with negation.
+        x = solve_linearized(problem.epsilon, potential, resid, tol=tol)
         del potential
-        slope = float(np.mean(resid.values * delta.values)) * vol
+        slope = -float(np.mean(resid.values * x.values)) * vol
         if slope >= 0.0:
             raise MaxIterExceeded(
                 f"Newton direction lost descent (slope {slope:.3g})"
             )
 
-        ev, energy = _line_search(problem, f, delta, energy, slope, res_sup, iteration)
+        ev, energy = _line_search(problem, f, x, energy, slope, res_sup, iteration)
         if one_sided:
             ev, energy = _pinned(problem, ev, energy)
         f = ev.f
@@ -492,9 +493,9 @@ def kw_solve(
     )
 
 
-def _line_search(problem, f, delta, energy, slope, res_sup, iteration):
-    """Armijo backtracking along ``delta``: the accepted trial's evaluation
-    and energy.
+def _line_search(problem, f, x, energy, slope, res_sup, iteration):
+    """Armijo backtracking along the Newton direction ``-x``: the accepted
+    trial's evaluation and energy.
 
     Each trial is evaluated once, and its energy and sup residual read
     that evaluation. Near the optimum the energy decrease of a Newton step
@@ -507,7 +508,7 @@ def _line_search(problem, f, delta, energy, slope, res_sup, iteration):
     e_noise = 1e-14 * (1.0 + abs(energy))
     step = 1.0
     for _ in range(80):
-        trial = f._like(f.values + step * delta.values)
+        trial = f._like(f.values - step * x.values)
         ev = _Evaluation(problem, trial)
         try:
             e_trial = kw_energy(problem, trial, ev)
@@ -589,12 +590,7 @@ def kw_limit(problem: KWProblem) -> LimitProfile:
         raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
 
     fvals = np.zeros((grid.nx, grid.ny))
-    if cls is Classification.TWO_SIDED and len(terms) == 2 and not w.any():
-        # A e^{alpha f} = B e^{-beta f}  =>  f = log(B/A) / (alpha + beta)
-        (a, alpha), (b, k) = terms
-        log_ratio = np.log(b.values[active]) - np.log(a.values[active])
-        fvals[active] = log_ratio / (alpha - k)
-    elif not excluded.all():
+    if not excluded.all():
         fvals[active] = _scalar_root(w[active], [(c.values[active], k) for c, k in terms])
 
     f = ScalarField(geometry, grid, fvals)

@@ -211,12 +211,16 @@ class _VortexModel:
         """(expected curvature mass, expected vanishing order) of a point."""
         return None, None
 
-    def _deviation(self, f: ScalarField, phi_sq) -> ScalarField:
-        """Distance to the epsilon = 0 limit: the reduced problem's coefficient
-        arrays with ``w = equation_scale * tau``, solved by :func:`kw_limit`."""
+    @cached_property
+    def _limit(self) -> ScalarField:
+        """The epsilon = 0 profile ``f_0``: the reduced problem with epsilon 0
+        and ``w = equation_scale * tau``, solved by :func:`kw_limit`."""
         w = constant_field(self.geometry, self.grid, self.equation_scale * self.tau)
-        limit = dataclasses.replace(reduce_any(self), epsilon=0.0, w=w)
-        return f - kw_limit(limit).f
+        return kw_limit(dataclasses.replace(reduce_any(self), epsilon=0.0, w=w)).f
+
+    def _deviation(self, f: ScalarField) -> ScalarField:
+        """Distance of ``f``, on this spec's grid, to the epsilon = 0 limit."""
+        return f - self._limit
 
     def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
@@ -229,13 +233,9 @@ class _VortexModel:
     @cached_property
     def _probe(self):
         """This spec on the ``_PROBE_GRID`` lattice, where ``sup_deviation``
-        is read. Along a sweep it is the probe that :func:`_copy` handed on
-        (``_probe_base``), copied to this epsilon, so the stages share its
-        coefficients."""
-        base = vars(self).get("_probe_base")
-        if base is None:
-            return _copy(self, grid=_PROBE_GRID)
-        return _copy(base, epsilon=self.epsilon)
+        is read. :func:`_copy` hands it on, so a sweep's stages share one
+        probe and its ``_limit``; it keeps the epsilon of the first stage."""
+        return _copy(self, grid=_PROBE_GRID)
 
     def _core_scale(self) -> float:
         """Length that the first grid of a sweep stage resolves with ``h <=
@@ -252,8 +252,7 @@ def _copy(spec, **changes):
 
     A copy that changes nothing but epsilon shares the coefficients that
     ``spec`` has built. A copy that changes nothing but epsilon and the
-    grid hands on the probe-lattice copy that ``spec`` has built or was
-    handed, from which its own ``_probe`` is made.
+    grid shares the ``_probe`` that ``spec`` has built or was handed.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -264,9 +263,8 @@ def _copy(spec, **changes):
 
     if "_coefficients" in vars(spec) and unchanged("epsilon"):
         vars(new)["_coefficients"] = spec._coefficients
-    base = vars(spec).get("_probe", vars(spec).get("_probe_base"))
-    if base is not None and unchanged("epsilon", "grid"):
-        vars(new)["_probe_base"] = base
+    if "_probe" in vars(spec) and unchanged("epsilon", "grid"):
+        vars(new)["_probe"] = spec._probe
     return new
 
 
@@ -427,8 +425,8 @@ class ClassicalVortexSpec(_VortexModel):
     def _expected(self, m_plus: int, m_minus: int):
         return float(m_plus), float(m_plus)
 
-    def _deviation(self, f: ScalarField, phi_sq) -> ScalarField:
-        return 1.0 - phi_sq[0]
+    def _deviation(self, f: ScalarField) -> ScalarField:
+        return 1.0 - _phi_sq(self, f)[0]
 
     def _core_scale(self) -> float:
         """Classical cores have radius of order eps (derivations §4)."""
@@ -1015,8 +1013,8 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     interior gradient, the probe samples of ``sup_deviation`` and the
     spectral tail, unless the caller passes it as ``tail``, all read it.
     Every diagnostic but ``sup_deviation`` samples the grid of the solve;
-    that one samples the spec's ``_probe`` lattice, whose coefficients a
-    sweep's stages share.
+    that one samples the spec's ``_probe`` lattice, which a sweep's stages
+    share with its coefficients and its limit.
     """
     f = solution.f
     if spectrum is None:
@@ -1024,13 +1022,12 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     if tail is None:
         tail = spectral_tail(f, spectrum)
     points = _spec_points(spec)
-    phi_sq = _phi_sq(spec, f)
     # A sup over samples moves with the grid, so the deviation is read on
     # the fixed probe lattice: a function of the solution alone.
-    probe, on_probe = spec._probe, _on_lattice(f, _PROBE_GRID, spectrum)
-    deviation = probe._deviation(on_probe, _phi_sq(probe, on_probe))
+    probe = spec._probe
+    deviation = probe._deviation(_on_lattice(f, _PROBE_GRID, spectrum))
     sup_dev = sup_norm(deviation, _outside_discs(probe, points))
-    recon = _reconstruction(spec, f, phi_sq, spectrum)
+    recon = _reconstruction(spec, f, _phi_sq(spec, f), spectrum)
     bounds = interior_bounds(f, _outside_discs(spec, points), spectrum)
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
@@ -1148,6 +1145,8 @@ def adiabatic_sweep(
     (:class:`UnderResolved`) stops the sweep and is recorded in
     ``report.error`` with the completed stages kept. A sweep that skips
     every stage records its last skip as ``report.error``.
+    A stage releases the last ``final_reconstruction`` before it solves,
+    and a sweep ending without one rebuilds it from ``final_solution``.
     """
     report = SweepReport(kind=spec.kind, points=[], stages=[])
     for eps in schedule.epsilons:
@@ -1159,6 +1158,7 @@ def adiabatic_sweep(
             grid = _stage_grid(schedule, stage_spec, stage_spec._core_scale(), floor)
             stage_spec = _copy(stage_spec, grid=grid)
             init = stage_spec._initial_guess(report.final_solution)
+            report.final_reconstruction = None
             stage = _run_stage(report, stage_spec, config, init, t0, schedule)
             if progress is not None:
                 progress(stage)
@@ -1169,11 +1169,13 @@ def adiabatic_sweep(
                 record["grid"] = GridSpec(schedule.max_grid, schedule.max_grid)
             elif not isinstance(exc, Unsolvable):
                 report.error = record
-                return report
+                break
             report.skipped.append(record)
     if report.final_spec is None:
         # No stage was solved, so the sweep has no result.
-        report.error = dict(report.skipped[-1])
-    else:
+        report.error = report.error or dict(report.skipped[-1])
+    elif report.final_reconstruction is None:
+        report.final_reconstruction = reconstruct(report.final_spec, report.final_solution.f)
+    if report.final_spec is not None and report.error is None:
         _fit_final_orders(report)
     return report

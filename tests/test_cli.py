@@ -530,6 +530,41 @@ sweep:
     assert all(float(r["epsilon"]) == 0.2 for r in rows)
 
 
+def test_sweep_failing_after_a_solve_writes_its_heatmaps(tmp_path, monkeypatch):
+    # The eps = 0.1 stage releases the eps = 0.2 reconstruction before its
+    # solve fails; the heatmaps are those of a sweep that stops at 0.2.
+    import vortexlab.vortex as vortex
+    from vortexlab.errors import MaxIterExceeded
+    from vortexlab.kw import kw_solve
+
+    text = """
+kind: sweep
+mixed:
+  divisor_plus: [{x: 0.39, y: 0.41, m: 1}]
+  divisor_minus: [{x: 0.69, y: 0.62, m: 1}]
+sweep:
+  epsilons: [{epsilons}]
+"""
+    kept = tmp_path / "kept"
+    kept_cfg = write_config(tmp_path, text.replace("{epsilons}", "0.2"))
+    assert main(["sweep", "--config", kept_cfg, "--out", str(kept), "--quiet"]) == 0
+
+    def failing(problem, *args, **kwargs):
+        if problem.epsilon < 0.5 * 0.2**2:
+            raise MaxIterExceeded("the last stage fails")
+        return kw_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(vortex, "kw_solve", failing)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, text.replace("{epsilons}", "0.2, 0.1"), "failing.yaml")
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--quiet"]) == 3
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert manifest["error"]["type"] == "MaxIterExceeded"
+    for name in ("phi_sq_0.pgm", "phi_sq_1.pgm", "curvature.pgm"):
+        assert name in manifest["outputs"]
+        assert (out / name).read_bytes() == (kept / name).read_bytes()
+
+
 def test_unexpected_error_writes_failed_manifest(tmp_path, monkeypatch):
     import vortexlab.runner as runner
 

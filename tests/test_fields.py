@@ -38,6 +38,7 @@ from vortexlab.errors import (
     GridMismatch,
     NoConvergence,
     NonPositivePotential,
+    ValidationError,
 )
 from vortexlab.fields import _bump_profile, _wavenumbers, grid_points, torus_distance
 
@@ -480,6 +481,27 @@ def test_solve_linearized_zero_rhs_is_zero():
         1.0, constant_field(UNIT, grid, 1.0), constant_field(UNIT, grid, 0.0)
     )
     assert (x.values == 0.0).all()
+
+
+def test_solve_linearized_commutes_with_negation():
+    # Newton hands CG its residual and steps along the negated solution,
+    # which is exact only if the solve of -b is minus the solve of b.
+    grid = GridSpec(64, 64)
+    rng = np.random.default_rng(7)
+    pot = ScalarField(UNIT, grid, rng.uniform(1e-3, 3.0, (64, 64)))
+    rhs = ScalarField(UNIT, grid, rng.standard_normal((64, 64)))
+    for eps in (1.0, 1e-4):
+        x = solve_linearized(eps, pot, rhs, tol=1e-9)
+        assert solve_linearized(eps, pot, -rhs, tol=1e-9).values.tobytes() == (-x).values.tobytes()
+
+
+def test_constant_field_holds_no_grid():
+    f = constant_field(UNIT, GridSpec(64, 32), -1.5)
+    assert f.values.shape == (64, 32) and f.values.strides == (0, 0)
+    assert (f.values == -1.5).all() and not f.values.flags.writeable
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            constant_field(UNIT, GridSpec(8, 8), bad)
 
 
 def test_solve_linearized_errors():
