@@ -48,6 +48,7 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
+    _adopted,
     _check_compatible,
     _half_spectrum,
     dirichlet_energy,
@@ -98,6 +99,10 @@ _COEFF_TINY = 1e-300
 # Iteration cap of the pointwise root solver; the rtsafe safeguard needs
 # about 60 bisections to shrink a doubled bracket to roundoff.
 _ROOT_MAX_ITER = 200
+
+# Samples per block of the limit solve, in whole rows: the 64^2 probe and
+# any grid up to 128^2 are one block.
+_ROOT_BLOCK = 1 << 14
 
 # Resolution certificate: the largest spectral tail of a solution
 # (fields.spectral_tail) that a run accepts; derivations §8.
@@ -566,36 +571,36 @@ class LimitProfile:
 def kw_limit(problem: KWProblem) -> LimitProfile:
     """Solve ``sum A e^{alpha f} - sum B e^{-beta f} + w = 0`` samplewise.
 
-    Samples where the active coefficient sums fall below 1e-300 are
+    Samples where a side that the problem has sums below 1e-300 are
     excluded and reported in the mask. For one-sided problems a root
     exists only where ``w`` has the opposite sign; a wrong-signed sample
-    raises :class:`NoRoot`.
+    raises :class:`NoRoot`. Blocks of whole rows, about ``_ROOT_BLOCK``
+    samples each, are solved in turn: only the outputs span the grid.
     """
-    cls = problem.classification()
-    if cls is Classification.VACUOUS:
+    has_plus, has_minus = problem._sides()
+    if not (has_plus or has_minus):
         raise NoRoot("no exponential terms; the limit equation is empty")
-    geometry, grid = problem.geometry, problem.grid
     terms = _signed_terms(problem)
-    sides = np.zeros((2, grid.nx, grid.ny))  # plus and minus coefficient sums
-    for c, k in terms:
-        sides[int(k < 0)] += c.values
-    # A sample is excluded where a side that the problem has sums to 0.
-    excluded = np.any(sides[sides.max(axis=(1, 2)) > 0.0] < _COEFF_TINY, axis=0)
-    # With nothing excluded, a full slice indexes views instead of copies.
-    active = ~excluded if excluded.any() else slice(None)
     w = problem.w.values
-    if cls is Classification.ONE_SIDED_PLUS and np.any(w[active] >= 0.0):
-        raise NoRoot("one-sided limit needs w < 0 where the coefficient lives")
-    if cls is Classification.ONE_SIDED_MINUS and np.any(w[active] <= 0.0):
-        raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
+    fvals, excluded = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)
+    rows = max(1, _ROOT_BLOCK // w.shape[1])
+    for start in range(0, w.shape[0], rows):
+        block = slice(start, start + rows)
+        skip = excluded[block]
+        for present, side in ((has_plus, problem.plus_terms), (has_minus, problem.minus_terms)):
+            if present:
+                skip |= sum(c.values[block] for c, _ in side) < _COEFF_TINY
+        live = ~skip
+        wb = w[block][live]
+        if not has_minus and np.any(wb >= 0.0):
+            raise NoRoot("one-sided limit needs w < 0 where the coefficient lives")
+        if not has_plus and np.any(wb <= 0.0):
+            raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
+        if wb.size:
+            fvals[block][live] = _scalar_root(wb, [(c.values[block][live], k) for c, k in terms])
 
-    fvals = np.zeros((grid.nx, grid.ny))
-    if not excluded.all():
-        fvals[active] = _scalar_root(w[active], [(c.values[active], k) for c, k in terms])
-
-    f = ScalarField(geometry, grid, fvals)
-    mask = RegionMask(geometry, grid, excluded.astype(float))
-    return LimitProfile(f=f, excluded=mask, n_excluded=int(excluded.sum()))
+    mask = _adopted(RegionMask, problem.geometry, problem.grid, excluded.astype(float))
+    return LimitProfile(f=problem.w._like(fvals), excluded=mask, n_excluded=int(excluded.sum()))
 
 
 def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
@@ -610,24 +615,16 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
     §9.4). It stops once every Newton step is at most 1e-15 (1 + |t|),
     such steps being exempt from the halving test, and returns the
     iterate those steps start from. Raises :class:`MaxIterExceeded` when
-    ``_ROOT_MAX_ITER`` iterations do not get there.
+    ``_ROOT_MAX_ITER`` iterations do not get there. Every temporary is
+    shaped like ``w``; :func:`kw_limit` bounds them by solving in blocks.
     """
 
-    val, slope, s = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
-
     def g_and_slope(t):
-        # Written into the three arrays above, which every call reuses.
-        np.copyto(val, w)
-        slope.fill(0.0)
+        val, slope = w, 0.0
         for c, k in terms:
-            np.multiply(t, k, out=s)
-            np.minimum(s, _EXP_GUARD, out=s)
-            np.exp(s, out=s)
-            np.multiply(c, s, out=s)
-            np.copysign(s, k, out=s)
-            np.add(val, s, out=val)
-            np.multiply(s, k, out=s)
-            np.add(slope, s, out=slope)
+            s = np.copysign(c * np.exp(np.minimum(t * k, _EXP_GUARD)), k)
+            val = val + s
+            slope = slope + s * k
         return val, slope
 
     # Expand a bracket [lo, hi] with g(lo) < 0 < g(hi) per sample. g is
@@ -643,44 +640,22 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
     else:
         raise NoRoot("failed to bracket the pointwise root")
 
-    # The iteration updates these arrays in place: fresh temporaries of a
-    # grid's size each step would make the heap grow and fault.
-    t, new_t, newton = np.zeros(w.shape), np.empty(w.shape), np.empty(w.shape)
-    prev, bound = hi - lo, np.empty(w.shape)
-    small, keep, test = (np.empty(w.shape, dtype=bool) for _ in range(3))
+    t, prev = np.zeros(w.shape), hi - lo
     for _ in range(_ROOT_MAX_ITER):
         val, slope = g_and_slope(t)
-        np.copyto(lo, t, where=val < 0.0)
-        np.copyto(hi, t, where=val > 0.0)
-        # small: |g| <= 1e-15 (1 + |t|) g'
-        np.abs(t, out=bound)
-        np.add(bound, 1.0, out=bound)
-        np.multiply(bound, 1e-15, out=bound)
-        np.multiply(bound, slope, out=bound)
-        np.abs(val, out=s)
-        np.less_equal(s, bound, out=small)
+        lo = np.where(val < 0.0, t, lo)
+        hi = np.where(val > 0.0, t, hi)
+        small = np.abs(val) <= (np.abs(t) + 1.0) * 1e-15 * slope
         if small.all():
             return t
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(val, slope, out=newton)
-        np.subtract(t, newton, out=newton)
-        # keep: inside [lo, hi], and small or at most half the last step.
-        np.subtract(newton, t, out=s)
-        np.abs(s, out=s)
-        np.abs(prev, out=bound)
-        np.multiply(bound, 0.5, out=bound)
-        np.less_equal(s, bound, out=keep)
-        np.logical_or(keep, small, out=keep)
-        np.greater_equal(newton, lo, out=test)
-        np.logical_and(keep, test, out=keep)
-        np.less_equal(newton, hi, out=test)
-        np.logical_and(keep, test, out=keep)
-        # Elsewhere bisect.
-        np.add(lo, hi, out=new_t)
-        np.multiply(new_t, 0.5, out=new_t)
-        np.copyto(new_t, newton, where=keep)
-        np.subtract(new_t, t, out=prev)
-        t, new_t = new_t, t
+            newton = t - val / slope
+        # Newton where it stays in [lo, hi] and is small or at most half
+        # the last step; elsewhere bisect.
+        inside = (newton >= lo) & (newton <= hi)
+        halving = small | (np.abs(newton - t) <= 0.5 * np.abs(prev))
+        new_t = np.where(inside & halving, newton, 0.5 * (lo + hi))
+        t, prev = new_t, new_t - t
     raise MaxIterExceeded(
         f"pointwise root not converged in {_ROOT_MAX_ITER} iterations "
         f"at {int((~small).sum())} of {small.size} samples"

@@ -175,7 +175,9 @@ class _VortexModel:
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
     def _admit(self) -> None:
-        """Reject ``epsilon <= 0`` and data whose reduced problem cannot balance."""
+        """Reject coinciding divisor points, ``epsilon <= 0`` and unbalanced data."""
+        for t in self._terms:
+            t.divisor.check_separated(self.geometry)
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
         weights = [t.weight for t in self._terms]
@@ -393,7 +395,6 @@ class ClassicalVortexSpec(_VortexModel):
     tau: ClassVar[float] = -1.0
 
     def __post_init__(self):
-        self.divisor.check_separated(self.geometry)
         try:
             self._admit()
         except Unsolvable:
@@ -505,8 +506,6 @@ class MixedVortexSpec(_VortexModel):
     kind: ClassVar[str] = "mixed"
 
     def __post_init__(self):
-        self.divisor_plus.check_separated(self.geometry)
-        self.divisor_minus.check_separated(self.geometry)
         if not (self.scale_plus > 0 and self.scale_minus > 0):
             raise ValidationError("scales must be positive")
         default = Fraction(self.divisor_plus.degree - self.divisor_minus.degree, 2)
@@ -586,8 +585,6 @@ class GeneralizedSpec(_VortexModel):
         if not self.terms:
             raise ValidationError("need at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            t.divisor.check_separated(self.geometry)
         if self.degree is None:
             num = sum(t.weight * t.divisor.degree for t in self.terms)
             den = sum(t.weight**2 for t in self.terms)
@@ -770,7 +767,10 @@ def mixed_limit_phi_sq(spec: MixedVortexSpec) -> Callable[[np.ndarray], np.ndarr
 
     Works at arbitrary points through the Green's function sum, so order
     fits can probe radii below the grid scale without interpolation error.
+    Raises :class:`ValidationError` at ``tau != 0``, where it is not the limit.
     """
+    if spec.tau != 0:
+        raise ValidationError(f"the closed form sqrt(P Q) needs tau = 0, got {spec.tau}")
     (_, logcp), (_, logcm) = spec._coefficients
     items = list(spec.divisor_plus) + list(spec.divisor_minus)
 

@@ -568,11 +568,11 @@ def test_limit_distance_nonincreasing_in_epsilon():
 
 
 def test_limit_memory():
-    # Four smooth terms at 384^2 exclude no sample, so the root solve reads
-    # views of the coefficients (each grid is 1.1 MiB), and g and g' are
-    # written into three arrays that every evaluation reuses: 15.6 MiB
-    # measured. Fresh arrays per evaluation read 17.7 MiB, and copying
-    # every coefficient through the boolean mask 23.5 MiB.
+    # Four smooth terms at 384^2 (each grid is 1.1 MiB). kw_limit solves
+    # blocks of 42 rows, so beside the profile, the exclusion mask and its
+    # float weights it holds only block-sized arrays: 3.44 MiB measured,
+    # bounded at that plus 0.5 MiB. A solve over the whole grid at once
+    # holds about 14 grids (15.6 MiB).
     grid = GridSpec(384, 384)
 
     def coeff(a, b):
@@ -593,7 +593,7 @@ def test_limit_memory():
     finally:
         tracemalloc.stop()
     assert prof.n_excluded == 0
-    assert peak <= 17 * 2**20
+    assert peak <= 3.94 * 2**20
 
 
 def bisection_root(w, terms):
@@ -606,6 +606,40 @@ def bisection_root(w, terms):
         lo = np.where(g < 0, mid, lo)
         hi = np.where(g > 0, mid, hi)
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("shape, blocks", [((256, 128), 2), ((384, 384), 10)])
+def test_limit_over_several_blocks(shape, blocks):
+    nx, ny = shape
+    rows = kw_module._ROOT_BLOCK // ny
+    assert -(-nx // rows) == blocks
+    grid = GridSpec(nx, ny)
+    rng = np.random.default_rng(nx + ny)
+
+    def field(lo, hi):
+        return ScalarField(UNIT, grid, rng.uniform(lo, hi, shape))
+
+    # Two-sided: the plus side vanishes at one sample of the first block
+    # and one of the last.
+    a = rng.uniform(0.2, 2.0, (2, nx, ny))
+    a[:, 1, 2] = a[:, -1, -3] = 0.0
+    plus = ((ScalarField(UNIT, grid, a[0]), 1.0), (ScalarField(UNIT, grid, a[1]), 2.0))
+    minus = ((field(0.5, 1.5), 1.5),)
+    w = field(-1.0, 1.0)
+    prof = kw_limit(KWProblem(0.0, plus, minus, w))
+    assert prof.n_excluded == 2
+    assert prof.excluded.weights[1, 2] == prof.excluded.weights[-1, -3] == 1.0
+    assert prof.f.values[1, 2] == prof.f.values[-1, -3] == 0.0
+    keep = prof.excluded.weights == 0.0
+    terms = [(c.values[keep], k) for c, k in plus] + [(c.values[keep], -k) for c, k in minus]
+    oracle = bisection_root(w.values[keep], terms)
+    assert np.abs(prof.f.values[keep] - oracle).max() <= 1e-12
+
+    # One-sided: a wrong-signed w only in the last block has no root.
+    wv = -rng.uniform(0.1, 2.0, shape)
+    wv[-1, -1] = 0.5
+    with pytest.raises(NoRoot):
+        kw_limit(KWProblem(0.0, plus[1:], (), ScalarField(UNIT, grid, wv)))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -846,6 +846,16 @@ def test_order_fit_mixed_limit_colocated():
     assert abs(order - 1.5) <= 0.05
 
 
+def test_mixed_limit_closed_form_refuses_nonzero_tau():
+    # At tau = 0.5 the limit solves a - b + tau = 0, ab = P Q: at (0.5, 0.5)
+    # a = 0.7735 and b = 1.2735, not the closed form's sqrt(P Q) = 0.9925.
+    spec = mixed_pair_spec(0.2, n=64, tau=0.5)
+    a, b = (p.values[32, 32] for p in vortex_module._phi_sq(spec, spec._limit))
+    assert abs(a - 0.7735) <= 1e-4 and abs(a - b + 0.5) <= 1e-12
+    with pytest.raises(ValidationError, match="tau = 0"):
+        mixed_limit_phi_sq(spec)
+
+
 def test_order_fit_validation_and_degenerate_cases():
     with pytest.raises(ValueError):
         vanishing_order_fit(lambda pts: pts[:, 0], (0.5, 0.5), 0.05, 0.01)
