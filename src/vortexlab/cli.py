@@ -14,12 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-from .config import override, parse_config
+from .config import KINDS, override, parse_config
 from .errors import ParseError, ValidationError, VortexLabError
 from .fields import GridSpec
 from .runner import MANIFEST_NAME, run
-
-_RUN_COMMANDS = ("kw", "classical", "mixed", "generalized", "sweep")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Vortex adiabatic-limit experiments on flat tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUN_COMMANDS:
+    for name in KINDS:
         p = sub.add_parser(name, help=f"run a '{name}' config")
         p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--out", default=None, help="output directory (overrides config)")

@@ -5,8 +5,9 @@ matches the experiment kind (``kw``, ``classical``, ``mixed``, or
 ``generalized``); ``kind: sweep`` additionally requires a ``sweep``
 section and uses the model section for the stage specs. Parsing
 materializes every default, validates all module-level invariants before
-any solve, and rejects unknown keys; ``echo_config`` emits a canonical
-YAML text with ``parse_config(echo_config(c)) == c``.
+any solve, and rejects unknown keys and, naming its key, any number that
+is not finite (``.inf``, ``.nan``, ``1e999``); ``echo_config`` emits a
+canonical YAML text with ``parse_config(echo_config(c)) == c``.
 
 The schema is the library's own frozen dataclasses: :class:`TorusGeometry`
 is ``geometry``, :class:`GridSpec` is ``grid``, the model section is a
@@ -23,6 +24,7 @@ from its final epsilon), not from keys of its own section.
 
 from __future__ import annotations
 
+import math
 import re
 import types
 import typing
@@ -237,10 +239,15 @@ def _read(tp, node, path: str, **given):
     if not isinstance(node, bool):
         if tp is int and isinstance(node, int):
             return node
-        if tp is float and isinstance(node, (int, float)):
-            return float(node)
-        if tp is float and isinstance(node, str) and _EXPONENT_FLOAT.fullmatch(node):
-            return float(node)
+        number = isinstance(node, (int, float)) or _EXPONENT_FLOAT.fullmatch(str(node))
+        if tp is float and number:
+            try:
+                value = float(node)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise _fail(path, f"must be finite, got {node!r}")
+            return value
     wanted = "an integer" if tp is int else "a number"
     raise _fail(path, f"expected {wanted}, got {node!r}")
 
@@ -335,6 +342,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _check_epsilon(eps: float) -> None:
     """The run epsilon of ``kind: kw``; a spec's ``_admit`` checks its own."""
+    if not math.isfinite(eps):
+        raise ValidationError(f"epsilon: must be finite, got {eps}")
     if not eps > 0:
         raise ValidationError("epsilon: must be positive")
 

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
@@ -66,6 +67,8 @@ class TorusGeometry:
     def __post_init__(self):
         if not (self.length_x > 0 and self.length_y > 0):
             raise ValidationError("torus side lengths must be positive")
+        if not (math.isfinite(self.length_x) and math.isfinite(self.length_y)):
+            raise ValidationError("torus side lengths must be finite")
 
     @property
     def volume(self) -> float:
@@ -92,19 +95,20 @@ class GridSpec:
         return geometry.length_x / self.nx, geometry.length_y / self.ny
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=np.float64)
-    out = out.copy()
-    out.flags.writeable = False
-    return out
+def _finite(value) -> float:
+    """``value`` as a float, checked to be finite: a scalar entering a field."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"field values must be finite, got {value}")
+    return value
 
 
 def _adopted(cls, geometry: TorusGeometry, grid: GridSpec, samples: np.ndarray):
     """A ``cls`` (ScalarField or RegionMask) that adopts ``samples``.
 
     The array is frozen in place, not copied, and not checked: only for an
-    array that the caller has just built, checked or valid by
-    construction, and keeps no other reference to.
+    array that the package has just built from checked data, and keeps no
+    other reference to.
     """
     samples.flags.writeable = False
     new = object.__new__(cls)
@@ -113,24 +117,13 @@ def _adopted(cls, geometry: TorusGeometry, grid: GridSpec, samples: np.ndarray):
     return new
 
 
-def _checked_samples(values, grid: GridSpec) -> np.ndarray:
-    """``values`` as float64, checked to be finite and shaped like ``grid``."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (grid.nx, grid.ny):
-        raise ValidationError(
-            f"values shape {vals.shape} does not match grid ({grid.nx}, {grid.ny})"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("field values must be finite")
-    return vals
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar field sampled on a torus grid.
 
-    The sample array is copied and frozen at construction; all operations
-    return new fields, which adopt the arrays they have just built.
+    The constructor checks samples that enter from outside for shape and
+    finiteness, then copies and freezes them; a field the package computes
+    from checked data adopts its array with no scan and no copy (:meth:`_like`).
     """
 
     geometry: TorusGeometry
@@ -138,22 +131,29 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(_checked_samples(self.values, self.grid)))
+        vals, grid = np.array(self.values, dtype=np.float64, order="C"), self.grid
+        if vals.shape != (grid.nx, grid.ny):
+            raise ValidationError(
+                f"values shape {vals.shape} does not match grid ({grid.nx}, {grid.ny})"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("field values must be finite")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     def _like(self, values: np.ndarray) -> "ScalarField":
-        """A field on this grid that adopts ``values`` without a copy.
-
-        Only for an array that the caller has just built and keeps no
-        other reference to: it is checked like a constructor argument and
-        frozen in place.
-        """
-        return _adopted(ScalarField, self.geometry, self.grid, _checked_samples(values, self.grid))
+        """A field on this grid that adopts ``values``, frozen in place,
+        neither scanned nor copied: only for an array of this grid's shape
+        that the caller has just computed from checked data and keeps no
+        other reference to. :func:`vortexlab.kw.kw_solve` checks each
+        Newton iterate once."""
+        return _adopted(ScalarField, self.geometry, self.grid, values)
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
             _check_compatible(self, other)
             return self._like(self.values + other.values)
-        return self._like(self.values + float(other))
+        return self._like(self.values + _finite(other))
 
     __radd__ = __add__
 
@@ -161,16 +161,16 @@ class ScalarField:
         if isinstance(other, ScalarField):
             _check_compatible(self, other)
             return self._like(self.values - other.values)
-        return self._like(self.values - float(other))
+        return self._like(self.values - _finite(other))
 
     def __rsub__(self, other):
-        return self._like(float(other) - self.values)
+        return self._like(_finite(other) - self.values)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             _check_compatible(self, other)
             return self._like(self.values * other.values)
-        return self._like(self.values * float(other))
+        return self._like(self.values * _finite(other))
 
     __rmul__ = __mul__
 
@@ -193,12 +193,13 @@ class RegionMask:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if w.shape != (self.grid.nx, self.grid.ny):
             raise ValidationError("mask shape does not match grid")
-        if w.min() < 0.0 or w.max() > 1.0:
+        if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails too
             raise ValidationError("mask weights must lie in [0, 1]")
-        object.__setattr__(self, "weights", _freeze(w))
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def full(cls, geometry: TorusGeometry, grid: GridSpec) -> "RegionMask":
@@ -305,9 +306,9 @@ def _disc_box(
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
-    """``value`` everywhere, as one scalar broadcast to the grid: it holds no grid."""
-    samples = np.broadcast_to(float(value), (grid.nx, grid.ny))
-    return _adopted(ScalarField, geometry, grid, _checked_samples(samples, grid))
+    """``value`` everywhere, one checked scalar broadcast to the grid: it holds no grid."""
+    samples = np.broadcast_to(_finite(value), (grid.nx, grid.ny))
+    return _adopted(ScalarField, geometry, grid, samples)
 
 
 def field_from_function(
@@ -733,12 +734,12 @@ def _resample_full_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
 def resample(
     f: ScalarField, new_grid: GridSpec, spectrum: np.ndarray | None = None
 ) -> ScalarField:
-    """Trigonometric interpolation of ``f`` onto another grid."""
+    """Trigonometric interpolation of ``f`` onto another grid (``f`` itself on its own)."""
     if new_grid == f.grid:
-        return ScalarField(f.geometry, new_grid, f.values)
+        return f
     nx, ny = f.grid.nx, f.grid.ny
     spec = _resample_half_axis(_half_spectrum(f, spectrum), ny, new_grid.ny)
     spec = _resample_full_axis(spec, nx, new_grid.nx)
     vals = _irfft2(spec, (new_grid.nx, new_grid.ny))
     vals *= new_grid.nx * new_grid.ny / (nx * ny)
-    return ScalarField(f.geometry, new_grid, vals)
+    return _adopted(ScalarField, f.geometry, new_grid, vals)

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadTau, ValidationError
-from .fields import GridSpec, ScalarField, TorusGeometry, _axes, _minimal_image
+from .fields import GridSpec, ScalarField, TorusGeometry, _adopted, _axes, _minimal_image
 
 __all__ = [
     "NEGATIVE_SENTINEL",
@@ -179,6 +179,8 @@ class Divisor:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
+        if not all(math.isfinite(c) for p in pts for c in p):
+            raise ValidationError(f"divisor points must be finite, got {pts}")
         for m in self.multiplicities:
             if not float(m).is_integer():
                 raise ValidationError(f"multiplicities must be integers, got {m}")
@@ -273,6 +275,6 @@ def divisor_potential(
         u += term
     if reflected:
         u += divisor.degree * math.log(lx / ly)
-        u = u.T
+        u = np.ascontiguousarray(u.T)
     u[np.isneginf(u)] = NEGATIVE_SENTINEL
-    return ScalarField(geometry, grid, u)
+    return _adopted(ScalarField, geometry, grid, u)

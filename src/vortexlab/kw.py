@@ -206,6 +206,8 @@ class SolverConfig:
     max_newton: int = 60
 
     def __post_init__(self):
+        if not math.isfinite(self.newton_tol):
+            raise ValidationError(f"newton_tol must be finite, got {self.newton_tol}")
         if not self.newton_tol > 0:
             raise ValidationError("newton_tol must be positive")
         if self.max_newton < 1:
@@ -455,6 +457,8 @@ def kw_solve(
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f, ev)
         res_sup = sup_norm(resid)
+        if not math.isfinite(res_sup):  # the one finiteness check per iterate
+            raise ValidationError(f"Newton iterate {iteration} is not finite: residual {res_sup}")
         trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
             trace.iterations = iteration

@@ -69,6 +69,7 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
+    _adopted,
     _bump_window,
     _disc_box,
     _rfft2,
@@ -175,9 +176,13 @@ class _VortexModel:
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
     def _admit(self) -> None:
-        """Reject coinciding divisor points, ``epsilon <= 0`` and unbalanced data."""
+        """Reject coinciding points, non-finite scalars, ``epsilon <= 0`` and unbalanced data."""
         for t in self._terms:
             t.divisor.check_separated(self.geometry)
+        scales = [("scale", t.scale) for t in self._terms]
+        for name, value in [("epsilon", self.epsilon), ("tau", self.tau)] + scales:
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
         weights = [t.weight for t in self._terms]
@@ -992,7 +997,7 @@ def _on_lattice(
     fine = GridSpec(kx * grid.nx, ky * grid.ny)
     if fine != f.grid:
         f = resample(f, fine, spectrum)
-    return ScalarField(f.geometry, grid, f.values[::kx, ::ky])
+    return _adopted(ScalarField, f.geometry, grid, f.values[::kx, ::ky].copy())
 
 
 def _outside_discs(spec, points) -> RegionMask:

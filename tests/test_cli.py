@@ -291,6 +291,33 @@ def test_exponent_floats_without_a_dot():
         assert parse_config(echo_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [".inf", "-.inf", ".nan", "1e999", "'1e999'", "1" + "0" * 400],
+    ids=["inf", "minus_inf", "nan", "exponent", "quoted_exponent", "huge_integer"],
+)
+def test_reader_rejects_non_finite_numbers(literal):
+    # An infinite newton_tol accepted any start: status ok after 0 Newton
+    # steps. ``1e999`` takes the exponent-float path, the 401-digit integer
+    # overflows float().
+    with pytest.raises(ValidationError, match=r"^solver\.newton_tol: must be finite"):
+        parse_config(classical_yaml() + f"solver: {{newton_tol: {literal}}}\n")
+    with pytest.raises(ValidationError, match=r"^classical\.divisor\[0\]\.x: must be finite"):
+        parse_config(classical_yaml(points=((literal, 0.5, 1),)))
+
+
+@pytest.mark.parametrize("name", ["kw", "mixed"])
+def test_cli_non_finite_epsilon_exits_2(tmp_path, capsys, name):
+    # A non-finite epsilon is a validation error (exit 2), caught before
+    # any solve, not a run failure (exit 3).
+    out = tmp_path / "o"
+    argv = [name, "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
+    assert main(argv + ["--epsilon", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "epsilon" in err and "must be finite" in err
+    assert not out.exists()
+
+
 def test_kind_and_model_section_consistency():
     with pytest.raises(ValidationError, match="requires a 'classical'"):
         parse_config("kind: classical\nepsilon: 0.2\nmixed: {}\n")

@@ -98,8 +98,8 @@ def test_field_values_frozen():
 
 def test_operations_adopt_their_fresh_arrays():
     # The constructor copies the caller's array; an operation's result
-    # adopts the array it has just built, frozen in place, and is checked
-    # like a constructor argument.
+    # adopts the array it has just built, frozen in place, with no scan
+    # and no copy. Resampling onto the same grid returns the field itself.
     grid = GridSpec(8, 8)
     given = np.ones((8, 8))
     f = ScalarField(UNIT, grid, given)
@@ -108,9 +108,7 @@ def test_operations_adopt_their_fresh_arrays():
     g = f._like(built)
     assert g.values is built and not built.flags.writeable
     assert (g.geometry, g.grid) == (f.geometry, f.grid)
-    for bad in (np.zeros((8, 9)), np.full((8, 8), np.nan)):
-        with pytest.raises(ValueError):
-            f._like(bad)
+    assert resample(f, f.grid) is f
 
 
 def test_field_arithmetic_and_strict_compatibility():
@@ -136,10 +134,35 @@ def test_region_mask_validation_and_area():
         RegionMask(UNIT, grid, np.full((8, 8), 1.5))
     with pytest.raises(ValueError):
         RegionMask(UNIT, grid, np.full((8, 8), -0.1))
+    # A NaN passes both halves of a range test written as two rejections.
+    nan_at_one = np.ones((8, 8))
+    nan_at_one[0, 0] = np.nan
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        RegionMask(UNIT, grid, nan_at_one)
     full = RegionMask.full(UNIT, grid)
     assert full.area() == pytest.approx(1.0)
     half = RegionMask(UNIT, grid, np.where(np.arange(8)[:, None] < 4, 1.0, 0.0) * np.ones((8, 8)))
     assert half.area() == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_scalars_entering_a_field_are_checked(bad):
+    # A field built from checked data is adopted unscanned, so a scalar
+    # that enters it is checked on its own, as is a torus length.
+    f = constant_field(UNIT, GridSpec(8, 8), 1.0)
+    for make in (
+        lambda: f + bad,
+        lambda: bad + f,
+        lambda: f - bad,
+        lambda: bad - f,
+        lambda: f * bad,
+        lambda: bad * f,
+        lambda: constant_field(UNIT, GridSpec(8, 8), bad),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            make()
+    with pytest.raises(ValidationError):
+        TorusGeometry(1.0, bad)
 
 
 def test_excluding_discs_mask():

@@ -1,0 +1,117 @@
+"""Random configs through the whole pipeline: every run solves or fails typed.
+
+Each draw is a classical, mixed or generalized config on a small grid. It
+must end in one of three ways: a parse-time :class:`VortexLabError`, a
+``status: ok`` run whose every number is finite and whose every stage is
+converged and resolved, or a ``status: failed`` run naming a
+:class:`VortexLabError`. Nothing may escape :func:`vortexlab.run`.
+"""
+
+import csv
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vortexlab import errors, parse_config, run
+from vortexlab.errors import ValidationError, VortexLabError
+from vortexlab.kw import TAIL_TOL
+
+NEWTON_TOL = 1e-10
+
+
+@st.composite
+def configs(draw):
+    kind = draw(st.sampled_from(["classical", "mixed", "generalized"]))
+    lx, ly = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+
+    def divisor():
+        points = draw(st.lists(st.tuples(unit, unit, st.integers(1, 3)), max_size=3))
+        return [{"x": fx * lx, "y": fy * ly, "m": m} for fx, fy, m in points]
+
+    tau = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    if kind == "classical":
+        model = {"divisor": divisor()}
+    elif kind == "mixed":
+        model = {"divisor_plus": divisor(), "divisor_minus": divisor(), "tau": tau}
+    else:
+        weights = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3))
+        model = {"tau": tau, "terms": [{"weight": k, "divisor": divisor()} for k in weights]}
+    n = draw(st.sampled_from([32, 64]))
+    return {
+        "kind": kind,
+        "geometry": {"length_x": lx, "length_y": ly},
+        "grid": {"nx": n, "ny": n},
+        "epsilon": draw(st.sampled_from([0.3, 0.2, 0.1, 0.05])),
+        "solver": {"newton_tol": NEWTON_TOL},
+        "outputs": {"csv": True, "heatmaps": False, "svg": False},
+        kind: model,
+    }
+
+
+def _numbers(node):
+    """Every number in a JSON tree."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_every_run_solves_or_fails_typed(tree):
+    try:
+        config = parse_config(yaml.safe_dump(tree))
+    except VortexLabError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        returned = run(config, out, quiet=True)
+        manifest = json.loads((Path(out) / "manifest.json").read_text())
+        rows = []
+        if (Path(out) / "results.csv").exists():
+            with open(Path(out) / "results.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+    assert manifest["status"] == returned["status"]
+    if manifest["status"] == "failed":
+        assert issubclass(getattr(errors, manifest["error"]["type"]), VortexLabError)
+        return
+    assert manifest["status"] == "ok" and manifest["stages"]
+    assert all(math.isfinite(v) for v in _numbers(manifest))
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row if cell)
+    for stage in manifest["stages"]:
+        assert stage["residual_history"][-1] <= NEWTON_TOL
+        assert stage["spectral_tail"] <= TAIL_TOL
+
+
+def _float_keys(node, path=""):
+    """(path as the reader names it, container, key) of every float in ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            sub = f"{path}.{key}" if path else key
+        else:
+            sub = f"{path}[{key}]"
+        if isinstance(value, float):
+            yield sub, node, key
+        elif isinstance(value, (dict, list)):
+            yield from _float_keys(value, sub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.data(), st.sampled_from([math.inf, -math.inf, math.nan, "1e999"]))
+def test_a_non_finite_number_fails_at_its_key(tree, data, bad):
+    # ``1e999`` is a string to YAML 1.1, which the reader takes as a float.
+    path, node, key = data.draw(st.sampled_from(list(_float_keys(tree))))
+    node[key] = bad
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ": must be finite"):
+        parse_config(yaml.safe_dump(tree))

@@ -35,6 +35,7 @@ from vortexlab.errors import (
     NoRoot,
     OverflowGuard,
     Unsolvable,
+    ValidationError,
 )
 from vortexlab.kw import (
     Classification,
@@ -172,6 +173,11 @@ def test_solver_config_ranges():
         SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
+    # An infinite tolerance accepts any iterate: a mixed pair ran to
+    # status ok after 0 Newton steps, with curvature masses [0, 0].
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="newton_tol must be finite"):
+            SolverConfig(newton_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +464,22 @@ def test_solve_constant_mode_balance_at_solution():
     sminus = p.minus_terms[0][0].values * np.exp(-sol.f.values)
     balance = float(np.mean(splus - sminus + p.w.values)) * UNIT.volume
     assert abs(balance) <= 1e-9 * UNIT.volume
+
+
+def test_solve_rejects_a_non_finite_iterate_before_cg(monkeypatch):
+    # Fields built inside the solve are not scanned; kw_solve checks each
+    # iterate once, on the sup residual at the loop head. A start of
+    # -1e305 at one sample overflows its Laplacian, and the residual with it.
+    grid = GridSpec(32, 32)
+    problem = KWProblem(0.01, ((const(grid, 1.0), 1.0),), (), const(grid, -1.0))
+    start = np.zeros((32, 32))
+    start[5, 7] = -1e305
+    calls = []
+    monkeypatch.setattr(kw_module, "solve_linearized", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError, match="finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            kw_solve(problem, init=ScalarField(UNIT, grid, start))
+    assert calls == []
 
 
 def test_solve_one_sided_plus():
