@@ -10,16 +10,10 @@ closed-form predictions.
 __version__ = "0.1.0"
 
 from .errors import (
-    BadRadii,
-    BadTau,
     BradlowViolation,
     DegenerateFit,
-    EmptyMask,
-    GridMismatch,
     MaxIterExceeded,
     NoConvergence,
-    NonPositiveInput,
-    NonPositivePotential,
     NoRoot,
     OverflowGuard,
     OverlappingBump,

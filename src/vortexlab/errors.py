@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own
-class; a value outside its documented domain raises ValidationError,
-which is also a ValueError. A VortexLabError is an expected failure;
-anything else is a programming error and propagates.
+A class exists only for a failure some caller branches on. Every bad
+argument (a value outside its documented domain, mismatched grids, an
+empty mask, a non-positive potential, out-of-range radii or modulus)
+raises ValidationError, which is also a ValueError. A VortexLabError is
+an expected failure; anything else is a programming error and propagates.
 """
 
 
@@ -11,30 +12,9 @@ class VortexLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GridMismatch(VortexLabError):
-    """Fields or masks defined on different geometries or grids."""
-
-
-class NonPositivePotential(VortexLabError):
-    """Linearized solve called with a potential that is not strictly positive."""
-
-
 class NoConvergence(VortexLabError):
-    """Conjugate gradients exhausted its iteration budget."""
-
-
-class EmptyMask(VortexLabError):
-    """Norm or supremum requested over a mask of zero area."""
-
-
-class BadRadii(VortexLabError):
-    """Cutoff radii violate 0 < r_inner < r_outer < injectivity radius."""
-
-
-class BadTau(VortexLabError):
-    """Theta function evaluated at a modulus outside the upper half plane,
-    so close to its real axis that the sine series cancels, or so far from
-    it that the nome underflows."""
+    """Conjugate gradients exhausted its iteration budget, or broke down
+    on valid input (the operator lost positive definiteness in roundoff)."""
 
 
 class OverflowGuard(VortexLabError):
@@ -51,10 +31,6 @@ class MaxIterExceeded(VortexLabError):
 
 class NoRoot(VortexLabError):
     """Pointwise limit equation has no root at some sample."""
-
-
-class NonPositiveInput(VortexLabError):
-    """Scalar inequality helpers require strictly positive arguments."""
 
 
 class BradlowViolation(Unsolvable):

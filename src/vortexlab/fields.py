@@ -22,14 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    BadRadii,
-    EmptyMask,
-    GridMismatch,
-    NoConvergence,
-    NonPositivePotential,
-    ValidationError,
-)
+from .errors import NoConvergence, ValidationError
 
 __all__ = [
     "TorusGeometry",
@@ -230,7 +223,7 @@ class RegionMask:
 
 def _check_compatible(a, b) -> None:
     if a.geometry != b.geometry or a.grid != b.grid:
-        raise GridMismatch(
+        raise ValidationError(
             f"incompatible geometry/grid: {a.geometry}/{a.grid} vs {b.geometry}/{b.grid}"
         )
 
@@ -450,7 +443,7 @@ def _mask_weights(f: ScalarField, mask: RegionMask | None) -> np.ndarray:
         return np.ones_like(f.values)
     _check_compatible(f, mask)
     if float(mask.weights.sum()) == 0.0:
-        raise EmptyMask("mask has zero area")
+        raise ValidationError("mask has zero area")
     return mask.weights
 
 
@@ -470,7 +463,7 @@ def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:
     _check_compatible(f, mask)
     sel = mask.weights > 0.5
     if not sel.any():
-        raise EmptyMask("mask has no samples with weight > 1/2")
+        raise ValidationError("mask has no samples with weight > 1/2")
     return float(np.abs(f.values[sel]).max())
 
 
@@ -538,7 +531,7 @@ def solve_linearized(
         raise ValidationError("epsilon must be nonnegative")
     vmin = potential.min()
     if vmin <= 0.0:
-        raise NonPositivePotential(f"potential minimum {vmin} is not positive")
+        raise ValidationError(f"potential minimum {vmin} is not positive")
 
     grid = rhs.grid
     cap = max_iter if max_iter is not None else 10 * (grid.nx + grid.ny)
@@ -589,7 +582,7 @@ def solve_linearized(
         Ap += q_p
         denom = float(np.vdot(p, Ap))
         if denom <= 0.0:
-            raise NonPositivePotential("operator lost positive definiteness")
+            raise NoConvergence("operator lost positive definiteness")
         alpha = rz / denom
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(Ap, alpha, out=Ap)
@@ -648,7 +641,7 @@ def _bump_window(
     """The :func:`bump_cutoff` profile on the box of its ``r_outer`` disc:
     ``(box, values)``; the bump is exactly 0 outside the box."""
     if not (0.0 < r_inner < r_outer < geometry.injectivity_radius):
-        raise BadRadii(
+        raise ValidationError(
             f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
             f"got ({r_inner}, {r_outer})"
         )
@@ -686,7 +679,7 @@ def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> flo
     vals = phi.values
     sel = vals > floor
     if not sel.any():
-        raise EmptyMask("no samples above the cutoff floor")
+        raise ValidationError("no samples above the cutoff floor")
     return float(np.max(grad2[sel] / vals[sel] ** alpha))
 
 

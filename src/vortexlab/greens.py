@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadTau, ValidationError
+from .errors import ValidationError
 from .fields import GridSpec, ScalarField, TorusGeometry, _adopted, _axes, _minimal_image
 
 __all__ = [
@@ -73,13 +73,11 @@ _CELL_SLACK = 1e-9
 def _check_tau(tau: complex) -> complex:
     tau = complex(tau)
     if tau.imag <= 0.0:
-        raise BadTau(f"tau must lie in the upper half plane, got {tau}")
+        raise ValidationError(f"tau must lie in the upper half plane, got {tau}")
     if tau.imag < _MIN_IM_TAU:
-        raise BadTau(
-            f"Im tau = {tau.imag} < {_MIN_IM_TAU}: the sine series cancels"
-        )
+        raise ValidationError(f"Im tau = {tau.imag} < {_MIN_IM_TAU}: the sine series cancels")
     if tau.imag > _MAX_IM_TAU:
-        raise BadTau(f"Im tau = {tau.imag} > {_MAX_IM_TAU}: the nome underflows")
+        raise ValidationError(f"Im tau = {tau.imag} > {_MAX_IM_TAU}: the nome underflows")
     return tau
 
 

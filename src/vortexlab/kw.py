@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     MaxIterExceeded,
-    NonPositiveInput,
     NoRoot,
     OverflowGuard,
     UnderResolved,
@@ -711,7 +710,7 @@ def young_bound(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """
     for name, v in (("a", a), ("b", b), ("x", x), ("y", y)):
         if not v > 0:
-            raise NonPositiveInput(f"{name} must be positive, got {v}")
+            raise ValidationError(f"{name} must be positive, got {v}")
     s = a + b
     k = (a / b) ** (b / s) + (b / a) ** (a / s)
     xi0 = (a * x / (b * y)) ** (1.0 / s)

@@ -83,6 +83,7 @@ from .fields import (
     torus_displacement,
 )
 from .greens import (
+    _MAX_IM_TAU,
     Divisor,
     _green_constant,
     _point_distance,
@@ -176,7 +177,14 @@ class _VortexModel:
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
     def _admit(self) -> None:
-        """Reject coinciding points, non-finite scalars, ``epsilon <= 0`` and unbalanced data."""
+        """Reject a torus too long for the Green's function, coinciding points,
+        non-finite scalars, ``epsilon <= 0`` and unbalanced data."""
+        lx, ly = self.geometry.length_x, self.geometry.length_y
+        if max(lx, ly) / min(lx, ly) > _MAX_IM_TAU:
+            raise ValidationError(
+                f"torus sides {lx} x {ly} differ by more than {_MAX_IM_TAU:g} times: "
+                "the Green's function nome underflows"
+            )
         for t in self._terms:
             t.divisor.check_separated(self.geometry)
         scales = [("scale", t.scale) for t in self._terms]

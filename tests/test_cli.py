@@ -749,6 +749,17 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "classical.divisor: multiplicities must be positive" in err
 
 
+def test_over_long_torus_exits_before_any_solve(tmp_path, capsys):
+    # Past a 200:1 aspect the Green's function nome underflows; the spec
+    # rejects the torus at parse time (exit 2), not in the solve (exit 3).
+    text = classical_yaml(n=16) + "geometry: {length_x: 1.0, length_y: 250.0}\n"
+    out = tmp_path / "o"
+    assert main(["classical", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "classical: torus sides 1.0 x 250.0 differ by more than 200 times" in err
+    assert not out.exists()
+
+
 def test_generalized_negative_weights_run(tmp_path):
     text = (
         "kind: generalized\nepsilon: 0.2\ngrid: {nx: 32, ny: 32}\ngeneralized:\n"

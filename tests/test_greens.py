@@ -18,7 +18,7 @@ from vortexlab import (
     theta1,
     torus_green,
 )
-from vortexlab.errors import BadTau, VortexLabError
+from vortexlab.errors import ValidationError, VortexLabError
 from vortexlab.greens import NEGATIVE_SENTINEL, _green_constant, _point_distance
 from vortexlab.vortex import _density_data
 
@@ -71,7 +71,7 @@ def test_theta1_truncation_tail(tau):
 
 @pytest.mark.parametrize("tau", [0.0, -1j, 1.0, 0.05j])
 def test_theta1_rejects_bad_tau(tau):
-    with pytest.raises(BadTau):
+    with pytest.raises(ValidationError):
         theta1(0.1, tau)
 
 
@@ -380,7 +380,7 @@ def test_divisor_potential_memory():
 
 def test_extreme_aspect_torus_is_rejected():
     # Past Im tau = 200 the nome is subnormal; fail loudly, not with zeros.
-    with pytest.raises(BadTau, match="nome underflows"):
+    with pytest.raises(ValidationError, match="nome underflows"):
         divisor_potential(Divisor(((0.5, 0.5),), (1,)), TorusGeometry(1.0, 300.0), GRID)
 
 

@@ -31,7 +31,6 @@ from vortexlab import (
 )
 from vortexlab.errors import (
     MaxIterExceeded,
-    NonPositiveInput,
     NoRoot,
     OverflowGuard,
     Unsolvable,
@@ -589,6 +588,20 @@ def test_limit_distance_nonincreasing_in_epsilon():
         assert b <= 1.05 * a
 
 
+def test_residual_and_energy_at_zero_epsilon(monkeypatch):
+    # At epsilon = 0 neither reads a Laplacian: the limit profile's residual
+    # is the pointwise equation, and the energy has no Dirichlet term.
+    grid = GridSpec(32, 32)
+    p = bumpy_two_sided(grid, epsilon=0.0)
+    f = kw_limit(p).f
+    calls = record_transforms(monkeypatch)
+    assert sup_norm(kw_residual(p, f)) <= 1e-14
+    ((A, _),), ((B, _),) = p.plus_terms, p.minus_terms
+    bulk = p.w.values * f.values + A.values * np.exp(f.values) + B.values * np.exp(-f.values)
+    assert kw_energy(p, f) == integrate(ScalarField(UNIT, grid, bulk))
+    assert calls == []
+
+
 def test_limit_memory():
     # Four smooth terms at 384^2 (each grid is 1.1 MiB). kw_limit solves
     # blocks of 42 rows, so beside the profile, the exclusion mask and its
@@ -867,7 +880,7 @@ def test_young_bound_paper_constant():
 
 def test_young_bound_rejects_nonpositive():
     for args in ((0, 1, 1, 1), (1, -2, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ValidationError):
             young_bound(*args)
 
 

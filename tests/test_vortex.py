@@ -820,12 +820,25 @@ def test_reduce_any_dispatch():
 # Vanishing orders
 
 
-def test_order_fit_synthetic_quartic():
-    def phi_sq(pts):
-        r2 = (pts[:, 0] - 0.5) ** 2 + (pts[:, 1] - 0.5) ** 2
-        return r2**2
+def _quartic_callable(pts):
+    r2 = (pts[:, 0] - 0.5) ** 2 + (pts[:, 1] - 0.5) ** 2
+    return r2**2
 
-    assert abs(vanishing_order_fit(phi_sq, (0.5, 0.5), 0.01, 0.05) - 2.0) <= 0.02
+
+def _quartic_field():
+    # A trigonometric polynomial vanishing to fourth order at (0.5, 0.5),
+    # so the sampled-field branch interpolates it exactly.
+    def fn(x, y):
+        return (np.sin(np.pi * (x - 0.5)) ** 2 + np.sin(np.pi * (y - 0.5)) ** 2) ** 2
+
+    return field_from_function(UNIT, GridSpec(256, 256), fn)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _quartic_callable, _quartic_field], ids=["callable", "field"]
+)
+def test_order_fit_synthetic_quartic(make):
+    assert abs(vanishing_order_fit(make(), (0.5, 0.5), 0.01, 0.05) - 2.0) <= 0.02
 
 
 def test_order_fit_mixed_limit_simple_zero():
