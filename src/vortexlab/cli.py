@@ -81,6 +81,15 @@ def _summarize(manifest: dict) -> str:
                 "masses=" + ",".join("-" if m is None else f"{m:.4f}" for m in masses)
             )
         lines.append("  stage " + " ".join(parts))
+        start = stage.get("start")
+        if start and "grid" in start:
+            g = start["grid"]
+            lines.append(
+                f"    start probe grid={g[0]}x{g[1]} iterations={start['iterations']} "
+                f"residual={start['residual_sup']:.3e}"
+            )
+        elif start:
+            lines.append(f"    start zero, probe failed: {start['type']}: {start['message']}")
     fits = manifest.get("order_fits") or []
     if any(f is not None for f in fits):
         lines.append(

@@ -276,26 +276,31 @@ def _box_axis(offsets: np.ndarray, radius: float):
     return idx
 
 
-def _disc_box(
-    geometry: TorusGeometry, grid: GridSpec, center, radius: float, unit: float = 1.0
-):
+def _box_offsets(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
     """The index box that holds the closed disc of ``radius`` about ``center``,
-    and the distances on it.
+    and the minimal-image offsets on it: ``(box, dx, dy)``.
 
-    The box is the rows and columns whose minimal-image offset is at most
-    ``radius``; every sample of the disc lies in it, since a distance is at
-    least each of its offsets. It is a pair of slices (a view) unless the
-    disc crosses the seam, and an ``np.ix_`` pair then. The distances are
-    ``hypot(dx / unit, dy / unit)`` from the 1-D offsets of
-    :func:`torus_displacement`, so with ``unit = 1`` they are bit-identical
-    to :func:`torus_distance` on the box.
+    The box is the rows and columns whose offset is at most ``radius``;
+    every sample of the disc lies in it, since a distance is at least each
+    of its offsets. It is a pair of slices (a view) unless the disc
+    crosses the seam, and an ``np.ix_`` pair then. ``dx`` is a column and
+    ``dy`` a row of :func:`torus_displacement`, so together they broadcast
+    to the box.
     """
     dx, dy = torus_displacement(geometry, grid, center)
     rows, cols = _box_axis(dx[:, 0], radius), _box_axis(dy[0], radius)
-    dist = np.hypot(dx[rows] / unit, dy[:, cols] / unit)
     if isinstance(rows, slice) and isinstance(cols, slice):
-        return (rows, cols), dist
-    return np.ix_(np.arange(grid.nx)[rows], np.arange(grid.ny)[cols]), dist
+        box = (rows, cols)
+    else:
+        box = np.ix_(np.arange(grid.nx)[rows], np.arange(grid.ny)[cols])
+    return box, dx[rows], dy[:, cols]
+
+
+def _disc_box(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
+    """The box of :func:`_box_offsets` and the distances on it, bit-identical
+    to :func:`torus_distance` there."""
+    box, dx, dy = _box_offsets(geometry, grid, center, radius)
+    return box, np.hypot(dx, dy)
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
@@ -515,7 +520,7 @@ def solve_linearized(
     rhs: ScalarField,
     tol: float = 1e-12,
     max_iter: int | None = None,
-) -> ScalarField:
+) -> tuple[ScalarField, ScalarField]:
     """Solve ``(-epsilon * laplacian + potential) x = rhs`` by CG.
 
     The potential must be strictly positive so the operator is symmetric
@@ -525,6 +530,9 @@ def solve_linearized(
     to the roundoff floor ``~ u (lam_max ||x|| + ||rhs||)`` when that lies
     above ``tol * ||rhs||`` — finite-precision CG cannot reduce the true
     residual past that level, so a tighter target would stall forever.
+
+    Returns ``(x, epsilon * laplacian(x))``: the second is the product
+    that the final true-residual check forms, in CG's own work array.
     """
     _check_compatible(potential, rhs)
     if epsilon < 0:
@@ -541,7 +549,8 @@ def solve_linearized(
     shape = b.shape
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return rhs._like(np.zeros_like(b))
+        zero = rhs._like(np.zeros_like(b))
+        return zero, zero
 
     v_mean = float(V.mean())
     inv_symbol = 1.0 / (epsilon * (-minus_k2) + v_mean)
@@ -588,7 +597,8 @@ def solve_linearized(
         r -= np.multiply(Ap, alpha, out=Ap)
         iterations += 1
         if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
-            # The true residual b - (V x - eps laplacian(x)), written over r.
+            # The true residual b - (V x - eps laplacian(x)), written over
+            # r; z keeps eps laplacian(x).
             _rfft2(x, spec)
             spec *= minus_k2
             _irfft2(spec, shape, z)
@@ -597,7 +607,7 @@ def solve_linearized(
             r -= z
             np.subtract(b, r, out=r)
             if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
-                return rhs._like(x)
+                return rhs._like(x), rhs._like(z)
             precondition(r, p, q_p)
             rz = float(np.vdot(r, p))
             continue

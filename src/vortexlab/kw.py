@@ -229,7 +229,13 @@ class NewtonTrace:
 
 @dataclass
 class KWSolution:
-    """Converged solve; ``residual_sup`` and ``energy`` end its ``newton`` trace."""
+    """Converged solve; ``residual_sup`` and ``energy`` end its ``newton`` trace.
+
+    The residuals are those of a fresh evaluation of ``f``, whose half
+    spectrum and Laplacian the solution holds until a caller takes them
+    (:meth:`_take_final`); a copy made with ``dataclasses.replace`` does
+    not hold them.
+    """
 
     f: ScalarField
     residual_sup: float
@@ -238,10 +244,17 @@ class KWSolution:
     classification: Classification
     epsilon: float
     newton: NewtonTrace
+    _final: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
         return self.newton.iterations
+
+    def _take_final(self) -> tuple[np.ndarray, ScalarField]:
+        """``(rfft2(f), laplacian(f))`` from the evaluation that decided
+        convergence, handed over once: the solution drops them."""
+        final, self._final = self._final, None
+        return final
 
 
 def _signed_terms(problem: KWProblem) -> tuple[tuple[ScalarField, float], ...]:
@@ -262,18 +275,26 @@ class _Evaluation:
 
     One exponential pass gives the term values ``C e^{kf}`` of the signed
     terms ``(C, k)``, with the top exponent ``max(k f)`` of each, which
-    the overflow guard tests. One forward and one inverse transform give
-    the Laplacian of ``f`` and its Dirichlet energy, which is kept as a
-    scalar; the spectrum is not. The energy, the residual, the Newton
+    the overflow guard tests. The rest of the residual, its linear part
+    ``w - epsilon laplacian(f)``, is held as ``(a, b, t)`` for ``a + t b``
+    beside the Dirichlet energy ``D(f)``, a scalar. A fresh evaluation
+    (``linear`` omitted) transforms ``f`` once each way: the half
+    ``spectrum`` gives ``D(f)`` by Parseval and the ``laplacian``, and
+    it keeps both for a caller that reads them. A line-search trial is
+    handed its linear part and ``D`` by :func:`_trials` and transforms
+    nothing. The energy, the residual (formed once and kept), the Newton
     potential and the pin coefficients all read these. The pass runs on
     first use, so an :class:`OverflowGuard` raises in whichever of
     :func:`kw_energy` and :func:`kw_residual` reads the evaluation first.
     """
 
-    def __init__(self, problem: KWProblem, f: ScalarField):
+    def __init__(self, problem: KWProblem, f: ScalarField, linear=None, dirichlet=0.0):
         self.problem, self.f = problem, f
+        self.fresh = linear is None
+        self._linear, self._dirichlet = linear, dirichlet
         self._terms = None  # [(C e^{kf}, k, max(k f))], once filled
-        self._lap, self._dirichlet = None, 0.0
+        self._residual = None
+        self.spectrum = self.laplacian = None
 
     def _fill(self) -> None:
         if self._terms is not None:
@@ -285,23 +306,27 @@ class _Evaluation:
             _guard(top)
             np.exp(s, out=s)
             terms.append((np.multiply(c.values, s, out=s), k, top))
-        if self.problem.epsilon != 0:
-            spec = _half_spectrum(self.f, None)
-            self._dirichlet = dirichlet_energy(self.f, spec)
-            self._lap = laplacian(self.f, spec).values
+        if self._linear is None:
+            eps, w = self.problem.epsilon, self.problem.w.values
+            self._linear = (w, None, 0.0)
+            if eps != 0:
+                self.spectrum = _half_spectrum(self.f, None)
+                self._dirichlet = dirichlet_energy(self.f, self.spectrum)
+                self.laplacian = laplacian(self.f, self.spectrum).values
+                self._linear = (w, self.laplacian, -eps)
         self._terms = terms
 
     def shifted(self, c: float) -> "_Evaluation":
         """The evaluation at ``f + c``, from this one.
 
         Each term value scales by ``e^{kc}``, under the same guard on
-        ``max(k f) + k c``; the Laplacian and the Dirichlet energy do not
+        ``max(k f) + k c``; the linear part and the Dirichlet energy do not
         change, so the shift costs no transform. A factor ``e^{kc}`` that
         would itself overflow or underflow takes a fresh ``exp`` instead.
         """
         self._fill()
-        new = _Evaluation(self.problem, self.f + c)
-        new._lap, new._dirichlet, new._terms = self._lap, self._dirichlet, []
+        new = _Evaluation(self.problem, self.f + c, self._linear, self._dirichlet)
+        new._terms = []
         for (s, k, top), (coeff, _) in zip(self._terms, _signed_terms(self.problem)):
             _guard(top + k * c)
             if abs(k * c) <= _EXP_GUARD:
@@ -312,16 +337,20 @@ class _Evaluation:
         return new
 
     def residual(self) -> np.ndarray:
-        """``-epsilon laplacian(f) + sum sign(k) C e^{kf} + w``, a fresh array."""
+        """``-epsilon laplacian(f) + sum sign(k) C e^{kf} + w``, formed on
+        first use and kept; the caller must not write into it."""
         self._fill()
-        if self._lap is None:
-            out = self.problem.w.values.copy()
-        else:
-            out = np.multiply(self._lap, -self.problem.epsilon)
-            out += self.problem.w.values
-        for s, k, _ in self._terms:
-            (np.add if k > 0 else np.subtract)(out, s, out=out)
-        return out
+        if self._residual is None:
+            a, b, t = self._linear
+            if b is None:
+                out = a.copy()
+            else:
+                out = np.multiply(b, t)
+                out += a
+            for s, k, _ in self._terms:
+                (np.add if k > 0 else np.subtract)(out, s, out=out)
+            self._residual = out
+        return self._residual
 
     def energy(self) -> float:
         """``epsilon/2 D(f) + integral(sum (C/|k|) e^{kf} + w f)``."""
@@ -420,15 +449,18 @@ def kw_solve(
     Starts from ``init`` (default zero field), checks the balance condition
     first, and enforces monotone energy decrease via Armijo backtracking.
     Each linearized step is solved inexactly, to the relative target of
-    :func:`_cg_tolerance`; convergence is still decided on the exact sup
-    residual at the loop head. The Newton potential is floored at 1e-14
-    and, for one-sided problems, the constant mode is re-pinned through
-    the balance equation after each accepted step.
+    :func:`_cg_tolerance`. The Newton potential is floored at 1e-14 and,
+    for one-sided problems, the constant mode is re-pinned through the
+    balance equation after each accepted step.
 
-    Each iterate is evaluated once (:class:`_Evaluation`): the start, each
-    line-search trial and each pinned iterate, which costs no transform.
-    Its energy, its residual at the loop head and its Newton potential
-    read that evaluation, which is released before CG runs.
+    Each iterate is evaluated once (:class:`_Evaluation`): the start is
+    transformed, and each line-search trial and each pinned iterate is
+    carried from it with no transform. Its energy, its residual at the
+    loop head and its Newton potential read that evaluation, which is
+    released before CG runs. Once a carried residual meets ``newton_tol``
+    the iterate is evaluated afresh, and that sup residual decides
+    convergence: the returned ``residual_sup`` is exactly that of
+    ``kw_residual(problem, f)``.
     """
     if problem.epsilon <= 0:
         raise ValidationError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
@@ -456,12 +488,17 @@ def kw_solve(
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f, ev)
         res_sup = sup_norm(resid)
+        if res_sup <= config.newton_tol and not ev.fresh:
+            # The carried residual has converged; a fresh one decides.
+            ev = _Evaluation(problem, f)
+            resid = f._like(ev.residual())
+            res_sup = sup_norm(resid)
         if not math.isfinite(res_sup):  # the one finiteness check per iterate
             raise ValidationError(f"Newton iterate {iteration} is not finite: residual {res_sup}")
         trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
             trace.iterations = iteration
-            return KWSolution(
+            solution = KWSolution(
                 f=f,
                 residual_sup=res_sup,
                 residual_l2=lp_norm(resid, 2),
@@ -470,6 +507,8 @@ def kw_solve(
                 epsilon=problem.epsilon,
                 newton=trace,
             )
+            solution._final = (ev.spectrum, f._like(ev.laplacian))
+            return solution
         if iteration == config.max_newton:
             break
 
@@ -478,10 +517,10 @@ def kw_solve(
         prev_l2 = res_l2
         tol = _cg_tolerance(config, eta, res_sup)
         trace.cg_tolerances.append(tol)
-        potential = ev.potential()
+        potential, dirichlet = ev.potential(), ev._dirichlet
         ev = None  # CG runs with no evaluation alive
         # x = -delta, from the residual itself: CG commutes exactly with negation.
-        x = solve_linearized(problem.epsilon, potential, resid, tol=tol)
+        x, eps_lap_x = solve_linearized(problem.epsilon, potential, resid, tol=tol)
         del potential
         slope = -float(np.mean(resid.values * x.values)) * vol
         if slope >= 0.0:
@@ -489,7 +528,12 @@ def kw_solve(
                 f"Newton direction lost descent (slope {slope:.3g})"
             )
 
-        ev, energy = _line_search(problem, f, x, energy, slope, res_sup, iteration)
+        base = _linear_part(problem, f, resid)
+        del resid
+        trials = _trials(problem, f, x, eps_lap_x, base, dirichlet)
+        del x, eps_lap_x, base
+        ev, energy = _line_search(problem, trials, energy, slope, res_sup, iteration)
+        del trials
         if one_sided:
             ev, energy = _pinned(problem, ev, energy)
         f = ev.f
@@ -501,9 +545,47 @@ def kw_solve(
     )
 
 
-def _line_search(problem, f, x, energy, slope, res_sup, iteration):
-    """Armijo backtracking along the Newton direction ``-x``: the accepted
-    trial's evaluation and energy.
+def _linear_part(problem: KWProblem, f: ScalarField, resid: ScalarField) -> np.ndarray:
+    """``w - epsilon laplacian(f)``: the residual ``resid`` of ``f`` less its
+    signed terms ``sign(k) C e^{kf}``, which one exponential pass forms
+    again rather than keep them alive through CG."""
+    out, term = resid.values.copy(), np.empty(resid.values.shape)
+    for c, k in _signed_terms(problem):
+        np.multiply(f.values, k, out=term)
+        np.exp(term, out=term)
+        term *= c.values
+        (np.subtract if k > 0 else np.add)(out, term, out=out)
+    return out
+
+
+def _trials(problem, f, x, eps_lap_x, base, dirichlet):
+    """The evaluations of the line-search trials ``f - s x``, as a function
+    of ``s``, with no transform.
+
+    ``base`` is the linear part ``w - epsilon laplacian(f)`` of ``f`` and
+    ``eps_lap_x`` is ``epsilon laplacian(x)``, which CG hands back, so the
+    trial's linear part is ``base + s eps_lap_x``. Its Dirichlet energy is
+
+        D(f - s x) = D(f) + 2 s integral(x laplacian f) + s^2 D(x),
+
+    where ``integral(x laplacian f) = integral(f laplacian x)`` and
+    ``D(x) = -integral(x laplacian x)`` both read ``eps_lap_x``.
+    """
+    h = problem.geometry.volume / (f.values.size * problem.epsilon)
+    cross = float(np.vdot(f.values, eps_lap_x.values)) * h
+    d_x = -float(np.vdot(x.values, eps_lap_x.values)) * h
+
+    def trial(step: float) -> _Evaluation:
+        moved = f._like(f.values - step * x.values)
+        d_trial = dirichlet + step * (2.0 * cross + step * d_x)
+        return _Evaluation(problem, moved, (base, eps_lap_x.values, step), d_trial)
+
+    return trial
+
+
+def _line_search(problem, trials, energy, slope, res_sup, iteration):
+    """Armijo backtracking along the Newton direction: the accepted
+    trial's evaluation and energy; ``trials(s)`` evaluates step ``s``.
 
     Each trial is evaluated once, and its energy and sup residual read
     that evaluation. Near the optimum the energy decrease of a Newton step
@@ -516,11 +598,10 @@ def _line_search(problem, f, x, energy, slope, res_sup, iteration):
     e_noise = 1e-14 * (1.0 + abs(energy))
     step = 1.0
     for _ in range(80):
-        trial = f._like(f.values - step * x.values)
-        ev = _Evaluation(problem, trial)
+        ev = trials(step)
         try:
-            e_trial = kw_energy(problem, trial, ev)
-            r_trial = sup_norm(kw_residual(problem, trial, ev))
+            e_trial = kw_energy(problem, ev.f, ev)
+            r_trial = sup_norm(kw_residual(problem, ev.f, ev))
         except OverflowGuard:
             e_trial = math.inf
             r_trial = math.inf

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
-from .fields import ScalarField, _rfft2, spectral_tail
+from .fields import ScalarField, spectral_tail
 from .kw import KWSolution, _check_resolved, interior_bounds, kw_solve
 from .vortex import (
     DiagnosticsReport,
@@ -271,8 +271,10 @@ def emit_line_plot(
 
 
 def _stage_dict(record: DiagnosticsReport | KWSolution, **extra) -> dict:
-    """Manifest entry of a stage or a kw solution: ``f`` left out, trace inlined."""
-    out = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != "f"}
+    """Manifest entry of a stage or a kw solution: ``f`` and the solution's
+    final transforms left out, trace inlined."""
+    skip = ("f", "_final")
+    out = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in skip}
     trace = dataclasses.asdict(out.pop("newton"))
     return _jsonable(out | trace | extra)
 
@@ -346,7 +348,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 f"residual {solution.residual_sup:.3e}"
             )
             # The grid is fixed: an unresolved solution fails the run.
-            spectrum = _rfft2(solution.f.values)
+            spectrum, _ = solution._take_final()
             tail = spectral_tail(solution.f, spectrum)
             _check_resolved(solution.f, tail)
             manifest["stages"] = [

@@ -70,8 +70,8 @@ from .fields import (
     ScalarField,
     TorusGeometry,
     _adopted,
+    _box_offsets,
     _bump_window,
-    _disc_box,
     _rfft2,
     constant_field,
     integrate,
@@ -152,6 +152,14 @@ def _density_data(geometry, grid, divisor, scale, normalized):
     e = np.exp(u.values)
     c = scale / float(e.mean()) if normalized else scale
     return u._like(np.multiply(e, c, out=e)), math.log(c)
+
+
+class _Start(NamedTuple):
+    """A stage's Newton start ``f`` (None: zero) and the manifest ``record``
+    of how it was made (None but for a probe start, or its fallback)."""
+
+    f: ScalarField | None
+    record: dict | None
 
 
 class _VortexModel:
@@ -240,10 +248,34 @@ class _VortexModel:
     def _order_fits(self, points) -> list[float | None]:
         return [None] * len(points)
 
-    def _initial_guess(self, previous: KWSolution | None) -> ScalarField | None:
+    def _initial_guess(self, previous: KWSolution | None, config: SolverConfig) -> _Start:
         """Newton start of this spec: the previous solution resampled onto
-        this grid, or None (a zero start) when there is none."""
-        return None if previous is None else resample(previous.f, self.grid)
+        this grid.
+
+        Without one, a grid finer than ``_PROBE_GRID`` on both axes starts
+        from the ``_probe`` copied at this epsilon, solved from zero with
+        ``config`` and resampled onto this grid (nested iteration,
+        derivations §8); its record holds the probe's grid, Newton steps
+        and residual. A probe solve that fails leaves a zero start (None),
+        and its record the error. A coarser grid starts from zero.
+        """
+        if previous is not None:
+            return _Start(resample(previous.f, self.grid), None)
+        if self.grid.nx <= _PROBE_GRID.nx or self.grid.ny <= _PROBE_GRID.ny:
+            return _Start(None, None)
+        probe = self._probe
+        probe._coefficients  # built before the copy, which then shares them
+        try:
+            coarse = kw_solve(reduce_any(_copy(probe, epsilon=self.epsilon)), config)
+        except VortexLabError as exc:
+            return _Start(None, {"type": type(exc).__name__, "message": str(exc)})
+        spectrum, _ = coarse._take_final()
+        record = {
+            "grid": _PROBE_GRID,
+            "iterations": coarse.iterations,
+            "residual_sup": coarse.residual_sup,
+        }
+        return _Start(resample(coarse.f, self.grid, spectrum), record)
 
     @cached_property
     def _probe(self):
@@ -439,21 +471,33 @@ class ClassicalVortexSpec(_VortexModel):
     def _expected(self, m_plus: int, m_minus: int):
         return float(m_plus), float(m_plus)
 
+    @np.errstate(divide="ignore")
     def _deviation(self, f: ScalarField) -> ScalarField:
-        return 1.0 - _phi_sq(self, f)[0]
+        """``1 - |phi|^2 = -expm1((log C - log S) + f)`` from the coefficient
+        ``C`` and its log scale ``log S`` (here ``c = 1``), exactly 1 where
+        ``C`` is 0. Formed by subtraction from ``|phi|^2``, it would carry
+        an absolute error of an ulp of 1 at any size; this way its error
+        is about an ulp of ``u_D = log C - log S``, none where that is 0."""
+        ((coeff, log_scale),) = self._coefficients
+        dev = np.log(coeff.values)
+        dev -= log_scale
+        dev += f.values
+        np.expm1(dev, out=dev)
+        return f._like(np.negative(dev, out=dev))
 
     def _core_scale(self) -> float:
         """Classical cores have radius of order eps (derivations §4)."""
         return self.epsilon
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _initial_guess(self, previous: KWSolution | None) -> ScalarField:
+    def _initial_guess(self, previous: KWSolution | None, config: SolverConfig) -> _Start:
         """Glued planar cores, ``f0 = sum_i h_{m_i}(|x - p_i| / eps) - u_D``.
 
-        The blow-up limit of derivations §4, so ``previous`` is ignored and
-        the stages of a sweep are independent. A sample on a divisor point
-        ``p`` takes the limit ``a_m - 2m log eps - R_p + sum_{q != p}
-        h_{m_q}(|p - q| / eps)``, where ``R_p = lim (u_D - 2m log|x - p|)``.
+        The blow-up limit of derivations §4, so ``previous`` and ``config``
+        are ignored and the stages of a sweep are independent. A sample on
+        a divisor point ``p`` takes the limit ``a_m - 2m log eps - R_p +
+        sum_{q != p} h_{m_q}(|p - q| / eps)``, where ``R_p = lim (u_D - 2m
+        log|x - p|)``.
 
         ``-u_D = log(S c) - log C``: on a divisor-point sample ``C`` is 0 and
         the sum not finite until overwritten; any other such sample fails
@@ -486,12 +530,17 @@ class ClassicalVortexSpec(_VortexModel):
                     value -= 4.0 * math.pi * k * torus_green((q[0] - p[0], q[1] - p[1]), geometry)
                     value += _planar_core(k, _point_distance(geometry, p, q) / eps)
             f0[sample] = value
-        return ScalarField(geometry, self.grid, f0)
+        return _Start(ScalarField(geometry, self.grid, f0), None)
 
     def _log_rho(self, p, reach: float):
-        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach`` about ``p``."""
-        box, rho = _disc_box(self.geometry, self.grid, p, reach, unit=self.epsilon)
-        return box, np.log(rho, out=rho)
+        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach``
+        about ``p``, as ``log((dx/eps)^2 + (dy/eps)^2) / 2`` from the 1-D
+        offsets: no square root, and one grid on the box."""
+        box, dx, dy = _box_offsets(self.geometry, self.grid, p, reach)
+        eps = self.epsilon
+        log_rho = np.add(np.square(dx / eps), np.square(dy / eps))
+        np.log(log_rho, out=log_rho)
+        return box, np.multiply(log_rho, 0.5, out=log_rho)
 
 
 @dataclass(frozen=True)
@@ -645,11 +694,13 @@ def _phi_sq(spec, f: ScalarField) -> list[ScalarField]:
     ]
 
 
-def _reconstruction(spec, f, phi_sq, spectrum: np.ndarray | None) -> Reconstruction:
-    """The curvature function from ``f`` (its half spectrum ``spectrum``,
-    if the caller has it), alongside ``phi_sq``."""
+def _reconstruction(spec, f, phi_sq, spectrum: np.ndarray | None, lap=None) -> Reconstruction:
+    """The curvature function from ``f`` (its Laplacian ``lap`` or its half
+    spectrum ``spectrum``, if the caller has them), alongside ``phi_sq``."""
     background = 2.0 * math.pi * float(spec.degree) / spec.geometry.volume
-    geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * laplacian(f, spectrum)
+    if lap is None:
+        lap = laplacian(f, spectrum)
+    geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * lap
     return Reconstruction(phi_sq, *spec._curvature(phi_sq, geometric))
 
 
@@ -895,7 +946,8 @@ class DiagnosticsReport:
     solution's own :class:`NewtonTrace` (shared, not copied), and
     ``rejected``, the ``grid``, ``spectral_tail`` and Newton
     ``iterations`` of each solve that the certificate sent to a finer
-    grid, go to the manifest only.
+    grid, and ``start``, how the stage's first solve started (the
+    ``record`` of its ``_Start``), go to the manifest only.
     """
 
     epsilon: float
@@ -912,6 +964,7 @@ class DiagnosticsReport:
     spectral_tail: float
     newton: NewtonTrace
     rejected: list[dict] = dc_field(default_factory=list)
+    start: dict | None = None
     seconds: float = 0.0
 
 
@@ -1018,13 +1071,14 @@ def _outside_discs(spec, points) -> RegionMask:
     )
 
 
-def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
+def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None, lap=None):
     """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
 
     ``spectrum`` is ``rfft2`` of the solution when the caller has it;
-    otherwise it is taken here, once. The curvature's Laplacian, the
-    interior gradient, the probe samples of ``sup_deviation`` and the
-    spectral tail, unless the caller passes it as ``tail``, all read it.
+    otherwise it is taken here, once. The curvature's Laplacian, unless
+    the caller passes it as ``lap``, the interior gradient, the probe
+    samples of ``sup_deviation`` and the spectral tail, unless the caller
+    passes it as ``tail``, all read it.
     Every diagnostic but ``sup_deviation`` samples the grid of the solve;
     that one samples the spec's ``_probe`` lattice, which a sweep's stages
     share with its coefficients and its limit.
@@ -1040,8 +1094,8 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     probe = spec._probe
     deviation = probe._deviation(_on_lattice(f, _PROBE_GRID, spectrum))
     sup_dev = sup_norm(deviation, _outside_discs(probe, points))
-    recon = _reconstruction(spec, f, _phi_sq(spec, f), spectrum)
     bounds = interior_bounds(f, _outside_discs(spec, points), spectrum)
+    recon = _reconstruction(spec, f, _phi_sq(spec, f), spectrum, lap)
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,
@@ -1057,21 +1111,29 @@ def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None):
     return stage, points, recon
 
 
-def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsReport:
+def _run_stage(report, spec, config, previous, t0, schedule=None) -> DiagnosticsReport:
     """Reduce, solve, certify and diagnose ``spec``; record it as the last stage.
 
-    A solution whose spectral tail exceeds ``TAIL_TOL`` is rejected. In a
-    sweep (``schedule`` given) the stage then solves again on
-    ``schedule.finer`` of its grid, from the spec's ``_initial_guess`` of
-    the rejected solution; without a schedule, or past ``max_grid``, it
+    Each solve starts from the spec's ``_initial_guess`` of ``previous``,
+    once the mass windows have passed their check, and the stage records
+    how its first solve started. A solution whose spectral tail exceeds
+    ``TAIL_TOL`` is rejected. In a sweep (``schedule`` given) the stage
+    then solves again on ``schedule.finer`` of its grid, from the
+    rejected solution; without a schedule, or past ``max_grid``, it
     raises :class:`UnderResolved`. Only the accepted solution is
-    diagnosed, on the grid it was solved on.
+    diagnosed, on the grid it was solved on. The certificate and the
+    diagnostics read the transforms of the solve's final evaluation, which
+    are dropped with them, and no start outlives its solve.
     """
     rejected = []
     while True:
         _mass_windows(spec, _spec_points(spec))
+        init, start = spec._initial_guess(previous, config)
+        if not rejected:
+            record = start
         solution = kw_solve(reduce_any(spec), config, init=init)
-        spectrum = _rfft2(solution.f.values)
+        del init, previous
+        spectrum, lap = solution._take_final()
         tail = spectral_tail(solution.f, spectrum)
         finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
         if finer is None:
@@ -1080,10 +1142,10 @@ def _run_stage(report, spec, config, init, t0, schedule=None) -> DiagnosticsRepo
         rejected.append(
             {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
         )
-        spec = _copy(spec, grid=finer)
-        init = spec._initial_guess(solution)
-    stage, points, recon = diagnostics_report(spec, solution, spectrum, tail)
+        spec, previous = _copy(spec, grid=finer), solution
+    stage, points, recon = diagnostics_report(spec, solution, spectrum, tail, lap)
     stage.rejected = rejected
+    stage.start = record
     stage.seconds = time.perf_counter() - t0
     report.points = points
     report.stages.append(stage)
@@ -1121,7 +1183,7 @@ def solve_and_report(spec, config: SolverConfig = SolverConfig()) -> SweepReport
     spectral tail exceeds ``TAIL_TOL`` raises :class:`UnderResolved`."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
-    _run_stage(report, spec, config, spec._initial_guess(None), t0)
+    _run_stage(report, spec, config, None, t0)
     _fit_final_orders(report)
     return report
 
@@ -1139,9 +1201,11 @@ def adiabatic_sweep(
     than the previous stage's grid, and fine enough for every mass window.
     It starts from the spec's ``_initial_guess``: a classical stage from
     its glued planar cores, a mixed or generalized stage after the first
-    from the previous solution, transplanted by spectral resampling. A
-    solution whose spectral tail exceeds ``TAIL_TOL`` is solved again on
-    the doubled grid (see :func:`_run_stage`). Per stage the report
+    from the previous solution, transplanted by spectral resampling, and
+    the first one, on a grid finer than ``_PROBE_GRID``, from the probe's
+    solve at its epsilon. A solution whose spectral tail exceeds
+    ``TAIL_TOL`` is solved again on the doubled grid (see
+    :func:`_run_stage`). Per stage the report
     records, on the grid of the accepted solve, the spectral tail, the
     curvature masses at the divisor points, the integral-identity
     residuals and uniform-bound probes, and, on the fixed ``_PROBE_GRID``
@@ -1170,9 +1234,8 @@ def adiabatic_sweep(
             floor = report.final_spec.grid if report.final_spec else None
             grid = _stage_grid(schedule, stage_spec, stage_spec._core_scale(), floor)
             stage_spec = _copy(stage_spec, grid=grid)
-            init = stage_spec._initial_guess(report.final_solution)
             report.final_reconstruction = None
-            stage = _run_stage(report, stage_spec, config, init, t0, schedule)
+            stage = _run_stage(report, stage_spec, config, report.final_solution, t0, schedule)
             if progress is not None:
                 progress(stage)
         except VortexLabError as exc:

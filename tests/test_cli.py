@@ -660,6 +660,31 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
 
 
+def test_manifest_and_report_record_how_a_stage_started(tmp_path, capsys):
+    # configs/mixed.yaml solves on 128^2, finer than the 64^2 probe, so its
+    # stage starts from the probe's solve; a classical stage starts from
+    # its glued cores and records nothing.
+    out = tmp_path / "mixed"
+    assert main(["mixed", "--config", str(CONFIG_DIR / "mixed.yaml"), "--out", str(out), "--quiet"]) == 0
+    (stage,) = json.loads((out / MANIFEST_NAME).read_text())["stages"]
+    start = stage["start"]
+    assert set(start) == {"grid", "iterations", "residual_sup"}
+    assert start["grid"] == [64, 64] and start["iterations"] >= 1
+    assert start["residual_sup"] <= SolverConfig().newton_tol
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "start" in line]
+    assert lines == [
+        f"    start probe grid=64x64 iterations={start['iterations']} "
+        f"residual={start['residual_sup']:.3e}"
+    ]
+    cfg_path = write_config(tmp_path, classical_yaml(epsilon=0.25, n=64))
+    out = tmp_path / "classical"
+    assert main(["classical", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    (stage,) = json.loads((out / MANIFEST_NAME).read_text())["stages"]
+    assert stage["start"] is None
+
+
 
 def test_cli_overrides(tmp_path):
     cfg_path = write_config(tmp_path, classical_yaml(epsilon=0.3, n=64))

@@ -461,12 +461,13 @@ def test_sample_at_rejects_bad_shapes():
 
 def test_solve_linearized_diagonal_case():
     grid = GridSpec(16, 16)
-    x = solve_linearized(
+    x, eps_lap_x = solve_linearized(
         0.0,
         constant_field(UNIT, grid, 2.0),
         constant_field(UNIT, grid, 4.0),
     )
     assert np.abs(x.values - 2.0).max() <= 1e-12
+    assert (eps_lap_x.values == 0.0).all()
 
 
 def test_solve_linearized_single_mode():
@@ -475,7 +476,7 @@ def test_solve_linearized_single_mode():
         grid = GridSpec(32, 32)
         target = field_from_function(geo, grid, lambda X, Y: np.sin(2 * np.pi * X / lx))
         rhs = (1.0 + (2 * np.pi / lx) ** 2) * target
-        x = solve_linearized(1.0, constant_field(geo, grid, 1.0), rhs)
+        x, _ = solve_linearized(1.0, constant_field(geo, grid, 1.0), rhs)
         assert np.abs(x.values - target.values).max() <= 1e-10
 
 
@@ -485,7 +486,9 @@ def test_solve_linearized_random_spd_residual():
     pot = ScalarField(UNIT, grid, 1.5 + rng.uniform(0.0, 2.0, (32, 32)))
     rhs = ScalarField(UNIT, grid, rng.standard_normal((32, 32)))
     tol = 1e-12
-    x = solve_linearized(0.7, pot, rhs, tol=tol)
+    x, eps_lap_x = solve_linearized(0.7, pot, rhs, tol=tol)
+    # The second result is the check's own 0.7 laplacian(x), bit for bit.
+    assert np.array_equal(eps_lap_x.values, laplacian(x).values * 0.7)
     applied = -0.7 * laplacian(x).values + pot.values * x.values
     res = np.linalg.norm(applied - rhs.values)
     assert res <= tol * np.linalg.norm(rhs.values)
@@ -493,10 +496,10 @@ def test_solve_linearized_random_spd_residual():
 
 def test_solve_linearized_zero_rhs_is_zero():
     grid = GridSpec(8, 8)
-    x = solve_linearized(
+    x, eps_lap_x = solve_linearized(
         1.0, constant_field(UNIT, grid, 1.0), constant_field(UNIT, grid, 0.0)
     )
-    assert (x.values == 0.0).all()
+    assert (x.values == 0.0).all() and (eps_lap_x.values == 0.0).all()
 
 
 def test_solve_linearized_commutes_with_negation():
@@ -507,8 +510,10 @@ def test_solve_linearized_commutes_with_negation():
     pot = ScalarField(UNIT, grid, rng.uniform(1e-3, 3.0, (64, 64)))
     rhs = ScalarField(UNIT, grid, rng.standard_normal((64, 64)))
     for eps in (1.0, 1e-4):
-        x = solve_linearized(eps, pot, rhs, tol=1e-9)
-        assert solve_linearized(eps, pot, -rhs, tol=1e-9).values.tobytes() == (-x).values.tobytes()
+        x, eps_lap_x = solve_linearized(eps, pot, rhs, tol=1e-9)
+        negated = solve_linearized(eps, pot, -rhs, tol=1e-9)
+        assert negated[0].values.tobytes() == (-x).values.tobytes()
+        assert negated[1].values.tobytes() == (-eps_lap_x).values.tobytes()
 
 
 def test_constant_field_holds_no_grid():
@@ -612,7 +617,8 @@ def test_cg_true_residual_where_the_potential_vanishes(eps):
     pot = ScalarField(UNIT, grid, np.maximum(1.0 - phi.values, 1e-14))
     rhs = random_field(UNIT, grid, seed=11)
     tol = 1e-8
-    x = solve_linearized(eps, pot, rhs, tol=tol)
+    x, eps_lap_x = solve_linearized(eps, pot, rhs, tol=tol)
+    assert np.array_equal(eps_lap_x.values, laplacian(x).values * eps)
     applied = -eps * laplacian(x).values + pot.values * x.values
     res = np.linalg.norm(applied - rhs.values)
     assert res <= tol * np.linalg.norm(rhs.values)

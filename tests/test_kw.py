@@ -366,10 +366,11 @@ def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
     ids=["two_sided", "one_sided"],
 )
 def test_solve_transforms_each_iterate_once(monkeypatch, problem):
-    # Outside CG a solve transforms its start once and each line-search
-    # trial once, a forward and an inverse transform each; the loop head
-    # and the pin shift read the evaluation they already have. Every
-    # transform writes into its ``out``.
+    # Outside CG a solve transforms its start and, once the carried
+    # residual converges, its returned field afresh, a forward and an
+    # inverse transform each. A line-search trial and a pin shift are
+    # carried by linearity and transform nothing; the loop head reads the
+    # evaluation it already has. Every transform writes into its ``out``.
     problem = problem()
     calls = record_transforms(monkeypatch)
     in_cg, residuals, shifts = [], [], []
@@ -393,12 +394,49 @@ def test_solve_transforms_each_iterate_once(monkeypatch, problem):
     sol = kw_solve(problem)
     trials = len(residuals) - (sol.iterations + 1)
     assert sol.iterations >= 2 and trials >= sol.iterations
-    assert len(calls) - sum(in_cg) == 2 + 2 * trials
+    assert len(calls) - sum(in_cg) == 2 + 2
     assert all(wrote for _, wrote in calls), calls
     one_sided = problem.classification() is Classification.ONE_SIDED_PLUS
     # The start is always pinned; the steps' pins shift by nonzero amounts.
     assert len(shifts) == (1 + sol.iterations if one_sided else 0)
     assert all(c != 0.0 for c in shifts[1:])
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: bumpy_two_sided(GridSpec(32, 32), w=0.4),
+        lambda: one_sided_plus(GridSpec(32, 32)),
+    ],
+    ids=["two_sided", "one_sided"],
+)
+def test_solution_residual_is_that_of_a_fresh_evaluation(problem):
+    # The iterates' residuals are carried by linearity; the returned ones
+    # are those of the returned field, evaluated afresh.
+    problem = problem()
+    sol = kw_solve(problem)
+    assert sol.iterations >= 2
+    fresh = kw_residual(problem, sol.f)
+    assert sol.residual_sup == sup_norm(fresh) <= SolverConfig().newton_tol
+    assert sol.residual_l2 == lp_norm(fresh, 2)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.125])
+def test_trial_evaluation_matches_a_fresh_one(step):
+    # A trial f - s x is carried from f and the direction's eps laplacian(x)
+    # (its linear part and its Dirichlet energy) with no transform.
+    p = bumpy_two_sided(GridSpec(32, 32), w=0.4)
+    f = random_trig(3, amplitude=0.5).field(UNIT, p.grid)
+    x = random_trig(4, amplitude=0.2).field(UNIT, p.grid)
+    ev = kw_module._Evaluation(p, f)
+    base = kw_module._linear_part(p, f, kw_residual(p, f, ev))
+    eps_lap_x = p.epsilon * laplacian(x)
+    trial = kw_module._trials(p, f, x, eps_lap_x, base, ev._dirichlet)(step)
+    fresh = kw_module._Evaluation(p, trial.f)
+    assert np.array_equal(trial.f.values, fresh.f.values)
+    assert abs(trial.energy() - fresh.energy()) <= 1e-13 * abs(fresh.energy())
+    assert np.abs(trial.residual() - fresh.residual()).max() <= 1e-13 * np.abs(fresh.residual()).max()
+    assert trial.spectrum is None and not trial.fresh
 
 
 @pytest.mark.parametrize("c", [-650.5, -360.0, -3.7, 0.0, 0.4, 249.9, 250.1, 400.0])
@@ -440,11 +478,12 @@ def test_solve_memory():
     # Outside CG's own arrays (17.0 MiB, test_cg_memory) only the iterate,
     # its residual, the right-hand side and the Newton potential are alive
     # while CG runs; each iterate's evaluation is released before it
-    # starts. The same solve read 30.2 MiB with an evaluation per reader
-    # and a copy per field operation, and 28.2 MiB without.
+    # starts, and so is the previous step's direction. The same solve read
+    # 30.2 MiB with an evaluation per reader and a copy per field
+    # operation, 28.2 MiB without, and 26.2 MiB with the direction kept.
     divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
     spec = ClassicalVortexSpec(UNIT, GridSpec(512, 512), divisor, 0.05)
-    problem, init = reduce_any(spec), spec._initial_guess(None)
+    problem, init = reduce_any(spec), spec._initial_guess(None, SolverConfig()).f
     tracemalloc.start()
     try:
         sol = kw_solve(problem, init=init)

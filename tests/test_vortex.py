@@ -50,7 +50,7 @@ from vortexlab.errors import (
     VortexLabError,
 )
 from vortexlab.fields import spectral_tail, torus_distance
-from vortexlab.kw import TAIL_TOL, kw_limit, kw_solve
+from vortexlab.kw import TAIL_TOL, SolverConfig, kw_limit, kw_solve
 from vortexlab.greens import NEGATIVE_SENTINEL, divisor_potential
 from vortexlab.vortex import (
     MASK_RADIUS,
@@ -511,6 +511,16 @@ def test_unresolved_mass_window_is_skipped_before_the_solve(solved_grids):
     assert report.error == report.skipped[-1]
 
 
+def test_unresolved_mass_window_fails_a_single_run_before_any_solve(solved_grids):
+    # The windows are checked before the stage's start is made, so a 128^2
+    # run solves neither its 64^2 probe nor its own grid.
+    plus, minus = Divisor(((0.3, 0.3),), (1,)), Divisor(((0.32, 0.3),), (1,))
+    spec = MixedVortexSpec(UNIT, GridSpec(128, 128), plus, minus, epsilon=0.2)
+    with pytest.raises(OverlappingBump, match="below two grid cells"):
+        solve_and_report(spec)
+    assert solved_grids == []
+
+
 def test_unresolved_mass_window_refines_the_stage_grid(solved_grids):
     # min_grid = 16 cannot resolve the window: it raises the first stage to
     # 32^2, and no stage is skipped. eps = 0.05 is rejected on 32^2.
@@ -620,7 +630,7 @@ def test_classical_start_on_divisor_samples(lx):
     geo = TorusGeometry(lx, 1.0)
     points = [(0.25 * lx, 0.25), (0.75 * lx, 0.75)]
     spec = classical(points, [1, 2], 0.1, geometry=geo)
-    f0 = spec._initial_guess(None).values
+    f0 = spec._initial_guess(None, SolverConfig()).f.values
     assert np.isfinite(f0).all() and np.abs(f0).max() < 1e3
     assert solve_and_report(spec).stages[0].newton.iterations <= 3
     # It is the limit of the guess as a point approaches its sample, from
@@ -629,7 +639,7 @@ def test_classical_start_on_divisor_samples(lx):
         for i, sample in ((0, (32, 32)), (1, (96, 96))):
             moved = list(points)
             moved[i] = (points[i][0] + delta, points[i][1] - delta)
-            near = classical(moved, [1, 2], 0.1, geometry=geo)._initial_guess(None).values
+            near = classical(moved, [1, 2], 0.1, geometry=geo)._initial_guess(None, SolverConfig()).f.values
             assert abs(near[sample] - f0[sample]) <= 1e-10
 
 
@@ -640,7 +650,24 @@ def test_classical_start_rejects_an_underflowed_coefficient():
     spec = classical([(0.25 + 1e-4, 0.25)], [100], 0.01, n=32)
     assert (spec._coefficients[0][0].values == 0.0).sum() == 1
     with pytest.raises(ValidationError, match="finite"):
-        spec._initial_guess(None)
+        spec._initial_guess(None, SolverConfig())
+
+
+def test_classical_deviation_keeps_its_relative_precision():
+    # 1 - |phi|^2 near 1e-12. Formed by subtraction it would carry an
+    # absolute error of an ulp of 1, 1e-4 of its size; from expm1 of the
+    # exponent it carries only that of u_D, which an empty divisor makes 0.
+    delta = 1e-12
+    empty = classical([], [], 0.1, n=16)
+    dev = empty._deviation(constant_field(UNIT, empty.grid, math.log1p(-delta))).values
+    assert np.abs(dev - delta).max() <= 4.0 * np.finfo(float).eps * delta
+    # Elsewhere it is 1 - |phi|^2, and exactly 1 on a divisor sample.
+    spec = classical([(0.25, 0.25)], [1], 0.1, n=16)
+    f = constant_field(UNIT, spec.grid, 0.0)
+    dev = spec._deviation(f).values
+    phi_sq = reconstruct(spec, f).phi_sq[0].values
+    assert dev[4, 4] == 1.0 and phi_sq[4, 4] == 0.0
+    assert (np.abs(dev - (1.0 - phi_sq)) <= 1e-15 * np.maximum(1.0, phi_sq)).all()
 
 
 def test_classical_sweep_stages_are_independent():
@@ -654,10 +681,53 @@ def test_classical_sweep_stages_are_independent():
 
 def test_mixed_start_is_the_resampled_previous_solution(mixed_pair):
     spec, sol = mixed_pair
-    assert spec._initial_guess(None) is None
     coarse = _copy(spec, grid=GridSpec(64, 64))
-    start = coarse._initial_guess(sol)
-    assert np.array_equal(start.values, resample(sol.f, coarse.grid).values)
+    # Without a previous solution, the probe lattice's own grid starts from zero.
+    assert coarse._initial_guess(None, SolverConfig()) == (None, None)
+    start = coarse._initial_guess(sol, SolverConfig())
+    assert start.record is None
+    assert np.array_equal(start.f.values, resample(sol.f, coarse.grid).values)
+
+
+def _generalized_spec(eps, n):
+    """The divisor of ``configs/generalized.yaml``."""
+    terms = (
+        GeneralizedTerm(Divisor(((0.27, 0.31),), (1,)), 2),
+        GeneralizedTerm(Divisor(((0.71, 0.64),), (1,)), 1),
+        GeneralizedTerm(Divisor(((0.52, 0.18),), (1,)), -1),
+    )
+    return GeneralizedSpec(UNIT, GridSpec(n, n), terms, tau=0.0, epsilon=eps)
+
+
+def test_generalized_stage_starts_from_the_probe_solve():
+    # Nested iteration: the 64^2 probe, solved from zero at the stage's
+    # eps and interpolated, leaves the 256^2 Newton at most one step.
+    spec = _generalized_spec(0.05, 256)
+    report = solve_and_report(spec)
+    (stage,) = report.stages
+    assert stage.newton.iterations <= 1
+    assert stage.start["grid"] == GridSpec(64, 64) and stage.start["iterations"] >= 1
+    assert stage.start["residual_sup"] <= SolverConfig().newton_tol
+    zero = kw_solve(reduce_any(spec))
+    assert zero.iterations >= 3
+    assert sup_norm(report.final_solution.f - zero.f) <= 1e-9
+
+
+def test_a_failed_probe_solve_falls_back_to_the_zero_start(monkeypatch):
+    spec = _generalized_spec(0.1, 128)
+
+    def failing(problem, *args, **kwargs):
+        if problem.grid == GridSpec(64, 64):
+            raise MaxIterExceeded("the probe solve fails")
+        return kw_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(vortex_module, "kw_solve", failing)
+    report = solve_and_report(spec)
+    (stage,) = report.stages
+    assert stage.start == {"type": "MaxIterExceeded", "message": "the probe solve fails"}
+    zero = kw_solve(reduce_any(spec))
+    assert stage.newton.iterations == zero.iterations
+    assert np.array_equal(report.final_solution.f.values, zero.f.values)
 
 
 # ---------------------------------------------------------------------------
