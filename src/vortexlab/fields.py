@@ -457,8 +457,13 @@ def lp_norm(f: ScalarField, p: float, mask: RegionMask | None = None) -> float:
     if p < 1:
         raise ValidationError("p must be >= 1")
     w = _mask_weights(f, mask)
-    val = float(np.mean(w * np.abs(f.values) ** p)) * f.geometry.volume
-    return val ** (1.0 / p)
+    mag = np.abs(f.values)
+    # Factor out the largest sample so |f|^p cannot overflow when |f| does not.
+    scale = float(mag.max())
+    if scale == 0.0:
+        return 0.0
+    val = float(np.mean(w * (mag / scale) ** p)) * f.geometry.volume
+    return scale * val ** (1.0 / p)
 
 
 def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:

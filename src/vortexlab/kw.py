@@ -768,8 +768,11 @@ def interior_bounds(
     Returns sup |f|, sup |grad f| and the L2 norms of e^{f} and e^{-f} over
     ``mask`` (the whole torus when omitted), keyed like the matching
     fields of :class:`vortexlab.vortex.DiagnosticsReport`. ``spectrum`` is
-    ``rfft2(f.values)`` when the caller already has it.
+    ``rfft2(f.values)`` when the caller already has it. Raises
+    :class:`OverflowGuard` when ``|f|`` passes the exponent guard, where
+    one of the two exponentials would overflow.
     """
+    _guard(float(np.abs(f.values).max()))
     return {
         "sup_f": sup_norm(f, mask),
         "sup_grad_f": sup_norm(gradient_magnitude(f, spectrum), mask),

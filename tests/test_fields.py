@@ -359,6 +359,13 @@ def test_l2_norm_of_sine_is_sqrt_half():
     assert abs(lp_norm(f, 2) - np.sqrt(0.5)) <= 1e-13
 
 
+def test_lp_norm_of_constant_past_square_overflow():
+    # |f|^2 overflows a double here; the norm itself does not.
+    f = constant_field(UNIT, GridSpec(8, 8), -1e200)
+    assert lp_norm(f, 2) == pytest.approx(1e200, rel=1e-14)
+    assert lp_norm(constant_field(UNIT, GridSpec(8, 8), 0.0), 2) == 0.0
+
+
 @pytest.mark.parametrize("p", [2, 4])
 def test_lp_norm_matches_refined_quadrature(p):
     # |f|^p is a trig polynomial of band p*kmax, resolved on both grids,

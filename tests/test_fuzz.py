@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vortexlab import errors, parse_config, run
@@ -67,8 +67,23 @@ def _numbers(node):
         yield node
 
 
+def _bare_generalized(tau):
+    """One weight-1 term with no divisor: the solution sits near log(-tau)."""
+    return {
+        "kind": "generalized",
+        "geometry": {"length_x": 1.0, "length_y": 1.0},
+        "grid": {"nx": 32, "ny": 32},
+        "epsilon": 0.3,
+        "solver": {"newton_tol": NEWTON_TOL},
+        "outputs": {"csv": True, "heatmaps": False, "svg": False},
+        "generalized": {"tau": tau, "terms": [{"weight": 1, "divisor": []}]},
+    }
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs())
+@example(_bare_generalized(-5.018241260875924e-238))  # e^{-2f} overflows
+@example(_bare_generalized(-5e-324))  # e^{-f} overflows
 def test_every_run_solves_or_fails_typed(tree):
     try:
         config = parse_config(yaml.safe_dump(tree))

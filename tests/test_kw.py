@@ -899,6 +899,14 @@ def test_interior_bounds_default_to_whole_torus():
     assert np.isfinite(row["l2_exp_minus"])
 
 
+def test_interior_bounds_guard_overflowing_exponentials():
+    grid = GridSpec(8, 8)
+    deep = interior_bounds(constant_field(UNIT, grid, -600.0))
+    assert deep["l2_exp_minus"] == pytest.approx(np.exp(600.0), rel=1e-12)
+    with pytest.raises(OverflowGuard):
+        interior_bounds(constant_field(UNIT, grid, -745.0))
+
+
 # ---------------------------------------------------------------------------
 # Scalar inequality
 
