@@ -387,6 +387,11 @@ def _dump(value):
     return value
 
 
+# libyaml's emitter writes the same text as PyYAML's own several times
+# faster; PyYAML built without libyaml has only its own.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def echo_config(config: RunConfig) -> str:
     """Canonical YAML text with all defaults spelled out."""
     tree = {}
@@ -397,4 +402,4 @@ def echo_config(config: RunConfig) -> str:
         tree[key] = value
     # A sweep's stage grids come from its sweep section.
     del tree["sweep" if config.sweep is None else "grid"]
-    return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
+    return yaml.dump(tree, Dumper=_DUMPER, sort_keys=False, default_flow_style=False)

@@ -341,29 +341,35 @@ def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
     return minus_k2, dx_mult, dy_mult
 
 
-# Every 2-D transform writes into an array through ``out=``: numpy 2.4
-# transforms into a given array about twice as fast as into one that it
-# allocates itself (derivations §8).
+# A 2-D transform is two one-axis passes into one array: the real pass
+# along y, and the complex pass along x over the half spectrum in place.
+# numpy 2.4 transforms into a given array about twice as fast as into one
+# that it allocates itself, and its irfftn puts the complex pass into a
+# fresh temporary before honouring ``out`` (derivations §8).
 
 
 def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum ``rfft2(values)``, written into ``out`` (a fresh array
-    when omitted)."""
+    """Half spectrum ``rfft2(values)``, bit for bit, written into ``out`` (a
+    fresh array when omitted)."""
     if out is None:
         nx, ny = values.shape
         out = np.empty((nx, ny // 2 + 1), dtype=complex)
-    return np.fft.rfft2(values, out=out)
+    np.fft.rfft(values, axis=1, out=out)
+    return np.fft.fft(out, axis=0, out=out)
 
 
 def _irfft2(spec: np.ndarray, shape, out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of shape ``shape`` of the half spectrum ``spec``, written
-    into ``out`` (a fresh array when omitted).
+    """Real samples of shape ``shape`` of the half spectrum ``spec``, bit for
+    bit ``irfftn(spec, s=shape)``, written into ``out`` (a fresh array when
+    omitted).
 
-    irfftn, not irfft2: numpy's irfft2 drops its ``out`` argument.
+    Overwrites ``spec``: its x pass runs in place, so a caller passes a
+    spectrum that it no longer needs.
     """
     if out is None:
         out = np.empty(shape)
-    return np.fft.irfftn(spec, s=shape, axes=(0, 1), out=out)
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.fft.irfft(spec, n=shape[1], axis=1, out=out)
 
 
 def _half_spectrum(f: ScalarField, spectrum: np.ndarray | None) -> np.ndarray:
@@ -443,33 +449,31 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.mean()) * f.geometry.volume
 
 
-def _mask_weights(f: ScalarField, mask: RegionMask | None) -> np.ndarray:
-    if mask is None:
-        return np.ones_like(f.values)
-    _check_compatible(f, mask)
-    if float(mask.weights.sum()) == 0.0:
-        raise ValidationError("mask has zero area")
-    return mask.weights
-
-
 def lp_norm(f: ScalarField, p: float, mask: RegionMask | None = None) -> float:
     """(integral of mask * |f|^p)^(1/p) with the grid quadrature."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    w = _mask_weights(f, mask)
+    if mask is not None:
+        _check_compatible(f, mask)
+        if float(mask.weights.sum()) == 0.0:
+            raise ValidationError("mask has zero area")
     mag = np.abs(f.values)
     # Factor out the largest sample so |f|^p cannot overflow when |f| does not.
     scale = float(mag.max())
     if scale == 0.0:
         return 0.0
-    val = float(np.mean(w * (mag / scale) ** p)) * f.geometry.volume
-    return scale * val ** (1.0 / p)
+    mag /= scale
+    mag **= p
+    if mask is not None:
+        mag *= mask.weights
+    return scale * (float(mag.mean()) * f.geometry.volume) ** (1.0 / p)
 
 
 def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:
     """Max of |f| over samples where the mask weight exceeds 1/2."""
     if mask is None:
-        return float(np.abs(f.values).max())
+        # abs() turns a -0.0 of an all-zero field into 0.0, as |f| would.
+        return abs(max(float(f.values.max()), -float(f.values.min())))
     _check_compatible(f, mask)
     sel = mask.weights > 0.5
     if not sel.any():
@@ -641,9 +645,17 @@ def _bump_profile(dist: np.ndarray, r_inner: float, r_outer: float) -> np.ndarra
     With ``t`` clipped to ``[0, 1]`` the same expression gives exactly 0 at
     ``t = 0`` (``e^{+inf}``) and exactly 1 at ``t = 1`` (``e^{-inf}``).
     """
-    t = np.clip((r_outer - dist) / (r_outer - r_inner), 0.0, 1.0)
+    t = np.subtract(r_outer, dist)
+    t /= r_outer - r_inner
+    np.clip(t, 0.0, 1.0, out=t)
     with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / (1.0 + np.exp(1.0 / t - 1.0 / (1.0 - t)))
+        u = np.subtract(1.0, t)
+        np.divide(1.0, u, out=u)
+        np.divide(1.0, t, out=t)
+        t -= u
+        np.exp(t, out=t)
+        t += 1.0
+        return np.divide(1.0, t, out=t)
 
 
 def _bump_window(
@@ -748,6 +760,8 @@ def resample(
     nx, ny = f.grid.nx, f.grid.ny
     spec = _resample_half_axis(_half_spectrum(f, spectrum), ny, new_grid.ny)
     spec = _resample_full_axis(spec, nx, new_grid.nx)
+    # The grids differ along some axis, so ``spec`` is a new array, which
+    # the inverse transform may overwrite; a given spectrum is only read.
     vals = _irfft2(spec, (new_grid.nx, new_grid.ny))
     vals *= new_grid.nx * new_grid.ny / (nx * ny)
     return _adopted(ScalarField, f.geometry, new_grid, vals)

@@ -772,7 +772,7 @@ def interior_bounds(
     :class:`OverflowGuard` when ``|f|`` passes the exponent guard, where
     one of the two exponentials would overflow.
     """
-    _guard(float(np.abs(f.values).max()))
+    _guard(sup_norm(f))
     return {
         "sup_f": sup_norm(f, mask),
         "sup_grad_f": sup_norm(gradient_magnitude(f, spectrum), mask),

@@ -4,15 +4,20 @@
 closed form, so the same continuum function can be sampled on several
 grids, differentiated analytically, and evaluated at arbitrary points —
 the independent reference for spectral calculus and interpolation tests.
-``record_transforms`` counts the ``np.fft`` calls of a test.
+``record_transforms`` counts the 2-D transforms of a test and checks how
+each is split into one-axis passes. ``pure_python_echo`` is the config
+echo as PyYAML's own emitter writes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
+import yaml
 
+import vortexlab.config
 from vortexlab import GridSpec, ScalarField, TorusGeometry, field_from_function
 
 
@@ -89,14 +94,54 @@ FFT_ROUTINES = (
 
 
 def record_transforms(monkeypatch) -> list:
-    """Wrap every ``np.fft`` routine; each call appends (name, wrote into out)."""
+    """Wrap every ``np.fft`` routine; each 2-D transform appends (name,
+    wrote into out).
+
+    The package runs a 2-D transform as two one-axis passes, and the list
+    records its real pass, ``rfft`` along y or ``irfft`` back. The complex
+    pass along x must pair with it one to one, in place on the
+    ``(nx, ny/2 + 1)`` half spectrum: ``fft`` on the array that the
+    ``rfft`` just wrote, and ``ifft`` on the array that the next ``irfft``
+    reads. A pass out of that order fails the test when it is called. Any
+    other routine is recorded under its own name.
+    """
     calls = []
+    pending = []  # the half spectrum whose partner pass must come next
+
+    def complex_pass(name, a, kwargs):
+        assert kwargs.get("axis") == 0 and kwargs.get("out") is a, (name, kwargs)
+        if name == "fft":
+            assert pending and pending.pop() is a, "fft without its rfft"
+        else:
+            assert not pending, "ifft before the previous transform finished"
+            pending.append(a)
+
+    def real_pass(name, a, kwargs, result):
+        assert kwargs.get("axis") == 1, (name, kwargs)
+        if name == "rfft":
+            assert not pending, "rfft before the previous transform finished"
+            pending.append(result)
+        else:
+            assert pending and pending.pop() is a, "irfft without its ifft"
+            assert a.shape[1] == kwargs["n"] // 2 + 1, (a.shape, kwargs)
+
     for name in FFT_ROUTINES:
-        def counted(*args, _name=name, _orig=getattr(np.fft, name), **kwargs):
-            result = _orig(*args, **kwargs)
-            out = kwargs.get("out")
-            calls.append((_name, out is not None and result is out))
+        def counted(a, *args, _name=name, _orig=getattr(np.fft, name), **kwargs):
+            if _name in ("fft", "ifft"):
+                complex_pass(_name, a, kwargs)
+                return _orig(a, *args, **kwargs)
+            result = _orig(a, *args, **kwargs)
+            if _name in ("rfft", "irfft"):
+                real_pass(_name, a, kwargs, result)
+            calls.append((_name, result is kwargs.get("out")))
             return result
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def pure_python_echo(config) -> str:
+    """``echo_config(config)`` through PyYAML's own emitter: the text that
+    libyaml's emitter must reproduce byte for byte."""
+    with mock.patch.object(vortexlab.config, "_DUMPER", yaml.SafeDumper):
+        return vortexlab.config.echo_config(config)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import pure_python_echo
 from vortexlab.cli import main
 from vortexlab.config import echo_config, override, parse_config
 from vortexlab.errors import ParseError, ValidationError
@@ -130,6 +131,12 @@ sweep:
     for text in texts:
         cfg = parse_config(text)
         assert parse_config(echo_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_echo_is_byte_identical_to_pyyamls_own_emitter(path):
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    assert echo_config(cfg) == pure_python_echo(cfg)
 
 
 def test_mixed_fractional_degree_roundtrip():

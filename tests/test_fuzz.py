@@ -19,7 +19,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vortexlab import errors, parse_config, run
+from helpers import pure_python_echo
+from vortexlab import echo_config, errors, parse_config, run
 from vortexlab.errors import ValidationError, VortexLabError
 from vortexlab.kw import TAIL_TOL
 
@@ -89,6 +90,7 @@ def test_every_run_solves_or_fails_typed(tree):
         config = parse_config(yaml.safe_dump(tree))
     except VortexLabError:
         return
+    assert echo_config(config) == pure_python_echo(config)
     with tempfile.TemporaryDirectory() as out:
         returned = run(config, out, quiet=True)
         manifest = json.loads((Path(out) / "manifest.json").read_text())
