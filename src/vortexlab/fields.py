@@ -262,9 +262,21 @@ def torus_displacement(geometry: TorusGeometry, grid: GridSpec, center):
     return dx[:, None], dy[None, :]
 
 
+def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx^2 + dy^2)`` of a column and a row of offsets, broadcast.
+
+    Within an ulp of ``hypot``, and exactly ``|dx|`` where ``dy`` is 0:
+    ``sqrt(fl(dx^2)) == |dx|`` unless the square underflows, and a nonzero
+    minimal-image offset is at least about 1e-16 of its side. The squares
+    are 1-D, and each sample is one add and one square root, where
+    ``hypot`` calls libm once per sample.
+    """
+    dist = np.add(dx * dx, dy * dy)
+    return np.sqrt(dist, out=dist)
+
+
 def torus_distance(geometry: TorusGeometry, grid: GridSpec, center):
-    dx, dy = torus_displacement(geometry, grid, center)
-    return np.hypot(dx, dy)
+    return _distance(*torus_displacement(geometry, grid, center))
 
 
 def _box_axis(offsets: np.ndarray, radius: float):
@@ -300,7 +312,7 @@ def _disc_box(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
     """The box of :func:`_box_offsets` and the distances on it, bit-identical
     to :func:`torus_distance` there."""
     box, dx, dy = _box_offsets(geometry, grid, center, radius)
-    return box, np.hypot(dx, dy)
+    return box, _distance(dx, dy)
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
@@ -388,20 +400,50 @@ def laplacian(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField
     return f._like(_irfft2(_half_spectrum(f, spectrum) * minus_k2, f.values.shape))
 
 
-def gradient(
-    f: ScalarField, spectrum: np.ndarray | None = None
-) -> tuple[ScalarField, ScalarField]:
-    """Spectral partial derivatives (df/dx, df/dy)."""
+def _gradient_arrays(
+    f: ScalarField, spectrum: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of :func:`gradient`, fresh and writable."""
     _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
     spec = _half_spectrum(f, spectrum)
     fx = _irfft2(spec * dx_mult[:, None], f.values.shape)
     fy = _irfft2(spec * dy_mult[None, :], f.values.shape)
+    return fx, fy
+
+
+def gradient(
+    f: ScalarField, spectrum: np.ndarray | None = None
+) -> tuple[ScalarField, ScalarField]:
+    """Spectral partial derivatives (df/dx, df/dy)."""
+    fx, fy = _gradient_arrays(f, spectrum)
     return f._like(fx), f._like(fy)
 
 
+def _squared_gradient(f: ScalarField, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """``|grad f|^2`` sample by sample, squared and summed in place.
+
+    Raises :class:`ValidationError` where a square overflows, for ``|grad
+    f|`` above about 1e154, where ``hypot`` of the partials may be finite.
+    """
+    fx, fy = _gradient_arrays(f, spectrum)
+    with np.errstate(over="ignore"):
+        np.multiply(fx, fx, out=fx)
+        np.multiply(fy, fy, out=fy)
+        fx += fy
+    if fx.max() == math.inf:
+        raise ValidationError("|grad f| above about 1e154: its square overflows")
+    return fx
+
+
 def gradient_magnitude(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField:
-    fx, fy = gradient(f, spectrum)
-    return f._like(np.hypot(fx.values, fy.values))
+    """``|grad f|``, within 2 ulp of ``hypot`` of the spectral partials.
+
+    Raises :class:`ValidationError` for ``|grad f|`` above about 1e154.
+    A sample below about 1e-154 loses relative precision as its square
+    underflows; its absolute error stays below 1e-161.
+    """
+    sq = _squared_gradient(f, spectrum)
+    return f._like(np.sqrt(sq, out=sq))
 
 
 # A non-mean spectrum below this fraction of the mean coefficient is
@@ -702,7 +744,7 @@ def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> flo
     differentiation noise divided by a vanishing power, not a measurement.
     Dropping them can only underestimate the supremum.
     """
-    grad2 = gradient_magnitude(phi).values ** 2
+    grad2 = _squared_gradient(phi)
     vals = phi.values
     sel = vals > floor
     if not sel.any():

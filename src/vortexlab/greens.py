@@ -28,9 +28,10 @@ On a grid, every series term factors into a row part and a column part,
 ``sin(a + ib) = sin a cosh b + i cos a sinh b``, where ``a`` depends only
 on the x offset and ``b`` only on the y offset. So ``Re theta1`` and
 ``Im theta1`` over the whole grid are each one matrix product of rank at
-most four, and each sample costs one ``hypot`` and one ``log``
-(:func:`divisor_potential`). :func:`torus_green` evaluates ``G`` at
-arbitrary points; the two agree at roundoff.
+most four. Each sample then costs two squares, an add and one ``log``,
+since ``log|theta1|^2`` needs no square root (:func:`divisor_potential`).
+:func:`torus_green` evaluates ``G`` at arbitrary points; the two agree at
+roundoff.
 """
 
 from __future__ import annotations
@@ -219,16 +220,28 @@ class Divisor:
                     )
 
 
-def _log_theta_grid(out, rows, cols, short: float, long: float) -> None:
-    """``out[i, j] = log|theta1((rows[i] + i cols[j]) / short, i long / short)|``.
+# Samples per band of :func:`_add_log_theta`: the band's two work arrays
+# (512 KiB together) stay in cache through its passes.
+_BAND_SAMPLES = 2**15
+
+
+def _add_log_theta(u, weight: int, rows, cols, short: float, long: float, work) -> None:
+    """``u[i, j] += weight * (log|theta1(z)|^2 - 2 pi cols[j]^2 / (short long))``
+    with ``z = (rows[i] + i cols[j]) / short`` and ``tau = i long / short``.
 
     ``rows`` and ``cols`` are 1-D minimal-image offsets along the sides of
     length ``short <= long``. Term ``n`` of the sine series splits as
     ``sin(k_n r) cosh(k_n c) + i cos(k_n r) sinh(k_n c)`` with
     ``k_n = (2n+1) pi / short``; the row factors carry the coefficients
-    ``2 (-1)^n q^{(n+1/2)^2}``, so the real and imaginary parts are one
-    ``(len(rows), N) @ (N, len(cols))`` product each. ``out`` receives the
-    real part, and ``-inf`` where both parts vanish.
+    ``2 (-1)^n q^{(n+1/2)^2}`` and the column factors ``exp(-pi c^2 /
+    (short long))``, so the real and imaginary parts of ``theta1 exp(-pi
+    c^2 / (short long))`` are one ``(len(rows), N) @ (N, len(cols))``
+    product each. Each sample then costs two squares, an add and one
+    ``log``. The grid is built in bands of rows, each in the pair of work
+    arrays ``work`` (of equal shape, as wide as ``cols``). The logarithm
+    is ``-inf`` where the squared modulus is 0: on the point, and where it
+    would underflow, within about ``1e-162 short exp(pi Im tau / 4)`` of
+    it, which minimal-image offsets never are (derivations §2).
     """
     im_tau = _check_tau(1j * long / short).imag
     n = np.arange(_term_count(im_tau))
@@ -236,11 +249,22 @@ def _log_theta_grid(out, rows, cols, short: float, long: float) -> None:
     coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
     a = np.multiply.outer(rows, k)
     b = np.multiply.outer(k, cols)
-    np.matmul(np.sin(a) * coeff, np.cosh(b), out=out)
-    imag = np.cos(a) * coeff @ np.sinh(b)
-    np.hypot(out, imag, out=out)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
+    gauss = np.exp(-np.pi / (short * long) * cols**2)
+    sin_r, cos_r = np.sin(a) * coeff, np.cos(a) * coeff
+    cosh_c, sinh_c = np.cosh(b) * gauss, np.sinh(b) * gauss
+    band = len(work[0])
+    for start in range(0, len(rows), band):
+        stop = min(start + band, len(rows))
+        re, im = (w[: stop - start] for w in work)
+        np.matmul(sin_r[start:stop], cosh_c, out=re)
+        np.matmul(cos_r[start:stop], sinh_c, out=im)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        re += im
+        with np.errstate(divide="ignore"):
+            np.log(re, out=re)
+        re *= weight
+        u[start:stop] += re
 
 
 def divisor_potential(
@@ -248,12 +272,12 @@ def divisor_potential(
 ) -> ScalarField:
     """``u_D``, the sum of ``4 pi m_k G(. - x_k)`` sampled on the grid.
 
-    Each term is ``2 m_k (log|theta1| - pi dy^2 / (lx ly))`` built from the
-    1-D offsets of the samples from ``x_k`` (see :func:`_log_theta_grid`).
-    A torus with ``length_y < length_x`` is evaluated on its reflection,
-    with the axes swapped, as in :func:`torus_green`. Samples that coincide
-    exactly with a divisor point store ``NEGATIVE_SENTINEL``, so
-    ``exp(u_D)`` is exactly 0 there.
+    Each term is ``m_k (log|theta1|^2 - 2 pi dy^2 / (lx ly))`` built from
+    the 1-D offsets of the samples from ``x_k`` (see
+    :func:`_add_log_theta`). A torus with ``length_y < length_x`` is
+    evaluated on its reflection, with the axes swapped, as in
+    :func:`torus_green`. Samples that coincide exactly with a divisor point
+    store ``NEGATIVE_SENTINEL``, so ``exp(u_D)`` is exactly 0 there.
     """
     divisor.check_separated(geometry)
     lx, ly = geometry.length_x, geometry.length_y
@@ -262,17 +286,17 @@ def divisor_potential(
     short, long = (ly, lx) if reflected else (lx, ly)
     shape = (grid.ny, grid.nx) if reflected else (grid.nx, grid.ny)
     u = np.zeros(shape)
-    term = np.empty(shape)
+    band = (min(shape[0], max(1, _BAND_SAMPLES // shape[1])), shape[1])
+    work = (np.empty(band), np.empty(band))
     for (px, py), m in divisor:
         dx = _minimal_image(x - px, lx)
         dy = _minimal_image(y - py, ly)
         rows, cols = (dy, dx) if reflected else (dx, dy)
-        _log_theta_grid(term, rows, cols, short, long)
-        term -= (np.pi / (lx * ly)) * cols**2
-        term *= 2.0 * m
-        u += term
+        _add_log_theta(u, m, rows, cols, short, long, work)
     if reflected:
         u += divisor.degree * math.log(lx / ly)
         u = np.ascontiguousarray(u.T)
-    u[np.isneginf(u)] = NEGATIVE_SENTINEL
+    # -inf (a sample on a point) becomes the sentinel; every finite value
+    # is far above it.
+    np.maximum(u, NEGATIVE_SENTINEL, out=u)
     return _adopted(ScalarField, geometry, grid, u)

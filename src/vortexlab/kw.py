@@ -50,8 +50,8 @@ from .fields import (
     _adopted,
     _check_compatible,
     _half_spectrum,
+    _squared_gradient,
     dirichlet_energy,
-    gradient_magnitude,
     integrate,
     laplacian,
     lp_norm,
@@ -770,12 +770,16 @@ def interior_bounds(
     fields of :class:`vortexlab.vortex.DiagnosticsReport`. ``spectrum`` is
     ``rfft2(f.values)`` when the caller already has it. Raises
     :class:`OverflowGuard` when ``|f|`` passes the exponent guard, where
-    one of the two exponentials would overflow.
+    one of the two exponentials would overflow, and
+    :class:`ValidationError` when ``|grad f|`` is above about 1e154, where
+    its square would.
     """
     _guard(sup_norm(f))
+    # One square root of the largest |grad f|^2: sqrt is monotone and
+    # correctly rounded, so this is the largest |grad f| bit for bit.
     return {
         "sup_f": sup_norm(f, mask),
-        "sup_grad_f": sup_norm(gradient_magnitude(f, spectrum), mask),
+        "sup_grad_f": math.sqrt(sup_norm(f._like(_squared_gradient(f, spectrum)), mask)),
         "l2_exp_plus": lp_norm(f._like(np.exp(f.values)), 2, mask),
         "l2_exp_minus": lp_norm(f._like(np.exp(-f.values)), 2, mask),
     }

@@ -6,7 +6,8 @@ grids, differentiated analytically, and evaluated at arbitrary points —
 the independent reference for spectral calculus and interpolation tests.
 ``record_transforms`` counts the 2-D transforms of a test and checks how
 each is split into one-axis passes. ``pure_python_echo`` is the config
-echo as PyYAML's own emitter writes it.
+echo as PyYAML's own emitter writes it. ``empty_caches`` lets a memory
+test measure what a fresh process would, in any test order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 import yaml
 
 import vortexlab.config
+import vortexlab.fields
+import vortexlab.vortex
 from vortexlab import GridSpec, ScalarField, TorusGeometry, field_from_function
 
 
@@ -145,3 +148,15 @@ def pure_python_echo(config) -> str:
     libyaml's emitter must reproduce byte for byte."""
     with mock.patch.object(vortexlab.config, "_DUMPER", yaml.SafeDumper):
         return vortexlab.config.echo_config(config)
+
+
+def empty_caches() -> None:
+    """Empty the package's two process-wide caches (the half-spectrum
+    symbols and the planar vortex profiles), so that a ``tracemalloc`` peak
+    counts what they would build in a fresh process, whatever an earlier
+    test left in them. numpy loads parts of ``numpy.fft`` on the first
+    transform, which no test can undo; that is done here, outside the trace.
+    """
+    np.fft.rfft(np.zeros(8))
+    vortexlab.fields._wavenumbers.cache_clear()
+    vortexlab.vortex._planar_profile.cache_clear()

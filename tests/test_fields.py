@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_laplacian, random_trig, record_transforms
+from helpers import empty_caches, fd_laplacian, random_trig, record_transforms
 from vortexlab import (
     ClassicalVortexSpec,
     Divisor,
@@ -35,10 +35,12 @@ from vortexlab import (
 from vortexlab.errors import NoConvergence, ValidationError
 from vortexlab.fields import (
     _bump_profile,
+    _disc_box,
     _irfft2,
     _rfft2,
     _wavenumbers,
     grid_points,
+    torus_displacement,
     torus_distance,
 )
 
@@ -181,7 +183,7 @@ def meshgrid_distance(geometry, grid, center):
     X, Y = np.meshgrid(x, y, indexing="ij")
     dx = np.mod(X - center[0] + 0.5 * lx, lx) - 0.5 * lx
     dy = np.mod(Y - center[1] + 0.5 * ly, ly) - 0.5 * ly
-    return np.hypot(dx, dy)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +205,35 @@ def test_distances_equal_meshgrid_reference(geometry, grid, center):
     for c in (center, (0.5, 0.2)):
         expected[meshgrid_distance(geometry, grid, c) <= r_out] = 0.0
     assert np.array_equal(mask.weights, expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distances_are_within_an_ulp_of_hypot(seed):
+    # sqrt(dx^2 + dy^2) of the broadcast offsets, on random tori, grids and
+    # centres; the disc boxes hold the same bits as the full grid.
+    rng = np.random.default_rng(seed)
+    geometry = TorusGeometry(*rng.uniform(0.2, 5.0, 2))
+    grid = GridSpec(*(2 * rng.integers(8, 80, 2)))
+    center = tuple(rng.uniform(-1.0, 2.0, 2) * (geometry.length_x, geometry.length_y))
+    ref = np.hypot(*torus_displacement(geometry, grid, center))
+    dist = torus_distance(geometry, grid, center)
+    assert (np.abs(dist - ref) <= np.spacing(ref)).all()
+    radius = 0.3 * geometry.injectivity_radius
+    box, boxed = _disc_box(geometry, grid, center, radius)
+    assert np.array_equal(boxed, dist[box])
+
+
+def test_distances_on_the_axes_are_the_offsets():
+    # Through a centre on a sample the row and the column of that sample
+    # have one offset 0, and sqrt(fl(d^2)) == |d| exactly.
+    geometry, grid = TorusGeometry(1.3, 0.7), GridSpec(48, 40)
+    center = (7 * (1.3 / 48), 11 * (0.7 / 40))
+    dx, dy = torus_displacement(geometry, grid, center)
+    dist = torus_distance(geometry, grid, center)
+    assert np.array_equal(dist[7], np.abs(dy[0]))
+    assert np.array_equal(dist[:, 11], np.abs(dx[:, 0]))
+    box, boxed = _disc_box(geometry, grid, center, 0.2)
+    assert np.array_equal(boxed, dist[box])
 
 
 def test_bump_cutoff_memory():
@@ -299,6 +330,24 @@ def test_gradient_matches_closed_form():
     assert np.abs(fy.values - gy).max() <= 1e-10
     mag = gradient_magnitude(f)
     assert np.abs(mag.values - np.hypot(gx, gy)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("amplitude", [1e-100, 1.0, 1e150])
+def test_gradient_magnitude_is_within_two_ulp_of_hypot(amplitude):
+    f = random_trig(seed=8, n_modes=6, kmax=5, amplitude=amplitude).field(UNIT, GridSpec(48, 64))
+    fx, fy = gradient(f)
+    ref = np.hypot(fx.values, fy.values)
+    assert (np.abs(gradient_magnitude(f).values - ref) <= 2 * np.spacing(ref)).all()
+
+
+def test_gradient_square_overflow_raises():
+    # |grad f| near 6e158: hypot of the partials is finite, their squares
+    # overflow, and the magnitude raises rather than return inf.
+    f = unit_field(32, lambda X, Y: 1e158 * np.sin(2 * np.pi * X) + 1e150 * np.cos(2 * np.pi * Y))
+    fx, fy = gradient(f)
+    assert np.isfinite(np.hypot(fx.values, fy.values)).all()
+    with pytest.raises(ValidationError, match="overflows"):
+        gradient_magnitude(f)
 
 
 def test_dirichlet_energy_of_sine():
@@ -611,6 +660,7 @@ def test_cg_memory():
         UNIT, grid, lambda X, Y: 2.0 + np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
     )
     rhs = random_field(UNIT, grid, seed=5)
+    empty_caches()
     _wavenumbers(UNIT, grid)  # the symbol cache is not the solve's memory
     tracemalloc.start()
     try:

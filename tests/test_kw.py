@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexlab.kw as kw_module
-from helpers import random_trig, record_transforms
+from helpers import empty_caches, random_trig, record_transforms
 from vortexlab import (
     ClassicalVortexSpec,
     ContinuationSchedule,
@@ -21,6 +21,7 @@ from vortexlab import (
     adiabatic_sweep,
     constant_field,
     field_from_function,
+    gradient_magnitude,
     integrate,
     laplacian,
     lp_norm,
@@ -475,15 +476,17 @@ def test_shifted_evaluation_matches_a_fresh_one(c):
 
 def test_solve_memory():
     # One 512^2 classical stage from its glued cores (a grid is 2 MiB).
-    # Outside CG's own arrays (17.0 MiB, test_cg_memory) only the iterate,
-    # its residual, the right-hand side and the Newton potential are alive
-    # while CG runs; each iterate's evaluation is released before it
-    # starts, and so is the previous step's direction. The same solve read
-    # 30.2 MiB with an evaluation per reader and a copy per field
-    # operation, 28.2 MiB without, and 26.2 MiB with the direction kept.
+    # 22.16 MiB measured in any test order (empty_caches). Outside CG's own
+    # arrays (15.14 MiB, test_cg_memory) only the iterate, its residual, the
+    # right-hand side and the Newton potential are alive while CG runs;
+    # each iterate's evaluation is released before it starts, and so is the
+    # previous step's direction. The same solve read 30.2 MiB with an
+    # evaluation per reader and a copy per field operation, 28.2 MiB
+    # without, and 26.2 MiB with the direction kept.
     divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
     spec = ClassicalVortexSpec(UNIT, GridSpec(512, 512), divisor, 0.05)
     problem, init = reduce_any(spec), spec._initial_guess(None, SolverConfig()).f
+    empty_caches()
     tracemalloc.start()
     try:
         sol = kw_solve(problem, init=init)
@@ -897,6 +900,27 @@ def test_interior_bounds_default_to_whole_torus():
     row = interior_bounds(f)
     assert row == interior_bounds(f, RegionMask.full(UNIT, grid))
     assert np.isfinite(row["l2_exp_minus"])
+
+
+def test_interior_bounds_sup_gradient_is_the_largest_magnitude():
+    # One square root of the largest |grad f|^2 is the largest |grad f|,
+    # bit for bit, with or without a mask.
+    grid = GridSpec(64, 64)
+    f = random_trig(seed=9).field(UNIT, grid)
+    mask = RegionMask.excluding_discs(UNIT, grid, [(0.3, 0.6)], 0.2)
+    for m in (None, mask):
+        assert interior_bounds(f, m)["sup_grad_f"] == sup_norm(gradient_magnitude(f), m)
+
+
+def test_interior_bounds_reject_a_gradient_whose_square_overflows():
+    # |f| <= 300 passes the exponent guard, but on a torus of side 1e-152
+    # |grad f| is near 2e155, and its square overflows (the symbols, up to
+    # 5e307, do not).
+    side = 1e-152
+    geo, grid = TorusGeometry(side, side), GridSpec(16, 16)
+    f = field_from_function(geo, grid, lambda X, Y: 300.0 * np.sin(2.0 * np.pi * X / side))
+    with pytest.raises(ValidationError, match="overflows"):
+        interior_bounds(f)
 
 
 def test_interior_bounds_guard_overflowing_exponentials():
