@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -145,11 +146,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # run() logs its progress; print it unless --quiet, for this run only.
+    logger = logging.getLogger("vortexlab")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("[vortexlab] %(message)s"))
+    if not args.quiet:
+        logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         manifest = run(config, out_dir=args.out, quiet=args.quiet)
     except VortexLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     return 0 if manifest["status"] == "ok" else 3
 
 

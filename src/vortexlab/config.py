@@ -34,7 +34,7 @@ from fractions import Fraction
 import yaml
 
 from .errors import ParseError, ValidationError, VortexLabError
-from .fields import GridSpec, TorusGeometry, constant_field
+from .fields import GridSpec, TorusGeometry, _check_wavenumbers, constant_field
 from .greens import Divisor
 from .kw import KWProblem, SolverConfig, _check_balance
 from .vortex import (
@@ -139,6 +139,7 @@ class RunConfig:
         if self.epsilon is None:
             raise ValidationError("epsilon is required for a kw run")
         geometry, g = self.geometry, self.grid
+        _check_wavenumbers(geometry, g)
 
         def coeff(term: KWTermSection):
             if term.divisor:

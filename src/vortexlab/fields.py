@@ -332,6 +332,20 @@ def field_from_function(
 # Spectral machinery
 
 
+def _check_wavenumbers(geometry: TorusGeometry, grid: GridSpec) -> None:
+    """Refuse a torus so small for ``grid`` that its largest ``|k|^2``,
+    ``(pi nx / length_x)^2 + (pi ny / length_y)^2``, is not below half the
+    largest float; the factor 2 keeps the symbols of :func:`_wavenumbers`
+    finite whatever their rounding."""
+    kx = math.pi * grid.nx / geometry.length_x
+    ky = math.pi * grid.ny / geometry.length_y
+    if not kx * kx + ky * ky <= 0.5 * np.finfo(float).max:
+        raise ValidationError(
+            f"torus sides {geometry.length_x} x {geometry.length_y} are too small for "
+            f"the {grid.nx} x {grid.ny} grid: its largest |k|^2 overflows"
+        )
+
+
 @functools.lru_cache(maxsize=4)
 def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
     """Half-spectrum symbols: -|k|^2 and the d/dx, d/dy multipliers.
@@ -341,6 +355,7 @@ def _wavenumbers(geometry: TorusGeometry, grid: GridSpec):
     y-Nyquist mode; ``dx_mult`` has ``nx`` entries and ``dy_mult``
     ``ny/2 + 1``. The cache holds the few grids a run works on at once.
     """
+    _check_wavenumbers(geometry, grid)
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=1.0 / grid.nx) / geometry.length_x
     ky = 2.0 * np.pi * np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny) / geometry.length_y
     minus_k2 = -(kx[:, None] ** 2 + ky[None, :] ** 2)
@@ -604,33 +619,41 @@ def solve_linearized(
         return zero, zero
 
     v_mean = float(V.mean())
-    inv_symbol = 1.0 / (epsilon * (-minus_k2) + v_mean)
-    lam_max = epsilon * float((-minus_k2).max()) + float(V.max())
+    # 1 / (eps |k|^2 + v_mean), formed in one array.
+    inv_symbol = np.multiply(minus_k2, -epsilon)
+    inv_symbol += v_mean
+    np.divide(1.0, inv_symbol, out=inv_symbol)
+    lam_max = epsilon * -float(minus_k2.min()) + float(V.max())
 
     def target(x_norm: float) -> float:
         floor = 32.0 * np.finfo(float).eps * (lam_max * x_norm + b_norm)
         return max(tol * b_norm, floor)
 
-    # Work arrays for the whole solve; every update below writes into them
-    # (the transforms through ``out=``, which needs numpy 2.0).
+    # Five work grids for the whole solve; every update below writes into
+    # them (the transforms through ``out=``, which needs numpy 2.0). The
+    # scratch grid holds A p, then alpha p, then z = M^-1 r and last
+    # -eps laplacian(z), each dead before the next is written.
     spec = np.empty(minus_k2.shape, dtype=complex)
     x = np.zeros_like(b)
     r = b.copy()
     p = np.empty_like(b)
     q_p = np.empty_like(b)
-    z = np.empty_like(b)
     work = np.empty_like(b)
 
-    def precondition(src: np.ndarray, out: np.ndarray, q_out: np.ndarray) -> None:
-        # out = M^-1 src, and q_out = -eps laplacian(out) without a second
-        # inverse transform: (-eps laplacian + v_mean) out = src.
+    def precondition(src: np.ndarray, out: np.ndarray) -> None:
+        # out = M^-1 src.
         _rfft2(src, spec)
         np.multiply(spec, inv_symbol, out=spec)
         _irfft2(spec, shape, out)
-        np.multiply(out, v_mean, out=q_out)
-        np.subtract(src, q_out, out=q_out)
 
-    precondition(r, p, q_p)
+    def laplacian_part(src: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+        # out = -eps laplacian(z) for z = M^-1 src, without a second inverse
+        # transform: (-eps laplacian + v_mean) z = src. out may be z.
+        np.multiply(z, v_mean, out=out)
+        np.subtract(src, out, out=out)
+
+    precondition(r, p)
+    laplacian_part(r, p, q_p)
     rz = float(np.vdot(r, p))
     iterations = 0
     while iterations < cap:
@@ -644,31 +667,34 @@ def solve_linearized(
         if denom <= 0.0:
             raise NoConvergence("operator lost positive definiteness")
         alpha = rz / denom
-        x += np.multiply(p, alpha, out=z)
         r -= np.multiply(Ap, alpha, out=Ap)
+        x += np.multiply(p, alpha, out=work)
         iterations += 1
         if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
             # The true residual b - (V x - eps laplacian(x)), written over
-            # r; z keeps eps laplacian(x).
+            # r; work keeps eps laplacian(x).
             _rfft2(x, spec)
             spec *= minus_k2
-            _irfft2(spec, shape, z)
-            z *= epsilon
+            _irfft2(spec, shape, work)
+            work *= epsilon
             np.multiply(V, x, out=r)
-            r -= z
+            r -= work
             np.subtract(b, r, out=r)
             if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
-                return rhs._like(x), rhs._like(z)
-            precondition(r, p, q_p)
+                return rhs._like(x), rhs._like(work)
+            precondition(r, p)
+            laplacian_part(r, p, q_p)
             rz = float(np.vdot(r, p))
             continue
-        precondition(r, z, work)
+        z = work
+        precondition(r, z)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
         p *= beta
         p += z
+        laplacian_part(r, z, z)
         q_p *= beta
-        q_p += work
+        q_p += z
         rz = rz_new
     raise NoConvergence(f"CG failed to reach tol={tol} within {cap} iterations")
 

@@ -442,12 +442,16 @@ def _cg_tolerance(config: SolverConfig, eta: float, res_sup: float) -> float:
 def kw_solve(
     problem: KWProblem,
     config: SolverConfig = SolverConfig(),
-    init: ScalarField | None = None,
+    init: ScalarField | list | None = None,
 ) -> KWSolution:
     """Damped Newton iteration for the positive-epsilon equation.
 
     Starts from ``init`` (default zero field), checks the balance condition
     first, and enforces monotone energy decrease via Armijo backtracking.
+    A caller that must not keep the start alive through the solve hands
+    it over as the one item of a list, which the solve empties: the start
+    is then freed once the first evaluation (and, for one-sided problems,
+    its pin shift) has replaced it.
     Each linearized step is solved inexactly, to the relative target of
     :func:`_cg_tolerance`. The Newton potential is floored at 1e-14 and,
     for one-sided problems, the constant mode is re-pinned through the
@@ -468,11 +472,14 @@ def kw_solve(
     cls = problem.classification()
     geometry, grid = problem.geometry, problem.grid
 
+    if isinstance(init, list):
+        init = init.pop()
     if init is None:
         f = ScalarField(geometry, grid, np.zeros((grid.nx, grid.ny)))
     else:
         _check_compatible(init, problem.w)
         f = init
+    del init
 
     ev = _Evaluation(problem, f)
     one_sided = cls in (Classification.ONE_SIDED_PLUS, Classification.ONE_SIDED_MINUS)
@@ -534,9 +541,10 @@ def kw_solve(
         del x, eps_lap_x, base
         ev, energy = _line_search(problem, trials, energy, slope, res_sup, iteration)
         del trials
+        f = ev.f  # the pre-step iterate goes before the pin allocates
         if one_sided:
             ev, energy = _pinned(problem, ev, energy)
-        f = ev.f
+            f = ev.f
         trace.energy_history.append(energy)
 
     raise MaxIterExceeded(

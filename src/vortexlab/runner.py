@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import logging
 import os
 import time
 from fractions import Fraction
@@ -42,6 +43,9 @@ __all__ = [
     "CSV_COLUMNS",
     "MANIFEST_NAME",
 ]
+
+# Progress lines of ``run``; ``vortexlab.cli`` shows them unless ``--quiet``.
+_log = logging.getLogger(__name__)
 
 CSV_COLUMNS = (
     "epsilon",
@@ -312,7 +316,8 @@ def _emit_report_artifacts(report: SweepReport, out: Path, config: RunConfig) ->
 def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = False) -> dict:
     """Execute the configured experiment; returns the manifest dict.
 
-    The manifest is also written to ``<out>/manifest.json`` atomically,
+    Progress goes to the ``vortexlab.runner`` logger at INFO level, unless
+    ``quiet``. The manifest is also written to ``<out>/manifest.json`` atomically,
     on success and on failure alike; a solver failure mid-sweep keeps the
     rows of the completed stages. ``manifest['status']`` is ``"ok"`` or
     ``"failed"``. An exception that is not a :class:`VortexLabError`, an
@@ -323,7 +328,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
 
     def log(message: str) -> None:
         if not quiet:
-            print(f"[vortexlab] {message}", flush=True)
+            _log.info(message)
 
     manifest: dict = {
         "artifact_version": __version__,

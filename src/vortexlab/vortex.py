@@ -72,6 +72,7 @@ from .fields import (
     _adopted,
     _box_offsets,
     _bump_window,
+    _check_wavenumbers,
     _rfft2,
     constant_field,
     integrate,
@@ -185,14 +186,16 @@ class _VortexModel:
         return 2.0 * math.pi * float(self.degree) * self.epsilon**2 / vol + self.tau
 
     def _admit(self) -> None:
-        """Reject a torus too long for the Green's function, coinciding points,
-        non-finite scalars, ``epsilon <= 0`` and unbalanced data."""
+        """Reject a torus too long for the Green's function or too small for
+        the grid's wavenumbers, coinciding points, non-finite scalars,
+        ``epsilon <= 0`` and unbalanced data."""
         lx, ly = self.geometry.length_x, self.geometry.length_y
         if max(lx, ly) / min(lx, ly) > _MAX_IM_TAU:
             raise ValidationError(
                 f"torus sides {lx} x {ly} differ by more than {_MAX_IM_TAU:g} times: "
                 "the Green's function nome underflows"
             )
+        _check_wavenumbers(self.geometry, self.grid)
         for t in self._terms:
             t.divisor.check_separated(self.geometry)
         scales = [("scale", t.scale) for t in self._terms]
@@ -1138,10 +1141,13 @@ def _run_stage(report, spec, config, previous, t0, schedule=None) -> Diagnostics
     while True:
         _mass_windows(spec, _spec_points(spec))
         init, start = spec._initial_guess(previous, config)
+        del previous
         if not rejected:
             record = start
+        # Handed over in a list that kw_solve empties, so that no frame here
+        # keeps the start alive through its solve.
+        init = [init]
         solution = kw_solve(reduce_any(spec), config, init=init)
-        del init, previous
         spectrum, lap = solution._take_final()
         tail = spectral_tail(solution.f, spectrum)
         finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
@@ -1152,6 +1158,7 @@ def _run_stage(report, spec, config, previous, t0, schedule=None) -> Diagnostics
             {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
         )
         spec, previous = _copy(spec, grid=finer), solution
+        del solution, spectrum, lap
     stage, points, recon = diagnostics_report(spec, solution, spectrum, tail, lap)
     stage.rejected = rejected
     stage.start = record

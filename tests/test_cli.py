@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import re
 import struct
@@ -17,7 +18,7 @@ from vortexlab.config import echo_config, override, parse_config
 from vortexlab.errors import ParseError, ValidationError
 from vortexlab.greens import Divisor, divisor_potential
 from vortexlab.kw import NewtonTrace, SolverConfig
-from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME
+from vortexlab.runner import CSV_COLUMNS, MANIFEST_NAME, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -385,7 +386,6 @@ def test_unbalanced_model_exits_before_any_solve(tmp_path, capsys, text, message
 
 
 def test_sweep_that_solves_no_stage_writes_failed_manifest(tmp_path):
-    from vortexlab.runner import run
     from vortexlab.vortex import ContinuationSchedule
 
     # Both stages break Bradlow; a config could not say so (the final
@@ -781,15 +781,53 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "classical.divisor: multiplicities must be positive" in err
 
 
-def test_over_long_torus_exits_before_any_solve(tmp_path, capsys):
-    # Past a 200:1 aspect the Green's function nome underflows; the spec
-    # rejects the torus at parse time (exit 2), not in the solve (exit 3).
-    text = classical_yaml(n=16) + "geometry: {length_x: 1.0, length_y: 250.0}\n"
+@pytest.mark.parametrize(
+    "sides, points, message",
+    [
+        # Past a 200:1 aspect the Green's function nome underflows.
+        ("1.0, length_y: 250.0", ((0.5, 0.5, 1),), "1.0 x 250.0 differ by more than 200 times"),
+        # At side 1e-153 the largest |k|^2 of a 16^2 grid overflows.
+        ("1.0e-153, length_y: 1.0e-153", (), "1e-153 x 1e-153 are too small for the 16 x 16 grid"),
+    ],
+)
+def test_unusable_torus_exits_before_any_solve(tmp_path, capsys, sides, points, message):
+    # The spec rejects the torus at parse time (exit 2), not in the solve
+    # (exit 3), and with no RuntimeWarning.
+    text = classical_yaml(points=points, n=16) + f"geometry: {{length_x: {sides}}}\n"
     out = tmp_path / "o"
     assert main(["classical", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "classical: torus sides 1.0 x 250.0 differ by more than 200 times" in err
+    assert "classical: torus sides " + message in err
     assert not out.exists()
+
+
+def test_kw_run_on_a_torus_too_small_for_its_grid_fails_typed(tmp_path):
+    text = (
+        "kind: kw\nepsilon: 0.5\ngrid: {nx: 16, ny: 16}\n"
+        "geometry: {length_x: 1.0e-153, length_y: 1.0e-153}\n"
+        "kw: {w: -1.0, plus: [{amplitude: 1.0}]}\n"
+    )
+    manifest = run(parse_config(text), tmp_path / "o", quiet=True)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ValidationError"
+    assert "too small for the 16 x 16 grid" in manifest["error"]["message"]
+
+
+def test_progress_goes_through_logging(tmp_path, capsys, caplog):
+    # run() logs its progress at INFO; the CLI prints it unless --quiet.
+    cfg_path = write_config(tmp_path, classical_yaml(n=32))
+    with caplog.at_level(logging.INFO, logger="vortexlab"):
+        run(parse_config(Path(cfg_path).read_text()), tmp_path / "a", quiet=True)
+        assert not caplog.records
+        run(parse_config(Path(cfg_path).read_text()), tmp_path / "b")
+    assert [r.name for r in caplog.records] == ["vortexlab.runner"]
+    assert caplog.records[0].getMessage() == "classical solve epsilon=0.2 grid=32x32"
+    capsys.readouterr()
+    assert main(["classical", "--config", cfg_path, "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().out == "[vortexlab] classical solve epsilon=0.2 grid=32x32\n"
+    assert main(["classical", "--config", cfg_path, "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert not logging.getLogger("vortexlab").handlers
 
 
 def test_generalized_negative_weights_run(tmp_path):

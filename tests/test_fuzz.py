@@ -81,10 +81,25 @@ def _bare_generalized(tau):
     }
 
 
+def _tiny_torus(side):
+    """A classical config whose torus is so small that a 16^2 grid's
+    largest ``|k|^2`` overflows at side 1e-153."""
+    return {
+        "kind": "classical",
+        "geometry": {"length_x": side, "length_y": side},
+        "grid": {"nx": 16, "ny": 16},
+        "epsilon": 0.05,
+        "solver": {"newton_tol": NEWTON_TOL},
+        "outputs": {"csv": True, "heatmaps": False, "svg": False},
+        "classical": {"divisor": []},
+    }
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs())
 @example(_bare_generalized(-5.018241260875924e-238))  # e^{-2f} overflows
 @example(_bare_generalized(-5e-324))  # e^{-f} overflows
+@example(_tiny_torus(1e-153))  # refused at parse time: |k|^2 overflows
 def test_every_run_solves_or_fails_typed(tree):
     try:
         config = parse_config(yaml.safe_dump(tree))

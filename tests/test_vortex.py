@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import vortexlab.kw as kw_module
 import vortexlab.vortex as vortex_module
 from helpers import empty_caches, record_transforms
 from vortexlab import (
@@ -1337,11 +1338,15 @@ def test_reduced_constant_holds_no_grid():
 def test_classical_sweep_stage_memory(monkeypatch):
     # Three classical stages on one 512^2 grid (a grid is 2 MiB). While
     # stage 2 solves, stage 1's reconstruction is released, w is a broadcast
-    # scalar, CG reads the residual itself, not a negated copy, and every
-    # inverse transform runs in place on its spectrum: 28.33 MiB measured
-    # in any test order (empty_caches; 28.45 in a fresh process that loads
-    # numpy.fft inside the trace), against 30.33 MiB with the inverse's own
-    # complex temporary. The bound allows half a grid more than 28.45.
+    # scalar, CG reads the residual itself, not a negated copy, and works
+    # in five grids, every inverse transform runs in place on its
+    # spectrum, and the stage's start is gone: 12.16 grids (24.33 MiB)
+    # measured in any test order (empty_caches; 24.45 MiB in a fresh
+    # process that loads numpy.fft inside the trace). It read 14.16 grids
+    # with a sixth CG grid and the start kept alive through the solve, and
+    # 15.16 with the inverse's own complex temporary as well. _run_stage
+    # hands the start over in a list that kw_solve empties, so the
+    # wrapper's kwargs do not keep it alive.
     peaks = []
 
     def traced(*args, **kwargs):
@@ -1360,7 +1365,85 @@ def test_classical_sweep_stage_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     report.raise_if_failed()
-    assert peaks[1] <= (28.45 + 1.0) * 2**20
+    assert peaks[1] <= 12.25 * 2 * 2**20
+
+
+def test_lone_classical_stage_memory():
+    # One classical stage on 1024^2 (a grid is 8 MiB), solve and
+    # diagnostics together: 11.04 grids measured, against 13.04 with a
+    # sixth CG grid and the start kept alive through the solve.
+    spec = classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.00625, n=1024)
+    empty_caches()
+    tracemalloc.start()
+    try:
+        solve_and_report(spec).raise_if_failed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.25 * 8 * 2**20
+
+
+def _watch_iterates(monkeypatch, spec_type):
+    """Weak references to the start of the last solve and to every field
+    evaluated since; per CG solve and per pin, ``(solve, probe, count)``,
+    with the count of distinct such fields alive.
+
+    A probe keeps nothing but the arguments it passes on, and the counts
+    read reference counts, so no collection runs.
+    """
+    refs, alive, solves = [], [], [0]
+    guess = spec_type._initial_guess
+
+    def initial_guess(self, previous, config):
+        start = guess(self, previous, config)
+        refs[:] = [] if start.f is None else [weakref.ref(start.f)]
+        solves[0] += 1
+        return start
+
+    class Evaluation(kw_module._Evaluation):
+        def __init__(self, problem, f, *args):
+            super().__init__(problem, f, *args)
+            refs.append(weakref.ref(f))
+
+    def live() -> int:
+        return len({id(ref()) for ref in refs if ref() is not None})
+
+    def probe(fn, name):
+        def probed(*args, **kwargs):
+            alive.append((solves[0], name, live()))
+            return fn(*args, **kwargs)
+        return probed
+
+    monkeypatch.setattr(spec_type, "_initial_guess", initial_guess)
+    monkeypatch.setattr(kw_module, "_Evaluation", Evaluation)
+    monkeypatch.setattr(kw_module, "solve_linearized", probe(kw_module.solve_linearized, "cg"))
+    monkeypatch.setattr(kw_module, "_pinned", probe(kw_module._pinned, "pin"))
+    return alive
+
+
+def test_no_start_or_old_iterate_alive_through_a_classical_solve(monkeypatch):
+    # One-sided: the pin shift replaces the start before the first CG
+    # solve, and the accepted trial replaces the pre-step iterate before
+    # the pin allocates, so one iterate is alive at each.
+    alive = _watch_iterates(monkeypatch, ClassicalVortexSpec)
+    report = solve_and_report(classical([(0.25, 0.25), (0.75, 0.75)], [1, 2], 0.1, n=64))
+    report.raise_if_failed()
+    assert report.stages[0].newton.iterations >= 2
+    assert {name for _, name, _ in alive} == {"cg", "pin"}
+    assert [count for _, _, count in alive] == [1] * len(alive)
+
+
+def test_no_start_or_old_iterate_alive_through_a_warm_started_mixed_solve(monkeypatch):
+    # Two-sided: the last stage's accepted solve, on 64^2, starts from its
+    # rejected 32^2 solve resampled (a fresh field). The start is the
+    # iterate of the first CG solve, and gone by the second.
+    alive = _watch_iterates(monkeypatch, MixedVortexSpec)
+    report = adiabatic_sweep(_far_mixed_pair(0.05), ContinuationSchedule((0.2, 0.1, 0.05)))
+    report.raise_if_failed()
+    assert report.stages[-1].grid == GridSpec(64, 64)
+    assert report.stages[-1].newton.iterations >= 2
+    last = [(name, count) for solve, name, count in alive if solve == alive[-1][0]]
+    assert last == [("cg", 1)] * report.stages[-1].newton.iterations
 
 
 @pytest.mark.parametrize("error", [MaxIterExceeded, Unsolvable])
