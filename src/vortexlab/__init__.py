@@ -28,19 +28,13 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
-    bump_cutoff,
     constant_field,
     cutoff_ratio_sup,
     dirichlet_energy,
-    field_from_function,
-    gradient,
-    gradient_magnitude,
-    grid_points,
     integrate,
     laplacian,
     lp_norm,
     resample,
-    sample_at,
     solve_linearized,
     spectral_tail,
     sup_norm,
@@ -55,7 +49,6 @@ from .kw import (
     Classification,
     KWProblem,
     KWSolution,
-    LimitProfile,
     NewtonTrace,
     SolverConfig,
     kw_energy,
@@ -76,7 +69,6 @@ from .vortex import (
     SweepReport,
     adiabatic_sweep,
     curvature_mass,
-    integral_identities,
     mixed_limit_phi_sq,
     reconstruct,
     reduce_any,

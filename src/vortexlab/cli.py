@@ -116,6 +116,9 @@ def _report_command(out_dir: Path) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: corrupt manifest {path}: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(manifest, dict):
+        print(f"error: corrupt manifest {path}: not a JSON object", file=sys.stderr)
+        return 2
     print(_summarize(manifest))
     return 0
 

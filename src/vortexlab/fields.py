@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -29,22 +29,15 @@ __all__ = [
     "GridSpec",
     "ScalarField",
     "RegionMask",
-    "grid_points",
     "torus_displacement",
-    "torus_distance",
     "constant_field",
-    "field_from_function",
     "laplacian",
-    "gradient",
-    "gradient_magnitude",
     "spectral_tail",
     "dirichlet_energy",
     "solve_linearized",
     "integrate",
     "lp_norm",
     "sup_norm",
-    "sample_at",
-    "bump_cutoff",
     "cutoff_ratio_sup",
     "resample",
 ]
@@ -217,9 +210,6 @@ class RegionMask:
             w[box] *= dist > radius
         return _adopted(cls, geometry, grid, w)
 
-    def area(self) -> float:
-        return float(self.weights.mean()) * self.geometry.volume
-
 
 def _check_compatible(a, b) -> None:
     if a.geometry != b.geometry or a.grid != b.grid:
@@ -245,11 +235,6 @@ def _minimal_image(d, length: float):
     return np.mod(d + 0.5 * length, length) - 0.5 * length
 
 
-def grid_points(geometry: TorusGeometry, grid: GridSpec):
-    """Meshgrid arrays (X, Y) of the sample coordinates, indexing='ij'."""
-    return np.meshgrid(*_axes(geometry, grid), indexing="ij")
-
-
 def torus_displacement(geometry: TorusGeometry, grid: GridSpec, center):
     """Minimal-image displacement (dx, dy) of every sample from ``center``.
 
@@ -273,10 +258,6 @@ def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """
     dist = np.add(dx * dx, dy * dy)
     return np.sqrt(dist, out=dist)
-
-
-def torus_distance(geometry: TorusGeometry, grid: GridSpec, center):
-    return _distance(*torus_displacement(geometry, grid, center))
 
 
 def _box_axis(offsets: np.ndarray, radius: float):
@@ -309,8 +290,9 @@ def _box_offsets(geometry: TorusGeometry, grid: GridSpec, center, radius: float)
 
 
 def _disc_box(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
-    """The box of :func:`_box_offsets` and the distances on it, bit-identical
-    to :func:`torus_distance` there."""
+    """The box of :func:`_box_offsets` and the :func:`_distance` of its
+    offsets: ``(box, distances)``. Each distance is bit for bit that of the
+    same sample computed over the whole grid."""
     box, dx, dy = _box_offsets(geometry, grid, center, radius)
     return box, _distance(dx, dy)
 
@@ -319,13 +301,6 @@ def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> Sca
     """``value`` everywhere, one checked scalar broadcast to the grid: it holds no grid."""
     samples = np.broadcast_to(_finite(value), (grid.nx, grid.ny))
     return _adopted(ScalarField, geometry, grid, samples)
-
-
-def field_from_function(
-    geometry: TorusGeometry, grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> ScalarField:
-    X, Y = grid_points(geometry, grid)
-    return ScalarField(geometry, grid, np.asarray(fn(X, Y), dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +390,19 @@ def laplacian(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField
     return f._like(_irfft2(_half_spectrum(f, spectrum) * minus_k2, f.values.shape))
 
 
-def _gradient_arrays(
-    f: ScalarField, spectrum: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of :func:`gradient`, fresh and writable."""
+def _squared_gradient(f: ScalarField, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """``|grad f|^2`` sample by sample, a fresh array: the spectral partial
+    derivatives, squared and summed in place.
+
+    Its square root is within 2 ulp of ``hypot`` of the partials. Raises
+    :class:`ValidationError` where a square overflows, for ``|grad f|``
+    above about 1e154, where ``hypot`` may be finite. A sample below about
+    1e-154 loses relative precision as its square underflows.
+    """
     _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
     spec = _half_spectrum(f, spectrum)
     fx = _irfft2(spec * dx_mult[:, None], f.values.shape)
     fy = _irfft2(spec * dy_mult[None, :], f.values.shape)
-    return fx, fy
-
-
-def gradient(
-    f: ScalarField, spectrum: np.ndarray | None = None
-) -> tuple[ScalarField, ScalarField]:
-    """Spectral partial derivatives (df/dx, df/dy)."""
-    fx, fy = _gradient_arrays(f, spectrum)
-    return f._like(fx), f._like(fy)
-
-
-def _squared_gradient(f: ScalarField, spectrum: np.ndarray | None = None) -> np.ndarray:
-    """``|grad f|^2`` sample by sample, squared and summed in place.
-
-    Raises :class:`ValidationError` where a square overflows, for ``|grad
-    f|`` above about 1e154, where ``hypot`` of the partials may be finite.
-    """
-    fx, fy = _gradient_arrays(f, spectrum)
     with np.errstate(over="ignore"):
         np.multiply(fx, fx, out=fx)
         np.multiply(fy, fy, out=fy)
@@ -448,17 +410,6 @@ def _squared_gradient(f: ScalarField, spectrum: np.ndarray | None = None) -> np.
     if fx.max() == math.inf:
         raise ValidationError("|grad f| above about 1e154: its square overflows")
     return fx
-
-
-def gradient_magnitude(f: ScalarField, spectrum: np.ndarray | None = None) -> ScalarField:
-    """``|grad f|``, within 2 ulp of ``hypot`` of the spectral partials.
-
-    Raises :class:`ValidationError` for ``|grad f|`` above about 1e154.
-    A sample below about 1e-154 loses relative precision as its square
-    underflows; its absolute error stays below 1e-161.
-    """
-    sq = _squared_gradient(f, spectrum)
-    return f._like(np.sqrt(sq, out=sq))
 
 
 # A non-mean spectrum below this fraction of the mean coefficient is
@@ -536,44 +487,6 @@ def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:
     if not sel.any():
         raise ValidationError("mask has no samples with weight > 1/2")
     return float(np.abs(f.values[sel]).max())
-
-
-def _phase_matrix(
-    coords: np.ndarray, n: int, length: float, half: bool = False
-) -> np.ndarray:
-    """Evaluation phases for the trigonometric interpolant along one axis.
-
-    The Nyquist slot uses a cosine so the interpolant is real and agrees
-    with the inverse DFT at grid points. With ``half`` the columns follow
-    the real-transform layout ``0 .. n/2``; each interior column stands for
-    a conjugate pair and carries weight 2, so the real part of the sum is
-    the interpolant.
-    """
-    freqs = (np.fft.rfftfreq if half else np.fft.fftfreq)(n, d=1.0 / n)
-    theta = np.multiply.outer(coords / length, freqs) * 2.0 * np.pi
-    phases = np.exp(1j * theta)
-    if half:
-        phases[:, 1 : n // 2] *= 2.0
-    phases[:, n // 2] = np.cos(theta[:, n // 2])
-    return phases
-
-
-def sample_at(f: ScalarField, points) -> np.ndarray | float:
-    """Evaluate the trigonometric interpolant of ``f`` at off-grid points.
-
-    ``points`` is one (x, y) pair or an (M, 2) array. Exact for fields
-    that are band-limited to the grid, and reproduces grid samples.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError("points must be (x, y) or an (M, 2) array")
-    spec = _rfft2(f.values)
-    px = _phase_matrix(pts[:, 0], f.grid.nx, f.geometry.length_x)
-    py = _phase_matrix(pts[:, 1], f.grid.ny, f.geometry.length_y, half=True)
-    vals = np.einsum("mj,jk,mk->m", px, spec, py).real / (f.grid.nx * f.grid.ny)
-    if np.ndim(points) == 1:
-        return float(vals[0])
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +646,14 @@ def _bump_window(
     r_inner: float,
     r_outer: float,
 ):
-    """The :func:`bump_cutoff` profile on the box of its ``r_outer`` disc:
-    ``(box, values)``; the bump is exactly 0 outside the box."""
+    """Smooth bump about ``center``: 1 on the ``r_inner`` disc, 0 outside
+    the ``r_outer`` disc.
+
+    Returns ``(box, values)``, the profile on the box of the ``r_outer``
+    disc; the bump is exactly 0 outside the box. Radii must satisfy ``0 <
+    r_inner < r_outer < injectivity radius`` so the annulus embeds in the
+    torus.
+    """
     if not (0.0 < r_inner < r_outer < geometry.injectivity_radius):
         raise ValidationError(
             f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
@@ -742,24 +661,6 @@ def _bump_window(
         )
     box, dist = _disc_box(geometry, grid, center, r_outer)
     return box, _bump_profile(dist, r_inner, r_outer)
-
-
-def bump_cutoff(
-    geometry: TorusGeometry,
-    grid: GridSpec,
-    center: tuple[float, float],
-    r_inner: float,
-    r_outer: float,
-) -> ScalarField:
-    """Smooth bump: 1 on the r_inner disc, 0 outside the r_outer disc.
-
-    Radii must satisfy ``0 < r_inner < r_outer < injectivity radius`` so
-    the annulus embeds in the torus.
-    """
-    box, window = _bump_window(geometry, grid, center, r_inner, r_outer)
-    values = np.zeros((grid.nx, grid.ny))
-    values[box] = window
-    return _adopted(ScalarField, geometry, grid, values)
 
 
 def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> float:

@@ -47,7 +47,6 @@ from .fields import (
     RegionMask,
     ScalarField,
     TorusGeometry,
-    _adopted,
     _check_compatible,
     _half_spectrum,
     _squared_gradient,
@@ -65,7 +64,6 @@ __all__ = [
     "KWSolution",
     "NewtonTrace",
     "SolverConfig",
-    "LimitProfile",
     "kw_residual",
     "kw_energy",
     "kw_solve",
@@ -646,39 +644,26 @@ def _pinned(problem: KWProblem, ev: _Evaluation, energy: float):
 # epsilon = 0: pointwise scalar roots
 
 
-@dataclass
-class LimitProfile:
-    """Samplewise solution of the epsilon = 0 equation.
-
-    ``excluded`` marks (weight 1) the samples where a coefficient side
-    vanishes identically and no pointwise root is defined; ``f`` stores 0
-    there.
-    """
-
-    f: ScalarField
-    excluded: RegionMask
-    n_excluded: int
-
-
-def kw_limit(problem: KWProblem) -> LimitProfile:
+def kw_limit(problem: KWProblem) -> ScalarField:
     """Solve ``sum A e^{alpha f} - sum B e^{-beta f} + w = 0`` samplewise.
 
-    Samples where a side that the problem has sums below 1e-300 are
-    excluded and reported in the mask. For one-sided problems a root
-    exists only where ``w`` has the opposite sign; a wrong-signed sample
-    raises :class:`NoRoot`. Blocks of whole rows, about ``_ROOT_BLOCK``
-    samples each, are solved in turn: only the outputs span the grid.
+    Samples where a side that the problem has sums below 1e-300 have no
+    pointwise root; the returned field stores 0 there. For one-sided
+    problems a root exists only where ``w`` has the opposite sign; a
+    wrong-signed sample raises :class:`NoRoot`. Blocks of whole rows,
+    about ``_ROOT_BLOCK`` samples each, are solved in turn: only the
+    output spans the grid.
     """
     has_plus, has_minus = problem._sides()
     if not (has_plus or has_minus):
         raise NoRoot("no exponential terms; the limit equation is empty")
     terms = _signed_terms(problem)
     w = problem.w.values
-    fvals, excluded = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)
+    fvals = np.zeros(w.shape)
     rows = max(1, _ROOT_BLOCK // w.shape[1])
     for start in range(0, w.shape[0], rows):
         block = slice(start, start + rows)
-        skip = excluded[block]
+        skip = np.zeros(w[block].shape, dtype=bool)
         for present, side in ((has_plus, problem.plus_terms), (has_minus, problem.minus_terms)):
             if present:
                 skip |= sum(c.values[block] for c, _ in side) < _COEFF_TINY
@@ -690,9 +675,7 @@ def kw_limit(problem: KWProblem) -> LimitProfile:
             raise NoRoot("one-sided limit needs w > 0 where the coefficient lives")
         if wb.size:
             fvals[block][live] = _scalar_root(wb, [(c.values[block][live], k) for c, k in terms])
-
-    mask = _adopted(RegionMask, problem.geometry, problem.grid, excluded.astype(float))
-    return LimitProfile(f=problem.w._like(fvals), excluded=mask, n_excluded=int(excluded.sum()))
+    return problem.w._like(fvals)
 
 
 def _scalar_root(w: np.ndarray, terms) -> np.ndarray:

@@ -31,16 +31,17 @@ with ``P_j = c_j e^{u_j}``. The presets:
   all positive with ``2 pi d eps^2 / vol + tau < 0``, or are all
   negative with ``2 pi d eps^2 / vol + tau > 0``.
 
-Integrating each curvature equation over the torus gives the identities
-checked by :func:`integral_identities`; as epsilon decreases the curvature
-concentrates near the divisor points with calculable masses, measured by
-:func:`curvature_mass` through smooth bump windows. A spec holds one grid
-per term, its reduced coefficient ``|k_j| P_j`` (times the equation
-scale), from which ``|phi^j|^2`` and ``u_j`` are recovered, and shares it
-with its copies at other epsilons on the same grid. Two process-wide
-caches outlive a spec: the 1-D planar vortex profiles that start a
-classical solve (:func:`_planar_profile`) and the half-spectrum symbols
-of the last four grids (``fields._wavenumbers``).
+Integrating each curvature equation over the torus gives identities
+whose residuals every diagnosed stage reports (:func:`_identities_of`);
+as epsilon decreases the curvature concentrates near the divisor points
+with calculable masses, measured by :func:`curvature_mass` through smooth
+bump windows. A spec holds one grid per term, its reduced coefficient
+``|k_j| P_j`` (times the equation scale), from which ``|phi^j|^2`` and
+``u_j`` are recovered, and shares it with its copies at other epsilons on
+the same grid. Two process-wide caches outlive a spec: the 1-D planar
+vortex profiles that start a classical solve (:func:`_planar_profile`)
+and the half-spectrum symbols of the last four grids
+(``fields._wavenumbers``).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .fields import (
     integrate,
     laplacian,
     resample,
-    sample_at,
     spectral_tail,
     sup_norm,
     torus_displacement,
@@ -119,7 +119,6 @@ __all__ = [
     "solve_and_report",
     "curvature_mass",
     "vanishing_order_fit",
-    "integral_identities",
     "adiabatic_sweep",
     "mixed_limit_phi_sq",
     "diagnostics_report",
@@ -242,7 +241,7 @@ class _VortexModel:
         """The epsilon = 0 profile ``f_0``: the reduced problem with epsilon 0
         and ``w = equation_scale * tau``, solved by :func:`kw_limit`."""
         w = constant_field(self.geometry, self.grid, self.equation_scale * self.tau)
-        return kw_limit(dataclasses.replace(reduce_any(self), epsilon=0.0, w=w)).f
+        return kw_limit(dataclasses.replace(reduce_any(self), epsilon=0.0, w=w))
 
     def _deviation(self, f: ScalarField) -> ScalarField:
         """Distance of ``f``, on this spec's grid, to the epsilon = 0 limit."""
@@ -781,27 +780,14 @@ def vanishing_order_fit(
 ) -> float:
     """Least-squares vanishing order of |phi| at ``center``.
 
-    Samples ``phi_sq`` (a ScalarField, interpolated trigonometrically, or
-    a callable mapping an (M, 2) point array to values) on log-spaced
-    circles, angularly averages, and fits the slope of
-    ``log sqrt(phi_sq)`` against ``log r``. For grid fields ``r_min`` must
-    stay at or above two grid cells, where interpolation is trustworthy;
-    rings whose average underflows to zero are dropped from the fit.
+    ``phi_sq`` is a callable that maps an (M, 2) point array to values,
+    such as :func:`mixed_limit_phi_sq`; it is sampled on log-spaced
+    circles, angularly averaged, and the slope of ``log sqrt(phi_sq)``
+    against ``log r`` is fitted. Rings whose average underflows to zero
+    are dropped from the fit.
     """
     if not (0.0 < r_min < r_max):
         raise ValidationError("need 0 < r_min < r_max")
-    if isinstance(phi_sq, ScalarField):
-        hx, hy = phi_sq.grid.spacing(phi_sq.geometry)
-        if r_min < 2.0 * max(hx, hy):
-            raise ValidationError("r_min below two grid cells for a sampled field")
-        if r_max >= phi_sq.geometry.injectivity_radius:
-            raise ValidationError("r_max must stay below the injectivity radius")
-        evaluate = lambda pts: sample_at(phi_sq, pts)
-    elif callable(phi_sq):
-        evaluate = phi_sq
-    else:
-        raise TypeError("phi_sq must be a ScalarField or a callable")
-
     n_samples, n_angles = _ORDER_FIT_SAMPLES
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_samples))
     angles = np.arange(n_angles) * (2.0 * np.pi / n_angles)
@@ -810,7 +796,7 @@ def vanishing_order_fit(
         sl = slice(i * n_angles, (i + 1) * n_angles)
         pts[sl, 0] = center[0] + r * np.cos(angles)
         pts[sl, 1] = center[1] + r * np.sin(angles)
-    vals = np.asarray(evaluate(pts), dtype=float).reshape(n_samples, n_angles)
+    vals = np.asarray(phi_sq(pts), dtype=float).reshape(n_samples, n_angles)
     ring_means = vals.mean(axis=1)
     keep = np.isfinite(ring_means) & (ring_means > 0.0)
     if keep.sum() < 2:
@@ -821,18 +807,14 @@ def vanishing_order_fit(
     return float(slope)
 
 
-def integral_identities(spec, f: ScalarField) -> dict[str, float]:
-    """Residuals of the integrated curvature equations.
+def _identities_of(spec, recon: Reconstruction) -> dict[str, float]:
+    """Residuals of the integrated curvature equations at ``recon``.
 
     identity:  sum_j k_j |phi^j|_2^2 + tau vol + 2 pi d eps^2, which for
                the classical model is reported as the Bradlow deficit
                integral(1 - |phi|^2) - 2 pi d eps^2 (key ``bradlow`` too)
     chern:     integral(iLF)/2pi - d.
     """
-    return _identities_of(spec, reconstruct(spec, f))
-
-
-def _identities_of(spec, recon: Reconstruction) -> dict[str, float]:
     out = spec._identities(recon.phi_sq)
     out["chern"] = integrate(recon.curvature) / (2.0 * math.pi) - float(spec.degree)
     return out
@@ -992,13 +974,6 @@ class SweepReport:
     final_reconstruction: Reconstruction | None = None
     final_spec: object | None = None
 
-    def raise_if_failed(self) -> None:
-        if self.error is not None:
-            raise VortexLabError(
-                f"sweep failed at epsilon={self.error.get('epsilon')}: "
-                f"{self.error['type']}: {self.error['message']}"
-            )
-
 
 def _spec_points(spec) -> list[PointInfo]:
     """Divisor points of all terms merged, with per-sign multiplicities."""
@@ -1022,9 +997,9 @@ def _mass_windows(spec, points, grid: GridSpec | None = None) -> list[tuple[floa
 
     Raises :class:`OverlappingBump` when a window's ``r_inner``, which is
     also the bump's transition width, is below two cells of ``grid``
-    (the spec's own by default): the grid cannot resolve it (the rule
-    :func:`vanishing_order_fit` applies too). The windows depend on the
-    points and the grid alone, so a stage checks them before it solves.
+    (the spec's own by default): the grid cannot resolve it. The windows
+    depend on the points and the grid alone, so a stage checks them before
+    it solves.
     """
     two_cells = 2.0 * max((grid or spec.grid).spacing(spec.geometry))
     windows = []

@@ -4,6 +4,11 @@
 closed form, so the same continuum function can be sampled on several
 grids, differentiated analytically, and evaluated at arbitrary points —
 the independent reference for spectral calculus and interpolation tests.
+``field_from_function`` samples a closed form on a grid, ``bump_field``
+spreads the package's bump window over the whole grid, and
+``trig_interpolant`` evaluates a grid field's trigonometric interpolant
+off the grid by direct summation. ``raise_if_failed`` turns a sweep
+report's recorded error back into an exception.
 ``record_transforms`` counts the 2-D transforms of a test and checks how
 each is split into one-axis passes. ``pure_python_echo`` is the config
 echo as PyYAML's own emitter writes it. ``empty_caches`` lets a memory
@@ -21,7 +26,70 @@ import yaml
 import vortexlab.config
 import vortexlab.fields
 import vortexlab.vortex
-from vortexlab import GridSpec, ScalarField, TorusGeometry, field_from_function
+from vortexlab import GridSpec, ScalarField, TorusGeometry, VortexLabError
+from vortexlab.fields import _bump_window
+
+
+def grid_points(geometry: TorusGeometry, grid: GridSpec):
+    """Meshgrid arrays (X, Y) of the sample coordinates, indexing='ij'."""
+    x = np.arange(grid.nx) * (geometry.length_x / grid.nx)
+    y = np.arange(grid.ny) * (geometry.length_y / grid.ny)
+    return np.meshgrid(x, y, indexing="ij")
+
+
+def field_from_function(geometry: TorusGeometry, grid: GridSpec, fn) -> ScalarField:
+    """``fn(X, Y)`` sampled on the grid."""
+    X, Y = grid_points(geometry, grid)
+    return ScalarField(geometry, grid, np.asarray(fn(X, Y), dtype=np.float64))
+
+
+def meshgrid_distance(geometry: TorusGeometry, grid: GridSpec, center) -> np.ndarray:
+    """Minimal-image distances from full coordinate arrays, sample by sample."""
+    lx, ly = geometry.length_x, geometry.length_y
+    X, Y = grid_points(geometry, grid)
+    dx = np.mod(X - center[0] + 0.5 * lx, lx) - 0.5 * lx
+    dy = np.mod(Y - center[1] + 0.5 * ly, ly) - 0.5 * ly
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def bump_field(geometry: TorusGeometry, grid: GridSpec, center, r_inner, r_outer) -> ScalarField:
+    """The smooth bump of ``fields._bump_window`` on the whole grid: 1 on the
+    ``r_inner`` disc, 0 outside the ``r_outer`` disc."""
+    box, window = _bump_window(geometry, grid, center, r_inner, r_outer)
+    values = np.zeros((grid.nx, grid.ny))
+    values[box] = window
+    return ScalarField(geometry, grid, values)
+
+
+def trig_interpolant(f: ScalarField, points) -> np.ndarray:
+    """The trigonometric interpolant of ``f`` at an (M, 2) array of points.
+
+    Direct summation over the full DFT: mode ``k`` contributes ``F_k
+    e^{2 pi i (k1 x / lx + k2 y / ly)}``, and a Nyquist mode, which the grid
+    cannot tell from its mirror, the cosine of its phase.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    nx, ny = f.grid.nx, f.grid.ny
+
+    def phases(coords, n, length):
+        theta = np.multiply.outer(coords / length, np.fft.fftfreq(n, d=1.0 / n)) * 2.0 * np.pi
+        out = np.exp(1j * theta)
+        out[:, n // 2] = np.cos(theta[:, n // 2])
+        return out
+
+    spec = np.fft.fft2(f.values) / (nx * ny)
+    px = phases(pts[:, 0], nx, f.geometry.length_x)
+    py = phases(pts[:, 1], ny, f.geometry.length_y)
+    return ((px @ spec) * py).sum(axis=1).real
+
+
+def raise_if_failed(report) -> None:
+    """Raise :class:`VortexLabError` if the sweep ``report`` recorded an error."""
+    if report.error is not None:
+        raise VortexLabError(
+            f"sweep failed at epsilon={report.error.get('epsilon')}: "
+            f"{report.error['type']}: {report.error['message']}"
+        )
 
 
 @dataclass(frozen=True)

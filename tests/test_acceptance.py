@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import bump_field, field_from_function, raise_if_failed
 from vortexlab import (
     ClassicalVortexSpec,
     ContinuationSchedule,
@@ -24,7 +25,6 @@ from vortexlab import (
     ScalarField,
     TorusGeometry,
     adiabatic_sweep,
-    bump_cutoff,
     constant_field,
     cutoff_ratio_sup,
     integrate,
@@ -59,8 +59,6 @@ def _monotone(history) -> bool:
 def _manufactured(grid: GridSpec, epsilon: float):
     def f_star(X, Y):
         return 0.3 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
-
-    from vortexlab import constant_field, field_from_function
 
     fs = field_from_function(UNIT, grid, f_star)
     w = epsilon * laplacian(fs).values - np.exp(fs.values) + np.exp(-fs.values)
@@ -173,7 +171,7 @@ def test_acceptance_02_bradlow_identity():
 
 def test_acceptance_03_curvature_concentration(classical_sweep):
     report = classical_sweep
-    report.raise_if_failed()
+    raise_if_failed(report)
     devs = [s.sup_deviation for s in report.stages]
     final = report.stages[-1]
     mass_err = max(
@@ -199,8 +197,8 @@ def test_acceptance_03_curvature_concentration(classical_sweep):
 
 
 def test_acceptance_04_mixed_sign_limit(mixed_sweep, colocated_sweep):
-    mixed_sweep.raise_if_failed()
-    colocated_sweep.raise_if_failed()
+    raise_if_failed(mixed_sweep)
+    raise_if_failed(colocated_sweep)
     devs = [s.sup_deviation for s in mixed_sweep.stages]
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
     mass_p = mixed_sweep.stages[-1].curvature_masses[0]
@@ -233,7 +231,7 @@ def test_acceptance_05_uniform_interior_bounds(mixed_sweep):
     # The eps = 0 limit: the final reduced problem with w = tau.
     spec = mixed_sweep.final_spec
     w0 = constant_field(UNIT, spec.grid, spec.tau)
-    f0 = kw_limit(dataclasses.replace(reduce_any(spec), epsilon=0.0, w=w0)).f
+    f0 = kw_limit(dataclasses.replace(reduce_any(spec), epsilon=0.0, w=w0))
     mask = RegionMask.excluding_discs(
         UNIT, spec.grid, [p.point for p in mixed_sweep.points], 0.15
     )
@@ -366,7 +364,7 @@ def test_acceptance_09_scalar_inequality():
 
 def test_acceptance_10_cutoff_bound_scaling():
     grid = GridSpec(256, 256)
-    bump = bump_cutoff(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
+    bump = bump_field(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
     alphas = (1.5, 1.75, 1.9)
     sups = [cutoff_ratio_sup(bump, a) for a in alphas]
     ratios = [sups[i + 1] / sups[i] for i in range(2)]

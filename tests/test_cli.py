@@ -667,6 +667,14 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("text", ['{"kind": ', "[]", '"ok"', "3"])
+def test_report_refuses_a_corrupt_manifest(tmp_path, capsys, text):
+    # Undecodable JSON and JSON that is not an object read the same way.
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert "error: corrupt manifest" in capsys.readouterr().err
+
+
 def test_manifest_and_report_record_how_a_stage_started(tmp_path, capsys):
     # configs/mixed.yaml solves on 128^2, finer than the 64^2 probe, so its
     # stage starts from the probe's solve; a classical stage starts from

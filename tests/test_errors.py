@@ -17,8 +17,8 @@ from vortexlab import (
     RegionMask,
     SolverConfig,
     TorusGeometry,
-    bump_cutoff,
     constant_field,
+    curvature_mass,
     cutoff_ratio_sup,
     kw_solve,
     lp_norm,
@@ -102,7 +102,7 @@ def _zero_eps_problem():
             id="theta1-outside-cell",
         ),
         pytest.param(
-            lambda: bump_cutoff(UNIT, GRID, (0.5, 0.5), 0.3, 0.2),
+            lambda: curvature_mass(ONE, (0.5, 0.5), 0.3, 0.2),
             "need 0 < r_inner < r_outer < 0.5, got (0.3, 0.2)",
             id="bad-radii",
         ),

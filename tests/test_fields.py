@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import empty_caches, fd_laplacian, random_trig, record_transforms
+from helpers import (
+    bump_field,
+    empty_caches,
+    fd_laplacian,
+    field_from_function,
+    grid_points,
+    meshgrid_distance,
+    random_trig,
+    record_transforms,
+    trig_interpolant,
+)
 from vortexlab import (
     ClassicalVortexSpec,
     Divisor,
@@ -15,18 +25,13 @@ from vortexlab import (
     RegionMask,
     ScalarField,
     TorusGeometry,
-    bump_cutoff,
     constant_field,
     cutoff_ratio_sup,
     dirichlet_energy,
-    field_from_function,
-    gradient,
-    gradient_magnitude,
     integrate,
     laplacian,
     lp_norm,
     resample,
-    sample_at,
     solve_and_report,
     solve_linearized,
     spectral_tail,
@@ -35,13 +40,14 @@ from vortexlab import (
 from vortexlab.errors import NoConvergence, ValidationError
 from vortexlab.fields import (
     _bump_profile,
+    _bump_window,
     _disc_box,
+    _distance,
     _irfft2,
     _rfft2,
+    _squared_gradient,
     _wavenumbers,
-    grid_points,
     torus_displacement,
-    torus_distance,
 )
 
 UNIT = TorusGeometry(1.0, 1.0)
@@ -56,6 +62,20 @@ def random_field(geometry, grid, seed, scale=1.0):
     return ScalarField(
         geometry, grid, scale * rng.standard_normal((grid.nx, grid.ny))
     )
+
+
+def broadcast_distance(geometry, grid, center):
+    """Distances of every sample from ``center``, from the broadcast offsets."""
+    return _distance(*torus_displacement(geometry, grid, center))
+
+
+def spectral_partials(f):
+    """The spectral partial derivatives (df/dx, df/dy) of ``f``."""
+    _, dx_mult, dy_mult = _wavenumbers(f.geometry, f.grid)
+    spec = _rfft2(f.values)
+    fx = _irfft2(spec * dx_mult[:, None], f.values.shape)
+    fy = _irfft2(spec * dy_mult[None, :], f.values.shape)
+    return fx, fy
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +150,7 @@ def test_field_arithmetic_and_strict_compatibility():
         f * constant_field(TorusGeometry(2.0, 1.0), grid, 1.0)
 
 
-def test_region_mask_validation_and_area():
+def test_region_mask_validation():
     grid = GridSpec(8, 8)
     with pytest.raises(ValueError):
         RegionMask(UNIT, grid, np.full((8, 8), 1.5))
@@ -141,10 +161,7 @@ def test_region_mask_validation_and_area():
     nan_at_one[0, 0] = np.nan
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         RegionMask(UNIT, grid, nan_at_one)
-    full = RegionMask.full(UNIT, grid)
-    assert full.area() == pytest.approx(1.0)
-    half = RegionMask(UNIT, grid, np.where(np.arange(8)[:, None] < 4, 1.0, 0.0) * np.ones((8, 8)))
-    assert half.area() == pytest.approx(0.5)
+    assert (RegionMask.full(UNIT, grid).weights == 1.0).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -170,20 +187,9 @@ def test_scalars_entering_a_field_are_checked(bad):
 def test_excluding_discs_mask():
     grid = GridSpec(64, 64)
     mask = RegionMask.excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.2)
-    dist = torus_distance(UNIT, grid, (0.5, 0.5))
+    dist = meshgrid_distance(UNIT, grid, (0.5, 0.5))
     assert (mask.weights[dist <= 0.2] == 0.0).all()
     assert (mask.weights[dist > 0.2] == 1.0).all()
-
-
-def meshgrid_distance(geometry, grid, center):
-    # Minimal-image distances from full coordinate arrays, sample by sample.
-    lx, ly = geometry.length_x, geometry.length_y
-    x = np.arange(grid.nx) * (lx / grid.nx)
-    y = np.arange(grid.ny) * (ly / grid.ny)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    dx = np.mod(X - center[0] + 0.5 * lx, lx) - 0.5 * lx
-    dy = np.mod(Y - center[1] + 0.5 * ly, ly) - 0.5 * ly
-    return np.sqrt(dx * dx + dy * dy)
 
 
 @pytest.mark.parametrize(
@@ -194,11 +200,11 @@ def meshgrid_distance(geometry, grid, center):
 def test_distances_equal_meshgrid_reference(geometry, grid, center):
     # Broadcast 1-D offsets give the same bits as full coordinate arrays.
     ref = meshgrid_distance(geometry, grid, center)
-    dist = torus_distance(geometry, grid, center)
+    dist = broadcast_distance(geometry, grid, center)
     assert dist.shape == (grid.nx, grid.ny)
     assert np.array_equal(dist, ref)
     r_in, r_out = 0.1, 0.25
-    phi = bump_cutoff(geometry, grid, center, r_in, r_out)
+    phi = bump_field(geometry, grid, center, r_in, r_out)
     assert np.array_equal(phi.values, _bump_profile(ref, r_in, r_out))
     mask = RegionMask.excluding_discs(geometry, grid, [center, (0.5, 0.2)], r_out)
     expected = np.ones((grid.nx, grid.ny))
@@ -216,7 +222,7 @@ def test_distances_are_within_an_ulp_of_hypot(seed):
     grid = GridSpec(*(2 * rng.integers(8, 80, 2)))
     center = tuple(rng.uniform(-1.0, 2.0, 2) * (geometry.length_x, geometry.length_y))
     ref = np.hypot(*torus_displacement(geometry, grid, center))
-    dist = torus_distance(geometry, grid, center)
+    dist = broadcast_distance(geometry, grid, center)
     assert (np.abs(dist - ref) <= np.spacing(ref)).all()
     radius = 0.3 * geometry.injectivity_radius
     box, boxed = _disc_box(geometry, grid, center, radius)
@@ -229,24 +235,11 @@ def test_distances_on_the_axes_are_the_offsets():
     geometry, grid = TorusGeometry(1.3, 0.7), GridSpec(48, 40)
     center = (7 * (1.3 / 48), 11 * (0.7 / 40))
     dx, dy = torus_displacement(geometry, grid, center)
-    dist = torus_distance(geometry, grid, center)
+    dist = broadcast_distance(geometry, grid, center)
     assert np.array_equal(dist[7], np.abs(dy[0]))
     assert np.array_equal(dist[:, 11], np.abs(dx[:, 0]))
     box, boxed = _disc_box(geometry, grid, center, 0.2)
     assert np.array_equal(boxed, dist[box])
-
-
-def test_bump_cutoff_memory():
-    # At 512^2 a grid is 2 MiB: the distances, the transition variable, the
-    # profile and the field's own copy. Full coordinate arrays read 10 MiB.
-    grid = GridSpec(512, 512)
-    tracemalloc.start()
-    try:
-        bump_cutoff(UNIT, grid, (0.3, 0.4), 0.1, 0.2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +312,33 @@ def test_symbol_cache_is_bounded():
 # Gradient and energy
 
 
-def test_gradient_matches_closed_form():
+def test_squared_gradient_matches_closed_form():
     poly = random_trig(seed=3, n_modes=5, kmax=4)
     grid = GridSpec(64, 64)
     f = poly.field(UNIT, grid)
     X, Y = grid_points(UNIT, grid)
     gx, gy = poly.gradient(X, Y)
-    fx, fy = gradient(f)
-    assert np.abs(fx.values - gx).max() <= 1e-10
-    assert np.abs(fy.values - gy).max() <= 1e-10
-    mag = gradient_magnitude(f)
-    assert np.abs(mag.values - np.hypot(gx, gy)).max() <= 1e-10
+    # The partials are the reference of the 2-ulp test below.
+    fx, fy = spectral_partials(f)
+    assert np.abs(fx - gx).max() <= 1e-10
+    assert np.abs(fy - gy).max() <= 1e-10
+    assert np.abs(np.sqrt(_squared_gradient(f)) - np.hypot(gx, gy)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("amplitude", [1e-100, 1.0, 1e150])
-def test_gradient_magnitude_is_within_two_ulp_of_hypot(amplitude):
+def test_squared_gradient_root_is_within_two_ulp_of_hypot(amplitude):
     f = random_trig(seed=8, n_modes=6, kmax=5, amplitude=amplitude).field(UNIT, GridSpec(48, 64))
-    fx, fy = gradient(f)
-    ref = np.hypot(fx.values, fy.values)
-    assert (np.abs(gradient_magnitude(f).values - ref) <= 2 * np.spacing(ref)).all()
+    ref = np.hypot(*spectral_partials(f))
+    assert (np.abs(np.sqrt(_squared_gradient(f)) - ref) <= 2 * np.spacing(ref)).all()
 
 
-def test_gradient_square_overflow_raises():
+def test_squared_gradient_overflow_raises():
     # |grad f| near 6e158: hypot of the partials is finite, their squares
-    # overflow, and the magnitude raises rather than return inf.
+    # overflow, and the square raises rather than return inf.
     f = unit_field(32, lambda X, Y: 1e158 * np.sin(2 * np.pi * X) + 1e150 * np.cos(2 * np.pi * Y))
-    fx, fy = gradient(f)
-    assert np.isfinite(np.hypot(fx.values, fy.values)).all()
+    assert np.isfinite(np.hypot(*spectral_partials(f))).all()
     with pytest.raises(ValidationError, match="overflows"):
-        gradient_magnitude(f)
+        _squared_gradient(f)
 
 
 def test_dirichlet_energy_of_sine():
@@ -356,16 +347,13 @@ def test_dirichlet_energy_of_sine():
     assert dirichlet_energy(f) == pytest.approx(2.0 * np.pi**2, abs=1e-10)
 
 
-def test_gradient_non_square_grid():
+def test_squared_gradient_non_square_grid():
     geo = TorusGeometry(2.0, 0.5)
     poly = random_trig(seed=13, n_modes=6, kmax=4, length_x=2.0, length_y=0.5)
     for grid in (GridSpec(48, 16), GridSpec(16, 40)):
         f = poly.field(geo, grid)
-        X, Y = grid_points(geo, grid)
-        gx, gy = poly.gradient(X, Y)
-        fx, fy = gradient(f)
-        assert np.abs(fx.values - gx).max() <= 1e-10
-        assert np.abs(fy.values - gy).max() <= 1e-10
+        gx, gy = poly.gradient(*grid_points(geo, grid))
+        assert np.abs(np.sqrt(_squared_gradient(f)) - np.hypot(gx, gy)).max() <= 1e-10
 
 
 def test_dirichlet_energy_of_y_mode():
@@ -475,32 +463,10 @@ def test_norms_reject_mismatched_mask():
 # Off-grid sampling
 
 
-def test_sample_at_reproduces_grid_values():
-    f = random_field(UNIT, GridSpec(16, 16), seed=5)
-    for i, j in ((0, 0), (3, 7), (15, 1)):
-        pt = (i / 16.0, j / 16.0)
-        assert abs(sample_at(f, pt) - f.values[i, j]) <= 1e-12
-
-
-def test_sample_at_band_limited_sine():
-    f = unit_field(16, lambda X, Y: np.sin(2 * np.pi * X))
-    val = sample_at(f, (1.0 / 8.0, 0.33))
-    assert abs(val - np.sqrt(2.0) / 2.0) <= 1e-12
-
-
-def test_sample_at_matches_direct_summation_oracle():
-    poly = random_trig(seed=17, n_modes=8, kmax=5)
-    f = poly.field(UNIT, GridSpec(32, 32))
-    rng = np.random.default_rng(99)
-    pts = rng.uniform(0.0, 1.0, size=(100, 2))
-    vals = sample_at(f, pts)
-    exact = poly(pts[:, 0], pts[:, 1])
-    assert np.abs(vals - exact).max() <= 1e-10
-
-
 @pytest.mark.parametrize("nx,ny", [(16, 40), (40, 16)])
-def test_sample_at_non_square_grid(nx, ny):
-    # The y-Nyquist mode is real on the grid and interpolates as a cosine.
+def test_trig_interpolant_reference_is_exact_for_band_limited_fields(nx, ny):
+    # The off-grid reference of the lattice and ring-mean tests: the
+    # y-Nyquist mode is real on the grid and interpolates as a cosine.
     ly = 2.5
     poly = random_trig(seed=29, n_modes=8, kmax=5, length_x=1.0, length_y=ly)
 
@@ -509,13 +475,7 @@ def test_sample_at_non_square_grid(nx, ny):
 
     f = field_from_function(TorusGeometry(1.0, ly), GridSpec(nx, ny), fn)
     pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(50, 2)) * [1.0, ly]
-    assert np.abs(sample_at(f, pts) - fn(pts[:, 0], pts[:, 1])).max() <= 1e-10
-
-
-def test_sample_at_rejects_bad_shapes():
-    f = constant_field(UNIT, GridSpec(8, 8), 1.0)
-    with pytest.raises(ValueError):
-        sample_at(f, np.zeros((3, 3)))
+    assert np.abs(trig_interpolant(f, pts) - fn(pts[:, 0], pts[:, 1])).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +601,9 @@ def test_operators_write_every_transform_into_its_buffer(monkeypatch):
     f = random_field(UNIT, GridSpec(16, 24), seed=12)
     calls = record_transforms(monkeypatch)
     laplacian(f)
-    gradient_magnitude(f)
+    _squared_gradient(f)
     dirichlet_energy(f)
     spectral_tail(f)
-    sample_at(f, (0.3, 0.6))
     resample(f, GridSpec(24, 16))
     assert {name for name, _ in calls} == {"rfft", "irfft"}
     assert all(wrote for _, wrote in calls), calls
@@ -696,7 +655,7 @@ def test_cg_true_residual_where_the_potential_vanishes(eps):
     # for -eps laplacian(p) drifts, and the true-residual guard must still
     # certify the answer against the operator applied through laplacian.
     grid = GridSpec(128, 128)
-    phi = bump_cutoff(UNIT, grid, (0.5, 0.5), 0.1, 0.2)
+    phi = bump_field(UNIT, grid, (0.5, 0.5), 0.1, 0.2)
     pot = ScalarField(UNIT, grid, np.maximum(1.0 - phi.values, 1e-14))
     rhs = random_field(UNIT, grid, seed=11)
     tol = 1e-8
@@ -711,20 +670,24 @@ def test_cg_true_residual_where_the_potential_vanishes(eps):
 # Smooth cutoffs
 
 
-def test_bump_cutoff_plateau_and_support():
+def test_bump_window_plateau_and_support():
+    # The box holds the whole r_outer disc, and the window is 1 on the
+    # r_inner disc (the center among them) and 0 from r_outer on.
     grid = GridSpec(128, 128)
-    phi = bump_cutoff(UNIT, grid, (0.5, 0.5), 0.1, 0.3)
-    assert phi.min() >= 0.0 and phi.max() <= 1.0
-    dist = torus_distance(UNIT, grid, (0.5, 0.5))
-    assert (phi.values[dist <= 0.1] == 1.0).all()
-    assert (phi.values[dist >= 0.3] == 0.0).all()
-    assert abs(sample_at(phi, (0.5, 0.5)) - 1.0) <= 1e-9
+    box, window = _bump_window(UNIT, grid, (0.5, 0.5), 0.1, 0.3)
+    assert window.min() >= 0.0 and window.max() <= 1.0
+    dist = meshgrid_distance(UNIT, grid, (0.5, 0.5))
+    outside = np.ones(dist.shape, dtype=bool)
+    outside[box] = False
+    assert (dist[outside] > 0.3).all()
+    assert (window[dist[box] <= 0.1] == 1.0).all() and dist[box].min() == 0.0
+    assert (window[dist[box] >= 0.3] == 0.0).all()
 
 
-def test_bump_cutoff_monotone_profile():
+def test_bump_window_monotone_profile():
     # Along the x axis from the center the samples step 1/512 in radius;
     # 100 of them fall strictly between the plateau and the support edge.
-    phi = bump_cutoff(UNIT, GridSpec(512, 8), (0.0, 0.0), 0.1, 0.3)
+    phi = bump_field(UNIT, GridSpec(512, 8), (0.0, 0.0), 0.1, 0.3)
     vals = phi.values[:257, 0]
     assert (np.diff(vals) <= 1e-15).all()
     assert ((vals > 0.0) & (vals < 1.0)).sum() >= 100
@@ -734,9 +697,9 @@ def test_bump_cutoff_monotone_profile():
     "r_inner,r_outer",
     [(0.3, 0.2), (0.0, 0.3), (-0.1, 0.2), (0.2, 0.5), (0.1, 0.7)],
 )
-def test_bump_cutoff_bad_radii(r_inner, r_outer):
+def test_bump_window_bad_radii(r_inner, r_outer):
     with pytest.raises(ValidationError):
-        bump_cutoff(UNIT, GridSpec(32, 32), (0.5, 0.5), r_inner, r_outer)
+        _bump_window(UNIT, GridSpec(32, 32), (0.5, 0.5), r_inner, r_outer)
 
 
 def test_cutoff_ratio_single_constant_across_alpha():
@@ -745,7 +708,7 @@ def test_cutoff_ratio_single_constant_across_alpha():
     # alpha = 0 end sits a factor ~e above the alpha = 1 value, so the
     # reuse carries a fixed headroom multiplier.
     grid = GridSpec(256, 256)
-    phi = bump_cutoff(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
+    phi = bump_field(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
     K = cutoff_ratio_sup(phi, 1.0) * (2.0 - 1.0) ** 4
     for alpha in (0.0, 1.0, 1.5, 1.9):
         scaled = cutoff_ratio_sup(phi, alpha) * (2.0 - alpha) ** 4
@@ -755,7 +718,7 @@ def test_cutoff_ratio_single_constant_across_alpha():
 
 def test_cutoff_ratio_growth_no_faster_than_quartic():
     grid = GridSpec(256, 256)
-    phi = bump_cutoff(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
+    phi = bump_field(UNIT, grid, (0.5, 0.5), 0.15, 0.35)
     alphas = (1.5, 1.75, 1.9)
     sups = [cutoff_ratio_sup(phi, a) for a in alphas]
     for (a1, s1), (a2, s2) in zip(zip(alphas, sups), zip(alphas[1:], sups[1:])):
@@ -837,7 +800,6 @@ def test_no_complex_full_spectrum_transform(monkeypatch):
     assert stage.newton.iterations >= 1
     f = random_field(UNIT, GridSpec(16, 24), seed=3)
     assert resample(f, GridSpec(24, 16)).grid == GridSpec(24, 16)
-    assert abs(sample_at(f, (0.25, 0.75)) - f.values[4, 18]) <= 1e-12
     assert {name for name, _ in calls} == {"rfft", "irfft"}
 
 
@@ -901,13 +863,12 @@ def test_operators_read_a_given_spectrum_bit_for_bit(monkeypatch):
     spectrum = np.fft.rfft2(f.values)
     kept = spectrum.copy()
     grids = (GridSpec(24, 16), GridSpec(16, 48), GridSpec(32, 24), GridSpec(8, 8))
-    expected = (laplacian(f), gradient(f), gradient_magnitude(f), spectral_tail(f))
+    expected = (laplacian(f), _squared_gradient(f), spectral_tail(f))
     resampled = [resample(f, grid) for grid in grids]
     calls = record_transforms(monkeypatch)
     given_spec = (
         laplacian(f, spectrum),
-        gradient(f, spectrum),
-        gradient_magnitude(f, spectrum),
+        _squared_gradient(f, spectrum),
         spectral_tail(f, spectrum),
     )
     for grid, expect in zip(grids, resampled):
@@ -915,7 +876,5 @@ def test_operators_read_a_given_spectrum_bit_for_bit(monkeypatch):
     assert not [name for name, _ in calls if name == "rfft"]
     assert np.array_equal(spectrum, kept)
     assert np.array_equal(given_spec[0].values, expected[0].values)
-    for a, b in zip(given_spec[1], expected[1]):
-        assert np.array_equal(a.values, b.values)
-    assert np.array_equal(given_spec[2].values, expected[2].values)
-    assert given_spec[3] == expected[3]
+    assert np.array_equal(given_spec[1], expected[1])
+    assert given_spec[2] == expected[2]

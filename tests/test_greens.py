@@ -8,13 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_points, trig_interpolant
 from vortexlab import (
     Divisor,
     GridSpec,
     TorusGeometry,
     divisor_potential,
-    grid_points,
-    sample_at,
     theta1,
     torus_green,
 )
@@ -455,7 +454,7 @@ def test_density_log_slope(m, target, tol):
             for r in radii
         ]
     )
-    means = sample_at(dens, pts).reshape(12, 64).mean(axis=1)
+    means = trig_interpolant(dens, pts).reshape(12, 64).mean(axis=1)
     slope = np.polyfit(np.log(radii), np.log(means), 1)[0]
     assert abs(slope - target) <= tol
 
