@@ -57,12 +57,20 @@ def _apply_overrides(config, args):
     return override(config, **changes) if changes else config
 
 
+def _real(value) -> float:
+    """``value`` if it is a number; a manifest entry that should be one
+    and is not raises :class:`TypeError`, as other wrong types do."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _summarize(manifest: dict) -> str:
     lines = [
         f"kind:     {manifest.get('kind')}",
         f"status:   {manifest.get('status')}",
         f"version:  {manifest.get('artifact_version')}",
-        f"wall:     {manifest.get('wall_seconds', 0.0):.2f} s",
+        f"wall:     {_real(manifest.get('wall_seconds', 0.0)):.2f} s",
     ]
     stages = manifest.get("stages", [])
     for stage in stages:
@@ -76,10 +84,10 @@ def _summarize(manifest: dict) -> str:
             parts.append(f"grid={grid[0]}x{grid[1]}")
         parts.append(f"iterations={iters}")
         if dev is not None:
-            parts.append(f"sup_dev={dev:.3e}")
+            parts.append(f"sup_dev={_real(dev):.3e}")
         if masses:
             parts.append(
-                "masses=" + ",".join("-" if m is None else f"{m:.4f}" for m in masses)
+                "masses=" + ",".join("-" if m is None else f"{_real(m):.4f}" for m in masses)
             )
         lines.append("  stage " + " ".join(parts))
         start = stage.get("start")
@@ -87,7 +95,7 @@ def _summarize(manifest: dict) -> str:
             g = start["grid"]
             lines.append(
                 f"    start probe grid={g[0]}x{g[1]} iterations={start['iterations']} "
-                f"residual={start['residual_sup']:.3e}"
+                f"residual={_real(start['residual_sup']):.3e}"
             )
         elif start:
             lines.append(f"    start zero, probe failed: {start['type']}: {start['message']}")
@@ -95,7 +103,7 @@ def _summarize(manifest: dict) -> str:
     if any(f is not None for f in fits):
         lines.append(
             "order_fits: "
-            + ",".join("-" if f is None else f"{f:.4f}" for f in fits)
+            + ",".join("-" if f is None else f"{_real(f):.4f}" for f in fits)
         )
     if manifest.get("error"):
         err = manifest["error"]
@@ -119,7 +127,14 @@ def _report_command(out_dir: Path) -> int:
     if not isinstance(manifest, dict):
         print(f"error: corrupt manifest {path}: not a JSON object", file=sys.stderr)
         return 2
-    print(_summarize(manifest))
+    try:
+        summary = _summarize(manifest)
+    except (AttributeError, TypeError, KeyError, IndexError) as exc:
+        # An entry of the wrong type or shape: a stage that is not an
+        # object, a string where a number is formatted, a short grid.
+        print(f"error: corrupt manifest {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    print(summary)
     return 0
 
 

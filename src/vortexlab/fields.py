@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -499,6 +499,7 @@ def solve_linearized(
     rhs: ScalarField,
     tol: float = 1e-12,
     max_iter: int | None = None,
+    terminal: Callable[[np.ndarray], float | None] | None = None,
 ) -> tuple[ScalarField, ScalarField]:
     """Solve ``(-epsilon * laplacian + potential) x = rhs`` by CG.
 
@@ -509,6 +510,12 @@ def solve_linearized(
     to the roundoff floor ``~ u (lam_max ||x|| + ||rhs||)`` when that lies
     above ``tol * ||rhs||`` — finite-precision CG cannot reduce the true
     residual past that level, so a tighter target would stall forever.
+
+    ``terminal``, if given, runs once, on the iterate at CG's first
+    candidate stop (the recursive residual meets the target). A tolerance
+    it returns replaces ``tol`` and CG iterates on in the same recursion,
+    skipping the true-residual check at that stop; ``None`` keeps the stop
+    as it is. It must not write into the iterate.
 
     Returns ``(x, epsilon * laplacian(x))``: the second is the product
     that the final true-residual check forms, in CG's own work array.
@@ -583,7 +590,12 @@ def solve_linearized(
         r -= np.multiply(Ap, alpha, out=Ap)
         x += np.multiply(p, alpha, out=work)
         iterations += 1
-        if float(np.linalg.norm(r)) <= target(float(np.linalg.norm(x))):
+        r_norm, x_norm = float(np.linalg.norm(r)), float(np.linalg.norm(x))
+        if terminal is not None and r_norm <= target(x_norm):
+            tighter, terminal = terminal(x), None
+            if tighter is not None:
+                tol = tighter
+        if r_norm <= target(x_norm):
             # The true residual b - (V x - eps laplacian(x)), written over
             # r; work keeps eps laplacian(x).
             _rfft2(x, spec)

@@ -425,16 +425,46 @@ def _forcing(ratio: float) -> float:
     return min(_EW_GAMMA * ratio**2, _ETA_MAX)
 
 
+def _kelley_floor(config: SolverConfig, res_sup: float) -> float:
+    """Kelley's terminal bound ``0.1 newton_tol / res_sup`` on the relative
+    CG target of a Newton step at sup residual ``res_sup``: a solve to it
+    already leaves the next residual about a tenth of ``newton_tol`` of
+    linear error, so a tighter one would oversolve the last step."""
+    return 0.1 * config.newton_tol / res_sup
+
+
 def _cg_tolerance(config: SolverConfig, eta: float, res_sup: float) -> float:
     """Relative CG target of a Newton step with forcing term ``eta``.
 
-    Floored by Kelley's terminal bound ``0.1 newton_tol / res_sup``: a
-    solve to that target already leaves the next residual about a tenth
-    of ``newton_tol`` of linear error, so a tighter one would oversolve
-    the last step. A target below CG's roundoff floor is widened to it by
+    Floored by :func:`_kelley_floor`. A step that CG finds terminal
+    (:func:`_terminal_test`) is solved on to the floor instead of to a
+    looser ``eta``. A target below CG's roundoff floor is widened to it by
     :func:`vortexlab.fields.solve_linearized`.
     """
-    return max(eta, 0.1 * config.newton_tol / res_sup)
+    return max(eta, _kelley_floor(config, res_sup))
+
+
+def _terminal_test(trace: NewtonTrace, floor: float, curvature: float, newton_tol: float):
+    """The terminal test of a Newton step whose CG target is looser than
+    its ``floor``, for the ``terminal`` keyword of
+    :func:`vortexlab.fields.solve_linearized`.
+
+    At CG's first candidate stop the iterate ``x`` predicts the quadratic
+    remainder of the step, ``1/2 curvature ||x||_inf^2`` with ``curvature
+    = kappa max(V)``, ``kappa`` the largest ``|k|`` of the terms and ``V``
+    the Newton potential (derivations §8). When that is at most
+    ``newton_tol / 2`` the step can converge at once: CG goes on to the
+    floor, which replaces the step's entry in ``trace.cg_tolerances``.
+    """
+
+    def terminal(x: np.ndarray) -> float | None:
+        x_sup = max(float(x.max()), -float(x.min()))
+        if not curvature * x_sup**2 <= newton_tol:  # a NaN fails the test
+            return None
+        trace.cg_tolerances[-1] = floor
+        return floor
+
+    return terminal
 
 
 def kw_solve(
@@ -489,6 +519,7 @@ def kw_solve(
     trace = NewtonTrace(energy_history=[energy])
     vol = geometry.volume
     prev_l2 = None
+    kappa = max((abs(k) for _, k in _signed_terms(problem)), default=0.0)
 
     for iteration in range(config.max_newton + 1):
         resid = kw_residual(problem, f, ev)
@@ -520,12 +551,18 @@ def kw_solve(
         res_l2 = float(np.linalg.norm(resid.values))
         eta = _ETA_MAX if prev_l2 is None else _forcing(res_l2 / prev_l2)
         prev_l2 = res_l2
-        tol = _cg_tolerance(config, eta, res_sup)
+        tol, floor = _cg_tolerance(config, eta, res_sup), _kelley_floor(config, res_sup)
         trace.cg_tolerances.append(tol)
         potential, dirichlet = ev.potential(), ev._dirichlet
         ev = None  # CG runs with no evaluation alive
+        terminal = None
+        if tol > floor:
+            curvature = kappa * potential.max()
+            terminal = _terminal_test(trace, floor, curvature, config.newton_tol)
         # x = -delta, from the residual itself: CG commutes exactly with negation.
-        x, eps_lap_x = solve_linearized(problem.epsilon, potential, resid, tol=tol)
+        x, eps_lap_x = solve_linearized(
+            problem.epsilon, potential, resid, tol=tol, terminal=terminal
+        )
         del potential
         slope = -float(np.mean(resid.values * x.values)) * vol
         if slope >= 0.0:

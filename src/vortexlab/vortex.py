@@ -346,6 +346,9 @@ def reduce_any(spec) -> KWProblem:
 _PROFILE_RANGE = (-12.0, math.log(40.0))
 _PROFILE_DEGREE = 128
 _PROFILE_TABLE = 4097
+# The start adds each core only on the disc where its tabulated |h|
+# exceeds this, two orders below the table's interpolation error.
+_CORE_CUT = 1e-7
 
 
 @lru_cache(maxsize=None)
@@ -406,10 +409,9 @@ def _planar_profile(m: int) -> tuple[np.ndarray, np.ndarray, float]:
     num[0], num[-1] = h[-1], h[0]
     table_h = np.minimum(np.maximum.accumulate(num), 0.0)
     # Cut the exact zeros of the tail but two: np.interp gives exactly 0
-    # between them and past them (right=0.0), so the start evaluates each
-    # core on a smaller disc (26 eps for m = 1, 21 eps for m = 2) with the
-    # same bits, and a sample that rounding puts just inside the last node
-    # still lies between two zeros.
+    # between them and past them (right=0.0), so the cut table reads as
+    # the whole one, and a sample that rounding puts just inside the last
+    # node still lies between two zeros.
     end = int(np.flatnonzero(table_h)[-1]) + 3
     table_s, table_h = table_s[:end], table_h[:end]
     a = float(table_h[0] - 2.0 * m * table_s[0])
@@ -520,13 +522,15 @@ class ClassicalVortexSpec(_VortexModel):
         on_points = []
         for p, m in points:
             s, h, a = _planar_profile(m)
-            # Past eps e^{s[-1]} the table adds exactly 0 (it ends in exact
-            # zeros, and right=0.0); below eps e^{s[0]} it continues as
-            # h = 2m s + a_m. Each part is evaluated on the box of its disc.
-            box, log_rho = self._log_rho(p, eps * math.exp(s[-1]))
-            f0[box] += np.interp(log_rho, s, h, right=0.0)
-            box, log_rho = self._log_rho(p, eps * math.exp(s[0]))
-            f0[box] += 2.0 * m * np.minimum(log_rho - s[0], 0.0)
+            # The table in t = 2s = log rho^2, read on the box of the disc out
+            # to its first node with |h| <= _CORE_CUT; the core is left out
+            # past that box. A node 200 below the table continues it as the
+            # line h = m t + a_m, which np.interp reproduces to roundoff.
+            t = np.concatenate(([2.0 * s[0] - 200.0], 2.0 * s))
+            ht = np.concatenate(([h[0] - 200.0 * m], h))
+            cut = s[np.searchsorted(h, -_CORE_CUT)]
+            box, log_rho_sq = self._log_rho_sq(p, eps * math.exp(cut))
+            f0[box] += np.interp(log_rho_sq, t, ht, right=0.0)
             dx, dy = torus_displacement(geometry, self.grid, p)
             row, col = np.flatnonzero(dx[:, 0] == 0.0), np.flatnonzero(dy[0] == 0.0)
             if row.size and col.size:
@@ -543,15 +547,14 @@ class ClassicalVortexSpec(_VortexModel):
             raise ValidationError("field values must be finite")
         return _Start(_adopted(ScalarField, geometry, self.grid, f0), None)
 
-    def _log_rho(self, p, reach: float):
-        """``(box, log(|x - p| / eps))`` on the box of the disc of ``reach``
-        about ``p``, as ``log((dx/eps)^2 + (dy/eps)^2) / 2`` from the 1-D
-        offsets: no square root, and one grid on the box."""
+    def _log_rho_sq(self, p, reach: float):
+        """``(box, log(|x - p|^2 / eps^2))`` on the box of the disc of
+        ``reach`` about ``p``, from the 1-D offsets: no square root, and
+        one grid on the box."""
         box, dx, dy = _box_offsets(self.geometry, self.grid, p, reach)
         eps = self.epsilon
-        log_rho = np.add(np.square(dx / eps), np.square(dy / eps))
-        np.log(log_rho, out=log_rho)
-        return box, np.multiply(log_rho, 0.5, out=log_rho)
+        log_rho_sq = np.add(np.square(dx / eps), np.square(dy / eps))
+        return box, np.log(log_rho_sq, out=log_rho_sq)
 
 
 @dataclass(frozen=True)

@@ -667,9 +667,12 @@ def test_report_subcommand(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 2
 
 
-@pytest.mark.parametrize("text", ['{"kind": ', "[]", '"ok"', "3"])
+@pytest.mark.parametrize(
+    "text", ['{"kind": ', "[]", '"ok"', "3", '{"stages": [1]}', '{"wall_seconds": "x"}']
+)
 def test_report_refuses_a_corrupt_manifest(tmp_path, capsys, text):
-    # Undecodable JSON and JSON that is not an object read the same way.
+    # Undecodable JSON, JSON that is not an object and an object with an
+    # entry of the wrong type read the same way.
     (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert "error: corrupt manifest" in capsys.readouterr().err

@@ -363,6 +363,56 @@ def test_forcing_gives_the_exact_newton_answer(spec, monkeypatch):
     assert sup_norm(inexact.f - exact.f) <= config.newton_tol
 
 
+def test_start_near_the_solution_takes_one_newton_step(monkeypatch):
+    # A start about 1e-6 from the solution predicts a quadratic remainder
+    # far under newton_tol / 2, so its first step is terminal: CG goes on
+    # past eta_0 = 0.1 to Kelley's floor, and one step converges.
+    grid, config = GridSpec(32, 32), SolverConfig()
+    problem = bumpy_two_sided(grid)
+    nudge = field_from_function(
+        UNIT, grid, lambda X, Y: 1e-6 * np.cos(2 * np.pi * X) * np.sin(4 * np.pi * Y)
+    )
+    start = kw_solve(problem, config).f + nudge
+    calls, cg = [], kw_module.solve_linearized
+    monkeypatch.setattr(
+        kw_module, "solve_linearized", lambda *a, **k: calls.append(1) or cg(*a, **k)
+    )
+    sol = kw_solve(problem, config, init=start)
+    assert sol.iterations == 1 and len(calls) == 1
+    res0 = sol.newton.residual_history[0]
+    assert sol.newton.cg_tolerances == [0.1 * config.newton_tol / res0]
+    assert sol.residual_sup <= config.newton_tol
+
+
+def test_loose_steps_keep_their_eisenstat_walker_targets(monkeypatch):
+    # From a zero start no step's predicted remainder is small enough for
+    # the terminal test before the last: each CG solve keeps the target of
+    # the forcing term, as a solve without the test does.
+    problem = bumpy_two_sided(GridSpec(32, 32))
+    sol = kw_solve(problem)
+    cg = kw_module.solve_linearized
+    monkeypatch.setattr(
+        kw_module, "solve_linearized", lambda *a, terminal=None, **k: cg(*a, **k)
+    )
+    plain = kw_solve(problem)
+    assert sol.newton.cg_tolerances[0] == 0.1
+    assert sol.newton.cg_tolerances == plain.newton.cg_tolerances
+    assert sol.newton.residual_history == plain.newton.residual_history
+
+
+def test_classical_stage_records_the_floor_its_one_step_met():
+    # Glued planar cores start a stage on classical_fixed_grid's divisor
+    # within a terminal step of the solution: the trace records the one
+    # CG target the step was solved to, Kelley's floor, not eta_0 = 0.1.
+    config = SolverConfig()
+    divisor = Divisor(((0.25, 0.25), (0.75, 0.75)), (1, 2))
+    report = solve_and_report(ClassicalVortexSpec(UNIT, GridSpec(128, 128), divisor, 0.05))
+    raise_if_failed(report)
+    newton = report.stages[0].newton
+    assert newton.iterations == 1
+    assert newton.cg_tolerances == [0.1 * config.newton_tol / newton.residual_history[0]]
+
+
 @pytest.mark.parametrize(
     "problem",
     [

@@ -1425,13 +1425,14 @@ def test_no_start_or_old_iterate_alive_through_a_classical_solve(monkeypatch):
 
 
 def test_no_start_or_old_iterate_alive_through_a_warm_started_mixed_solve(monkeypatch):
-    # Two-sided: the last stage's accepted solve, on 64^2, starts from its
-    # rejected 32^2 solve resampled (a fresh field). The start is the
-    # iterate of the first CG solve, and gone by the second.
+    # Two-sided: the eps = 0.1 stage's accepted solve, on 32^2, starts
+    # from its rejected 16^2 solve resampled (a fresh field), two Newton
+    # steps away. The start is the iterate of the first CG solve, and gone
+    # by the second.
     alive = _watch_iterates(monkeypatch, MixedVortexSpec)
-    report = adiabatic_sweep(_far_mixed_pair(0.05), ContinuationSchedule((0.2, 0.1, 0.05)))
+    report = adiabatic_sweep(_far_mixed_pair(0.05), ContinuationSchedule((0.1,)))
     raise_if_failed(report)
-    assert report.stages[-1].grid == GridSpec(64, 64)
+    assert report.stages[-1].grid == GridSpec(32, 32)
     assert report.stages[-1].newton.iterations >= 2
     last = [(name, count) for solve, name, count in alive if solve == alive[-1][0]]
     assert last == [("cg", 1)] * report.stages[-1].newton.iterations
