@@ -42,7 +42,6 @@ from .fields import (
 from .greens import (
     Divisor,
     divisor_potential,
-    theta1,
     torus_green,
 )
 from .kw import (

@@ -239,33 +239,43 @@ def _read(tp, node, path: str, **given):
         raise _fail(path, f"expected a boolean, got {node!r}")
     if not isinstance(node, bool):
         if tp is int and isinstance(node, int):
+            _checked_float(node, node, path)
             return node
         number = isinstance(node, (int, float)) or _EXPONENT_FLOAT.fullmatch(str(node))
         if tp is float and number:
-            try:
-                value = float(node)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                raise _fail(path, f"must be finite, got {node!r}")
-            return value
+            return _checked_float(node, node, path)
     wanted = "an integer" if tp is int else "a number"
     raise _fail(path, f"expected {wanted}, got {node!r}")
 
 
+def _checked_float(value, node, path: str) -> float:
+    """``float(value)``, refused naming ``path`` unless finite: ``.inf``,
+    ``.nan``, ``1e999`` and an integer or rational beyond the float range."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise _fail(path, f"must be finite, got {node!r}")
+    return out
+
+
 def _degree(value, path: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
+        degree = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return Fraction(value)
+            degree = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise _fail(path, f"cannot read rational from {value!r}") from None
-    if isinstance(value, float):
+    elif isinstance(value, float):
         if not value.is_integer():
             raise _fail(path, "non-integer degree must be a 'p/q' string")
-        return Fraction(int(value))
-    raise _fail(path, f"expected a rational, got {value!r}")
+        degree = Fraction(int(value))
+    else:
+        raise _fail(path, f"expected a rational, got {value!r}")
+    _checked_float(degree, value, path)
+    return degree
 
 
 # Every RunConfig field is a top-level key, the model under its kind's key.

@@ -74,18 +74,22 @@ class GridSpec:
 
     def __post_init__(self):
         for n in (self.nx, self.ny):
-            if n < 8 or n % 2 != 0:
+            if _finite(n, "grid counts") < 8 or n % 2 != 0:
                 raise ValidationError("grid counts must be even and at least 8")
 
     def spacing(self, geometry: TorusGeometry) -> tuple[float, float]:
         return geometry.length_x / self.nx, geometry.length_y / self.ny
 
 
-def _finite(value) -> float:
-    """``value`` as a float, checked to be finite: a scalar entering a field."""
-    value = float(value)
+def _finite(value, name: str = "field values") -> float:
+    """``value`` as a float, checked to be finite: a scalar entering a field
+    or a spec, where an integer or rational beyond the float range is not."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise ValidationError(f"field values must be finite, got {value}")
+        raise ValidationError(f"{name} must be finite, got {value}")
     return value
 
 

@@ -10,9 +10,18 @@ doubly periodic, even, behaves like ``log(r)/(2pi)`` at the origin, and
 satisfies ``laplacian G = delta_0 - 1/volume`` distributionally (the
 quadratic correction compensates the quasi-periodicity of ``theta1`` in
 the imaginary direction and carries the uniform background charge).
-The formula is used with ``l2 >= l1``, so ``Im tau >= 1`` and four
-terms of the sine series reach machine precision; a wider torus is
-evaluated through its reflection (see :func:`torus_green`).
+
+Every evaluation orients the torus first (:func:`_oriented`): a torus
+with ``l2 < l1`` is evaluated through its reflection, so ``Im tau >= 1``,
+and the displacement is reduced to its minimal image. Then at most four
+terms of the sine series ``sum_n s_n sin(k_n z)`` (:func:`_series`) reach
+machine precision, and each term factors into an x part and a y part,
+``sin(a + ib) = sin a cosh b + i cos a sinh b``. :func:`torus_green`
+sums these factors at points, :func:`_green_constant` takes the series'
+slope at 0, and :func:`divisor_potential` forms ``Re theta1`` and ``Im
+theta1`` over a whole grid as one matrix product each, of rank at most
+four, from 1-D factors; each sample then costs two squares, an add and
+one ``log``, since ``log|theta1|^2`` needs no square root.
 
 An effective divisor ``sum_k m_k x_k`` (every ``m_k > 0``) induces the
 potential
@@ -23,15 +32,6 @@ with ``u_D ~ 2 m_k log r`` near ``x_k``, so ``exp(u_D)`` vanishes to order
 ``2 m_k`` there and ``laplacian u_D = -4 pi deg(D) / volume`` away from the
 points. Samples that coincide exactly with a divisor point store the
 finite sentinel ``NEGATIVE_SENTINEL`` in place of ``-inf``.
-
-On a grid, every series term factors into a row part and a column part,
-``sin(a + ib) = sin a cosh b + i cos a sinh b``, where ``a`` depends only
-on the x offset and ``b`` only on the y offset. So ``Re theta1`` and
-``Im theta1`` over the whole grid are each one matrix product of rank at
-most four. Each sample then costs two squares, an add and one ``log``,
-since ``log|theta1|^2`` needs no square root (:func:`divisor_potential`).
-:func:`torus_green` evaluates ``G`` at arbitrary points; the two agree at
-roundoff.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fields import GridSpec, ScalarField, TorusGeometry, _adopted, _axes, _minimal_image
+from .fields import GridSpec, ScalarField, TorusGeometry, _adopted, _axes, _finite, _minimal_image
 
 __all__ = [
     "NEGATIVE_SENTINEL",
-    "theta1",
     "torus_green",
     "Divisor",
     "divisor_potential",
@@ -57,29 +56,12 @@ __all__ = [
 # exp() of it underflows to exactly 0.0.
 NEGATIVE_SENTINEL = -1e300
 
-# Below this the sine series cancels: relative error 5e-11 at 0.05i and
-# 3e-4 at 0.025i. Green's-function evaluations never get here, since
-# they orient the torus so that Im tau >= 1.
-_MIN_IM_TAU = 0.1
 # Above this the nome exp(-pi Im tau) is subnormal and the series decays
 # to zero: a torus more than 200 times longer than wide is rejected.
 _MAX_IM_TAU = 200.0
 
 # The truncated tail must fall below the double-precision unit roundoff.
 _TAIL_EXPONENT = 53.0 * math.log(2.0)
-# Relative slack on the fundamental cell, for rounding in the reduction.
-_CELL_SLACK = 1e-9
-
-
-def _check_tau(tau: complex) -> complex:
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise ValidationError(f"tau must lie in the upper half plane, got {tau}")
-    if tau.imag < _MIN_IM_TAU:
-        raise ValidationError(f"Im tau = {tau.imag} < {_MIN_IM_TAU}: the sine series cancels")
-    if tau.imag > _MAX_IM_TAU:
-        raise ValidationError(f"Im tau = {tau.imag} > {_MAX_IM_TAU}: the nome underflows")
-    return tau
 
 
 def _term_count(im_tau: float) -> int:
@@ -93,28 +75,25 @@ def _term_count(im_tau: float) -> int:
     return math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * im_tau) + 0.25))
 
 
-def theta1(z, tau):
-    """Odd Jacobi theta function, sine series with nome q = exp(i pi tau).
+def _oriented(geometry: TorusGeometry) -> tuple[float, float, bool]:
+    """``(short, long, swapped)``: the sides ordered so that ``Im tau = long
+    / short >= 1``, and whether ``x`` and ``y`` trade roles (``length_y <
+    length_x``, the Jacobi reflection of :func:`torus_green`)."""
+    lx, ly = geometry.length_x, geometry.length_y
+    return (ly, lx, True) if ly < lx else (lx, ly, False)
 
-    ``z`` may be a complex scalar or array in the fundamental cell,
-    ``|Re z| <= 1/2`` and ``|Im z| <= Im tau / 2``: the term count is
-    derived for it, and far outside it the sine factors overflow. Any
-    other ``z`` raises :class:`ValidationError`.
-    """
-    tau = _check_tau(tau)
-    z = np.asarray(z, dtype=complex)
-    half = 0.5 + _CELL_SLACK
-    if not (np.all(np.abs(z.real) <= half) and np.all(np.abs(z.imag) <= half * tau.imag)):
-        raise ValidationError(
-            f"theta1 argument outside the fundamental cell |Re z| <= 1/2, "
-            f"|Im z| <= {0.5 * tau.imag:g}"
-        )
-    q = np.exp(1j * np.pi * tau)
-    acc = np.zeros_like(z)
-    for n in range(_term_count(tau.imag)):
-        coeff = (-1) ** n * q ** ((n + 0.5) ** 2)
-        acc = acc + coeff * np.sin((2 * n + 1) * np.pi * z)
-    return 2.0 * acc
+
+def _series(short: float, long: float) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumbers ``k_n = (2n+1) pi / short`` and coefficients ``s_n = 2
+    (-1)^n q^{(n+1/2)^2}`` of ``theta1(z / short, i long / short) = sum_n
+    s_n sin(k_n z)``, truncated by :func:`_term_count`."""
+    im_tau = long / short
+    if im_tau > _MAX_IM_TAU:
+        raise ValidationError(f"Im tau = {im_tau} > {_MAX_IM_TAU}: the nome underflows")
+    n = np.arange(_term_count(im_tau))
+    k = (2 * n + 1) * (np.pi / short)
+    coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
+    return k, coeff
 
 
 def torus_green(point, geometry: TorusGeometry):
@@ -127,38 +106,36 @@ def torus_green(point, geometry: TorusGeometry):
     The displacement is reduced to its minimal image, and a torus with
     ``length_y < length_x`` is evaluated through its reflection (the
     Jacobi imaginary transform), ``G(x, y; lx, ly) = G(y, x; ly, lx) +
-    log(lx / ly) / 4 pi``, so the modulus always has ``Im tau >= 1``.
+    log(lx / ly) / 4 pi``, from the factors of :func:`_add_log_theta`.
     """
-    lx, ly = geometry.length_x, geometry.length_y
-    if ly < lx:
-        reflected = torus_green((point[1], point[0]), TorusGeometry(ly, lx))
-        return reflected + math.log(lx / ly) / (4.0 * math.pi)
-    x = _minimal_image(np.asarray(point[0], dtype=float), lx)
-    y = _minimal_image(np.asarray(point[1], dtype=float), ly)
-    mag = np.abs(theta1((x + 1j * y) / lx, 1j * ly / lx))
+    short, long, swapped = _oriented(geometry)
+    x = _minimal_image(np.asarray(point[0], dtype=float), geometry.length_x)
+    y = _minimal_image(np.asarray(point[1], dtype=float), geometry.length_y)
+    if swapped:
+        x, y = y, x
+    k, coeff = _series(short, long)
+    a, b = np.multiply.outer(x, k), np.multiply.outer(y, k)
+    mag = np.hypot((np.sin(a) * np.cosh(b)) @ coeff, (np.cos(a) * np.sinh(b)) @ coeff)
     with np.errstate(divide="ignore"):
-        logmag = np.log(mag)
-    out = (logmag - np.pi * y**2 / (lx * ly)) / (2.0 * np.pi)
+        out = (np.log(mag) - np.pi * y**2 / (short * long)) / (2.0 * np.pi)
+    if swapped:
+        out += math.log(long / short) / (4.0 * math.pi)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _green_constant(geometry: TorusGeometry) -> float:
     """``lim_{z -> 0} G(z) - log|z| / 2 pi``, the regular part of ``G`` at 0.
 
-    Near 0 the sine series is ``theta1(z) = theta1'(0) z + O(z^3)`` with
-    ``theta1'(0) = 2 pi sum_n (-1)^n (2n+1) q^{(n+1/2)^2}``, so the limit is
-    ``log(theta1'(0) / short) / 2 pi`` on the orientation with ``Im tau >=
-    1``, plus the reflection shift of :func:`torus_green` when
-    ``length_y < length_x``.
+    Near 0 the sine series is ``sum_n s_n sin(k_n z) = z sum_n s_n k_n +
+    O(z^3)``, so the limit is ``log(sum_n s_n k_n) / 2 pi`` on the
+    orientation with ``Im tau >= 1``, plus the reflection shift of
+    :func:`torus_green` when ``length_y < length_x``.
     """
-    lx, ly = geometry.length_x, geometry.length_y
-    short, long = min(lx, ly), max(lx, ly)
-    im_tau = _check_tau(1j * long / short).imag
-    n = np.arange(_term_count(im_tau) + 1)
-    terms = (-1.0) ** n * (2 * n + 1) * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
-    out = math.log(2.0 * np.pi * terms.sum() / short) / (2.0 * np.pi)
-    if ly < lx:
-        out += math.log(lx / ly) / (4.0 * np.pi)
+    short, long, swapped = _oriented(geometry)
+    k, coeff = _series(short, long)
+    out = math.log(coeff @ k) / (2.0 * math.pi)
+    if swapped:
+        out += math.log(long / short) / (4.0 * math.pi)
     return out
 
 
@@ -181,7 +158,7 @@ class Divisor:
         if not all(math.isfinite(c) for p in pts for c in p):
             raise ValidationError(f"divisor points must be finite, got {pts}")
         for m in self.multiplicities:
-            if not float(m).is_integer():
+            if not _finite(m, "multiplicities").is_integer():
                 raise ValidationError(f"multiplicities must be integers, got {m}")
         mults = tuple(int(m) for m in self.multiplicities)
         if len(pts) != len(mults):
@@ -231,22 +208,19 @@ def _add_log_theta(u, weight: int, rows, cols, short: float, long: float, work) 
 
     ``rows`` and ``cols`` are 1-D minimal-image offsets along the sides of
     length ``short <= long``. Term ``n`` of the sine series splits as
-    ``sin(k_n r) cosh(k_n c) + i cos(k_n r) sinh(k_n c)`` with
-    ``k_n = (2n+1) pi / short``; the row factors carry the coefficients
-    ``2 (-1)^n q^{(n+1/2)^2}`` and the column factors ``exp(-pi c^2 /
-    (short long))``, so the real and imaginary parts of ``theta1 exp(-pi
-    c^2 / (short long))`` are one ``(len(rows), N) @ (N, len(cols))``
-    product each. Each sample then costs two squares, an add and one
-    ``log``. The grid is built in bands of rows, each in the pair of work
-    arrays ``work`` (of equal shape, as wide as ``cols``). The logarithm
-    is ``-inf`` where the squared modulus is 0: on the point, and where it
-    would underflow, within about ``1e-162 short exp(pi Im tau / 4)`` of
-    it, which minimal-image offsets never are (derivations §2).
+    ``s_n (sin(k_n r) cosh(k_n c) + i cos(k_n r) sinh(k_n c))`` (see
+    :func:`_series`); the row factors carry the coefficients ``s_n`` and
+    the column factors ``exp(-pi c^2 / (short long))``, so the real and
+    imaginary parts of ``theta1 exp(-pi c^2 / (short long))`` are one
+    ``(len(rows), N) @ (N, len(cols))`` product each. Each sample then
+    costs two squares, an add and one ``log``. The grid is built in bands
+    of rows, each in the pair of work arrays ``work`` (of equal shape, as
+    wide as ``cols``). The logarithm is ``-inf`` where the squared modulus
+    is 0: on the point, and where it would underflow, within about
+    ``1e-162 short exp(pi Im tau / 4)`` of it, which minimal-image offsets
+    never are (derivations §2).
     """
-    im_tau = _check_tau(1j * long / short).imag
-    n = np.arange(_term_count(im_tau))
-    k = (2 * n + 1) * (np.pi / short)
-    coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
+    k, coeff = _series(short, long)
     a = np.multiply.outer(rows, k)
     b = np.multiply.outer(k, cols)
     gauss = np.exp(-np.pi / (short * long) * cols**2)
@@ -282,19 +256,18 @@ def divisor_potential(
     divisor.check_separated(geometry)
     lx, ly = geometry.length_x, geometry.length_y
     x, y = _axes(geometry, grid)
-    reflected = ly < lx
-    short, long = (ly, lx) if reflected else (lx, ly)
-    shape = (grid.ny, grid.nx) if reflected else (grid.nx, grid.ny)
+    short, long, swapped = _oriented(geometry)
+    shape = (grid.ny, grid.nx) if swapped else (grid.nx, grid.ny)
     u = np.zeros(shape)
     band = (min(shape[0], max(1, _BAND_SAMPLES // shape[1])), shape[1])
     work = (np.empty(band), np.empty(band))
     for (px, py), m in divisor:
         dx = _minimal_image(x - px, lx)
         dy = _minimal_image(y - py, ly)
-        rows, cols = (dy, dx) if reflected else (dx, dy)
+        rows, cols = (dy, dx) if swapped else (dx, dy)
         _add_log_theta(u, m, rows, cols, short, long, work)
-    if reflected:
-        u += divisor.degree * math.log(lx / ly)
+    if swapped:
+        u += divisor.degree * math.log(long / short)
         u = np.ascontiguousarray(u.T)
     # -inf (a sample on a point) becomes the sentinel; every finite value
     # is far above it.

@@ -321,10 +321,15 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
     on success and on failure alike; a solver failure mid-sweep keeps the
     rows of the completed stages. ``manifest['status']`` is ``"ok"`` or
     ``"failed"``. An exception that is not a :class:`VortexLabError`, an
-    interrupt included, is recorded the same way and then re-raised.
+    interrupt included, is recorded the same way and then re-raised. An
+    output directory that cannot be created raises :class:`VortexLabError`
+    before anything runs, and no manifest exists then.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise VortexLabError(f"cannot create output directory {out}: {exc}") from exc
 
     def log(message: str) -> None:
         if not quiet:

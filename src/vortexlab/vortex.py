@@ -74,6 +74,7 @@ from .fields import (
     _box_offsets,
     _bump_window,
     _check_wavenumbers,
+    _finite,
     _rfft2,
     constant_field,
     integrate,
@@ -197,10 +198,9 @@ class _VortexModel:
         _check_wavenumbers(self.geometry, self.grid)
         for t in self._terms:
             t.divisor.check_separated(self.geometry)
-        scales = [("scale", t.scale) for t in self._terms]
-        for name, value in [("epsilon", self.epsilon), ("tau", self.tau)] + scales:
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        scalars = [("epsilon", self.epsilon), ("tau", self.tau), ("degree", self.degree)]
+        for name, value in scalars + [("scale", t.scale) for t in self._terms]:
+            _finite(value, name)
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
         weights = [t.weight for t in self._terms]
@@ -419,15 +419,6 @@ def _planar_profile(m: int) -> tuple[np.ndarray, np.ndarray, float]:
     return table_s, table_h, a
 
 
-def _planar_core(m: int, rho: float) -> float:
-    """``h_m(rho)`` at one radius ``rho > 0``."""
-    s, h, a = _planar_profile(m)
-    log_rho = math.log(rho)
-    if log_rho < s[0]:
-        return 2.0 * m * log_rho + a
-    return float(np.interp(log_rho, s, h, right=0.0))
-
-
 # ---------------------------------------------------------------------------
 # Presets
 
@@ -519,7 +510,7 @@ class ClassicalVortexSpec(_VortexModel):
         f0 = np.log(coeff.values)
         np.subtract(log_scale, f0, out=f0)
         points = list(self.divisor)
-        on_points = []
+        on_points, tables = [], {}
         for p, m in points:
             s, h, a = _planar_profile(m)
             # The table in t = 2s = log rho^2, read on the box of the disc out
@@ -528,6 +519,7 @@ class ClassicalVortexSpec(_VortexModel):
             # line h = m t + a_m, which np.interp reproduces to roundoff.
             t = np.concatenate(([2.0 * s[0] - 200.0], 2.0 * s))
             ht = np.concatenate(([h[0] - 200.0 * m], h))
+            tables[m] = t, ht
             cut = s[np.searchsorted(h, -_CORE_CUT)]
             box, log_rho_sq = self._log_rho_sq(p, eps * math.exp(cut))
             f0[box] += np.interp(log_rho_sq, t, ht, right=0.0)
@@ -541,7 +533,8 @@ class ClassicalVortexSpec(_VortexModel):
             for q, k in points:
                 if q != p:
                     value -= 4.0 * math.pi * k * torus_green((q[0] - p[0], q[1] - p[1]), geometry)
-                    value += _planar_core(k, _point_distance(geometry, p, q) / eps)
+                    log_rho_sq = 2.0 * math.log(_point_distance(geometry, p, q) / eps)
+                    value += np.interp(log_rho_sq, *tables[k], right=0.0)
             f0[sample] = value
         if not np.isfinite(f0).all():
             raise ValidationError("field values must be finite")
@@ -611,11 +604,18 @@ class MixedVortexSpec(_VortexModel):
         return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
 
     def _order_fits(self, points) -> list[float | None]:
+        """Fits on the ``ORDER_FIT_RADII`` rings; ``None`` at a point whose
+        rings reach past the ``r_inner`` of its mass window, toward a
+        neighbour's core, or whose fit degenerates."""
         if self.tau != 0:
             return super()._order_fits(points)
         evaluator = mixed_limit_phi_sq(self)
         fits: list[float | None] = []
         for info in points:
+            others = [p.point for p in points if p.index != info.index]
+            if _mass_window(self.geometry, info.point, others)[0] < ORDER_FIT_RADII[1]:
+                fits.append(None)
+                continue
             try:
                 fits.append(vanishing_order_fit(evaluator, info.point, *ORDER_FIT_RADII))
             except VortexLabError:
@@ -630,7 +630,7 @@ class GeneralizedTerm:
     scale: float = 1.0
 
     def __post_init__(self):
-        if int(self.weight) == 0:
+        if int(_finite(self.weight, "weight")) == 0:
             raise ValidationError("weight must be nonzero")
         object.__setattr__(self, "weight", int(self.weight))
         if not self.scale > 0:

@@ -12,7 +12,9 @@ report's recorded error back into an exception.
 ``record_transforms`` counts the 2-D transforms of a test and checks how
 each is split into one-axis passes. ``pure_python_echo`` is the config
 echo as PyYAML's own emitter writes it. ``empty_caches`` lets a memory
-test measure what a fresh process would, in any test order.
+test measure what a fresh process would, in any test order. ``theta1``
+is the odd Jacobi theta function in complex arithmetic, independent of
+the package's real factors.
 """
 
 from __future__ import annotations
@@ -149,6 +151,21 @@ def random_trig(
     coeffs = amplitude * rng.uniform(-1.0, 1.0, size=n_modes)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
     return TrigPoly(length_x, length_y, coeffs, kx, ky, phases)
+
+
+def theta1(z, tau):
+    """``2 sum_n (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z)`` with ``q = e^{i pi
+    tau}``, by complex powers and sines; eight terms reach machine
+    precision on the fundamental cell for ``Im tau >= 1``. Terms whose
+    coefficient underflows to zero are skipped: their sine may overflow."""
+    z = np.asarray(z, dtype=complex)
+    q = np.exp(1j * np.pi * tau)
+    acc = np.zeros_like(z)
+    for n in range(8):
+        coeff = (-1) ** n * q ** ((n + 0.5) ** 2)
+        if coeff != 0:
+            acc = acc + coeff * np.sin((2 * n + 1) * np.pi * z)
+    return 2.0 * acc
 
 
 def fd_laplacian(values: np.ndarray, hx: float, hy: float) -> np.ndarray:

@@ -893,6 +893,18 @@ def test_cli_missing_config(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_output_dir_under_a_file(tmp_path, capsys):
+    # mkdir raises NotADirectoryError; the run fails with one I/O error
+    # line (exit 3) before anything solves, and no manifest can exist.
+    cfg_path = write_config(tmp_path, classical_yaml())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["classical", "--config", cfg_path, "--out", str(blocker / "sub")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: VortexLabError: cannot create output directory ")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("n, status", [(32, "failed"), (64, "failed"), (128, "ok")])
 def test_under_resolved_run_writes_a_failed_manifest(tmp_path, n, status):
     # Classical cores at eps = 0.025 need 128^2 (spectral tails 2e-3,

@@ -20,14 +20,15 @@ from vortexlab import (
     constant_field,
     curvature_mass,
     cutoff_ratio_sup,
+    divisor_potential,
     kw_solve,
     lp_norm,
     solve_linearized,
     sup_norm,
+    torus_green,
     young_bound,
 )
 from vortexlab.errors import NoConvergence, ValidationError, VortexLabError
-from vortexlab.greens import theta1
 from vortexlab.vortex import ContinuationSchedule
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vortexlab"
@@ -97,29 +98,19 @@ def _zero_eps_problem():
         ),
         pytest.param(lambda: lp_norm(ONE, 0.5), "p must be >= 1", id="lp-below-1"),
         pytest.param(
-            lambda: theta1(0.9, 1j),
-            "theta1 argument outside the fundamental cell |Re z| <= 1/2, |Im z| <= 0.5",
-            id="theta1-outside-cell",
-        ),
-        pytest.param(
             lambda: curvature_mass(ONE, (0.5, 0.5), 0.3, 0.2),
             "need 0 < r_inner < r_outer < 0.5, got (0.3, 0.2)",
             id="bad-radii",
         ),
         pytest.param(
-            lambda: theta1(0.1, -1j),
-            "tau must lie in the upper half plane",
-            id="tau-lower",
-        ),
-        pytest.param(
-            lambda: theta1(0.1, 0.05j),
-            "Im tau = 0.05 < 0.1: the sine series cancels",
-            id="tau-low",
-        ),
-        pytest.param(
-            lambda: theta1(0.1, 250j),
+            lambda: torus_green((0.1, 0.1), TorusGeometry(1.0, 250.0)),
             "Im tau = 250.0 > 200.0: the nome underflows",
             id="tau-high",
+        ),
+        pytest.param(
+            lambda: divisor_potential(POINT, TorusGeometry(250.0, 1.0), GRID),
+            "Im tau = 250.0 > 200.0: the nome underflows",
+            id="tau-high-reflected",
         ),
         pytest.param(
             lambda: sup_norm(ONE, RegionMask.full(UNIT, GridSpec(16, 16))),

@@ -95,11 +95,30 @@ def _tiny_torus(side):
     }
 
 
+def _beyond_floats(kind, model, grid=16):
+    """A unit-torus config with ``model`` as its ``kind`` section, for a
+    number beyond the float range, which once escaped as OverflowError."""
+    return {
+        "kind": kind,
+        "geometry": {"length_x": 1.0, "length_y": 1.0},
+        "grid": {"nx": grid, "ny": 16},
+        "epsilon": 0.05,
+        "solver": {"newton_tol": NEWTON_TOL},
+        "outputs": {"csv": True, "heatmaps": False, "svg": False},
+        kind: model,
+    }
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs())
 @example(_bare_generalized(-5.018241260875924e-238))  # e^{-2f} overflows
 @example(_bare_generalized(-5e-324))  # e^{-f} overflows
 @example(_tiny_torus(1e-153))  # refused at parse time: |k|^2 overflows
+# Refused at parse time, naming the key; the weight once failed in run().
+@example(_beyond_floats("classical", {"divisor": [{"x": 0.5, "y": 0.5, "m": 10**400}]}))
+@example(_beyond_floats("classical", {"divisor": []}, grid=10**401))
+@example(_beyond_floats("mixed", {"degree": "1e400"}))
+@example(_beyond_floats("generalized", {"terms": [{"weight": 10**400, "divisor": []}]}))
 def test_every_run_solves_or_fails_typed(tree):
     try:
         config = parse_config(yaml.safe_dump(tree))
@@ -125,25 +144,41 @@ def test_every_run_solves_or_fails_typed(tree):
         assert stage["spectral_tail"] <= TAIL_TOL
 
 
-def _float_keys(node, path=""):
-    """(path as the reader names it, container, key) of every float in ``node``."""
+def _number_keys(node, kind, path=""):
+    """(path as the reader names it, container, key) of every number of
+    type ``kind`` in ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         if isinstance(node, dict):
             sub = f"{path}.{key}" if path else key
         else:
             sub = f"{path}[{key}]"
-        if isinstance(value, float):
+        if isinstance(value, kind) and not isinstance(value, bool):
             yield sub, node, key
         elif isinstance(value, (dict, list)):
-            yield from _float_keys(value, sub)
+            yield from _number_keys(value, kind, sub)
 
 
 @settings(max_examples=100, deadline=None)
 @given(configs(), st.data(), st.sampled_from([math.inf, -math.inf, math.nan, "1e999"]))
 def test_a_non_finite_number_fails_at_its_key(tree, data, bad):
     # ``1e999`` is a string to YAML 1.1, which the reader takes as a float.
-    path, node, key = data.draw(st.sampled_from(list(_float_keys(tree))))
+    path, node, key = data.draw(st.sampled_from(list(_number_keys(tree, float))))
     node[key] = bad
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ": must be finite"):
+        parse_config(yaml.safe_dump(tree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.data())
+def test_an_integer_beyond_the_float_range_fails_at_its_key(tree, data):
+    # A grid count, multiplicity or weight, or a mixed or generalized
+    # degree (an optional key), whose float conversion overflows.
+    keys = list(_number_keys(tree, int))
+    kind = tree["kind"]
+    if kind != "classical":
+        keys.append((f"{kind}.degree", tree[kind], "degree"))
+    path, node, key = data.draw(st.sampled_from(keys))
+    node[key] = 10**400
     with pytest.raises(ValidationError, match="^" + re.escape(path) + ": must be finite"):
         parse_config(yaml.safe_dump(tree))

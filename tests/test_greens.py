@@ -8,17 +8,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_points, trig_interpolant
+from helpers import grid_points, theta1, trig_interpolant
 from vortexlab import (
     Divisor,
     GridSpec,
     TorusGeometry,
     divisor_potential,
-    theta1,
     torus_green,
 )
-from vortexlab.errors import ValidationError, VortexLabError
-from vortexlab.greens import NEGATIVE_SENTINEL, _green_constant, _point_distance, _term_count
+from vortexlab.errors import ValidationError
+from vortexlab.greens import (
+    NEGATIVE_SENTINEL,
+    _green_constant,
+    _point_distance,
+    _series,
+    _term_count,
+)
 from vortexlab.vortex import _density_data
 
 UNIT = TorusGeometry(1.0, 1.0)
@@ -40,53 +45,46 @@ def lap4(fn, X, Y, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# Theta function
+# Theta series
 
 
-def test_theta1_vanishes_at_origin():
-    assert abs(theta1(0.0, 1j)) == 0.0
-
-
-def test_theta1_is_odd():
-    rng = np.random.default_rng(1)
-    z = rng.uniform(-0.5, 0.5, 20) + 1j * rng.uniform(-0.4, 0.4, 20)
-    assert np.abs(theta1(-z, 1j) + theta1(z, 1j)).max() <= 1e-14
-
-
-@pytest.mark.parametrize("tau", [0.1j, 1j, 8j])
-def test_theta1_truncation_tail(tau):
+@pytest.mark.parametrize("im_tau", [1.0, 1.34, 3.12, 15.6, 200.0])
+def test_series_truncation_tail(im_tau):
     # The derived term count matches an explicit 64-term sum over the
-    # fundamental cell |Re z| <= 1/2, |Im z| <= Im tau / 2. Terms whose
-    # coefficient underflows to zero are skipped: their sine overflows.
+    # fundamental cell |Re z| <= 1/2, |Im z| <= Im tau / 2: on the square
+    # torus (4 terms), just past each step of the count (3, 2 and 1 terms)
+    # and at the largest modulus. Terms whose coefficient underflows to
+    # zero are skipped: their sine overflows.
+    k, coeff = _series(1.0, im_tau)
     rng = np.random.default_rng(6)
-    z = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-0.5, 0.5, 200) * tau.imag
-    q = np.exp(1j * np.pi * tau)
-    coeffs = [(-1) ** n * q ** ((n + 0.5) ** 2) for n in range(64)]
-    ref = 2.0 * sum(
-        c * np.sin((2 * n + 1) * np.pi * z) for n, c in enumerate(coeffs) if c != 0
-    )
-    assert (np.abs(theta1(z, tau) - ref) <= 1e-14 * np.abs(ref)).all()
+    z = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-0.5, 0.5, 200) * im_tau
+    n = np.arange(64)
+    ref_coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
+    ref = sum(c * np.sin((2 * j + 1) * np.pi * z) for j, c in enumerate(ref_coeff) if c != 0)
+    got = coeff @ np.sin(np.multiply.outer(k, z))
+    assert (np.abs(got - ref) <= 1e-14 * np.abs(ref)).all()
 
 
-@pytest.mark.parametrize("tau", [0.0, -1j, 1.0, 0.05j])
-def test_theta1_rejects_bad_tau(tau):
-    with pytest.raises(ValidationError):
-        theta1(0.1, tau)
-
-
-@pytest.mark.parametrize(
-    "z", [0.3 + 100j, 0.3 + 300j, 0.75, -0.6 + 0.1j, 0.1 - 0.6j, complex("nan")]
-)
-def test_theta1_rejects_argument_outside_fundamental_cell(z):
-    with pytest.raises(VortexLabError):
-        theta1(z, 1j)
-    with pytest.raises(VortexLabError):
-        theta1(np.array([0.1, z]), 1j)
-
-
-def test_theta1_accepts_fundamental_cell_corners():
-    corners = np.array([0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j, -0.5 + 0.5j])
-    assert np.isfinite(theta1(corners, 1j)).all()
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 8.0), (8.0, 1.0), (20.0, 1.0), (2.0, 0.5)])
+def test_green_equals_complex_theta1(lengths):
+    # torus_green's real factors against (log|theta1| - pi y^2 / V) / 2pi in
+    # complex arithmetic, on random points in several period cells and on
+    # the cell's corners. The reference is taken on the orientation with
+    # Im tau >= 1, where the complex series does not cancel, with the
+    # reflection shift for a torus with length_y < length_x.
+    lx, ly = lengths
+    rng = np.random.default_rng(11)
+    x = np.concatenate((rng.uniform(-lx, 2 * lx, 200), 0.5 * lx * np.array([1, -1, 1, -1])))
+    y = np.concatenate((rng.uniform(-ly, 2 * ly, 200), 0.5 * ly * np.array([1, -1, -1, 1])))
+    got = torus_green((x, y), TorusGeometry(lx, ly))
+    a = np.mod(x + 0.5 * lx, lx) - 0.5 * lx
+    b = np.mod(y + 0.5 * ly, ly) - 0.5 * ly
+    shift = max(0.0, np.log(lx / ly) / (4 * np.pi))
+    if ly < lx:
+        a, b, lx, ly = b, a, ly, lx
+    ref = (np.log(np.abs(theta1((a + 1j * b) / lx, 1j * ly / lx))) - np.pi * b**2 / (lx * ly))
+    ref = ref / (2 * np.pi) + shift
+    assert (np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all()
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,37 @@ def test_extreme_aspect_torus_is_rejected():
     # Past Im tau = 200 the nome is subnormal; fail loudly, not with zeros.
     with pytest.raises(ValidationError, match="nome underflows"):
         divisor_potential(Divisor(((0.5, 0.5),), (1,)), TorusGeometry(1.0, 300.0), GRID)
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 200.0), (200.0, 1.0)])
+def test_largest_accepted_aspect_is_finite(lengths):
+    # At Im tau = 200, in either orientation, G off the lattice, its
+    # regular part at 0 and u_D off the point are finite: the Gaussian
+    # column factor of the potential cancels cosh's growth along the long
+    # side.
+    geo = TorusGeometry(*lengths)
+    pts = (np.array([0.3, 0.5, 99.0]), np.array([0.5, 99.0, 0.3]))
+    if lengths[0] > lengths[1]:
+        pts = pts[::-1]
+    assert np.isfinite(torus_green(pts, geo)).all()
+    assert np.isfinite(_green_constant(geo))
+    grid = GridSpec(8, 64) if lengths[0] < lengths[1] else GridSpec(64, 8)
+    u = divisor_potential(Divisor(((0.3, 0.3),), (1,)), geo, grid)
+    assert np.isfinite(u.values).all() and (u.values > NEGATIVE_SENTINEL).all()
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 300.0), (300.0, 1.0)])
+def test_extreme_aspect_rejected_by_every_evaluation(lengths):
+    # The Im tau check of the shared series holds on both orientations, for
+    # the pointwise G, its regular part and the grid potential alike.
+    geo = TorusGeometry(*lengths)
+    for evaluate in (
+        lambda: torus_green((0.1, 0.1), geo),
+        lambda: _green_constant(geo),
+        lambda: divisor_potential(Divisor(((0.5, 0.5),), (1,)), geo, GRID),
+    ):
+        with pytest.raises(ValidationError, match="Im tau = 300.0 > 200.0: the nome underflows"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------

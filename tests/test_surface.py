@@ -1,8 +1,10 @@
-"""The package exports only what the package itself uses.
+"""The package exports and keeps only what the package itself uses.
 
 Every name in a module's ``__all__`` must be loaded by package code other
 than its own ``def`` or ``class`` line and the export lists: a name that
-only tests reach belongs in ``tests/helpers.py``, not in the package.
+only tests reach belongs in ``tests/helpers.py``, not in the package. The
+same holds for every private module-level function, class and constant,
+and every private method: dead private code fails here.
 """
 
 import ast
@@ -53,3 +55,32 @@ def test_the_package_reexports_only_module_exports():
     listed = set(MODULES) | {n for m in MODULES for n in exports(m)}
     listed |= {n for n in vars(errors) if not n.startswith("_")}
     assert sorted(set(vortexlab.__all__) - listed) == []
+
+
+def private_definitions():
+    """``(where, name)`` of every module-level function, class and constant
+    and every method, ``where`` being ``module`` or ``module.Class``."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}", item.name
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name):
+                            yield path.stem, leaf.id
+
+
+def test_every_private_definition_is_used_by_the_package():
+    loaded = loaded_names()
+    unused = sorted(
+        f"{where}.{name}"
+        for where, name in private_definitions()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    )
+    assert not unused, f"private names no package code uses: {unused}"

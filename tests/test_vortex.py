@@ -935,6 +935,25 @@ def test_order_fit_mixed_limit_colocated():
     assert abs(order - 1.5) <= 0.05
 
 
+@pytest.mark.parametrize("gap, fitted", [(0.03, False), (0.10, False), (0.11, True)])
+def test_order_fit_stays_inside_the_mass_window(gap, fitted):
+    # The rings reach r = 0.05. A neighbour closer than about 0.105 puts
+    # that past r_inner of the mass window, and the rings would read its
+    # core: 0.665 at 0.03 apart, against an expected order of 0.5.
+    spec = MixedVortexSpec(
+        UNIT,
+        GridSpec(64, 64),
+        Divisor(((0.3, 0.3),), (1,)),
+        Divisor(((0.3 + gap, 0.3),), (1,)),
+        epsilon=0.05,
+    )
+    fits = spec._order_fits(vortex_module._spec_points(spec))
+    if fitted:
+        assert all(abs(v - 0.5) <= 0.05 * 0.5 for v in fits)
+    else:
+        assert fits == [None, None]
+
+
 def test_mixed_limit_closed_form_refuses_nonzero_tau():
     # At tau = 0.5 the limit solves a - b + tau = 0, ab = P Q: at (0.5, 0.5)
     # a = 0.7735 and b = 1.2735, not the closed form's sqrt(P Q) = 0.9925.
