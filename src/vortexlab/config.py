@@ -160,15 +160,32 @@ class RunConfig:
 _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
+# Characters of a config node that an error message echoes.
+_ECHO_LIMIT = 40
+
+
 def _fail(path: str, message: str) -> ValidationError:
     where = path if path else "config"
     return ValidationError(f"{where}: {message}")
 
 
+def _shown(node) -> str:
+    """``repr(node)`` for an error message, cut to ``_ECHO_LIMIT``
+    characters: ``10**401`` would print all 402 digits, and an integer past
+    Python's 4300-digit string limit (a long hex literal) none at all."""
+    try:
+        text = repr(node)
+    except ValueError:
+        return "a value too long to print"
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def _check_keys(node: dict, allowed, path: str) -> None:
     for key in node:
         if key not in allowed:
-            raise _fail(path, f"unknown key '{key}'")
+            raise _fail(path, f"unknown key {_shown(key)}")
 
 
 def _read(tp, node, path: str, **given):
@@ -231,12 +248,12 @@ def _read(tp, node, path: str, **given):
         return _degree(node, path)
     if tp is str:
         if node is None or isinstance(node, (list, dict)):
-            raise _fail(path, f"expected a string, got {node!r}")
+            raise _fail(path, f"expected a string, got {_shown(node)}")
         return str(node)
     if tp is bool:
         if isinstance(node, bool):
             return node
-        raise _fail(path, f"expected a boolean, got {node!r}")
+        raise _fail(path, f"expected a boolean, got {_shown(node)}")
     if not isinstance(node, bool):
         if tp is int and isinstance(node, int):
             _checked_float(node, node, path)
@@ -245,7 +262,7 @@ def _read(tp, node, path: str, **given):
         if tp is float and number:
             return _checked_float(node, node, path)
     wanted = "an integer" if tp is int else "a number"
-    raise _fail(path, f"expected {wanted}, got {node!r}")
+    raise _fail(path, f"expected {wanted}, got {_shown(node)}")
 
 
 def _checked_float(value, node, path: str) -> float:
@@ -256,7 +273,7 @@ def _checked_float(value, node, path: str) -> float:
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise _fail(path, f"must be finite, got {node!r}")
+        raise _fail(path, f"must be finite, got {_shown(node)}")
     return out
 
 
@@ -267,13 +284,13 @@ def _degree(value, path: str) -> Fraction:
         try:
             degree = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise _fail(path, f"cannot read rational from {value!r}") from None
+            raise _fail(path, f"cannot read rational from {_shown(value)}") from None
     elif isinstance(value, float):
         if not value.is_integer():
             raise _fail(path, "non-integer degree must be a 'p/q' string")
         degree = Fraction(int(value))
     else:
-        raise _fail(path, f"expected a rational, got {value!r}")
+        raise _fail(path, f"expected a rational, got {_shown(value)}")
     _checked_float(degree, value, path)
     return degree
 
@@ -298,6 +315,11 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(exc.problem or "malformed YAML", line, column) from None
     except yaml.YAMLError as exc:
         raise ParseError(str(exc)) from None
+    except ValueError as exc:
+        # A scalar that YAML resolves but Python cannot build: an integer
+        # past the 4300-digit string limit, or a date such as 2020-13-01.
+        reason = str(exc).split(";")[0]
+        raise ParseError(f"unreadable value: {reason}") from None
     if root is None:
         raise ValidationError("config: empty document")
     if not isinstance(root, dict):
@@ -308,7 +330,7 @@ def parse_config(text: str) -> RunConfig:
         raise _fail("", "missing key 'kind'")
     kind = root["kind"]
     if kind not in KINDS:
-        raise _fail("kind", f"must be one of {', '.join(KINDS)}; got {kind!r}")
+        raise _fail("kind", f"must be one of {', '.join(KINDS)}; got {_shown(kind)}")
 
     model_keys_present = [k for k in MODEL_SECTIONS if k in root]
     if len(model_keys_present) != 1:

@@ -210,8 +210,8 @@ class RegionMask:
         """
         w = np.ones((grid.nx, grid.ny))
         for c in centers:
-            box, dist = _disc_box(geometry, grid, c, radius)
-            w[box] *= dist > radius
+            for box, dx, dy in _disc_blocks(geometry, grid, c, radius):
+                w[box] *= _distance(dx, dy) > radius
         return _adopted(cls, geometry, grid, w)
 
 
@@ -264,41 +264,30 @@ def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _box_axis(offsets: np.ndarray, radius: float):
-    """Indices along one axis whose offset is at most ``radius``: a slice
-    when they are contiguous, else an index array (a disc across the seam)."""
+def _axis_runs(offsets: np.ndarray, radius: float) -> list[slice]:
+    """The indices along one axis whose offset is at most ``radius``, as
+    slices: one run, or two where the run crosses the seam (none when no
+    offset is within ``radius``)."""
     idx = np.flatnonzero(np.abs(offsets) <= radius)
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    return [slice(int(run[0]), int(run[-1]) + 1) for run in runs if run.size]
 
 
-def _box_offsets(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
-    """The index box that holds the closed disc of ``radius`` about ``center``,
-    and the minimal-image offsets on it: ``(box, dx, dy)``.
+def _disc_blocks(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
+    """The boxes that hold the closed disc of ``radius`` about ``center``,
+    with the minimal-image offsets on each: a list of ``(box, dx, dy)``.
 
-    The box is the rows and columns whose offset is at most ``radius``;
-    every sample of the disc lies in it, since a distance is at least each
-    of its offsets. It is a pair of slices (a view) unless the disc
-    crosses the seam, and an ``np.ix_`` pair then. ``dx`` is a column and
-    ``dy`` a row of :func:`torus_displacement`, so together they broadcast
-    to the box.
+    The boxes cover the rows and columns whose offset is at most
+    ``radius``; every sample of the disc lies in them, since a distance is
+    at least each of its offsets. A box is a pair of slices (a view): one
+    box, or up to four where the disc crosses the seam. ``dx`` is a column
+    and ``dy`` a row of :func:`torus_displacement`, so together they
+    broadcast to the box, and their :func:`_distance` is bit for bit that
+    of the same samples computed over the whole grid.
     """
     dx, dy = torus_displacement(geometry, grid, center)
-    rows, cols = _box_axis(dx[:, 0], radius), _box_axis(dy[0], radius)
-    if isinstance(rows, slice) and isinstance(cols, slice):
-        box = (rows, cols)
-    else:
-        box = np.ix_(np.arange(grid.nx)[rows], np.arange(grid.ny)[cols])
-    return box, dx[rows], dy[:, cols]
-
-
-def _disc_box(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
-    """The box of :func:`_box_offsets` and the :func:`_distance` of its
-    offsets: ``(box, distances)``. Each distance is bit for bit that of the
-    same sample computed over the whole grid."""
-    box, dx, dy = _box_offsets(geometry, grid, center, radius)
-    return box, _distance(dx, dy)
+    rows, cols = _axis_runs(dx[:, 0], radius), _axis_runs(dy[0], radius)
+    return [((r, c), dx[r], dy[:, c]) for r in rows for c in cols]
 
 
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
@@ -665,18 +654,18 @@ def _bump_window(
     """Smooth bump about ``center``: 1 on the ``r_inner`` disc, 0 outside
     the ``r_outer`` disc.
 
-    Returns ``(box, values)``, the profile on the box of the ``r_outer``
-    disc; the bump is exactly 0 outside the box. Radii must satisfy ``0 <
-    r_inner < r_outer < injectivity radius`` so the annulus embeds in the
-    torus.
+    Returns ``[(box, values), ...]``, the profile on each box of the
+    ``r_outer`` disc (:func:`_disc_blocks`); the bump is exactly 0 outside
+    the boxes. Radii must satisfy ``0 < r_inner < r_outer < injectivity
+    radius`` so the annulus embeds in the torus.
     """
     if not (0.0 < r_inner < r_outer < geometry.injectivity_radius):
         raise ValidationError(
             f"need 0 < r_inner < r_outer < {geometry.injectivity_radius}, "
             f"got ({r_inner}, {r_outer})"
         )
-    box, dist = _disc_box(geometry, grid, center, r_outer)
-    return box, _bump_profile(dist, r_inner, r_outer)
+    blocks = _disc_blocks(geometry, grid, center, r_outer)
+    return [(box, _bump_profile(_distance(dx, dy), r_inner, r_outer)) for box, dx, dy in blocks]
 
 
 def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> float:

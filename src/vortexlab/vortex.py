@@ -38,10 +38,10 @@ with calculable masses, measured by :func:`curvature_mass` through smooth
 bump windows. A spec holds one grid per term, its reduced coefficient
 ``|k_j| P_j`` (times the equation scale), from which ``|phi^j|^2`` and
 ``u_j`` are recovered, and shares it with its copies at other epsilons on
-the same grid. Two process-wide caches outlive a spec: the 1-D planar
-vortex profiles that start a classical solve (:func:`_planar_profile`)
-and the half-spectrum symbols of the last four grids
-(``fields._wavenumbers``).
+the same grid. Two process-wide caches outlive a spec: the cubic tables
+of the planar vortex profiles that start a classical solve
+(``planar._planar_profiles``) and the half-spectrum symbols of the last
+four grids (``fields._wavenumbers``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -71,7 +71,6 @@ from .fields import (
     ScalarField,
     TorusGeometry,
     _adopted,
-    _box_offsets,
     _bump_window,
     _check_wavenumbers,
     _finite,
@@ -104,6 +103,7 @@ from .kw import (
     kw_limit,
     kw_solve,
 )
+from .planar import _CORE_BAND, _add_planar_core, _core_work, _planar_profiles
 
 __all__ = [
     "ClassicalVortexSpec",
@@ -339,87 +339,6 @@ def reduce_any(spec) -> KWProblem:
 
 
 # ---------------------------------------------------------------------------
-# Planar vortex cores
-
-# Log-radius range of the profile: below it h = 2 m s + a_m to roundoff,
-# above it (rho > 40) |h| < 1e-24. Collocation degree and table size.
-_PROFILE_RANGE = (-12.0, math.log(40.0))
-_PROFILE_DEGREE = 128
-_PROFILE_TABLE = 4097
-# The start adds each core only on the disc where its tabulated |h|
-# exceeds this, two orders below the table's interpolation error.
-_CORE_CUT = 1e-7
-
-
-@lru_cache(maxsize=None)
-def _planar_profile(m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(s, h, a_m)``: the planar degree-``m`` vortex tabulated in ``s = log rho``.
-
-    ``|phi|^2 = e^{h(log rho)}`` is the radial vortex of the plane at unit
-    scale (derivations §4): ``h'' = 2 e^{2s} (e^h - 1)`` with ``h_s = 2m``
-    at the left end of ``_PROFILE_RANGE`` and ``h = 0`` at the right end,
-    solved by Newton on Chebyshev collocation. Newton stops at ``max|dh|
-    <= 1e-10``; collocation roundoff grows like ``n^4 u``, so a tighter
-    stop is never met. The solution is tabulated on uniform ``s`` nodes by
-    barycentric interpolation, for ``np.interp``; below the table ``h = 2m
-    s + a_m``. That roundoff also breaks the monotonicity of the far tail,
-    where ``|h| < 1e-12``; a running maximum restores it.
-
-    One of the package's two process-wide caches (the other holds the
-    half-spectrum symbols of the last four grids, ``fields._wavenumbers``):
-    one read-only 1-D table per ``m``, built on first use.
-    """
-    n = _PROFILE_DEGREE
-    lo, hi = _PROFILE_RANGE
-    half = 0.5 * (hi - lo)
-    # Chebyshev points x_j = cos(pi j / n) (x_0 = 1 is the right end) and
-    # the differentiation matrix in s (Trefethen, Spectral Methods in MATLAB).
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = (-1.0) ** np.arange(n + 1)
-    c[[0, -1]] *= 2.0
-    d1 = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n + 1))
-    d1 -= np.diag(d1.sum(axis=1))
-    d1 /= half
-    d2 = d1 @ d1
-    s = lo + (x + 1.0) * half
-    w = 2.0 * np.exp(2.0 * s)
-    h = m * (2.0 * s - np.log1p(np.exp(2.0 * s)))
-    while True:
-        eh = np.exp(h)
-        resid = d2 @ h - w * (eh - 1.0)
-        jac = d2 - np.diag(w * eh)
-        resid[0], jac[0] = h[0], np.eye(n + 1)[0]
-        resid[-1], jac[-1] = d1[-1] @ h - 2.0 * m, d1[-1]
-        dh = np.linalg.solve(jac, -resid)
-        h += dh
-        if np.abs(dh).max() <= 1e-10:
-            break
-    # Barycentric weights (-1)^j, halved at the ends. The table's ends are
-    # the Chebyshev end points and take their values; no interior node is
-    # a Chebyshev point.
-    table_s = np.linspace(lo, hi, _PROFILE_TABLE)
-    t = (table_s - lo) / half - 1.0
-    num, den = np.zeros_like(t), np.zeros_like(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n + 1):
-            weight = (0.5 if j in (0, n) else 1.0) * (-1.0) ** j / (t - x[j])
-            num += weight * h[j]
-            den += weight
-        num /= den
-    num[0], num[-1] = h[-1], h[0]
-    table_h = np.minimum(np.maximum.accumulate(num), 0.0)
-    # Cut the exact zeros of the tail but two: np.interp gives exactly 0
-    # between them and past them (right=0.0), so the cut table reads as
-    # the whole one, and a sample that rounding puts just inside the last
-    # node still lies between two zeros.
-    end = int(np.flatnonzero(table_h)[-1]) + 3
-    table_s, table_h = table_s[:end], table_h[:end]
-    a = float(table_h[0] - 2.0 * m * table_s[0])
-    table_s.flags.writeable = table_h.flags.writeable = False
-    return table_s, table_h, a
-
-
-# ---------------------------------------------------------------------------
 # Presets
 
 
@@ -505,49 +424,35 @@ class ClassicalVortexSpec(_VortexModel):
         the sum not finite until overwritten; any other such sample fails
         the field check.
         """
-        eps, geometry = self.epsilon, self.geometry
+        eps, geometry, grid = self.epsilon, self.geometry, self.grid
         ((coeff, log_scale),) = self._coefficients
         f0 = np.log(coeff.values)
         np.subtract(log_scale, f0, out=f0)
         points = list(self.divisor)
-        on_points, tables = [], {}
-        for p, m in points:
-            s, h, a = _planar_profile(m)
-            # The table in t = 2s = log rho^2, read on the box of the disc out
-            # to its first node with |h| <= _CORE_CUT; the core is left out
-            # past that box. A node 200 below the table continues it as the
-            # line h = m t + a_m, which np.interp reproduces to roundoff.
-            t = np.concatenate(([2.0 * s[0] - 200.0], 2.0 * s))
-            ht = np.concatenate(([h[0] - 200.0 * m], h))
-            tables[m] = t, ht
-            cut = s[np.searchsorted(h, -_CORE_CUT)]
-            box, log_rho_sq = self._log_rho_sq(p, eps * math.exp(cut))
-            f0[box] += np.interp(log_rho_sq, t, ht, right=0.0)
-            dx, dy = torus_displacement(geometry, self.grid, p)
+        # The cached tables are built before the work buffer is taken, which
+        # then frees into the heap above them; under them it stayed resident
+        # as a hole through the solve (1.1 MiB of peak_rss_mib at 512^2).
+        profiles = _planar_profiles([m for _, m in points])
+        work = _core_work(min(grid.nx * grid.ny, max(_CORE_BAND, grid.ny)))
+        on_points = []
+        for (p, m), profile in zip(points, profiles):
+            _add_planar_core(f0, geometry, grid, p, eps, profile, work)
+            dx, dy = torus_displacement(geometry, grid, p)
             row, col = np.flatnonzero(dx[:, 0] == 0.0), np.flatnonzero(dy[0] == 0.0)
             if row.size and col.size:
-                on_points.append(((row[0], col[0]), p, m, a))
+                on_points.append(((row[0], col[0]), p, m, profile.a))
         for sample, p, m, a in on_points:
             # R_p = 4 pi m c_G + sum_{q != p} 4 pi m_q G(p - q).
             value = a - 2.0 * m * math.log(eps) - 4.0 * math.pi * m * _green_constant(geometry)
-            for q, k in points:
+            for (q, k), other in zip(points, profiles):
                 if q != p:
                     value -= 4.0 * math.pi * k * torus_green((q[0] - p[0], q[1] - p[1]), geometry)
-                    log_rho_sq = 2.0 * math.log(_point_distance(geometry, p, q) / eps)
-                    value += np.interp(log_rho_sq, *tables[k], right=0.0)
+                    t = np.array([2.0 * math.log(_point_distance(geometry, p, q) / eps)])
+                    value += float(other.read(t)[0])
             f0[sample] = value
         if not np.isfinite(f0).all():
             raise ValidationError("field values must be finite")
-        return _Start(_adopted(ScalarField, geometry, self.grid, f0), None)
-
-    def _log_rho_sq(self, p, reach: float):
-        """``(box, log(|x - p|^2 / eps^2))`` on the box of the disc of
-        ``reach`` about ``p``, from the 1-D offsets: no square root, and
-        one grid on the box."""
-        box, dx, dy = _box_offsets(self.geometry, self.grid, p, reach)
-        eps = self.epsilon
-        log_rho_sq = np.add(np.square(dx / eps), np.square(dy / eps))
-        return box, np.log(log_rho_sq, out=log_rho_sq)
+        return _Start(_adopted(ScalarField, geometry, grid, f0), None)
 
 
 @dataclass(frozen=True)
@@ -767,11 +672,14 @@ def curvature_mass(
             raise OverlappingBump(
                 f"point {q} lies within r_outer={r_outer:.4g} of {center}"
             )
-    # The bump vanishes outside the box of its r_outer disc, so the
-    # trapezoid sum runs over that box alone.
-    box, window = _bump_window(curvature.geometry, curvature.grid, center, r_inner, r_outer)
-    window *= curvature.values[box]
-    mean = float(window.sum()) / curvature.values.size
+    # The bump vanishes outside the boxes of its r_outer disc, so the
+    # trapezoid sum runs over those boxes alone.
+    blocks = _bump_window(curvature.geometry, curvature.grid, center, r_inner, r_outer)
+    total = 0.0
+    for box, window in blocks:
+        window *= curvature.values[box]
+        total += float(window.sum())
+    mean = total / curvature.values.size
     return mean * curvature.geometry.volume / (2.0 * math.pi)
 
 
@@ -1118,6 +1026,9 @@ def _run_stage(report, spec, config, previous, t0, schedule=None) -> Diagnostics
     rejected = []
     while True:
         _mass_windows(spec, _spec_points(spec))
+        # Reduced first: the reduction builds the spec's coefficients,
+        # which a classical start reads.
+        problem = reduce_any(spec)
         init, start = spec._initial_guess(previous, config)
         del previous
         if not rejected:
@@ -1125,7 +1036,8 @@ def _run_stage(report, spec, config, previous, t0, schedule=None) -> Diagnostics
         # Handed over in a list that kw_solve empties, so that no frame here
         # keeps the start alive through its solve.
         init = [init]
-        solution = kw_solve(reduce_any(spec), config, init=init)
+        solution = kw_solve(problem, config, init=init)
+        del problem
         spectrum, lap = solution._take_final()
         tail = spectral_tail(solution.f, spectrum)
         finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None

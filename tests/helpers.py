@@ -27,7 +27,7 @@ import yaml
 
 import vortexlab.config
 import vortexlab.fields
-import vortexlab.vortex
+import vortexlab.planar
 from vortexlab import GridSpec, ScalarField, TorusGeometry, VortexLabError
 from vortexlab.fields import _bump_window
 
@@ -57,9 +57,9 @@ def meshgrid_distance(geometry: TorusGeometry, grid: GridSpec, center) -> np.nda
 def bump_field(geometry: TorusGeometry, grid: GridSpec, center, r_inner, r_outer) -> ScalarField:
     """The smooth bump of ``fields._bump_window`` on the whole grid: 1 on the
     ``r_inner`` disc, 0 outside the ``r_outer`` disc."""
-    box, window = _bump_window(geometry, grid, center, r_inner, r_outer)
     values = np.zeros((grid.nx, grid.ny))
-    values[box] = window
+    for box, window in _bump_window(geometry, grid, center, r_inner, r_outer):
+        values[box] = window
     return ScalarField(geometry, grid, values)
 
 
@@ -244,4 +244,4 @@ def empty_caches() -> None:
     """
     np.fft.rfft(np.zeros(8))
     vortexlab.fields._wavenumbers.cache_clear()
-    vortexlab.vortex._planar_profile.cache_clear()
+    vortexlab.planar._PROFILES.clear()

@@ -785,6 +785,31 @@ def test_cli_subcommand_kind_mismatch(tmp_path, capsys):
     assert "does not match subcommand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "literal, error, message",
+    [
+        # Past Python's 4300-digit limit PyYAML's int constructor raises a
+        # bare ValueError, which once ended the CLI in a traceback (exit 1).
+        ("1" * 4301, ParseError, "unreadable value: Exceeds the limit (4300 digits)"),
+        # Beyond the float range the node is echoed, cut short.
+        ("1" + "0" * 401, ValidationError, "grid.nx: must be finite, got 1000"),
+        # A hex literal past that limit has no decimal form to echo.
+        ("0x" + "f" * 4000, ValidationError, "grid.nx: must be finite, got a value too long"),
+    ],
+    ids=["decimal_4301_digits", "decimal_402_digits", "hex_4817_digits"],
+)
+def test_cli_oversized_integer_exits_2_briefly(tmp_path, capsys, literal, error, message):
+    text = classical_yaml(n=literal)
+    with pytest.raises(error) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message) and len(str(info.value)) <= 120
+    out = tmp_path / "o"
+    assert main(["classical", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err) <= 130
+    assert not out.exists()
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, classical_yaml(points=((0.5, 0.5, 0),)))
     assert main(["classical", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2

@@ -38,8 +38,15 @@ POINT = Divisor(((0.5, 0.5),), (1,))
 ONE = constant_field(UNIT, GRID, 1.0)
 EMPTY = RegionMask(UNIT, GRID, np.zeros((8, 8)))
 
-# Stdlib parsing of user text, which signals bad input with ValueError.
-ALLOWED_VALUE_ERROR_HANDLERS = {("config.py", "_degree")}
+# Stdlib parsing of user text, which signals bad input with ValueError:
+# a rational degree, a YAML scalar that PyYAML resolves but Python cannot
+# build (an integer past the 4300-digit limit, a date out of range), and
+# the echo of an integer too long to print in decimal.
+ALLOWED_VALUE_ERROR_HANDLERS = {
+    ("config.py", "_degree"),
+    ("config.py", "parse_config"),
+    ("config.py", "_shown"),
+}
 
 
 def _zero_eps_problem():

@@ -41,7 +41,7 @@ from vortexlab.errors import NoConvergence, ValidationError
 from vortexlab.fields import (
     _bump_profile,
     _bump_window,
-    _disc_box,
+    _disc_blocks,
     _distance,
     _irfft2,
     _rfft2,
@@ -216,7 +216,8 @@ def test_distances_equal_meshgrid_reference(geometry, grid, center):
 @pytest.mark.parametrize("seed", range(4))
 def test_distances_are_within_an_ulp_of_hypot(seed):
     # sqrt(dx^2 + dy^2) of the broadcast offsets, on random tori, grids and
-    # centres; the disc boxes hold the same bits as the full grid.
+    # centres; the disc boxes hold the same bits as the full grid and
+    # cover the disc once.
     rng = np.random.default_rng(seed)
     geometry = TorusGeometry(*rng.uniform(0.2, 5.0, 2))
     grid = GridSpec(*(2 * rng.integers(8, 80, 2)))
@@ -225,8 +226,11 @@ def test_distances_are_within_an_ulp_of_hypot(seed):
     dist = broadcast_distance(geometry, grid, center)
     assert (np.abs(dist - ref) <= np.spacing(ref)).all()
     radius = 0.3 * geometry.injectivity_radius
-    box, boxed = _disc_box(geometry, grid, center, radius)
-    assert np.array_equal(boxed, dist[box])
+    covered = np.zeros(dist.shape, dtype=int)
+    for box, dx, dy in _disc_blocks(geometry, grid, center, radius):
+        assert np.array_equal(_distance(dx, dy), dist[box])
+        covered[box] += 1
+    assert (covered <= 1).all() and (covered[dist <= radius] == 1).all()
 
 
 def test_distances_on_the_axes_are_the_offsets():
@@ -238,8 +242,8 @@ def test_distances_on_the_axes_are_the_offsets():
     dist = broadcast_distance(geometry, grid, center)
     assert np.array_equal(dist[7], np.abs(dy[0]))
     assert np.array_equal(dist[:, 11], np.abs(dx[:, 0]))
-    box, boxed = _disc_box(geometry, grid, center, 0.2)
-    assert np.array_equal(boxed, dist[box])
+    for box, dx, dy in _disc_blocks(geometry, grid, center, 0.2):
+        assert np.array_equal(_distance(dx, dy), dist[box])
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +678,7 @@ def test_bump_window_plateau_and_support():
     # The box holds the whole r_outer disc, and the window is 1 on the
     # r_inner disc (the center among them) and 0 from r_outer on.
     grid = GridSpec(128, 128)
-    box, window = _bump_window(UNIT, grid, (0.5, 0.5), 0.1, 0.3)
+    ((box, window),) = _bump_window(UNIT, grid, (0.5, 0.5), 0.1, 0.3)
     assert window.min() >= 0.0 and window.max() <= 1.0
     dist = meshgrid_distance(UNIT, grid, (0.5, 0.5))
     outside = np.ones(dist.shape, dtype=bool)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import vortexlab.kw as kw_module
+import vortexlab.planar as planar
 import vortexlab.vortex as vortex_module
 from helpers import (
     bump_field,
@@ -64,9 +65,9 @@ from vortexlab.vortex import (
     _copy,
     _identities_of,
     _on_lattice,
-    _planar_profile,
     diagnostics_report,
 )
+from vortexlab.planar import _planar_profiles
 
 UNIT = TorusGeometry(1.0, 1.0)
 
@@ -607,23 +608,98 @@ def test_sweep_stage_past_max_grid_is_under_resolved():
 
 @pytest.mark.parametrize("m, a_m", [(1, -0.3175745), (2, -1.500316)])
 def test_planar_profile(m, a_m):
-    s, h, a = _planar_profile(m)
+    (profile,) = _planar_profiles([m])
+    s, h, a, cubic = profile.s, profile.h, profile.a, profile.cubic
+    dh = cubic[1:, 1] / planar._PROFILE_STEP
     rho = np.exp(s)
     # Mass identity: integral (1 - e^h) rho drho = m.
     assert abs(np.trapezoid((1.0 - np.exp(h)) * rho**2, s) - m) <= 1e-9
     # Below the table h = 2m s + a_m.
     head = h[:64] - 2.0 * m * s[:64]
     assert np.ptp(head) <= 1e-8 and abs(head[0] - a) <= 1e-12
-    assert abs(a - a_m) <= 1e-6
-    # The ODE h'' = 2 e^{2s} (e^h - 1), to the second difference's error.
+    assert abs(a - a_m) <= 1e-6 and abs(dh[0] - 2.0 * m) <= 1e-8
+    # The ODE h'' = 2 e^{2s} (e^h - 1), to the second difference's error,
+    # and h' against the central difference.
     ds = s[1] - s[0]
     second = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / ds**2
     assert np.abs(second - 2.0 * rho[1:-1] ** 2 * np.expm1(h[1:-1])).max() <= 1e-4
-    # Increasing to 0 at the right end, strictly where h is above roundoff.
+    assert np.abs((h[2:] - h[:-2]) / (2.0 * ds) - dh[1:-1]).max() <= 1e-5
+    # Increasing to 0 at the right end, strictly where h is above roundoff;
+    # h' is 0 wherever h is.
     steps = np.diff(h)
     assert (steps >= 0.0).all() and h[-1] == 0.0
     assert (steps[h[1:] < -1e-10] > 0.0).all()
-    assert _planar_profile(m) is _planar_profile(m)
+    assert (dh[h == 0.0] == 0.0).all()
+    # One row of the cubic per cell: the line below the table, one per
+    # interval of nodes, and zeros past the table.
+    assert cubic.shape == (len(s) + 1, 4)
+    assert (cubic[-1] == 0.0).all() and (cubic[0, 2:] == 0.0).all()
+    twice = _planar_profiles([m, m])
+    assert twice[0] is profile and twice[1] is profile
+
+
+def test_profiles_built_together_match_those_built_alone():
+    # A divisor's degrees share one collocation matrix and one
+    # barycentric pass; each table is the one its degree builds alone, to
+    # roundoff (its entries reach 50 in size).
+    planar._PROFILES.clear()
+    together = _planar_profiles([2, 1, 2])
+    assert together[0] is together[2] and sorted(planar._PROFILES) == [1, 2]
+    for m, profile in ((1, together[1]), (2, together[0])):
+        planar._PROFILES.clear()
+        (alone,) = _planar_profiles([m])
+        assert alone.a == pytest.approx(profile.a, rel=1e-14)
+        assert np.abs(alone.cubic - profile.cubic).max() <= 1e-13
+
+
+def _barycentric(nodes, values, x):
+    """The polynomial through ``values`` on the Chebyshev points ``nodes``,
+    at ``x``, by the barycentric formula."""
+    weights = (-1.0) ** np.arange(len(nodes))
+    weights[[0, -1]] *= 0.5
+    terms = weights / np.subtract.outer(x, nodes)
+    return (terms @ values) / terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_profile_read_matches_the_collocation_polynomial(m):
+    # Midway between table nodes, where the cubic's error peaks, the read
+    # is the collocation polynomial to that error (ds^4 max|h''''| / 384).
+    (profile,) = _planar_profiles([m])
+    nodes, (h_nodes, _) = planar._planar_collocation([m])
+    lo, hi = planar._PROFILE_RANGE
+    mid = 0.5 * (profile.s[1:] + profile.s[:-1])
+    exact = _barycentric(nodes, h_nodes, (mid - lo) / (0.5 * (hi - lo)) - 1.0)
+    assert np.abs(profile.read(2.0 * mid) - exact).max() <= 1e-11
+    # At the nodes it is the table.
+    assert np.abs(profile.read(2.0 * profile.s) - profile.h).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_profile_read_below_and_past_the_table(m):
+    (profile,) = _planar_profiles([m])
+    # Below the table, the line m t + a_m, however far.
+    t = 2.0 * profile.s[0] - np.array([1e-9, 1e-3, 1.0, 30.0, 300.0])
+    line = m * t + profile.a
+    assert np.abs(profile.read(t.copy()) - line).max() <= 1e-12 * np.abs(line).max()
+    # Past the table, exactly 0.
+    t = 2.0 * profile.s[-1] + np.array([0.0, 1e-12, 1e-3, 1.0, 50.0])
+    assert (profile.read(t) == 0.0).all()
+
+
+def test_profile_grid_and_point_reads_agree():
+    # The start reads its grid in bands (_add_core) and each on-point sum
+    # one distance at a time; both take the same cubic at the same t.
+    (profile,) = _planar_profiles([2])
+    dx = np.linspace(-3.0, 25.0, 37)
+    dy = np.linspace(-1e-4, 4.0, 23)
+    grid = np.zeros((len(dx), len(dy)))
+    planar._add_core(grid, dx, dy, 100.0, profile, planar._core_work(60))
+    for i, j in np.ndindex(grid.shape):
+        t = np.array([np.log(dx[i] ** 2 + dy[j] ** 2)])
+        assert profile.read(t)[0] == pytest.approx(grid[i, j], rel=1e-14, abs=1e-15)
+    past = np.add.outer(dx**2, dy**2) > np.exp(2.0 * profile.s[-1])
+    assert past.any() and (grid[past] == 0.0).all()
 
 
 OFF_GRID = ([(0.3013, 0.2571), (0.7129, 0.6637)], [1, 2])
@@ -636,6 +712,21 @@ def test_classical_start_from_planar_cores():
     assert glued.stages[0].newton.iterations <= 3
     assert zero.iterations >= 5
     assert sup_norm(glued.final_solution.f - zero.f) <= 1e-9
+
+
+@pytest.mark.parametrize("points", [[(0.25, 0.25), (0.75, 0.75)], OFF_GRID[0]])
+def test_classical_start_is_one_newton_step_from_the_solution(points):
+    # The benchmark's classical divisor, on grid samples and off them, on
+    # its one 512^2 grid. The glued cores read by the cubic lie within 1e-8
+    # of the solution once the cores fit inside the torus (derivations §4),
+    # and every stage takes exactly one Newton step (derivations §8).
+    for eps in (0.05, 0.025, 0.0125):
+        spec = classical(points, [1, 2], eps, n=512)
+        start = spec._initial_guess(None, SolverConfig()).f
+        solution = kw_solve(reduce_any(spec), init=start)
+        assert solution.iterations == 1
+        if eps <= 0.025:
+            assert sup_norm(solution.f - start) <= 1e-8
 
 
 @pytest.mark.parametrize("lx", [1.0, 2.0])
@@ -1350,11 +1441,12 @@ def test_classical_sweep_stage_memory(monkeypatch):
     # stage 2 solves, stage 1's reconstruction is released, w is a broadcast
     # scalar, CG reads the residual itself, not a negated copy, and works
     # in five grids, every inverse transform runs in place on its
-    # spectrum, and the stage's start is gone: 12.16 grids (24.33 MiB)
-    # measured in any test order (empty_caches; 24.45 MiB in a fresh
-    # process that loads numpy.fft inside the trace). It read 14.16 grids
-    # with a sixth CG grid and the start kept alive through the solve, and
-    # 15.16 with the inverse's own complex temporary as well. _run_stage
+    # spectrum, and the stage's start is gone: 12.22 grids (24.45 MiB)
+    # measured after empty_caches, 0.12 of them the cached cubic rows of
+    # the two planar cores (0.06 when they were value tables). It read
+    # 14.16 grids with a sixth CG grid and the start kept alive through
+    # the solve, and 15.16 with the inverse's own complex temporary as
+    # well. _run_stage
     # hands the start over in a list that kw_solve empties, so the
     # wrapper's kwargs do not keep it alive.
     peaks = []
