@@ -192,10 +192,6 @@ class RegionMask:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def full(cls, geometry: TorusGeometry, grid: GridSpec) -> "RegionMask":
-        return cls(geometry, grid, np.ones((grid.nx, grid.ny)))
-
-    @classmethod
     def excluding_discs(
         cls,
         geometry: TorusGeometry,
@@ -203,7 +199,8 @@ class RegionMask:
         centers: Iterable[tuple[float, float]],
         radius: float,
     ) -> "RegionMask":
-        """Indicator of the complement of closed discs around ``centers``.
+        """Indicator of the complement of closed discs around ``centers``
+        (the whole torus when there are none).
 
         Each disc is cleared inside the index box that holds it, so the
         only full grid built is the mask itself.
@@ -689,49 +686,45 @@ def cutoff_ratio_sup(phi: ScalarField, alpha: float, floor: float = 1e-6) -> flo
 
 
 def _resample_half_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
-    """Carry a 2-D half spectrum from n to n_new samples along its last axis."""
+    """Carry a 2-D half spectrum from n up to n_new samples along its last axis."""
     if n_new == n:
         return spec
-    half = min(n, n_new) // 2
+    half = n // 2
     out = np.zeros(spec.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
     out[:, :half] = spec[:, :half]
-    if n_new > n:
-        # The old Nyquist mode splits between +/- half; the -half share is
-        # the conjugate mirror that the half spectrum leaves implicit.
-        out[:, half] = 0.5 * spec[:, half]
-    else:
-        # Fold the -half band, the conjugate mirror of +half at -kx, onto
-        # the new Nyquist column.
-        mirror = (-np.arange(spec.shape[0])) % spec.shape[0]
-        out[:, half] = spec[:, half] + np.conj(spec[mirror, half])
+    # The old Nyquist mode splits between +/- half; the -half share is the
+    # conjugate mirror that the half spectrum leaves implicit.
+    out[:, half] = 0.5 * spec[:, half]
     return out
 
 
 def _resample_full_axis(spec: np.ndarray, n: int, n_new: int) -> np.ndarray:
-    """Carry a spectrum from n to n_new samples along its first (full) axis."""
+    """Carry a spectrum from n up to n_new samples along its first (full) axis."""
     if n_new == n:
         return spec
-    half = min(n, n_new) // 2
+    half = n // 2
     out = np.zeros((n_new,) + spec.shape[1:], dtype=complex)
     out[:half] = spec[:half]
     out[-half + 1 :] = spec[-half + 1 :]
-    if n_new > n:
-        # Split the old Nyquist mode between +/- half frequencies.
-        out[half] += 0.5 * spec[half]
-        out[-half] += 0.5 * spec[half]
-    else:
-        # Fold both source bands onto the new Nyquist mode.
-        out[half] = spec[half] + spec[-half]
+    # Split the old Nyquist mode between +/- half frequencies.
+    out[half] += 0.5 * spec[half]
+    out[-half] += 0.5 * spec[half]
     return out
 
 
 def resample(
     f: ScalarField, new_grid: GridSpec, spectrum: np.ndarray | None = None
 ) -> ScalarField:
-    """Trigonometric interpolation of ``f`` onto another grid (``f`` itself on its own)."""
+    """Trigonometric interpolation of ``f`` onto a grid at least as fine on
+    both axes (``f`` itself on its own grid); a coarser axis, which would
+    fold modes, raises :class:`ValidationError`."""
     if new_grid == f.grid:
         return f
     nx, ny = f.grid.nx, f.grid.ny
+    if new_grid.nx < nx or new_grid.ny < ny:
+        raise ValidationError(
+            f"resample only refines: {nx}x{ny} to {new_grid.nx}x{new_grid.ny} is coarser"
+        )
     spec = _resample_half_axis(_half_spectrum(f, spectrum), ny, new_grid.ny)
     spec = _resample_full_axis(spec, nx, new_grid.nx)
     # The grids differ along some axis, so ``spec`` is a new array, which

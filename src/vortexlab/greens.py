@@ -60,6 +60,10 @@ NEGATIVE_SENTINEL = -1e300
 # to zero: a torus more than 200 times longer than wide is rejected.
 _MAX_IM_TAU = 200.0
 
+# Points closer than this modulo the periods coincide: a divisor refuses
+# them, and a spec merges those of different terms.
+_MIN_SEPARATION = 1e-9
+
 # The truncated tail must fall below the double-precision unit roundoff.
 _TAIL_EXPONENT = 53.0 * math.log(2.0)
 
@@ -78,9 +82,16 @@ def _term_count(im_tau: float) -> int:
 def _oriented(geometry: TorusGeometry) -> tuple[float, float, bool]:
     """``(short, long, swapped)``: the sides ordered so that ``Im tau = long
     / short >= 1``, and whether ``x`` and ``y`` trade roles (``length_y <
-    length_x``, the Jacobi reflection of :func:`torus_green`)."""
+    length_x``, the Jacobi reflection of :func:`torus_green`). Every
+    evaluation and every spec orients its torus: the one aspect rule."""
     lx, ly = geometry.length_x, geometry.length_y
-    return (ly, lx, True) if ly < lx else (lx, ly, False)
+    short, long, swapped = (ly, lx, True) if ly < lx else (lx, ly, False)
+    if long / short > _MAX_IM_TAU:
+        raise ValidationError(
+            f"torus sides {lx} x {ly} differ by more than {_MAX_IM_TAU:g} times "
+            f"(Im tau = {long / short} > {_MAX_IM_TAU}: the nome underflows)"
+        )
+    return short, long, swapped
 
 
 def _series(short: float, long: float) -> tuple[np.ndarray, np.ndarray]:
@@ -88,8 +99,6 @@ def _series(short: float, long: float) -> tuple[np.ndarray, np.ndarray]:
     (-1)^n q^{(n+1/2)^2}`` of ``theta1(z / short, i long / short) = sum_n
     s_n sin(k_n z)``, truncated by :func:`_term_count`."""
     im_tau = long / short
-    if im_tau > _MAX_IM_TAU:
-        raise ValidationError(f"Im tau = {im_tau} > {_MAX_IM_TAU}: the nome underflows")
     n = np.arange(_term_count(im_tau))
     k = (2 * n + 1) * (np.pi / short)
     coeff = 2.0 * (-1.0) ** n * np.exp(-np.pi * im_tau * (n + 0.5) ** 2)
@@ -186,12 +195,12 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.multiplicities)
 
-    def check_separated(self, geometry: TorusGeometry, min_dist: float = 1e-9) -> None:
-        """Require points pairwise distinct modulo the periods."""
+    def check_separated(self, geometry: TorusGeometry) -> None:
+        """Require points pairwise ``_MIN_SEPARATION`` apart modulo the periods."""
         pts = self.points
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if _point_distance(geometry, pts[i], pts[j]) < min_dist:
+                if _point_distance(geometry, pts[i], pts[j]) < _MIN_SEPARATION:
                     raise ValidationError(
                         f"divisor points {i} and {j} coincide modulo periods"
                     )

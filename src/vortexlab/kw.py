@@ -55,6 +55,7 @@ from .fields import (
     laplacian,
     lp_norm,
     solve_linearized,
+    spectral_tail,
     sup_norm,
 )
 
@@ -230,9 +231,10 @@ class KWSolution:
     """Converged solve; ``residual_sup`` and ``energy`` end its ``newton`` trace.
 
     The residuals are those of a fresh evaluation of ``f``, whose half
-    spectrum and Laplacian the solution holds until a caller takes them
-    (:meth:`_take_final`); a copy made with ``dataclasses.replace`` does
-    not hold them.
+    spectrum gives ``spectral_tail``, the resolution certificate that
+    :func:`_check_resolved` judges. The solution holds that spectrum and the
+    Laplacian of ``f`` until a caller takes them (:meth:`_take_final`); a
+    copy made with ``dataclasses.replace`` does not hold them.
     """
 
     f: ScalarField
@@ -241,6 +243,7 @@ class KWSolution:
     energy: float
     classification: Classification
     epsilon: float
+    spectral_tail: float
     newton: NewtonTrace
     _final: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
@@ -250,8 +253,11 @@ class KWSolution:
 
     def _take_final(self) -> tuple[np.ndarray, ScalarField]:
         """``(rfft2(f), laplacian(f))`` from the evaluation that decided
-        convergence, handed over once: the solution drops them."""
+        convergence, handed over once; after that, or on a copy, afresh."""
         final, self._final = self._final, None
+        if final is None:
+            spectrum = _half_spectrum(self.f, None)
+            final = spectrum, laplacian(self.f, spectrum)
         return final
 
 
@@ -492,7 +498,8 @@ def kw_solve(
     released before CG runs. Once a carried residual meets ``newton_tol``
     the iterate is evaluated afresh, and that sup residual decides
     convergence: the returned ``residual_sup`` is exactly that of
-    ``kw_residual(problem, f)``.
+    ``kw_residual(problem, f)``. The returned ``spectral_tail`` reads the
+    half spectrum of that evaluation, which costs no transform.
     """
     if problem.epsilon <= 0:
         raise ValidationError("kw_solve needs epsilon > 0; use kw_limit at epsilon = 0")
@@ -534,16 +541,19 @@ def kw_solve(
         trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
             trace.iterations = iteration
+            res_l2, final = lp_norm(resid, 2), (ev.spectrum, f._like(ev.laplacian))
+            del ev, resid  # the term grids go before the tail's work array
             solution = KWSolution(
                 f=f,
                 residual_sup=res_sup,
-                residual_l2=lp_norm(resid, 2),
+                residual_l2=res_l2,
                 energy=energy,
                 classification=cls,
                 epsilon=problem.epsilon,
+                spectral_tail=spectral_tail(f, final[0]),
                 newton=trace,
             )
-            solution._final = (ev.spectrum, f._like(ev.laplacian))
+            solution._final = final
             return solution
         if iteration == config.max_newton:
             break
@@ -778,13 +788,14 @@ def _scalar_root(w: np.ndarray, terms) -> np.ndarray:
 # Diagnostics
 
 
-def _check_resolved(f: ScalarField, tail: float) -> None:
-    """Raise :class:`UnderResolved` when ``tail``, the spectral tail of the
-    solution ``f``, exceeds ``TAIL_TOL``."""
+def _check_resolved(solution: KWSolution) -> None:
+    """Raise :class:`UnderResolved` when the spectral tail of ``solution``
+    exceeds ``TAIL_TOL``: the one rule of the resolution certificate."""
+    tail, grid = solution.spectral_tail, solution.f.grid
     if tail > TAIL_TOL:
         raise UnderResolved(
             f"spectral tail {tail:.3g} exceeds TAIL_TOL = {TAIL_TOL:g} "
-            f"on the {f.grid.nx}x{f.grid.ny} grid"
+            f"on the {grid.nx}x{grid.ny} grid"
         )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import KWSection, RunConfig, echo_config
 from .errors import VortexLabError
-from .fields import ScalarField, spectral_tail
+from .fields import ScalarField
 from .kw import KWSolution, _check_resolved, interior_bounds, kw_solve
 from .vortex import (
     DiagnosticsReport,
@@ -143,8 +143,8 @@ def _report_rows(report: SweepReport) -> list[list[str]]:
     return rows
 
 
-def _kw_rows(solution: KWSolution, spectrum: np.ndarray, tail: float) -> list[list[str]]:
-    bounds = interior_bounds(solution.f, spectrum=spectrum)
+def _kw_rows(solution: KWSolution) -> list[list[str]]:
+    bounds = interior_bounds(solution.f, spectrum=solution._take_final()[0])
     return [
         _row(
             -1,
@@ -153,7 +153,7 @@ def _kw_rows(solution: KWSolution, spectrum: np.ndarray, tail: float) -> list[li
             identity_residual=solution.residual_l2,
             sup_f=bounds["sup_f"],
             sup_grad_f=bounds["sup_grad_f"],
-            spectral_tail=tail,
+            spectral_tail=solution.spectral_tail,
         )
     ]
 
@@ -301,8 +301,11 @@ def _emit_report_artifacts(report: SweepReport, out: Path, config: RunConfig) ->
         series: dict[str, list[float]] = {
             "sup_deviation": [s.sup_deviation for s in report.stages]
         }
+        # Mass errors, on a log axis: only points with an expected mass.
         for p in report.points:
-            series[f"mass_{p.index}"] = [s.curvature_masses[p.index] for s in report.stages]
+            if p.expected_mass is not None:
+                errors = [abs(s.curvature_masses[p.index] - p.expected_mass) for s in report.stages]
+                series[f"mass_error_{p.index}"] = errors
         emit_line_plot(
             out / "convergence.svg",
             xs,
@@ -358,14 +361,10 @@ def run(config: RunConfig, out_dir: str | Path | None = None, quiet: bool = Fals
                 f"residual {solution.residual_sup:.3e}"
             )
             # The grid is fixed: an unresolved solution fails the run.
-            spectrum, _ = solution._take_final()
-            tail = spectral_tail(solution.f, spectrum)
-            _check_resolved(solution.f, tail)
-            manifest["stages"] = [
-                _stage_dict(solution, grid=problem.grid, spectral_tail=tail)
-            ]
+            _check_resolved(solution)
+            manifest["stages"] = [_stage_dict(solution, grid=problem.grid)]
             if config.outputs.csv:
-                emit_csv(_kw_rows(solution, spectrum, tail), out / "results.csv")
+                emit_csv(_kw_rows(solution), out / "results.csv")
                 manifest["outputs"].append("results.csv")
             if config.outputs.heatmaps:
                 emit_heatmap(solution.f, out / "f.pgm")

@@ -38,15 +38,17 @@ with calculable masses, measured by :func:`curvature_mass` through smooth
 bump windows. A spec holds one grid per term, its reduced coefficient
 ``|k_j| P_j`` (times the equation scale), from which ``|phi^j|^2`` and
 ``u_j`` are recovered, and shares it with its copies at other epsilons on
-the same grid. Two process-wide caches outlive a spec: the cubic tables
+the same grid. Three process-wide caches outlive a spec: the cubic tables
 of the planar vortex profiles that start a classical solve
-(``planar._planar_profiles``) and the half-spectrum symbols of the last
-four grids (``fields._wavenumbers``).
+(``planar._planar_profiles``), the half-spectrum symbols of the last
+four grids (``fields._wavenumbers``) and the last four ``MASK_RADIUS``
+regions on the probe lattice (:func:`_probe_region`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -61,6 +63,7 @@ from .errors import (
     BradlowViolation,
     DegenerateFit,
     OverlappingBump,
+    UnderResolved,
     Unsolvable,
     ValidationError,
     VortexLabError,
@@ -74,19 +77,18 @@ from .fields import (
     _bump_window,
     _check_wavenumbers,
     _finite,
-    _rfft2,
     constant_field,
     integrate,
     laplacian,
     resample,
-    spectral_tail,
     sup_norm,
     torus_displacement,
 )
 from .greens import (
-    _MAX_IM_TAU,
+    _MIN_SEPARATION,
     Divisor,
     _green_constant,
+    _oriented,
     _point_distance,
     divisor_potential,
     torus_green,
@@ -96,7 +98,6 @@ from .kw import (
     KWSolution,
     NewtonTrace,
     SolverConfig,
-    TAIL_TOL,
     _check_balance,
     _check_resolved,
     interior_bounds,
@@ -171,8 +172,9 @@ class _VortexModel:
     ends in :meth:`_admit`. The hooks below (``_curvature``,
     ``_identities``, ``_expected``, ``_deviation``, ``_order_fits``,
     ``_initial_guess`` and ``_core_scale``) hold the mixed/generalized
-    behaviour; a preset overrides the ones where its model differs. A spec builds its term
-    coefficients once, in :attr:`_coefficients`; they live and die with it.
+    behaviour; a preset overrides the ones where its model differs. A spec
+    builds once, and keeps, its term coefficients (:attr:`_coefficients`),
+    its merged points (:attr:`_points`) and their windows (:attr:`_windows`).
     """
 
     kind: ClassVar[str]
@@ -188,13 +190,9 @@ class _VortexModel:
     def _admit(self) -> None:
         """Reject a torus too long for the Green's function or too small for
         the grid's wavenumbers, coinciding points, non-finite scalars,
-        ``epsilon <= 0`` and unbalanced data."""
-        lx, ly = self.geometry.length_x, self.geometry.length_y
-        if max(lx, ly) / min(lx, ly) > _MAX_IM_TAU:
-            raise ValidationError(
-                f"torus sides {lx} x {ly} differ by more than {_MAX_IM_TAU:g} times: "
-                "the Green's function nome underflows"
-            )
+        ``epsilon <= 0``, unbalanced data, and points whose ``MASK_RADIUS``
+        discs leave no sample of the ``_PROBE_GRID`` lattice."""
+        _oriented(self.geometry)  # the Green's function's aspect rule
         _check_wavenumbers(self.geometry, self.grid)
         for t in self._terms:
             t.divisor.check_separated(self.geometry)
@@ -212,6 +210,52 @@ class _VortexModel:
             raise Unsolvable(
                 f"weights {weights} lack mixed signs; with w = 2 pi d eps^2 / volume + tau, {exc}"
             ) from None
+        _probe_region(self.geometry, tuple(p.point for p in self._points))
+
+    @cached_property
+    def _points(self) -> tuple[PointInfo, ...]:
+        """Divisor points of all terms, merged where they lie within
+        ``_MIN_SEPARATION``, with per-sign multiplicities."""
+        merged: list[list] = []  # [point, m_plus, m_minus]
+        for t in self._terms:
+            for pt, m in t.divisor:
+                for entry in merged:
+                    if _point_distance(self.geometry, entry[0], pt) < _MIN_SEPARATION:
+                        entry[1 if t.weight > 0 else 2] += m
+                        break
+                else:
+                    merged.append([pt, m, 0] if t.weight > 0 else [pt, 0, m])
+        return tuple(
+            PointInfo(i, pt, mp, mm, *self._expected(mp, mm))
+            for i, (pt, mp, mm) in enumerate(merged)
+        )
+
+    @cached_property
+    def _windows(self) -> tuple[tuple[float, float, list], ...]:
+        """Per point, ``(r_inner, r_outer, other points)`` of its stationary
+        mass window: ``r_outer`` just inside the distance to the nearest other
+        point or the injectivity radius, ``r_inner`` at half of it. Every
+        core shrinks with epsilon (derivations §4), so a window that does not
+        shrink captures the whole mass as eps -> 0."""
+        windows = []
+        for info in self._points:
+            others = [p.point for p in self._points if p.index != info.index]
+            reach = [_point_distance(self.geometry, info.point, q) for q in others]
+            r_outer = 0.95 * min(reach + [self.geometry.injectivity_radius])
+            windows.append((0.5 * r_outer, r_outer, others))
+        return tuple(windows)
+
+    def _check_windows(self, grid: GridSpec) -> None:
+        """Raise :class:`OverlappingBump` when a window's ``r_inner``, which is
+        also the bump's transition width, is below two cells of ``grid``:
+        the grid cannot resolve it."""
+        two_cells = 2.0 * max(grid.spacing(self.geometry))
+        for info, (r_inner, _, _) in zip(self._points, self._windows):
+            if r_inner < two_cells:
+                raise OverlappingBump(
+                    f"mass window of {info.point} has r_inner={r_inner:.4g}, "
+                    f"below two grid cells ({two_cells:.4g}); a point lies too close"
+                )
 
     @cached_property
     def _coefficients(self) -> tuple:
@@ -247,8 +291,8 @@ class _VortexModel:
         """Distance of ``f``, on this spec's grid, to the epsilon = 0 limit."""
         return f - self._limit
 
-    def _order_fits(self, points) -> list[float | None]:
-        return [None] * len(points)
+    def _order_fits(self) -> list[float | None]:
+        return [None] * len(self._points)
 
     def _initial_guess(self, previous: KWSolution | None, config: SolverConfig) -> _Start:
         """Newton start of this spec: the previous solution resampled onto
@@ -508,17 +552,16 @@ class MixedVortexSpec(_VortexModel):
             return super()._expected(m_plus, m_minus)
         return 0.5 * (m_plus - m_minus), 0.5 * (m_plus + m_minus)
 
-    def _order_fits(self, points) -> list[float | None]:
+    def _order_fits(self) -> list[float | None]:
         """Fits on the ``ORDER_FIT_RADII`` rings; ``None`` at a point whose
         rings reach past the ``r_inner`` of its mass window, toward a
         neighbour's core, or whose fit degenerates."""
         if self.tau != 0:
-            return super()._order_fits(points)
+            return super()._order_fits()
         evaluator = mixed_limit_phi_sq(self)
         fits: list[float | None] = []
-        for info in points:
-            others = [p.point for p in points if p.index != info.index]
-            if _mass_window(self.geometry, info.point, others)[0] < ORDER_FIT_RADII[1]:
+        for info, (r_inner, _, _) in zip(self._points, self._windows):
+            if r_inner < ORDER_FIT_RADII[1]:
                 fits.append(None)
                 continue
             try:
@@ -601,7 +644,7 @@ class Reconstruction:
 def reconstruct(spec, f: ScalarField) -> Reconstruction:
     """Recover |phi|^2 fields and the curvature function from ``f``,
     a solution of the reduced problem of ``spec``."""
-    return _reconstruction(spec, f, _phi_sq(spec, f), None)
+    return _reconstruction(spec, f, laplacian(f))
 
 
 def _phi_sq(spec, f: ScalarField) -> list[ScalarField]:
@@ -613,12 +656,11 @@ def _phi_sq(spec, f: ScalarField) -> list[ScalarField]:
     ]
 
 
-def _reconstruction(spec, f, phi_sq, spectrum: np.ndarray | None, lap=None) -> Reconstruction:
-    """The curvature function from ``f`` (its Laplacian ``lap`` or its half
-    spectrum ``spectrum``, if the caller has them), alongside ``phi_sq``."""
+def _reconstruction(spec, f, lap: ScalarField) -> Reconstruction:
+    """The |phi|^2 fields of ``f`` and its curvature function, from its
+    Laplacian ``lap``."""
+    phi_sq = _phi_sq(spec, f)
     background = 2.0 * math.pi * float(spec.degree) / spec.geometry.volume
-    if lap is None:
-        lap = laplacian(f, spectrum)
     geometric = constant_field(spec.geometry, spec.grid, background) - 0.5 * lap
     return Reconstruction(phi_sq, *spec._curvature(phi_sq, geometric))
 
@@ -638,20 +680,24 @@ _ORDER_FIT_SAMPLES = (12, 32)
 _PROBE_GRID = GridSpec(64, 64)
 
 
-def _mass_window(geometry, point, others) -> tuple[float, float]:
-    """(r_inner, r_outer) of the stationary window around ``point``.
+def _outside_discs(geometry, grid: GridSpec, centers) -> RegionMask:
+    """The ``MASK_RADIUS`` region on ``grid``, outside the closed discs of
+    that radius about ``centers``, where ``sup_deviation`` and the interior
+    bounds are read; :class:`ValidationError` if it has no sample."""
+    mask = RegionMask.excluding_discs(geometry, grid, centers, MASK_RADIUS)
+    if not mask.weights.any():
+        raise ValidationError(
+            f"no sample of the {grid.nx}x{grid.ny} grid lies outside the MASK_RADIUS = "
+            f"{MASK_RADIUS:g} discs about the divisor points, the region the diagnostics read"
+        )
+    return mask
 
-    ``r_outer`` sits just inside the distance to the nearest other point
-    or the injectivity radius, ``r_inner`` at half of it. Every preset's
-    core shrinks with epsilon (classical cores on the scale eps, mixed and
-    generalized ones on the slower eps^(2/(s+2)); derivations §4), so a
-    window that does not shrink captures the whole mass as eps -> 0.
-    """
-    reach = geometry.injectivity_radius
-    for q in others:
-        reach = min(reach, _point_distance(geometry, point, q))
-    r_outer = 0.95 * reach
-    return 0.5 * r_outer, r_outer
+
+@functools.lru_cache(maxsize=4)
+def _probe_region(geometry, centers: tuple) -> RegionMask:
+    """:func:`_outside_discs` on the ``_PROBE_GRID`` lattice. Every copy of a
+    spec admits it and every stage reads it, so the last few are kept."""
+    return _outside_discs(geometry, _PROBE_GRID, centers)
 
 
 def curvature_mass(
@@ -833,18 +879,18 @@ class PointInfo:
 class DiagnosticsReport:
     """Per-epsilon measurements against the adiabatic-limit predictions.
 
-    ``curvature_masses`` holds one entry per divisor point, measured in
-    the point's stationary bump window; ``identity_residuals``
-    the integrated-equation residuals; ``order_fits`` the fitted vanishing
-    orders, filled only where requested (sweeps fit at the final stage).
-    The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are the uniform
-    interior bound probes on the divisor-excluding region. ``grid`` is
+    ``curvature_masses`` holds one entry per point of the spec's
+    ``_points``, measured in its bump window of ``_windows``;
+    ``identity_residuals`` the integrated-equation residuals; ``order_fits``
+    the fitted vanishing orders, filled only where requested (sweeps fit at
+    the final stage). The ``sup_f``/``sup_grad_f``/``l2_exp_*`` columns are
+    the uniform interior bound probes on the ``MASK_RADIUS`` region. ``grid`` is
     the grid of the solve, which every measurement samples but
     ``sup_deviation``: a sup over samples would move with the grid, so
     it samples the solution's trigonometric interpolant on the fixed
     ``_PROBE_GRID`` lattice instead.
-    ``spectral_tail`` is the resolution certificate of the solution
-    (:func:`vortexlab.fields.spectral_tail`, at most ``TAIL_TOL``).
+    ``spectral_tail`` is the resolution certificate that the solve
+    measured (:attr:`KWSolution.spectral_tail`, at most ``TAIL_TOL``).
     ``crosscheck_gap`` is ``sup|curvature - curvature_crosscheck|`` of the
     classical model, ``residual_sup / (2 eps^2)`` up to roundoff
     (derivations §3), and None for the other models. It, ``newton``, the
@@ -886,62 +932,6 @@ class SweepReport:
     final_spec: object | None = None
 
 
-def _spec_points(spec) -> list[PointInfo]:
-    """Divisor points of all terms merged, with per-sign multiplicities."""
-    merged: list[list] = []  # [point, m_plus, m_minus]
-    for t in spec._terms:
-        for pt, m in t.divisor:
-            for entry in merged:
-                if _point_distance(spec.geometry, entry[0], pt) < 1e-9:
-                    entry[1 if t.weight > 0 else 2] += m
-                    break
-            else:
-                merged.append([pt, m, 0] if t.weight > 0 else [pt, 0, m])
-    return [
-        PointInfo(i, pt, mp, mm, *spec._expected(mp, mm))
-        for i, (pt, mp, mm) in enumerate(merged)
-    ]
-
-
-def _mass_windows(spec, points, grid: GridSpec | None = None) -> list[tuple[float, float, list]]:
-    """Per point, ``(r_inner, r_outer, other points)`` of its mass window.
-
-    Raises :class:`OverlappingBump` when a window's ``r_inner``, which is
-    also the bump's transition width, is below two cells of ``grid``
-    (the spec's own by default): the grid cannot resolve it. The windows
-    depend on the points and the grid alone, so a stage checks them before
-    it solves.
-    """
-    two_cells = 2.0 * max((grid or spec.grid).spacing(spec.geometry))
-    windows = []
-    for info in points:
-        others = [p.point for p in points if p.index != info.index]
-        r_inner, r_outer = _mass_window(spec.geometry, info.point, others)
-        if r_inner < two_cells:
-            raise OverlappingBump(
-                f"mass window of {info.point} has r_inner={r_inner:.4g}, "
-                f"below two grid cells ({two_cells:.4g}); a point lies too close"
-            )
-        windows.append((r_inner, r_outer, others))
-    return windows
-
-
-def _stage_masses(spec, recon, points) -> list[float]:
-    """Per-point curvature masses in the stationary windows."""
-    return [
-        curvature_mass(recon.curvature, info.point, *window)
-        for info, window in zip(points, _mass_windows(spec, points))
-    ]
-
-
-def _crosscheck_gap(recon: Reconstruction) -> float | None:
-    """Sup distance between the curvature and its cross-check, if any."""
-    if recon.curvature_crosscheck is None:
-        return None
-    gap = recon.curvature.values - recon.curvature_crosscheck.values
-    return float(np.abs(gap, out=gap).max())
-
-
 def _on_lattice(
     f: ScalarField, grid: GridSpec, spectrum: np.ndarray | None = None
 ) -> ScalarField:
@@ -959,73 +949,64 @@ def _on_lattice(
     return _adopted(ScalarField, f.geometry, grid, f.values[::kx, ::ky].copy())
 
 
-def _outside_discs(spec, points) -> RegionMask:
-    """The region of the grid of ``spec`` outside the ``MASK_RADIUS`` discs
-    around ``points``."""
-    if not points:
-        return RegionMask.full(spec.geometry, spec.grid)
-    return RegionMask.excluding_discs(
-        spec.geometry, spec.grid, [p.point for p in points], MASK_RADIUS
-    )
+def diagnostics_report(spec, solution: KWSolution) -> tuple[DiagnosticsReport, Reconstruction]:
+    """Single-epsilon diagnostics row of ``solution`` and its reconstruction;
+    see :func:`adiabatic_sweep`.
 
-
-def diagnostics_report(spec, solution: KWSolution, spectrum=None, tail=None, lap=None):
-    """Single-epsilon diagnostics row; see :func:`adiabatic_sweep`.
-
-    ``spectrum`` is ``rfft2`` of the solution when the caller has it;
-    otherwise it is taken here, once. The curvature's Laplacian, unless
-    the caller passes it as ``lap``, the interior gradient, the probe
-    samples of ``sup_deviation`` and the spectral tail, unless the caller
-    passes it as ``tail``, all read it.
-    Every diagnostic but ``sup_deviation`` samples the grid of the solve;
-    that one samples the spec's ``_probe`` lattice, which a sweep's stages
-    share with its coefficients and its limit.
+    It takes the solution's final transforms (:meth:`KWSolution._take_final`):
+    the Laplacian for the curvature, the half spectrum for the interior
+    gradient and the probe samples of ``sup_deviation``; the spectral tail
+    is the solution's own. Every diagnostic but ``sup_deviation`` samples
+    the grid of the solve; that one samples the spec's ``_probe`` lattice,
+    which a sweep's stages share with its coefficients and its limit.
     """
-    f = solution.f
-    if spectrum is None:
-        spectrum = _rfft2(f.values)
-    if tail is None:
-        tail = spectral_tail(f, spectrum)
-    points = _spec_points(spec)
+    f, centers = solution.f, tuple(p.point for p in spec._points)
+    spectrum, lap = solution._take_final()
     # A sup over samples moves with the grid, so the deviation is read on
     # the fixed probe lattice: a function of the solution alone.
-    probe = spec._probe
-    deviation = probe._deviation(_on_lattice(f, _PROBE_GRID, spectrum))
-    sup_dev = sup_norm(deviation, _outside_discs(probe, points))
-    bounds = interior_bounds(f, _outside_discs(spec, points), spectrum)
-    recon = _reconstruction(spec, f, _phi_sq(spec, f), spectrum, lap)
+    deviation = spec._probe._deviation(_on_lattice(f, _PROBE_GRID, spectrum))
+    sup_dev = sup_norm(deviation, _probe_region(spec.geometry, centers))
+    bounds = interior_bounds(f, _outside_discs(spec.geometry, spec.grid, centers), spectrum)
+    recon = _reconstruction(spec, f, lap)
+    gap = None
+    if recon.curvature_crosscheck is not None:
+        gap = recon.curvature.values - recon.curvature_crosscheck.values
+        gap = float(np.abs(gap, out=gap).max())
+    masses = [
+        curvature_mass(recon.curvature, info.point, *window)
+        for info, window in zip(spec._points, spec._windows)
+    ]
     stage = DiagnosticsReport(
         epsilon=spec.epsilon,
         grid=spec.grid,
-        curvature_masses=_stage_masses(spec, recon, points),
+        curvature_masses=masses,
         sup_deviation=sup_dev,
         identity_residuals=_identities_of(spec, recon),
-        crosscheck_gap=_crosscheck_gap(recon),
-        order_fits=[None] * len(points),
-        spectral_tail=tail,
+        crosscheck_gap=gap,
+        order_fits=[None] * len(spec._points),
+        spectral_tail=solution.spectral_tail,
         newton=solution.newton,
         **bounds,
     )
-    return stage, points, recon
+    return stage, recon
 
 
 def _run_stage(report, spec, config, previous, t0, schedule=None) -> DiagnosticsReport:
     """Reduce, solve, certify and diagnose ``spec``; record it as the last stage.
 
     Each solve starts from the spec's ``_initial_guess`` of ``previous``,
-    once the mass windows have passed their check, and the stage records
-    how its first solve started. A solution whose spectral tail exceeds
-    ``TAIL_TOL`` is rejected. In a sweep (``schedule`` given) the stage
-    then solves again on ``schedule.finer`` of its grid, from the
-    rejected solution; without a schedule, or past ``max_grid``, it
-    raises :class:`UnderResolved`. Only the accepted solution is
-    diagnosed, on the grid it was solved on. The certificate and the
-    diagnostics read the transforms of the solve's final evaluation, which
-    are dropped with them, and no start outlives its solve.
+    and the stage records how its first solve started. The caller has
+    checked the spec's mass windows on its grid, which a finer grid
+    resolves too. A solution that fails :func:`_check_resolved` is
+    rejected. In a sweep (``schedule`` given) the stage then solves again
+    on ``schedule.finer`` of its grid, from the rejected solution, whose
+    final transforms are dropped first; without a schedule, or past
+    ``max_grid``, the :class:`UnderResolved` stands. Only the accepted
+    solution is diagnosed, on the grid it was solved on, and no start
+    outlives its solve.
     """
     rejected = []
     while True:
-        _mass_windows(spec, _spec_points(spec))
         # Reduced first: the reduction builds the spec's coefficients,
         # which a classical start reads.
         problem = reduce_any(spec)
@@ -1038,22 +1019,23 @@ def _run_stage(report, spec, config, previous, t0, schedule=None) -> Diagnostics
         init = [init]
         solution = kw_solve(problem, config, init=init)
         del problem
-        spectrum, lap = solution._take_final()
-        tail = spectral_tail(solution.f, spectrum)
-        finer = schedule.finer(spec.grid) if schedule and tail > TAIL_TOL else None
-        if finer is None:
-            _check_resolved(solution.f, tail)
+        try:
+            _check_resolved(solution)
             break
-        rejected.append(
-            {"grid": spec.grid, "spectral_tail": tail, "iterations": solution.iterations}
-        )
+        except UnderResolved:
+            finer = schedule.finer(spec.grid) if schedule else None
+            if finer is None:
+                raise
+        tail, iterations = solution.spectral_tail, solution.iterations
+        rejected.append({"grid": spec.grid, "spectral_tail": tail, "iterations": iterations})
+        solution._final = None  # its transforms go before the next solve
         spec, previous = _copy(spec, grid=finer), solution
-        del solution, spectrum, lap
-    stage, points, recon = diagnostics_report(spec, solution, spectrum, tail, lap)
+        del solution
+    stage, recon = diagnostics_report(spec, solution)
     stage.rejected = rejected
     stage.start = record
     stage.seconds = time.perf_counter() - t0
-    report.points = points
+    report.points = list(spec._points)
     report.stages.append(stage)
     report.final_solution = solution
     report.final_reconstruction = recon
@@ -1067,28 +1049,29 @@ def _stage_grid(schedule: ContinuationSchedule, spec, scale: float, floor=None) 
     ``r_inner`` spans two cells.
 
     Raises :class:`OverlappingBump` when even ``max_grid`` cannot resolve
-    a window.
+    a window, after the core scale has passed its own check.
     """
     grid = schedule.grid(spec.geometry, scale, floor)
-    finest = GridSpec(schedule.max_grid, schedule.max_grid)
-    windows = _mass_windows(spec, _spec_points(spec), finest)
-    if not windows:
-        return grid
+    spec._check_windows(GridSpec(schedule.max_grid, schedule.max_grid))
     # r_inner >= 2 h on both axes is the grid rule at scale 2 r_inner.
-    return schedule.grid(spec.geometry, 2.0 * min(w[0] for w in windows), grid)
+    r_inner = min((w[0] for w in spec._windows), default=math.inf)
+    return schedule.grid(spec.geometry, 2.0 * r_inner, grid)
 
 
 def _fit_final_orders(report: SweepReport) -> None:
-    report.order_fits = report.final_spec._order_fits(report.points)
+    report.order_fits = report.final_spec._order_fits()
     report.stages[-1].order_fits = list(report.order_fits)
 
 
 def solve_and_report(spec, config: SolverConfig = SolverConfig()) -> SweepReport:
     """Solve one spec from its ``_initial_guess`` and wrap the diagnostics
-    as a one-stage report. The spec's grid is fixed: a solution whose
-    spectral tail exceeds ``TAIL_TOL`` raises :class:`UnderResolved`."""
+    as a one-stage report. The spec's grid is fixed: a mass window that it
+    cannot resolve raises :class:`OverlappingBump` before any solve, and a
+    solution whose spectral tail exceeds ``TAIL_TOL`` raises
+    :class:`UnderResolved`."""
     t0 = time.perf_counter()
     report = SweepReport(kind=spec.kind, points=[], stages=[])
+    spec._check_windows(spec.grid)
     _run_stage(report, spec, config, None, t0)
     _fit_final_orders(report)
     return report

@@ -837,6 +837,49 @@ def test_unusable_torus_exits_before_any_solve(tmp_path, capsys, sides, points, 
     assert not out.exists()
 
 
+_NO_REGION = {
+    # Every sample of a 0.3 x 0.3 torus lies within 0.15 of one of two
+    # antipodal points, and every one of a 0.2 x 0.2 torus within 0.15 of one.
+    "mixed": """
+kind: mixed
+epsilon: 0.05
+grid: {nx: 64, ny: 64}
+geometry: {length_x: 0.3, length_y: 0.3}
+mixed:
+  divisor_plus: [{x: 0.075, y: 0.075, m: 1}]
+  divisor_minus: [{x: 0.225, y: 0.225, m: 1}]
+""",
+    "classical": """
+kind: classical
+epsilon: 0.02
+grid: {nx: 64, ny: 64}
+geometry: {length_x: 0.2, length_y: 0.2}
+classical:
+  divisor: [{x: 0.1, y: 0.1, m: 1}]
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NO_REGION))
+def test_spec_without_a_mask_radius_region_exits_before_any_solve(tmp_path, capsys, monkeypatch, kind):
+    # sup_deviation is read on the 64^2 probe lattice outside the
+    # MASK_RADIUS discs: a spec that leaves no sample there is refused at
+    # parse time (exit 2), and nothing is solved.
+    from vortexlab import vortex
+
+    def solve(*args, **kwargs):
+        raise AssertionError("kw_solve called")
+
+    monkeypatch.setattr(vortex, "kw_solve", solve)
+    message = "no sample of the 64x64 grid lies outside the MASK_RADIUS = 0.15 discs"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(_NO_REGION[kind])
+    out = tmp_path / "o"
+    assert main([kind, "--config", write_config(tmp_path, _NO_REGION[kind]), "--out", str(out)]) == 2
+    assert f"{kind}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kw_run_on_a_torus_too_small_for_its_grid_fails_typed(tmp_path):
     text = (
         "kind: kw\nepsilon: 0.5\ngrid: {nx: 16, ny: 16}\n"
@@ -1078,3 +1121,31 @@ sweep:
     svg = (out / "convergence.svg").read_text(encoding="ascii")
     assert svg.startswith("<svg") and "polyline" in svg
     assert not (out / "phi_sq_0.pgm").exists()
+
+
+@pytest.mark.parametrize("tau, errors", [(0.0, 3), (0.5, 0)])
+def test_sweep_svg_plots_one_vertex_per_stage(tmp_path, tau, errors):
+    # sup_deviation and the mass error |mass - expected| of each point with
+    # an expected mass; the minus point's mass is negative, its error is not.
+    # At tau != 0 no mass is expected and only sup_deviation is drawn.
+    cfg_path = write_config(
+        tmp_path,
+        f"""
+kind: sweep
+outputs: {{csv: false, heatmaps: false, svg: true}}
+mixed:
+  divisor_plus: [{{x: 0.25, y: 0.25, m: 1}}, {{x: 0.75, y: 0.75, m: 1}}]
+  divisor_minus: [{{x: 0.75, y: 0.25, m: 1}}]
+  tau: {tau}
+sweep:
+  epsilons: [0.4, 0.2, 0.1]
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    svg = (out / "convergence.svg").read_text(encoding="ascii")
+    lines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(lines) == 1 + errors
+    assert all(len(line.split()) == len(manifest["stages"]) == 3 for line in lines)
+    assert svg.count(">mass_error_") == errors

@@ -120,7 +120,7 @@ def _zero_eps_problem():
             id="tau-high-reflected",
         ),
         pytest.param(
-            lambda: sup_norm(ONE, RegionMask.full(UNIT, GridSpec(16, 16))),
+            lambda: sup_norm(ONE, RegionMask.excluding_discs(UNIT, GridSpec(16, 16), [], 0.1)),
             "incompatible geometry/grid",
             id="grid-mismatch",
         ),

@@ -161,7 +161,8 @@ def test_region_mask_validation():
     nan_at_one[0, 0] = np.nan
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         RegionMask(UNIT, grid, nan_at_one)
-    assert (RegionMask.full(UNIT, grid).weights == 1.0).all()
+    # With no discs to exclude, the region is the whole torus.
+    assert (RegionMask.excluding_discs(UNIT, grid, [], 0.1).weights == 1.0).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -402,7 +403,7 @@ def test_integrate_scales_with_volume():
 
 def test_l2_norm_of_sine_is_sqrt_half():
     f = unit_field(32, lambda X, Y: np.sin(2 * np.pi * X))
-    full = RegionMask.full(UNIT, GridSpec(32, 32))
+    full = RegionMask.excluding_discs(UNIT, GridSpec(32, 32), [], 0.1)
     assert abs(lp_norm(f, 2, full) - np.sqrt(0.5)) <= 1e-13
     assert abs(lp_norm(f, 2) - np.sqrt(0.5)) <= 1e-13
 
@@ -456,7 +457,7 @@ def test_empty_mask_errors():
 
 def test_norms_reject_mismatched_mask():
     f = constant_field(UNIT, GridSpec(8, 8), 1.0)
-    mask = RegionMask.full(UNIT, GridSpec(16, 16))
+    mask = RegionMask.excluding_discs(UNIT, GridSpec(16, 16), [], 0.1)
     with pytest.raises(ValidationError):
         lp_norm(f, 2, mask)
     with pytest.raises(ValidationError):
@@ -608,7 +609,7 @@ def test_operators_write_every_transform_into_its_buffer(monkeypatch):
     _squared_gradient(f)
     dirichlet_energy(f)
     spectral_tail(f)
-    resample(f, GridSpec(24, 16))
+    resample(f, GridSpec(24, 32))
     assert {name for name, _ in calls} == {"rfft", "irfft"}
     assert all(wrote for _, wrote in calls), calls
 
@@ -741,14 +742,22 @@ def test_cutoff_ratio_empty_floor():
 # Resampling
 
 
-def test_resample_round_trip_band_limited():
+def test_resample_refines_band_limited_fields_exactly():
+    # Each refinement of a band-limited field samples its closed form.
     poly = random_trig(seed=41, n_modes=6, kmax=5)
-    f32 = poly.field(UNIT, GridSpec(32, 32))
-    up = resample(f32, GridSpec(64, 64))
-    exact = poly.field(UNIT, GridSpec(64, 64))
-    assert np.abs(up.values - exact.values).max() <= 1e-11
-    back = resample(up, GridSpec(32, 32))
-    assert np.abs(back.values - f32.values).max() <= 1e-11
+    f = poly.field(UNIT, GridSpec(16, 16))
+    for grid in (GridSpec(32, 32), GridSpec(64, 64)):
+        up = resample(f, grid)
+        assert np.abs(up.values - poly.field(UNIT, grid).values).max() <= 1e-11
+        f = up
+
+
+@pytest.mark.parametrize("grid", [GridSpec(8, 8), GridSpec(32, 8), GridSpec(8, 32)])
+def test_resample_refuses_a_coarser_axis(grid):
+    # Only refinement keeps the interpolant; a coarser axis would fold modes.
+    f = random_field(UNIT, GridSpec(16, 16), seed=7)
+    with pytest.raises(ValidationError, match="resample only refines: 16x16 to"):
+        resample(f, grid)
 
 
 def test_resample_identity_grid():
@@ -763,30 +772,29 @@ def test_resample_preserves_mean():
     assert integrate(up) == pytest.approx(integrate(f), abs=1e-12)
 
 
-def test_resample_non_square_round_trip():
-    # Up along x, down along y and back; the polynomial is band-limited
-    # to the coarser axis of every grid.
+def test_resample_non_square_refines_each_axis():
+    # Up along x alone, along y alone and along both, from a non-square grid;
+    # the polynomial is band-limited to the source grid.
     poly = random_trig(seed=43, n_modes=8, kmax=5)
     a = poly.field(UNIT, GridSpec(16, 32))
-    b = resample(a, GridSpec(32, 16))
-    assert np.abs(b.values - poly.field(UNIT, GridSpec(32, 16)).values).max() <= 1e-11
-    back = resample(b, GridSpec(16, 32))
-    assert np.abs(back.values - a.values).max() <= 1e-11
+    for grid in (GridSpec(48, 32), GridSpec(16, 40), GridSpec(32, 64)):
+        b = resample(a, grid)
+        assert np.abs(b.values - poly.field(UNIT, grid).values).max() <= 1e-11
 
 
-def test_resample_non_square_nyquist_split_and_fold():
-    # Both Nyquist modes of a 16 x 24 grid: upsampling splits each into a
-    # cosine, and downsampling folds the y pair (at kx = +-1) back.
+def test_resample_non_square_nyquist_split():
+    # Both Nyquist modes of a 16 x 24 grid: refining splits each into a
+    # cosine, the y pair at kx = +-1 included.
     geo = TorusGeometry(1.0, 2.0)
 
     def fn(X, Y):
         return np.cos(16 * np.pi * X) + np.cos(12 * np.pi * Y) * np.sin(2 * np.pi * X)
 
     f = field_from_function(geo, GridSpec(16, 24), fn)
-    up = resample(f, GridSpec(24, 40))
-    exact = field_from_function(geo, GridSpec(24, 40), fn)
-    assert np.abs(up.values - exact.values).max() <= 1e-11
-    assert np.abs(resample(up, GridSpec(16, 24)).values - f.values).max() <= 1e-11
+    for grid in (GridSpec(24, 40), GridSpec(16, 48), GridSpec(32, 24)):
+        up = resample(f, grid)
+        exact = field_from_function(geo, grid, fn)
+        assert np.abs(up.values - exact.values).max() <= 1e-11
 
 
 def test_no_complex_full_spectrum_transform(monkeypatch):
@@ -803,7 +811,7 @@ def test_no_complex_full_spectrum_transform(monkeypatch):
     stage = solve_and_report(spec).stages[0]
     assert stage.newton.iterations >= 1
     f = random_field(UNIT, GridSpec(16, 24), seed=3)
-    assert resample(f, GridSpec(24, 16)).grid == GridSpec(24, 16)
+    assert resample(f, GridSpec(24, 32)).grid == GridSpec(24, 32)
     assert {name for name, _ in calls} == {"rfft", "irfft"}
 
 
@@ -866,7 +874,7 @@ def test_operators_read_a_given_spectrum_bit_for_bit(monkeypatch):
     f = random_field(UNIT, GridSpec(16, 24), seed=11)
     spectrum = np.fft.rfft2(f.values)
     kept = spectrum.copy()
-    grids = (GridSpec(24, 16), GridSpec(16, 48), GridSpec(32, 24), GridSpec(8, 8))
+    grids = (GridSpec(24, 24), GridSpec(16, 48), GridSpec(32, 24), GridSpec(24, 32))
     expected = (laplacian(f), _squared_gradient(f), spectral_tail(f))
     resampled = [resample(f, grid) for grid in grids]
     calls = record_transforms(monkeypatch)

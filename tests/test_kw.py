@@ -41,7 +41,7 @@ from vortexlab.errors import (
     Unsolvable,
     ValidationError,
 )
-from vortexlab.fields import _squared_gradient
+from vortexlab.fields import _squared_gradient, spectral_tail
 from vortexlab.kw import (
     Classification,
     KWProblem,
@@ -475,6 +475,21 @@ def test_solution_residual_is_that_of_a_fresh_evaluation(problem):
     fresh = kw_residual(problem, sol.f)
     assert sol.residual_sup == sup_norm(fresh) <= SolverConfig().newton_tol
     assert sol.residual_l2 == lp_norm(fresh, 2)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: bumpy_two_sided(GridSpec(32, 32), w=0.4),
+        lambda: one_sided_plus(GridSpec(32, 32)),
+    ],
+    ids=["two_sided", "one_sided"],
+)
+def test_solution_measures_its_own_spectral_tail(problem):
+    # The certificate reads the half spectrum of the fresh evaluation that
+    # decided convergence: bit for bit the tail of the returned field.
+    sol = kw_solve(problem())
+    assert sol.spectral_tail == spectral_tail(sol.f) > 0.0
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.125])
@@ -955,7 +970,7 @@ def test_interior_bounds_default_to_whole_torus():
     grid = GridSpec(16, 16)
     f = kw_solve(symmetric_problem(grid, epsilon=0.3, w=0.2)).f
     row = interior_bounds(f)
-    assert row == interior_bounds(f, RegionMask.full(UNIT, grid))
+    assert row == interior_bounds(f, RegionMask.excluding_discs(UNIT, grid, [], 0.1))
     assert np.isfinite(row["l2_exp_minus"])
 
 

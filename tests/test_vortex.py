@@ -378,18 +378,20 @@ def _sweep_mixed_spec(eps, n):
 def test_stage_diagnostics_transform_the_solution_once(monkeypatch, kind):
     spec = classical([(0.3, 0.6)], [1], 0.2, n=32) if kind == "classical" else mixed_pair_spec(0.2, n=32)
     sol = kw_solve(reduce_any(spec))
+    held = dataclasses.replace(sol)  # a copy holds no final transforms
     calls = record_transforms(monkeypatch)
-    stage, _, recon = diagnostics_report(spec, sol)
-    # The tail, the curvature's Laplacian and the interior gradient share it.
-    assert [name for name, _ in calls].count("rfft") == 1
-    assert stage.spectral_tail == spectral_tail(sol.f)
+    stage, recon = diagnostics_report(spec, sol)
+    # The curvature and the interior gradient read the solve's own final
+    # transforms, and the tail is the solve's: no forward transform runs.
+    assert [name for name, _ in calls].count("rfft") == 0
+    assert stage.spectral_tail == sol.spectral_tail == spectral_tail(sol.f)
     assert np.array_equal(recon.curvature.values, reconstruct(spec, sol.f).curvature.values)
-    # A given spectrum gives the same report and is only read, though the
-    # inverse transforms overwrite theirs.
-    spectrum = np.fft.rfft2(sol.f.values)
-    kept = spectrum.copy()
-    assert diagnostics_report(spec, sol, spectrum)[0] == stage
-    assert np.array_equal(spectrum, kept)
+    # Once they are taken, or on a copy, the solution is transformed once
+    # afresh, to the same report.
+    for again in (sol, held):
+        calls.clear()
+        assert diagnostics_report(spec, again)[0] == stage
+        assert [name for name, _ in calls].count("rfft") == 1
 
 
 def test_curvature_mass_additivity(classical_d2_small):
@@ -490,6 +492,18 @@ def test_mass_window_below_two_grid_cells_fails_the_stage():
     assert "below two grid cells" in report.error["message"]
 
 
+def test_empty_region_on_the_stage_grid_fails_with_the_mask_radius_message():
+    # Five samples of the 64^2 probe lattice near the point's antipode lie
+    # outside its MASK_RADIUS disc, but none of the 32^2 grid of the solve,
+    # where the interior bounds are read.
+    geometry = TorusGeometry(0.216, 0.216)
+    point = Divisor(((0.111375, 0.111375),), (1,))
+    spec = ClassicalVortexSpec(geometry, GridSpec(32, 32), point, 0.05)
+    message = "no sample of the 32x32 grid lies outside the MASK_RADIUS = 0.15 discs"
+    with pytest.raises(ValidationError, match=message):
+        solve_and_report(spec)
+
+
 @pytest.fixture
 def solved_grids(monkeypatch):
     """The grid of every Newton solve that the models run."""
@@ -565,18 +579,46 @@ def _far_mixed_pair(eps):
     return MixedVortexSpec(UNIT, GridSpec(16, 16), plus, minus, epsilon=eps)
 
 
-def test_sweep_stage_takes_one_spectral_tail_per_solve(monkeypatch):
-    # The tail that certifies a solve is the one its stage records; the
-    # diagnostics do not take it again.
+def test_sweep_stage_takes_one_spectral_tail_per_solve(monkeypatch, solved_grids):
+    # Each solve measures its own tail, and the stage records the ones that
+    # certified and rejected its solves; the diagnostics take none.
     tails = []
     monkeypatch.setattr(
-        vortex_module,
+        kw_module,
         "spectral_tail",
         lambda *a, **k: tails.append(spectral_tail(*a, **k)) or tails[-1],
     )
     report = adiabatic_sweep(_far_mixed_pair(0.2), ContinuationSchedule((0.2,), max_grid=32))
     (stage,) = report.stages
+    assert len(solved_grids) == 2
     assert tails == [stage.rejected[0]["spectral_tail"], stage.spectral_tail]
+    assert stage.spectral_tail == report.final_solution.spectral_tail
+
+
+def test_sweep_stage_checks_its_windows_once_before_its_first_solve(monkeypatch):
+    # The stage grid's check on max_grid covers every finer grid that the
+    # certificate moves to, so the rejected 16^2 solve is not followed by
+    # another check.
+    events = []
+    check = vortex_module._VortexModel._check_windows
+
+    def checking(spec, grid):
+        events.append(("check", grid))
+        return check(spec, grid)
+
+    def solving(problem, *args, **kwargs):
+        events.append(("solve", problem.grid))
+        return kw_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(vortex_module._VortexModel, "_check_windows", checking)
+    monkeypatch.setattr(vortex_module, "kw_solve", solving)
+    report = adiabatic_sweep(_far_mixed_pair(0.2), ContinuationSchedule((0.2,), max_grid=32))
+    raise_if_failed(report)
+    assert events == [
+        ("check", GridSpec(32, 32)),
+        ("solve", GridSpec(16, 16)),
+        ("solve", GridSpec(32, 32)),
+    ]
 
 
 def test_sweep_stage_doubles_an_under_resolved_grid(solved_grids):
@@ -787,13 +829,14 @@ def test_classical_sweep_stages_are_independent():
 
 
 def test_mixed_start_is_the_resampled_previous_solution(mixed_pair):
-    spec, sol = mixed_pair
+    spec, _ = mixed_pair
     coarse = _copy(spec, grid=GridSpec(64, 64))
     # Without a previous solution, the probe lattice's own grid starts from zero.
     assert coarse._initial_guess(None, SolverConfig()) == (None, None)
-    start = coarse._initial_guess(sol, SolverConfig())
+    previous = kw_solve(reduce_any(coarse))
+    start = spec._initial_guess(previous, SolverConfig())
     assert start.record is None
-    assert np.array_equal(start.f.values, resample(sol.f, coarse.grid).values)
+    assert np.array_equal(start.f.values, resample(previous.f, spec.grid).values)
 
 
 def _generalized_spec(eps, n):
@@ -1038,7 +1081,7 @@ def test_order_fit_stays_inside_the_mass_window(gap, fitted):
         Divisor(((0.3 + gap, 0.3),), (1,)),
         epsilon=0.05,
     )
-    fits = spec._order_fits(vortex_module._spec_points(spec))
+    fits = spec._order_fits()
     if fitted:
         assert all(abs(v - 0.5) <= 0.05 * 0.5 for v in fits)
     else:
@@ -1352,7 +1395,7 @@ def test_sweep_stage_is_diagnosed_on_its_solve_grid(eps, n):
     (stage,) = report.stages
     assert stage.grid == report.final_spec.grid == GridSpec(n, n)
     fresh = _copy(_far_mixed_pair(eps), grid=GridSpec(n, n))
-    ref, _, _ = diagnostics_report(fresh, report.final_solution)
+    ref, _ = diagnostics_report(fresh, report.final_solution)
     for name in ("sup_deviation", "sup_f", "sup_grad_f", "l2_exp_plus", "l2_exp_minus"):
         assert getattr(stage, name) == pytest.approx(getattr(ref, name), abs=1e-10)
     assert stage.spectral_tail == pytest.approx(ref.spectral_tail, abs=1e-12)
