@@ -25,15 +25,14 @@ from .errors import (
 )
 from .fields import (
     GridSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     constant_field,
     cutoff_ratio_sup,
     dirichlet_energy,
     integrate,
+    l2_norm,
     laplacian,
-    lp_norm,
     resample,
     solve_linearized,
     spectral_tail,

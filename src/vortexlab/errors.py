@@ -2,7 +2,7 @@
 
 A class exists only for a failure some caller branches on. Every bad
 argument (a value outside its documented domain, mismatched grids, an
-empty mask, a non-positive potential, out-of-range radii or modulus)
+empty region, a non-positive potential, out-of-range radii or modulus)
 raises ValidationError, which is also a ValueError. A VortexLabError is
 an expected failure; anything else is a programming error and propagates.
 """

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "TorusGeometry",
     "GridSpec",
     "ScalarField",
-    "RegionMask",
     "torus_displacement",
     "constant_field",
     "laplacian",
@@ -36,7 +35,7 @@ __all__ = [
     "dirichlet_energy",
     "solve_linearized",
     "integrate",
-    "lp_norm",
+    "l2_norm",
     "sup_norm",
     "cutoff_ratio_sup",
     "resample",
@@ -93,16 +92,16 @@ def _finite(value, name: str = "field values") -> float:
     return value
 
 
-def _adopted(cls, geometry: TorusGeometry, grid: GridSpec, samples: np.ndarray):
-    """A ``cls`` (ScalarField or RegionMask) that adopts ``samples``.
+def _adopted(geometry: TorusGeometry, grid: GridSpec, samples: np.ndarray) -> "ScalarField":
+    """A :class:`ScalarField` that adopts ``samples``.
 
     The array is frozen in place, not copied, and not checked: only for an
     array that the package has just built from checked data, and keeps no
     other reference to.
     """
     samples.flags.writeable = False
-    new = object.__new__(cls)
-    for name, value in zip((f.name for f in fields(cls)), (geometry, grid, samples)):
+    new = object.__new__(ScalarField)
+    for name, value in (("geometry", geometry), ("grid", grid), ("values", samples)):
         object.__setattr__(new, name, value)
     return new
 
@@ -137,7 +136,7 @@ class ScalarField:
         that the caller has just computed from checked data and keeps no
         other reference to. :func:`vortexlab.kw.kw_solve` checks each
         Newton iterate once."""
-        return _adopted(ScalarField, self.geometry, self.grid, values)
+        return _adopted(self.geometry, self.grid, values)
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -172,44 +171,6 @@ class ScalarField:
 
     def max(self) -> float:
         return float(self.values.max())
-
-
-@dataclass(frozen=True)
-class RegionMask:
-    """Quadrature weights in [0, 1] marking a region of the torus."""
-
-    geometry: TorusGeometry
-    grid: GridSpec
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, order="C")
-        if w.shape != (self.grid.nx, self.grid.ny):
-            raise ValidationError("mask shape does not match grid")
-        if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails too
-            raise ValidationError("mask weights must lie in [0, 1]")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def excluding_discs(
-        cls,
-        geometry: TorusGeometry,
-        grid: GridSpec,
-        centers: Iterable[tuple[float, float]],
-        radius: float,
-    ) -> "RegionMask":
-        """Indicator of the complement of closed discs around ``centers``
-        (the whole torus when there are none).
-
-        Each disc is cleared inside the index box that holds it, so the
-        only full grid built is the mask itself.
-        """
-        w = np.ones((grid.nx, grid.ny))
-        for c in centers:
-            for box, dx, dy in _disc_blocks(geometry, grid, c, radius):
-                w[box] *= _distance(dx, dy) > radius
-        return _adopted(cls, geometry, grid, w)
 
 
 def _check_compatible(a, b) -> None:
@@ -264,10 +225,11 @@ def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _axis_runs(offsets: np.ndarray, radius: float) -> list[slice]:
     """The indices along one axis whose offset is at most ``radius``, as
     slices: one run, or two where the run crosses the seam (none when no
-    offset is within ``radius``)."""
-    idx = np.flatnonzero(np.abs(offsets) <= radius)
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    return [slice(int(run[0]), int(run[-1]) + 1) for run in runs if run.size]
+    offset is within ``radius``). The runs lie between the indices where
+    that test changes its answer."""
+    near = np.abs(offsets) <= radius
+    cuts = [0, *(np.flatnonzero(near[1:] != near[:-1]) + 1).tolist(), near.size]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if near[a]]
 
 
 def _disc_blocks(geometry: TorusGeometry, grid: GridSpec, center, radius: float):
@@ -287,10 +249,26 @@ def _disc_blocks(geometry: TorusGeometry, grid: GridSpec, center, radius: float)
     return [((r, c), dx[r], dy[:, c]) for r in rows for c in cols]
 
 
+def _excluding_discs(geometry: TorusGeometry, grid: GridSpec, centers, radius: float) -> np.ndarray:
+    """The region outside the closed discs of ``radius`` about ``centers``
+    (the whole torus when there are none): a frozen boolean array of the
+    grid's shape, True where a sample counts.
+
+    Each disc is cleared inside the boxes that hold it, so the only grid
+    built is the region itself, one byte per sample.
+    """
+    inside = np.ones((grid.nx, grid.ny), dtype=bool)
+    for c in centers:
+        for box, dx, dy in _disc_blocks(geometry, grid, c, radius):
+            inside[box] &= _distance(dx, dy) > radius
+    inside.flags.writeable = False
+    return inside
+
+
 def constant_field(geometry: TorusGeometry, grid: GridSpec, value: float) -> ScalarField:
     """``value`` everywhere, one checked scalar broadcast to the grid: it holds no grid."""
     samples = np.broadcast_to(_finite(value), (grid.nx, grid.ny))
-    return _adopted(ScalarField, geometry, grid, samples)
+    return _adopted(geometry, grid, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -447,40 +425,52 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.mean()) * f.geometry.volume
 
 
-def lp_norm(f: ScalarField, p: float, mask: RegionMask | None = None) -> float:
-    """(integral of mask * |f|^p)^(1/p) with the grid quadrature."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
-    if mask is not None:
-        _check_compatible(f, mask)
-        if float(mask.weights.sum()) == 0.0:
-            raise ValidationError("mask has zero area")
+def _check_region(f: ScalarField, inside: np.ndarray) -> None:
+    """Refuse a region that is not of the grid's shape or has no sample."""
+    if inside.shape != f.values.shape:
+        raise ValidationError(f"region shape {inside.shape} does not match grid {f.values.shape}")
+    if not inside.any():
+        raise ValidationError("region has no sample")
+
+
+def l2_norm(f: ScalarField, inside: np.ndarray | None = None) -> float:
+    """(integral of |f|^2 over ``inside``)^(1/2) with the grid quadrature.
+
+    ``inside`` is a boolean array of the grid's shape, True where a sample
+    counts (every sample when omitted); it enters the quadrature as 0/1.
+    """
+    if inside is not None:
+        _check_region(f, inside)
     mag = np.abs(f.values)
-    # Factor out the largest sample so |f|^p cannot overflow when |f| does not.
+    # Factor out the largest sample so |f|^2 cannot overflow when |f| does not.
     scale = float(mag.max())
     if scale == 0.0:
         return 0.0
     mag /= scale
-    mag **= p
-    if mask is not None:
-        mag *= mask.weights
-    return scale * (float(mag.mean()) * f.geometry.volume) ** (1.0 / p)
+    mag *= mag
+    if inside is not None:
+        mag *= inside
+    return scale * (float(mag.mean()) * f.geometry.volume) ** 0.5
 
 
-def sup_norm(f: ScalarField, mask: RegionMask | None = None) -> float:
-    """Max of |f| over samples where the mask weight exceeds 1/2."""
-    if mask is None:
-        # abs() turns a -0.0 of an all-zero field into 0.0, as |f| would.
-        return abs(max(float(f.values.max()), -float(f.values.min())))
-    _check_compatible(f, mask)
-    sel = mask.weights > 0.5
-    if not sel.any():
-        raise ValidationError("mask has no samples with weight > 1/2")
-    return float(np.abs(f.values[sel]).max())
+def sup_norm(f: ScalarField, inside: np.ndarray | None = None) -> float:
+    """Max of |f| over the samples of the boolean region ``inside`` (every
+    sample when omitted); it reads the samples in place."""
+    where = True
+    if inside is not None:
+        _check_region(f, inside)
+        where = inside
+    top = float(np.max(f.values, where=where, initial=-math.inf))
+    bottom = float(np.min(f.values, where=where, initial=math.inf))
+    # abs() turns a -0.0 of an all-zero field into 0.0, as |f| would.
+    return abs(max(top, -bottom))
 
 
 # ---------------------------------------------------------------------------
 # Preconditioned conjugate gradients for (-eps*Laplacian + V) x = b
+
+# CG's iteration cap per grid row and column: 10 (nx + ny) iterations.
+_CG_CAP_PER_SIDE = 10
 
 
 def solve_linearized(
@@ -488,7 +478,6 @@ def solve_linearized(
     potential: ScalarField,
     rhs: ScalarField,
     tol: float = 1e-12,
-    max_iter: int | None = None,
     terminal: Callable[[np.ndarray], float | None] | None = None,
 ) -> tuple[ScalarField, ScalarField]:
     """Solve ``(-epsilon * laplacian + potential) x = rhs`` by CG.
@@ -518,7 +507,7 @@ def solve_linearized(
         raise ValidationError(f"potential minimum {vmin} is not positive")
 
     grid = rhs.grid
-    cap = max_iter if max_iter is not None else 10 * (grid.nx + grid.ny)
+    cap = _CG_CAP_PER_SIDE * (grid.nx + grid.ny)
     minus_k2, _, _ = _wavenumbers(rhs.geometry, grid)
     V = potential.values
     b = rhs.values
@@ -731,4 +720,4 @@ def resample(
     # the inverse transform may overwrite; a given spectrum is only read.
     vals = _irfft2(spec, (new_grid.nx, new_grid.ny))
     vals *= new_grid.nx * new_grid.ny / (nx * ny)
-    return _adopted(ScalarField, f.geometry, new_grid, vals)
+    return _adopted(f.geometry, new_grid, vals)

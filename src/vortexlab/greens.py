@@ -281,4 +281,4 @@ def divisor_potential(
     # -inf (a sample on a point) becomes the sentinel; every finite value
     # is far above it.
     np.maximum(u, NEGATIVE_SENTINEL, out=u)
-    return _adopted(ScalarField, geometry, grid, u)
+    return _adopted(geometry, grid, u)

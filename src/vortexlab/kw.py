@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fields import (
     GridSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     _check_compatible,
@@ -52,8 +51,8 @@ from .fields import (
     _squared_gradient,
     dirichlet_energy,
     integrate,
+    l2_norm,
     laplacian,
-    lp_norm,
     solve_linearized,
     spectral_tail,
     sup_norm,
@@ -234,7 +233,8 @@ class KWSolution:
     spectrum gives ``spectral_tail``, the resolution certificate that
     :func:`_check_resolved` judges. The solution holds that spectrum and the
     Laplacian of ``f`` until a caller takes them (:meth:`_take_final`); a
-    copy made with ``dataclasses.replace`` does not hold them.
+    copy made with ``dataclasses.replace`` does not hold them. A copy with
+    a new ``f`` must carry that field's own ``spectral_tail`` as well.
     """
 
     f: ScalarField
@@ -283,16 +283,17 @@ class _Evaluation:
     ``w - epsilon laplacian(f)``, is held as ``(a, b, t)`` for ``a + t b``
     beside the Dirichlet energy ``D(f)``, a scalar. A fresh evaluation
     (``linear`` omitted) transforms ``f`` once each way: the half
-    ``spectrum`` gives ``D(f)`` by Parseval and the ``laplacian``, and
-    it keeps both for a caller that reads them. A line-search trial is
-    handed its linear part and ``D`` by :func:`_trials` and transforms
-    nothing. The energy, the residual (formed once and kept), the Newton
-    potential and the pin coefficients all read these. The pass runs on
-    first use, so an :class:`OverflowGuard` raises in whichever of
-    :func:`kw_energy` and :func:`kw_residual` reads the evaluation first.
+    ``spectrum`` gives the ``laplacian``, and ``D(f)`` by Parseval on
+    first use (:meth:`dirichlet`), and it keeps both transforms for a
+    caller that reads them. A line-search trial is handed its linear part
+    and ``D`` by :func:`_trials` and transforms nothing. The energy, the
+    residual (formed once and kept), the Newton potential and the pin
+    coefficients all read these. The pass runs on first use, so an
+    :class:`OverflowGuard` raises in whichever of :func:`kw_energy` and
+    :func:`kw_residual` reads the evaluation first.
     """
 
-    def __init__(self, problem: KWProblem, f: ScalarField, linear=None, dirichlet=0.0):
+    def __init__(self, problem: KWProblem, f: ScalarField, linear=None, dirichlet=None):
         self.problem, self.f = problem, f
         self.fresh = linear is None
         self._linear, self._dirichlet = linear, dirichlet
@@ -315,10 +316,17 @@ class _Evaluation:
             self._linear = (w, None, 0.0)
             if eps != 0:
                 self.spectrum = _half_spectrum(self.f, None)
-                self._dirichlet = dirichlet_energy(self.f, self.spectrum)
                 self.laplacian = laplacian(self.f, self.spectrum).values
                 self._linear = (w, self.laplacian, -eps)
         self._terms = terms
+
+    def dirichlet(self) -> float:
+        """``D(f)``: as handed in, or by Parseval from the kept spectrum on
+        first use."""
+        self._fill()
+        if self._dirichlet is None:
+            self._dirichlet = dirichlet_energy(self.f, self.spectrum)
+        return self._dirichlet
 
     def shifted(self, c: float) -> "_Evaluation":
         """The evaluation at ``f + c``, from this one.
@@ -328,8 +336,8 @@ class _Evaluation:
         change, so the shift costs no transform. A factor ``e^{kc}`` that
         would itself overflow or underflow takes a fresh ``exp`` instead.
         """
-        self._fill()
-        new = _Evaluation(self.problem, self.f + c, self._linear, self._dirichlet)
+        dirichlet = self.dirichlet()  # fills this evaluation first
+        new = _Evaluation(self.problem, self.f + c, self._linear, dirichlet)
         new._terms = []
         for (s, k, top), (coeff, _) in zip(self._terms, _signed_terms(self.problem)):
             _guard(top + k * c)
@@ -366,7 +374,7 @@ class _Evaluation:
         bulk = float(np.mean(en)) * problem.geometry.volume
         if problem.epsilon == 0:
             return bulk
-        return 0.5 * problem.epsilon * self._dirichlet + bulk
+        return 0.5 * problem.epsilon * self.dirichlet() + bulk
 
     def potential(self) -> ScalarField:
         """Potential ``sum |k| C e^{kf}`` of the Newton step, floored at ``_V_FLOOR``."""
@@ -541,7 +549,7 @@ def kw_solve(
         trace.residual_history.append(res_sup)
         if res_sup <= config.newton_tol:
             trace.iterations = iteration
-            res_l2, final = lp_norm(resid, 2), (ev.spectrum, f._like(ev.laplacian))
+            res_l2, final = l2_norm(resid), (ev.spectrum, f._like(ev.laplacian))
             del ev, resid  # the term grids go before the tail's work array
             solution = KWSolution(
                 f=f,
@@ -563,7 +571,7 @@ def kw_solve(
         prev_l2 = res_l2
         tol, floor = _cg_tolerance(config, eta, res_sup), _kelley_floor(config, res_sup)
         trace.cg_tolerances.append(tol)
-        potential, dirichlet = ev.potential(), ev._dirichlet
+        potential, dirichlet = ev.potential(), ev.dirichlet()
         ev = None  # CG runs with no evaluation alive
         terminal = None
         if tol > floor:
@@ -800,16 +808,16 @@ def _check_resolved(solution: KWSolution) -> None:
 
 
 def interior_bounds(
-    f: ScalarField, mask: RegionMask | None = None, spectrum: np.ndarray | None = None
+    f: ScalarField, inside: np.ndarray | None = None, spectrum: np.ndarray | None = None
 ) -> dict[str, float]:
     """Uniform-bound probes of ``f`` on a region away from singular points.
 
     Returns sup |f|, sup |grad f| and the L2 norms of e^{f} and e^{-f} over
-    ``mask`` (the whole torus when omitted), keyed like the matching
-    fields of :class:`vortexlab.vortex.DiagnosticsReport`. ``spectrum`` is
-    ``rfft2(f.values)`` when the caller already has it. Raises
-    :class:`OverflowGuard` when ``|f|`` passes the exponent guard, where
-    one of the two exponentials would overflow, and
+    the boolean region ``inside`` (the whole torus when omitted), keyed like
+    the matching fields of :class:`vortexlab.vortex.DiagnosticsReport`.
+    ``spectrum`` is ``rfft2(f.values)`` when the caller already has it.
+    Raises :class:`OverflowGuard` when ``|f|`` passes the exponent guard,
+    where one of the two exponentials would overflow, and
     :class:`ValidationError` when ``|grad f|`` is above about 1e154, where
     its square would.
     """
@@ -817,10 +825,10 @@ def interior_bounds(
     # One square root of the largest |grad f|^2: sqrt is monotone and
     # correctly rounded, so this is the largest |grad f| bit for bit.
     return {
-        "sup_f": sup_norm(f, mask),
-        "sup_grad_f": math.sqrt(sup_norm(f._like(_squared_gradient(f, spectrum)), mask)),
-        "l2_exp_plus": lp_norm(f._like(np.exp(f.values)), 2, mask),
-        "l2_exp_minus": lp_norm(f._like(np.exp(-f.values)), 2, mask),
+        "sup_f": sup_norm(f, inside),
+        "sup_grad_f": math.sqrt(sup_norm(f._like(_squared_gradient(f, spectrum)), inside)),
+        "l2_exp_plus": l2_norm(f._like(np.exp(f.values)), inside),
+        "l2_exp_minus": l2_norm(f._like(np.exp(-f.values)), inside),
     }
 
 

@@ -70,12 +70,12 @@ from .errors import (
 )
 from .fields import (
     GridSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     _adopted,
     _bump_window,
     _check_wavenumbers,
+    _excluding_discs,
     _finite,
     constant_field,
     integrate,
@@ -496,7 +496,7 @@ class ClassicalVortexSpec(_VortexModel):
             f0[sample] = value
         if not np.isfinite(f0).all():
             raise ValidationError("field values must be finite")
-        return _Start(_adopted(ScalarField, geometry, grid, f0), None)
+        return _Start(_adopted(geometry, grid, f0), None)
 
 
 @dataclass(frozen=True)
@@ -680,21 +680,22 @@ _ORDER_FIT_SAMPLES = (12, 32)
 _PROBE_GRID = GridSpec(64, 64)
 
 
-def _outside_discs(geometry, grid: GridSpec, centers) -> RegionMask:
+def _outside_discs(geometry, grid: GridSpec, centers) -> np.ndarray:
     """The ``MASK_RADIUS`` region on ``grid``, outside the closed discs of
     that radius about ``centers``, where ``sup_deviation`` and the interior
-    bounds are read; :class:`ValidationError` if it has no sample."""
-    mask = RegionMask.excluding_discs(geometry, grid, centers, MASK_RADIUS)
-    if not mask.weights.any():
+    bounds are read: a boolean array, True where a sample counts.
+    :class:`ValidationError` if it has no sample."""
+    inside = _excluding_discs(geometry, grid, centers, MASK_RADIUS)
+    if not inside.any():
         raise ValidationError(
             f"no sample of the {grid.nx}x{grid.ny} grid lies outside the MASK_RADIUS = "
             f"{MASK_RADIUS:g} discs about the divisor points, the region the diagnostics read"
         )
-    return mask
+    return inside
 
 
 @functools.lru_cache(maxsize=4)
-def _probe_region(geometry, centers: tuple) -> RegionMask:
+def _probe_region(geometry, centers: tuple) -> np.ndarray:
     """:func:`_outside_discs` on the ``_PROBE_GRID`` lattice. Every copy of a
     spec admits it and every stage reads it, so the last few are kept."""
     return _outside_discs(geometry, _PROBE_GRID, centers)
@@ -946,7 +947,7 @@ def _on_lattice(
     fine = GridSpec(kx * grid.nx, ky * grid.ny)
     if fine != f.grid:
         f = resample(f, fine, spectrum)
-    return _adopted(ScalarField, f.geometry, grid, f.values[::kx, ::ky].copy())
+    return _adopted(f.geometry, grid, f.values[::kx, ::ky].copy())
 
 
 def diagnostics_report(spec, solution: KWSolution) -> tuple[DiagnosticsReport, Reconstruction]:

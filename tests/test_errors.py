@@ -14,7 +14,6 @@ from vortexlab import (
     GeneralizedTerm,
     GridSpec,
     KWProblem,
-    RegionMask,
     SolverConfig,
     TorusGeometry,
     constant_field,
@@ -22,7 +21,7 @@ from vortexlab import (
     cutoff_ratio_sup,
     divisor_potential,
     kw_solve,
-    lp_norm,
+    l2_norm,
     solve_linearized,
     sup_norm,
     torus_green,
@@ -36,7 +35,7 @@ UNIT = TorusGeometry(1.0, 1.0)
 GRID = GridSpec(8, 8)
 POINT = Divisor(((0.5, 0.5),), (1,))
 ONE = constant_field(UNIT, GRID, 1.0)
-EMPTY = RegionMask(UNIT, GRID, np.zeros((8, 8)))
+EMPTY = np.zeros((8, 8), dtype=bool)
 
 # Stdlib parsing of user text, which signals bad input with ValueError:
 # a rational degree, a YAML scalar that PyYAML resolves but Python cannot
@@ -103,7 +102,6 @@ def _zero_eps_problem():
             "scale 1e-05 needs a grid beyond max_grid=1024",
             id="past-max-grid",
         ),
-        pytest.param(lambda: lp_norm(ONE, 0.5), "p must be >= 1", id="lp-below-1"),
         pytest.param(
             lambda: curvature_mass(ONE, (0.5, 0.5), 0.3, 0.2),
             "need 0 < r_inner < r_outer < 0.5, got (0.3, 0.2)",
@@ -120,16 +118,17 @@ def _zero_eps_problem():
             id="tau-high-reflected",
         ),
         pytest.param(
-            lambda: sup_norm(ONE, RegionMask.excluding_discs(UNIT, GridSpec(16, 16), [], 0.1)),
+            lambda: ONE + constant_field(UNIT, GridSpec(16, 16), 1.0),
             "incompatible geometry/grid",
             id="grid-mismatch",
         ),
-        pytest.param(lambda: lp_norm(ONE, 2, EMPTY), "mask has zero area", id="lp-empty-mask"),
         pytest.param(
-            lambda: sup_norm(ONE, EMPTY),
-            "mask has no samples with weight > 1/2",
-            id="sup-empty-mask",
+            lambda: sup_norm(ONE, np.ones((16, 16), dtype=bool)),
+            "region shape (16, 16) does not match grid (8, 8)",
+            id="region-shape",
         ),
+        pytest.param(lambda: l2_norm(ONE, EMPTY), "region has no sample", id="l2-empty-region"),
+        pytest.param(lambda: sup_norm(ONE, EMPTY), "region has no sample", id="sup-empty-region"),
         pytest.param(
             lambda: solve_linearized(1.0, constant_field(UNIT, GRID, 0.0), ONE),
             "potential minimum 0.0 is not positive",

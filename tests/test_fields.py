@@ -22,27 +22,29 @@ from vortexlab import (
     ClassicalVortexSpec,
     Divisor,
     GridSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     constant_field,
     cutoff_ratio_sup,
     dirichlet_energy,
     integrate,
+    l2_norm,
     laplacian,
-    lp_norm,
     resample,
     solve_and_report,
     solve_linearized,
     spectral_tail,
     sup_norm,
 )
+from vortexlab import fields
 from vortexlab.errors import NoConvergence, ValidationError
 from vortexlab.fields import (
+    _axis_runs,
     _bump_profile,
     _bump_window,
     _disc_blocks,
     _distance,
+    _excluding_discs,
     _irfft2,
     _rfft2,
     _squared_gradient,
@@ -150,19 +152,10 @@ def test_field_arithmetic_and_strict_compatibility():
         f * constant_field(TorusGeometry(2.0, 1.0), grid, 1.0)
 
 
-def test_region_mask_validation():
-    grid = GridSpec(8, 8)
-    with pytest.raises(ValueError):
-        RegionMask(UNIT, grid, np.full((8, 8), 1.5))
-    with pytest.raises(ValueError):
-        RegionMask(UNIT, grid, np.full((8, 8), -0.1))
-    # A NaN passes both halves of a range test written as two rejections.
-    nan_at_one = np.ones((8, 8))
-    nan_at_one[0, 0] = np.nan
-    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-        RegionMask(UNIT, grid, nan_at_one)
-    # With no discs to exclude, the region is the whole torus.
-    assert (RegionMask.excluding_discs(UNIT, grid, [], 0.1).weights == 1.0).all()
+def test_region_excluding_no_disc_is_the_whole_torus():
+    region = _excluding_discs(UNIT, GridSpec(8, 10), [], 0.1)
+    assert region.dtype == bool and region.shape == (8, 10) and region.all()
+    assert not region.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -185,12 +178,11 @@ def test_scalars_entering_a_field_are_checked(bad):
         TorusGeometry(1.0, bad)
 
 
-def test_excluding_discs_mask():
+def test_excluding_discs_region():
     grid = GridSpec(64, 64)
-    mask = RegionMask.excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.2)
+    region = _excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.2)
     dist = meshgrid_distance(UNIT, grid, (0.5, 0.5))
-    assert (mask.weights[dist <= 0.2] == 0.0).all()
-    assert (mask.weights[dist > 0.2] == 1.0).all()
+    assert np.array_equal(region, dist > 0.2)
 
 
 @pytest.mark.parametrize(
@@ -207,11 +199,11 @@ def test_distances_equal_meshgrid_reference(geometry, grid, center):
     r_in, r_out = 0.1, 0.25
     phi = bump_field(geometry, grid, center, r_in, r_out)
     assert np.array_equal(phi.values, _bump_profile(ref, r_in, r_out))
-    mask = RegionMask.excluding_discs(geometry, grid, [center, (0.5, 0.2)], r_out)
-    expected = np.ones((grid.nx, grid.ny))
+    region = _excluding_discs(geometry, grid, [center, (0.5, 0.2)], r_out)
+    expected = np.ones((grid.nx, grid.ny), dtype=bool)
     for c in (center, (0.5, 0.2)):
-        expected[meshgrid_distance(geometry, grid, c) <= r_out] = 0.0
-    assert np.array_equal(mask.weights, expected)
+        expected[meshgrid_distance(geometry, grid, c) <= r_out] = False
+    assert np.array_equal(region, expected)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -245,6 +237,39 @@ def test_distances_on_the_axes_are_the_offsets():
     assert np.array_equal(dist[:, 11], np.abs(dx[:, 0]))
     for box, dx, dy in _disc_blocks(geometry, grid, center, 0.2):
         assert np.array_equal(_distance(dx, dy), dist[box])
+
+
+def split_runs(offsets, radius):
+    """The index runs with offset at most ``radius``, cut by ``np.split``."""
+    idx = np.flatnonzero(np.abs(offsets) <= radius)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    return [slice(int(run[0]), int(run[-1]) + 1) for run in runs if run.size]
+
+
+@pytest.mark.parametrize(
+    "center,radius,runs",
+    [
+        ((0.5, 0.5), 0.1, 1),  # inside the axis
+        ((0.02, 0.97), 0.1, 2),  # across the seam on both axes
+        ((0.0, 0.0), 0.6, 1),  # the whole axis
+        ((0.51, 0.51), 0.001, 0),  # between two samples: empty
+    ],
+)
+def test_axis_runs_equal_the_split_runs(center, radius, runs):
+    grid = GridSpec(64, 48)
+    dx, dy = torus_displacement(UNIT, grid, center)
+    for offsets in (dx[:, 0], dy[0]):
+        assert _axis_runs(offsets, radius) == split_runs(offsets, radius)
+        assert len(_axis_runs(offsets, radius)) == runs
+    if radius > 0.5:
+        assert _axis_runs(dx[:, 0], radius) == [slice(0, 64)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40), st.floats(0.0, 1.0))
+def test_axis_runs_equal_the_split_runs_on_any_offsets(offsets, radius):
+    offsets = np.array(offsets)
+    assert _axis_runs(offsets, radius) == split_runs(offsets, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +318,7 @@ def test_laplacian_of_trig_poly_matches_closed_form():
 @given(seed=st.integers(0, 10**6))
 def test_laplacian_has_zero_mean(seed):
     f = random_field(UNIT, GridSpec(16, 16), seed, scale=3.0)
-    assert abs(integrate(laplacian(f))) <= 1e-12 * max(lp_norm(f, 2), 1e-30)
+    assert abs(integrate(laplacian(f))) <= 1e-12 * max(l2_norm(f), 1e-30)
 
 
 @settings(max_examples=25, deadline=None)
@@ -304,7 +329,7 @@ def test_laplacian_self_adjoint(seed):
     g = random_field(UNIT, grid, seed + 1)
     lhs = integrate(laplacian(f) * g)
     rhs = integrate(f * laplacian(g))
-    assert abs(lhs - rhs) <= 1e-10 * lp_norm(f, 2) * lp_norm(g, 2)
+    assert abs(lhs - rhs) <= 1e-10 * l2_norm(f) * l2_norm(g)
 
 
 def test_symbol_cache_is_bounded():
@@ -403,65 +428,95 @@ def test_integrate_scales_with_volume():
 
 def test_l2_norm_of_sine_is_sqrt_half():
     f = unit_field(32, lambda X, Y: np.sin(2 * np.pi * X))
-    full = RegionMask.excluding_discs(UNIT, GridSpec(32, 32), [], 0.1)
-    assert abs(lp_norm(f, 2, full) - np.sqrt(0.5)) <= 1e-13
-    assert abs(lp_norm(f, 2) - np.sqrt(0.5)) <= 1e-13
+    full = _excluding_discs(UNIT, GridSpec(32, 32), [], 0.1)
+    assert abs(l2_norm(f, full) - np.sqrt(0.5)) <= 1e-13
+    assert abs(l2_norm(f) - np.sqrt(0.5)) <= 1e-13
 
 
-def test_lp_norm_of_constant_past_square_overflow():
+def test_l2_norm_of_constant_past_square_overflow():
     # |f|^2 overflows a double here; the norm itself does not.
     f = constant_field(UNIT, GridSpec(8, 8), -1e200)
-    assert lp_norm(f, 2) == pytest.approx(1e200, rel=1e-14)
-    assert lp_norm(constant_field(UNIT, GridSpec(8, 8), 0.0), 2) == 0.0
+    assert l2_norm(f) == pytest.approx(1e200, rel=1e-14)
+    assert l2_norm(constant_field(UNIT, GridSpec(8, 8), 0.0)) == 0.0
 
 
-@pytest.mark.parametrize("p", [2, 4])
-def test_lp_norm_matches_refined_quadrature(p):
-    # |f|^p is a trig polynomial of band p*kmax, resolved on both grids,
+def test_l2_norm_matches_refined_quadrature():
+    # |f|^2 is a trig polynomial of band 2 kmax, resolved on both grids,
     # so doubling the resolution is an independent exact oracle.
     poly = random_trig(seed=23, n_modes=6, kmax=5)
-    coarse = lp_norm(poly.field(UNIT, GridSpec(64, 64)), p)
-    fine = lp_norm(poly.field(UNIT, GridSpec(128, 128)), p)
+    coarse = l2_norm(poly.field(UNIT, GridSpec(64, 64)))
+    fine = l2_norm(poly.field(UNIT, GridSpec(128, 128)))
     assert abs(coarse - fine) <= 1e-10
 
 
-def test_lp_norm_rejects_p_below_one():
+def weighted_norms(values, weights, volume):
+    """The sup and L2 norms of samples ``values`` over 0/1 quadrature
+    ``weights``: the sup over weights above 1/2, the L2 norm scaled by the
+    largest sample."""
+    mag = np.abs(values)
+    sup = float(mag[weights > 0.5].max())
+    scale = float(mag.max())
+    if scale == 0.0:
+        return sup, 0.0
+    mag /= scale
+    mag **= 2
+    mag *= weights
+    return sup, scale * (float(mag.mean()) * volume) ** (1.0 / 2)
+
+
+@st.composite
+def fields_and_regions(draw):
+    nx, ny = (2 * draw(st.integers(4, 12)) for _ in range(2))
+    geometry = TorusGeometry(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=nx * ny, max_size=nx * ny))
+    inside = draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+    return (
+        ScalarField(geometry, GridSpec(nx, ny), np.reshape(values, (nx, ny))),
+        np.reshape(inside, (nx, ny)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_regions())
+def test_region_norms_equal_the_weighted_formulas_bit_for_bit(case):
+    f, inside = case
+    volume = f.geometry.volume
+    if not inside.any():
+        for norm in (sup_norm, l2_norm):
+            with pytest.raises(ValidationError, match="region has no sample"):
+                norm(f, inside)
+        return
+    sup, l2 = weighted_norms(f.values.copy(), inside.astype(float), volume)
+    assert sup_norm(f, inside) == sup
+    assert l2_norm(f, inside) == l2
+    # The whole torus is every sample, and the default.
+    everywhere = np.ones(inside.shape, dtype=bool)
+    sup, l2 = weighted_norms(f.values.copy(), np.ones(inside.shape), volume)
+    assert sup_norm(f) == sup_norm(f, everywhere) == sup
+    assert l2_norm(f) == l2_norm(f, everywhere) == l2
+
+
+def test_region_sup_norm_reads_the_samples_in_place():
+    # At 512^2 one grid is 2 MiB; a region sup builds none of |f|, f[inside].
+    grid = GridSpec(512, 512)
+    f = random_field(UNIT, grid, seed=5)
+    inside = _excluding_discs(UNIT, grid, [(0.2, 0.3), (0.7, 0.6)], 0.15)
+    tracemalloc.start()
+    try:
+        sup = sup_norm(f, inside)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup == float(np.abs(f.values[inside]).max())
+    assert peak < f.values.nbytes / 10
+
+
+def test_norms_reject_a_region_of_another_shape():
     f = constant_field(UNIT, GridSpec(8, 8), 1.0)
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
-
-
-def test_sup_norm_uses_mask_threshold():
-    grid = GridSpec(8, 8)
-    vals = np.zeros((8, 8))
-    vals[0, 0] = -7.0
-    vals[4, 4] = 5.0
-    f = ScalarField(UNIT, grid, vals)
-    assert sup_norm(f) == 7.0
-    weights = np.full((8, 8), 0.4)
-    weights[4, 4] = 1.0
-    mask = RegionMask(UNIT, grid, weights)
-    # Only samples with weight > 1/2 count.
-    assert sup_norm(f, mask) == 5.0
-
-
-def test_empty_mask_errors():
-    grid = GridSpec(8, 8)
-    f = constant_field(UNIT, grid, 1.0)
-    empty = RegionMask(UNIT, grid, np.zeros((8, 8)))
-    with pytest.raises(ValidationError):
-        lp_norm(f, 2, empty)
-    with pytest.raises(ValidationError):
-        sup_norm(f, empty)
-
-
-def test_norms_reject_mismatched_mask():
-    f = constant_field(UNIT, GridSpec(8, 8), 1.0)
-    mask = RegionMask.excluding_discs(UNIT, GridSpec(16, 16), [], 0.1)
-    with pytest.raises(ValidationError):
-        lp_norm(f, 2, mask)
-    with pytest.raises(ValidationError):
-        sup_norm(f, mask)
+    region = _excluding_discs(UNIT, GridSpec(16, 16), [], 0.1)
+    for norm in (sup_norm, l2_norm):
+        with pytest.raises(ValidationError, match="region shape"):
+            norm(f, region)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +608,7 @@ def test_constant_field_holds_no_grid():
             constant_field(UNIT, GridSpec(8, 8), bad)
 
 
-def test_solve_linearized_errors():
+def test_solve_linearized_errors(monkeypatch):
     grid = GridSpec(16, 16)
     good = constant_field(UNIT, grid, 1.0)
     flat = constant_field(UNIT, grid, 0.0)
@@ -564,8 +619,10 @@ def test_solve_linearized_errors():
     rng = np.random.default_rng(2)
     pot = ScalarField(UNIT, grid, 1.0 + rng.uniform(0.0, 5.0, (16, 16)))
     rhs = ScalarField(UNIT, grid, rng.standard_normal((16, 16)))
-    with pytest.raises(NoConvergence):
-        solve_linearized(1.0, pot, rhs, tol=1e-15, max_iter=1)
+    # Under a cap of one iteration, CG stops with NoConvergence.
+    monkeypatch.setattr(fields, "_CG_CAP_PER_SIDE", 1 / 32)
+    with pytest.raises(NoConvergence, match="within 1.0 iterations"):
+        solve_linearized(1.0, pot, rhs, tol=1e-15)
 
 
 def random_spd_problem(n, seed):
@@ -583,9 +640,10 @@ def test_cg_iteration_costs_two_transforms(monkeypatch, k):
     # Carrying the direction's Laplacian through a second inverse cost
     # 3 (k + 1).
     pot, rhs = random_spd_problem(32, seed=7)
+    monkeypatch.setattr(fields, "_CG_CAP_PER_SIDE", k / 64)  # k iterations on 32^2
     calls = record_transforms(monkeypatch)
     with pytest.raises(NoConvergence):
-        solve_linearized(0.3, pot, rhs, tol=1e-15, max_iter=k)
+        solve_linearized(0.3, pot, rhs, tol=1e-15)
     assert len(calls) == 2 * (k + 1)
 
 

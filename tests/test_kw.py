@@ -21,14 +21,13 @@ from vortexlab import (
     Divisor,
     GridSpec,
     MixedVortexSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     adiabatic_sweep,
     constant_field,
     integrate,
+    l2_norm,
     laplacian,
-    lp_norm,
     reduce_any,
     resample,
     solve_and_report,
@@ -41,7 +40,7 @@ from vortexlab.errors import (
     Unsolvable,
     ValidationError,
 )
-from vortexlab.fields import _squared_gradient, spectral_tail
+from vortexlab.fields import _excluding_discs, _squared_gradient, spectral_tail
 from vortexlab.kw import (
     Classification,
     KWProblem,
@@ -474,7 +473,27 @@ def test_solution_residual_is_that_of_a_fresh_evaluation(problem):
     assert sol.iterations >= 2
     fresh = kw_residual(problem, sol.f)
     assert sol.residual_sup == sup_norm(fresh) <= SolverConfig().newton_tol
-    assert sol.residual_l2 == lp_norm(fresh, 2)
+    assert sol.residual_l2 == l2_norm(fresh)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: bumpy_two_sided(GridSpec(32, 32), w=0.4),
+        lambda: one_sided_plus(GridSpec(32, 32)),
+    ],
+    ids=["two_sided", "one_sided"],
+)
+def test_a_solve_forms_the_dirichlet_energy_of_its_start_only(monkeypatch, problem):
+    # The start's energy reads D(f); each trial and pin shift carries it,
+    # and the fresh evaluation that decides convergence never forms it.
+    calls = []
+    energy = kw_module.dirichlet_energy
+    monkeypatch.setattr(
+        kw_module, "dirichlet_energy", lambda *a, **k: calls.append(1) or energy(*a, **k)
+    )
+    sol = kw_solve(problem())
+    assert sol.iterations >= 2 and len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -502,7 +521,7 @@ def test_trial_evaluation_matches_a_fresh_one(step):
     ev = kw_module._Evaluation(p, f)
     base = kw_module._linear_part(p, f, kw_residual(p, f, ev))
     eps_lap_x = p.epsilon * laplacian(x)
-    trial = kw_module._trials(p, f, x, eps_lap_x, base, ev._dirichlet)(step)
+    trial = kw_module._trials(p, f, x, eps_lap_x, base, ev.dirichlet())(step)
     fresh = kw_module._Evaluation(p, trial.f)
     assert np.array_equal(trial.f.values, fresh.f.values)
     assert abs(trial.energy() - fresh.energy()) <= 1e-13 * abs(fresh.energy())
@@ -957,8 +976,8 @@ def test_apriori_constant_family_flat():
 def test_apriori_manufactured_family_epsilon_independent():
     grid = GridSpec(64, 64)
     sols = [kw_solve(manufactured_problem(grid, e)[0]) for e in (0.4, 0.2, 0.1)]
-    mask = RegionMask.excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.1)
-    rows = [interior_bounds(sol.f, mask) for sol in sols]
+    region = _excluding_discs(UNIT, grid, [(0.5, 0.5)], 0.1)
+    rows = [interior_bounds(sol.f, region) for sol in sols]
     base = rows[0]
     assert set(base) == {"sup_f", "sup_grad_f", "l2_exp_plus", "l2_exp_minus"}
     for row in rows[1:]:
@@ -970,17 +989,17 @@ def test_interior_bounds_default_to_whole_torus():
     grid = GridSpec(16, 16)
     f = kw_solve(symmetric_problem(grid, epsilon=0.3, w=0.2)).f
     row = interior_bounds(f)
-    assert row == interior_bounds(f, RegionMask.excluding_discs(UNIT, grid, [], 0.1))
+    assert row == interior_bounds(f, _excluding_discs(UNIT, grid, [], 0.1))
     assert np.isfinite(row["l2_exp_minus"])
 
 
 def test_interior_bounds_sup_gradient_is_the_largest_magnitude():
     # One square root of the largest |grad f|^2 is the largest |grad f|,
-    # bit for bit, with or without a mask.
+    # bit for bit, with or without a region.
     grid = GridSpec(64, 64)
     f = random_trig(seed=9).field(UNIT, grid)
-    mask = RegionMask.excluding_discs(UNIT, grid, [(0.3, 0.6)], 0.2)
-    for m in (None, mask):
+    region = _excluding_discs(UNIT, grid, [(0.3, 0.6)], 0.2)
+    for m in (None, region):
         magnitude = ScalarField(UNIT, grid, np.sqrt(_squared_gradient(f)))
         assert interior_bounds(f, m)["sup_grad_f"] == sup_norm(magnitude, m)
 

@@ -4,7 +4,9 @@ Every name in a module's ``__all__`` must be loaded by package code other
 than its own ``def`` or ``class`` line and the export lists: a name that
 only tests reach belongs in ``tests/helpers.py``, not in the package. The
 same holds for every private module-level function, class and constant,
-and every private method: dead private code fails here.
+and every private method: dead private code fails here. An exported
+function's defaulted parameter must be passed by some package call, or it
+is a setting that no run uses.
 """
 
 import ast
@@ -18,8 +20,9 @@ import vortexlab
 SRC = Path(vortexlab.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
-# Probes of the paper's cutoff and Young bounds that no run reads yet;
-# ROADMAP item 18 decides whether a run measures them or they go.
+# Probes of the paper's cutoff and Young bounds that no run reads yet, with
+# their defaults; ROADMAP item 18 decides whether a run measures them or
+# they go.
 ALLOWED = {"young_bound", "cutoff_ratio_sup"}
 
 
@@ -84,3 +87,48 @@ def test_every_private_definition_is_used_by_the_package():
         if name.startswith("_") and not name.startswith("__") and name not in loaded
     )
     assert not unused, f"private names no package code uses: {unused}"
+
+
+def defaulted_parameters(function: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of each parameter with a default; ``position``
+    is ``None`` for a keyword-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def passed_parameters(calls: list[ast.Call], params) -> set[str]:
+    """The parameters among ``params`` that some call of ``calls`` passes:
+    by keyword, by position, or possibly through ``*`` or ``**``."""
+    passed = set()
+    for call in calls:
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        keywords = {k.arg for k in call.keywords}
+        for name, position in params:
+            by_position = position is not None and (starred or position < len(call.args))
+            if name in keywords or None in keywords or by_position:
+                passed.add(name)
+    return passed
+
+
+def test_every_default_of_an_exported_function_is_passed_by_the_package():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module in MODULES:
+        exported = set(exports(module)) - ALLOWED
+        for node in modules[module].body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                params = defaulted_parameters(node)
+                missing = {n for n, _ in params} - passed_parameters(calls.get(node.name, []), params)
+                unpassed += [f"{module}.{node.name}({name})" for name in sorted(missing)]
+    assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"

@@ -31,7 +31,6 @@ from vortexlab import (
     GeneralizedTerm,
     GridSpec,
     MixedVortexSpec,
-    RegionMask,
     ScalarField,
     TorusGeometry,
     adiabatic_sweep,
@@ -56,7 +55,7 @@ from vortexlab.errors import (
     ValidationError,
     VortexLabError,
 )
-from vortexlab.fields import spectral_tail
+from vortexlab.fields import _excluding_discs, spectral_tail
 from vortexlab.kw import TAIL_TOL, SolverConfig, kw_limit, kw_solve
 from vortexlab.greens import NEGATIVE_SENTINEL, divisor_potential
 from vortexlab.vortex import (
@@ -440,7 +439,7 @@ def test_curvature_mass_rejects_overlapping_windows():
 )
 def test_box_windows_match_full_grid(geometry, grid, center, r_inner, r_outer):
     # The mass integrates over the box of the r_outer disc only; it agrees
-    # with the full-grid integral. The disc mask is the distance rule bit
+    # with the full-grid integral. The disc region is the distance rule bit
     # for bit, including samples at distance exactly r_outer.
     rng = np.random.default_rng(11)
     curvature = ScalarField(geometry, grid, rng.uniform(0.5, 2.0, (grid.nx, grid.ny)))
@@ -449,18 +448,18 @@ def test_box_windows_match_full_grid(geometry, grid, center, r_inner, r_outer):
     mass = curvature_mass(curvature, center, r_inner, r_outer)
     assert mass == pytest.approx(full, rel=1e-13, abs=0.0)
     other = (0.5 * geometry.length_x, 0.5 * geometry.length_y)
-    mask = RegionMask.excluding_discs(geometry, grid, [center, other], r_outer)
-    expected = np.ones((grid.nx, grid.ny))
+    region = _excluding_discs(geometry, grid, [center, other], r_outer)
+    expected = np.ones((grid.nx, grid.ny), dtype=bool)
     for c in (center, other):
-        expected[meshgrid_distance(geometry, grid, c) <= r_outer] = 0.0
-    assert np.array_equal(mask.weights, expected)
+        expected[meshgrid_distance(geometry, grid, c) <= r_outer] = False
+    assert np.array_equal(region, expected)
     if r_outer in (0.25, 0.125):
         assert (meshgrid_distance(geometry, grid, center) == r_outer).any()
 
 
 def test_box_windows_memory():
     # At 1024^2 one grid is 8 MiB. A mass window touches only the box of
-    # its disc; a disc mask builds one grid, the mask it adopts.
+    # its disc; a disc region builds one grid, the region, one byte a sample.
     grid = GridSpec(1024, 1024)
     curvature = constant_field(UNIT, grid, 1.0)
     centers = [((i + 0.5) / 4, (j + 0.5) / 4) for i in range(4) for j in range(4)]
@@ -469,12 +468,12 @@ def test_box_windows_memory():
         curvature_mass(curvature, (0.3, 0.4), 0.025, 0.05)
         mass_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        RegionMask.excluding_discs(UNIT, grid, centers, MASK_RADIUS)
-        mask_peak = tracemalloc.get_traced_memory()[1]
+        _excluding_discs(UNIT, grid, centers, MASK_RADIUS)
+        region_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mass_peak < 2**20
-    assert mask_peak <= 2 * 8 * 2**20
+    assert region_peak <= 2 * 2**20
 
 
 def test_mass_window_below_two_grid_cells_fails_the_stage():
@@ -1407,15 +1406,20 @@ def test_sweep_stage_is_diagnosed_on_its_solve_grid(eps, n):
 def test_sup_deviation_is_a_function_of_the_solution():
     # One accepted 16^2 solution, carried exactly onto finer copies of its
     # spec: the deviation is read on the same probe lattice from each, and
-    # the masses differ only by the quadrature of their bump windows.
+    # the masses differ only by the quadrature of their bump windows. Each
+    # copy carries the spectral tail of its own field, which its stage records.
     spec = _sweep_mixed_spec(0.5, 16)
     sol = kw_solve(reduce_any(spec))
     assert spectral_tail(sol.f) <= TAIL_TOL
     stages = []
     for n in (16, 32, 64):
         copy = _copy(spec, grid=GridSpec(n, n))
-        solution = dataclasses.replace(sol, f=resample(sol.f, copy.grid))
-        stages.append(diagnostics_report(copy, solution)[0])
+        f = resample(sol.f, copy.grid)
+        tail = spectral_tail(f)
+        stage = diagnostics_report(copy, dataclasses.replace(sol, f=f, spectral_tail=tail))[0]
+        assert stage.spectral_tail == tail
+        stages.append(stage)
+    assert stages[0].spectral_tail == sol.spectral_tail
     ref = stages[-1]
     for stage in stages:
         assert stage.sup_deviation == pytest.approx(ref.sup_deviation, abs=1e-12)
